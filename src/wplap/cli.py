@@ -388,7 +388,8 @@ def cmd_oracle(cfg: RunConfig, args, out: Path) -> int:
     lines = [f"config = {cfg.path}", f"lambda = {_fmt(lam)}", f"mu = {_fmt(mu)}",
              f"sigma_range = {_fmt(cfg.sigma_range[0])} .. {_fmt(cfg.sigma_range[1])}",
              f"n_scan = {cfg.n_scan}", f"roots = {len(profile.roots)}",
-             f"degenerate_flat = {profile.degenerate_flat}", ""]
+             f"degenerate_flat = {profile.degenerate_flat}",
+             f"unconverged_brackets = {len(profile.unconverged)}", ""]
     for i, root in enumerate(profile.roots):
         name = f"oracle_root_{i:03d}.csv"
         write_oracle_root_csv(out / name, root)

@@ -12,12 +12,14 @@ Grammar (EBNF):
 
 sin/cos/exp take one argument, min/max two, clamp(e, lo, hi) three and is
 expanded to min(max(e, lo), hi).  "^" is right-associative and binds tighter
-than unary minus.  Evaluation is vectorized over numpy arrays; t-derivatives
+than unary minus.  Each Expression compiles its AST once into a tree of
+closures; evaluation is vectorized over numpy arrays.  t-derivatives
 are formed symbolically (min/max differentiate branch-wise, which is enough
 for the almost-everywhere derivatives the solver needs).
 """
 from __future__ import annotations
 
+import operator
 import re
 
 import numpy as np
@@ -134,41 +136,36 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r} in {self.src!r}")
 
 
-def _eval(node, env):
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": operator.truediv, "^": operator.pow,
+           "min": np.minimum, "max": np.maximum}
+
+
+def _compile(node):
+    """Closure tree evaluating the AST on an environment dict."""
     op = node[0]
     if op == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if op == "var":
-        try:
-            return env[node[1]]
-        except KeyError:
-            raise ParseError(f"variable {node[1]!r} not available here") from None
-    if op == "neg":
-        return -_eval(node[1], env)
-    if op in "+-*/^":
-        a, b = _eval(node[1], env), _eval(node[2], env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return a / b
-        return a ** b
-    if op == "sin":
-        return np.sin(_eval(node[1], env))
-    if op == "cos":
-        return np.cos(_eval(node[1], env))
-    if op == "exp":
-        return np.exp(_eval(node[1], env))
-    if op == "min":
-        return np.minimum(_eval(node[1], env), _eval(node[2], env))
-    if op == "max":
-        return np.maximum(_eval(node[1], env), _eval(node[2], env))
+        name = node[1]
+
+        def var(env):
+            try:
+                return env[name]
+            except KeyError:
+                raise ParseError(f"variable {name!r} not available here") from None
+        return var
+    if op in _UNARY:
+        fn, a = _UNARY[op], _compile(node[1])
+        return lambda env: fn(a(env))
+    if op in _BINARY:
+        fn, a, b = _BINARY[op], _compile(node[1]), _compile(node[2])
+        return lambda env: fn(a(env), b(env))
     if op == "where_le":  # internal: branch derivative of min/max
-        a, b = _eval(node[1], env), _eval(node[2], env)
-        return np.where(a <= b, _eval(node[3], env), _eval(node[4], env))
+        a, b, c, d = (_compile(n) for n in node[1:])
+        return lambda env: np.where(a(env) <= b(env), c(env), d(env))
     raise ParseError(f"bad node {op!r}")
 
 
@@ -227,9 +224,14 @@ class Expression:
         self.source = source
         self.node = _Parser(source).parse() if node is None else node
         self.variables = frozenset(_vars_of(self.node, set()))
+        self._fn = _compile(self.node)
 
     def __call__(self, **env):
-        return _eval(self.node, env)
+        return self._fn(env)
+
+    def __reduce__(self):
+        # closures do not pickle; rebuild from the AST instead
+        return Expression, (self.source, self.node)
 
     def diff_t(self) -> "Expression":
         return Expression(f"d/dt({self.source})", node=_diff(self.node))

@@ -27,6 +27,8 @@ __all__ = ["ShootingRoot", "ShootingProfile", "shoot", "enumerate_solutions",
 
 _BLOWUP = 1e8
 _TERMINAL_TOL = 1e-8
+_SECTIONS = 31     # interior slopes per bracket and refinement level
+_MAX_LEVELS = 16   # 80 halvings' worth of shrinkage
 
 
 @dataclass
@@ -45,6 +47,7 @@ class ShootingProfile:
     brackets: list
     roots: list = field(default_factory=list)
     degenerate_flat: bool = False  # terminal map vanished on a whole sigma run
+    unconverged: list = field(default_factory=list)  # (sigma, terminal), bracket short of tol
 
 
 def _check_domain(domain: Domain):
@@ -59,20 +62,20 @@ def _interval(domain: Domain):
     return c - r, c + r
 
 
-def _rhs_factory(w: WeightSpec, p: float, lam: float, mu: float,
-                 f: Nonlinearity | None, g: Nonlinearity | None,
-                 zero_order: bool, domain: Domain):
-    pm1 = p - 1.0
+def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
+                 g: Nonlinearity | None, zero_order: bool):
+    """Right-hand side at one abscissa x with the weight value a = a(x)."""
+    inv_pm1 = 1.0 / (p - 1.0)
+    use_f = f is not None and lam != 0.0
+    use_g = g is not None and mu != 0.0
 
-    def rhs(x: float, u: np.ndarray, q: np.ndarray):
-        a = float(eval_weight(w, domain, np.array([[x]]))[0])
-        du = np.abs(q / a) ** (1.0 / pm1) * np.sign(q)
+    def rhs(x: float, a: float, u: np.ndarray, q: np.ndarray):
+        du = np.abs(q / a) ** inv_pm1 * np.sign(q)
         dq = np.abs(u) ** (p - 2.0) * u if zero_order else np.zeros_like(u)
-        xs = np.full((u.size, 1), x)
-        if f is not None and lam != 0.0:
-            dq = dq - lam * f.eval(xs, u)
-        if g is not None and mu != 0.0:
-            dq = dq - mu * g.eval(xs, u)
+        if use_f:
+            dq = dq - lam * f.f(t=u, x1=x)
+        if use_g:
+            dq = dq - mu * g.f(t=u, x1=x)
         return du, dq
 
     return rhs
@@ -104,31 +107,36 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     x_a, x_b = _interval(domain)
     grid, h = _ode_grid(domain, w, steps_per_unit)
-    rhs = _rhs_factory(w, p, lam, mu, f, g, zero_order, domain)
+    rhs = _rhs_factory(p, lam, mu, f, g, zero_order)
 
-    a0 = float(eval_weight(w, domain, np.array([[grid[0]]]))[0])
+    # the abscissae the RK4 stages see, and a(x) tabulated on each of them
+    step = grid[1:] - grid[:-1]
+    x_mid = grid[:-1] + 0.5 * step
+    x_end = grid[:-1] + step
+    a_node, a_mid, a_end = (eval_weight(w, domain, xs[:, None]).tolist()
+                            for xs in (grid, x_mid, x_end))
+
     if grid[0] > x_a:
         # start just inside; u grows linearly with slope sigma over the layer
         u = sigmas * (grid[0] - x_a)
     else:
         u = np.zeros_like(sigmas)
-    q = a0 * np.abs(sigmas) ** (p - 1.0) * np.sign(sigmas)
+    q = a_node[0] * np.abs(sigmas) ** (p - 1.0) * np.sign(sigmas)
 
     diverged = np.zeros(sigmas.shape, dtype=bool)
     history = np.empty((grid.size, sigmas.size)) if keep_trajectory else None
     if keep_trajectory:
         history[0] = u
-    for i in range(grid.size - 1):
-        x = grid[i]
-        step = grid[i + 1] - grid[i]
-        k1u, k1q = rhs(x, u, q)
-        k2u, k2q = rhs(x + 0.5 * step, u + 0.5 * step * k1u, q + 0.5 * step * k1q)
-        k3u, k3q = rhs(x + 0.5 * step, u + 0.5 * step * k2u, q + 0.5 * step * k2q)
-        k4u, k4q = rhs(x + step, u + step * k3u, q + step * k3q)
-        u = u + (step / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        q = q + (step / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+    for i, (x, xm, xe, hs) in enumerate(zip(grid[:-1].tolist(), x_mid.tolist(),
+                                            x_end.tolist(), step.tolist())):
+        k1u, k1q = rhs(x, a_node[i], u, q)
+        k2u, k2q = rhs(xm, a_mid[i], u + 0.5 * hs * k1u, q + 0.5 * hs * k1q)
+        k3u, k3q = rhs(xm, a_mid[i], u + 0.5 * hs * k2u, q + 0.5 * hs * k2q)
+        k4u, k4q = rhs(xe, a_end[i], u + hs * k3u, q + hs * k3q)
+        u = u + (hs / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        q = q + (hs / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         bad = ~np.isfinite(u) | ~np.isfinite(q) | (np.abs(u) > _BLOWUP)
-        if np.any(bad):
+        if bad.any():
             diverged |= bad
             u = np.where(bad, np.sign(np.where(np.isfinite(u), u, 1.0)) * _BLOWUP, u)
             q = np.where(bad, 0.0, q)
@@ -136,8 +144,7 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
             history[i + 1] = u
     if grid[-1] < x_b:
         # extrapolate the boundary layer with the local slope
-        a_end = float(eval_weight(w, domain, np.array([[grid[-1]]]))[0])
-        slope = np.abs(q / a_end) ** (1.0 / (p - 1.0)) * np.sign(q)
+        slope = np.abs(q / a_node[-1]) ** (1.0 / (p - 1.0)) * np.sign(q)
         terminal = u + slope * (x_b - grid[-1])
     else:
         terminal = u
@@ -147,29 +154,44 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
     return terminal, diverged
 
 
-def _bisect_all(brackets, t_at, shooter_batch):
-    """Bisect every bracket simultaneously (one batched march per level)."""
-    if not brackets:
-        return []
-    lo = np.array([b[0] for b in brackets])
-    hi = np.array([b[1] for b in brackets])
-    t_lo = np.array([t_at[b[0]] for b in brackets])
-    done = np.zeros(lo.size, dtype=bool)
-    mid = 0.5 * (lo + hi)
-    t_mid = shooter_batch(mid)
-    for _ in range(80):
-        done |= (np.abs(t_mid) <= _TERMINAL_TOL) | ((hi - lo) < 1e-15 * np.maximum(1.0, np.abs(mid)))
-        if np.all(done):
+def _refine_all(brackets, t_lo, shooter_batch):
+    """Multi-section of every bracket at once: each level marches _SECTIONS
+    interior slopes per bracket in one batched call and keeps the subinterval
+    holding the first sign change, so a bracket shrinks by _SECTIONS + 1 per
+    march.  A bracket stops when an interior slope has |t| <= _TERMINAL_TOL
+    (converged) or when it is narrower than 1e-15 max(1, |sigma|) or the
+    level cap is reached (not converged).  Returns (converged, unconverged),
+    each a list of (sigma, terminal) at the slope of least |t| marched last.
+    """
+    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
+    active = [[lo, hi, t] for (lo, hi), t in zip(brackets, t_lo)]
+    converged, unconverged = [], []
+    for level in range(_MAX_LEVELS):
+        if not active:
             break
-        same = (t_mid < 0) == (t_lo < 0)
-        lo = np.where(~done & same, mid, lo)
-        t_lo = np.where(~done & same, t_mid, t_lo)
-        hi = np.where(~done & ~same, mid, hi)
-        nxt = 0.5 * (lo + hi)
-        mid = np.where(done, mid, nxt)
-        t_new = shooter_batch(mid)
-        t_mid = np.where(done, t_mid, t_new)
-    return [(float(m), float(t)) for m, t in zip(mid, t_mid)]
+        lo = np.array([b[0] for b in active])
+        hi = np.array([b[1] for b in active])
+        pts = lo[:, None] + (hi - lo)[:, None] * frac
+        ts = shooter_batch(pts.ravel()).reshape(pts.shape)
+        still = []
+        for b, sig, t in zip(active, pts, ts):
+            best = int(np.argmin(np.abs(t)))
+            found = (float(sig[best]), float(t[best]))
+            if abs(found[1]) <= _TERMINAL_TOL:
+                converged.append(found)
+                continue
+            # the first interior slope past the sign change (hi if none)
+            far = (t < 0) != (b[2] < 0)
+            j = int(np.argmax(far)) if far.any() else _SECTIONS
+            new_lo, t_new = (b[0], b[2]) if j == 0 else (float(sig[j - 1]), float(t[j - 1]))
+            new_hi = b[1] if j == _SECTIONS else float(sig[j])
+            if (new_hi - new_lo < 1e-15 * max(1.0, abs(found[0]))
+                    or level == _MAX_LEVELS - 1):
+                unconverged.append(found)
+            else:
+                still.append([new_lo, new_hi, t_new])
+        active = still
+    return converged, unconverged
 
 
 def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
@@ -179,7 +201,9 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
                         n_scan: int = 2001,
                         steps_per_unit: int = 1024) -> ShootingProfile:
     """Scan the terminal map over the slope range, bracket its sign changes,
-    bisect each bracket to |u(x_b)| <= 1e-8 and store the root profiles.
+    refine each bracket by multi-section to |u(x_b)| <= 1e-8 and store the
+    root profiles.  Brackets that stop short of the tolerance are listed in
+    ``unconverged``.
 
     Exact and near-zero scan values are kept as roots directly; a long run of
     vanishing terminals raises the degenerate_flat flag (the map carries no
@@ -195,8 +219,7 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
     degenerate = bool(near_zero.sum() > max(3, n_scan // 100))
 
     def shooter_batch(ss: np.ndarray) -> np.ndarray:
-        t, _ = shoot(ss, domain, w, p, lam, mu, f, g, zero_order, steps_per_unit)
-        return t
+        return shoot(ss, domain, w, p, lam, mu, f, g, zero_order, steps_per_unit)[0]
 
     root_sigmas: list[float] = []
     # representative of each exact-zero run
@@ -211,17 +234,15 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
         else:
             i += 1
     # sign-change brackets between usable neighbours
-    brackets = []
-    t_at = {}
+    brackets, t_lo = [], []
     for i in range(n_scan - 1):
         if diverged[i] or diverged[i + 1] or near_zero[i] or near_zero[i + 1]:
             continue
         if (terminal[i] < 0) != (terminal[i + 1] < 0):
             brackets.append((float(sigma_grid[i]), float(sigma_grid[i + 1])))
-            t_at[float(sigma_grid[i])] = float(terminal[i])
-    for s, t in _bisect_all(brackets, t_at, shooter_batch):
-        if abs(t) <= _TERMINAL_TOL:
-            root_sigmas.append(s)
+            t_lo.append(float(terminal[i]))
+    converged, unconverged = _refine_all(brackets, t_lo, shooter_batch)
+    root_sigmas += [s for s, _ in converged]
 
     # dedupe (a zero run adjacent to a bracket can double-report)
     root_sigmas.sort()
@@ -232,17 +253,17 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
             kept.append(s)
 
     roots = []
-    for s in kept:
-        term, div, grid, hist = shoot(np.array([s]), domain, w, p, lam, mu, f,
+    if kept:
+        term, div, grid, hist = shoot(np.array(kept), domain, w, p, lam, mu, f,
                                       g, zero_order, steps_per_unit,
                                       keep_trajectory=True)
-        if div[0]:
-            continue
-        roots.append(ShootingRoot(sigma=s, terminal=float(term[0]),
-                                  x=grid.copy(), u=hist[:, 0].copy()))
+        for k, s in enumerate(kept):
+            if not div[k]:
+                roots.append(ShootingRoot(sigma=s, terminal=float(term[k]),
+                                          x=grid.copy(), u=hist[:, k].copy()))
     return ShootingProfile(sigma_grid=sigma_grid, terminal_values=terminal,
                            diverged=diverged, brackets=brackets, roots=roots,
-                           degenerate_flat=degenerate)
+                           degenerate_flat=degenerate, unconverged=unconverged)
 
 
 def profile_on_mesh(root: ShootingRoot, mesh: Mesh, domain: Domain) -> DiscreteFunction:

@@ -198,7 +198,7 @@ class TestOracle:
         assert not diverged.all()
         report = (tmp_path / "out" / "oracle_report.txt").read_text()
         assert "roots = 3" in report
-        assert "degenerate_flat = False" in report
+        assert "degenerate_flat = False\nunconverged_brackets = 0\n" in report
         assert len(list((tmp_path / "out").glob("oracle_root_*.csv"))) == 3
 
     def test_planar_domain_unsupported(self, tmp_path, capsys):
