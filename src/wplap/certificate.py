@@ -18,6 +18,7 @@ inconclusive rather than pass.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,11 +157,18 @@ def _overall(entries) -> str:
     return "pass"
 
 
-def _gauss_panels(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
-    """Composite 20-point Gauss with panel doubling to a relative tolerance."""
+_MAX_PANELS = 128
+_UNCONVERGED = f"; quadrature unconverged at {_MAX_PANELS} panels"
+
+
+def _gauss_panels(fn, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, bool]:
+    """Composite 20-point Gauss with panel doubling to a relative tolerance.
+
+    Returns (value, converged); when _MAX_PANELS panels still change the value
+    by more than tol, the last value comes back with converged = False."""
     xg, wg = _GL
     prev = None
-    for panels in (1, 2, 4, 8, 16, 32, 64, 128):
+    for panels in (1, 2, 4, 8, 16, 32, 64, _MAX_PANELS):
         edges = np.linspace(lo, hi, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * np.diff(edges)
@@ -168,8 +176,17 @@ def _gauss_panels(fn, lo: float, hi: float, tol: float = 1e-11) -> float:
         wts = (half[:, None] * wg[None, :]).ravel()
         val = float(np.dot(fn(pts), wts))
         if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val
+            return val, True
         prev = val
+    return val, False
+
+
+def _gauss_value(fn, lo: float, hi: float) -> float:
+    """_gauss_panels for integrals that carry no note: warn when unconverged."""
+    val, converged = _gauss_panels(fn, lo, hi)
+    if not converged:
+        warnings.warn(f"Gauss panel doubling on [{lo:.6g}, {hi:.6g}] unconverged at "
+                      f"{_MAX_PANELS} panels", RuntimeWarning, stacklevel=2)
     return val
 
 
@@ -181,8 +198,8 @@ def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> float:
     x0 = np.asarray(ball.x0)
     r1, r2 = ball.r1, ball.r2
     if domain.dim == 1:
-        left = _gauss_panels(lambda t: fn_radial(np.column_stack([x0[0] - t])), r1, r2)
-        right = _gauss_panels(lambda t: fn_radial(np.column_stack([x0[0] + t])), r1, r2)
+        left = _gauss_value(lambda t: fn_radial(np.column_stack([x0[0] - t])), r1, r2)
+        right = _gauss_value(lambda t: fn_radial(np.column_stack([x0[0] + t])), r1, r2)
         return left + right
     n_ang = 64
     theta = np.linspace(0.0, 2 * np.pi, n_ang, endpoint=False)
@@ -195,7 +212,7 @@ def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> float:
         vals = fn_radial(pts).reshape(rr.size, n_ang)
         return vals.mean(axis=1) * (2 * np.pi) * rr
 
-    return _gauss_panels(ring, r1, r2)
+    return _gauss_value(ring, r1, r2)
 
 
 def annulus_weight_mass(w: WeightSpec, ball: BallSpec, domain: Domain) -> float:
@@ -274,7 +291,7 @@ def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
         * np.linalg.norm(np.atleast_2d(pts) - np.asarray(ball.x0)[None, :], axis=1) ** p,
         domain, ball)
     if zero_order_term:
-        radial = _gauss_panels(lambda rr: (r2 ** 2 - rr ** 2) ** p * rr ** (N - 1), r1, r2)
+        radial = _gauss_value(lambda rr: (r2 ** 2 - rr ** 2) ** p * rr ** (N - 1), r1, r2)
         annulus_mass = d ** p / denom * radial
         inner_mass = d ** p * w_N * r1 ** N
         formula = grad + w_N * annulus_mass + inner_mass
@@ -372,17 +389,20 @@ def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
     xs = np.vstack([quad_x, corners])
     omega = domain_measure(domain)
     left = d ** p * eta ** p * omega * _sup_F_box(nl_f, domain, c, xs)
+    converged = True
     if domain.dim == 1:
         a, b = domain.bounds
-        right = c ** p * _gauss_panels(
+        integral, converged = _gauss_panels(
             lambda t: primitive_F(nl_f, np.column_stack([t]), np.full(t.size, d)), a, b)
     else:
-        right = c ** p * _box_integral(
+        integral = _box_integral(
             lambda pts: primitive_F(nl_f, pts, np.full(pts.shape[0], d)), domain)
+    right = c ** p * integral
     margin = right - left
     verdict = _strict_verdict(margin)
     return CheckEntry(name="H2", verdict=verdict, margin=margin, mode="sampled",
-                      note=f"left={left:.9g} right={right:.9g}")
+                      note=f"left={left:.9g} right={right:.9g}"
+                           + ("" if converged else _UNCONVERGED))
 
 
 def _corner_points(domain: Domain) -> np.ndarray:
@@ -512,9 +532,10 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
         uvals = _ustar_values(pts2, d, spec.ball)
         return primitive_F(spec.nl_f, pts2, uvals)
 
+    converged = True
     if spec.domain.dim == 1:
         a, b = spec.domain.bounds
-        integral = _gauss_panels(lambda t: F_at_ustar(np.column_stack([t])), a, b)
+        integral, converged = _gauss_panels(lambda t: F_at_ustar(np.column_stack([t])), a, b)
     else:
         integral = _box_integral(F_at_ustar, spec.domain)
     right = (c / (constants.k * ustar_norm)) ** p * integral
@@ -524,7 +545,8 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
     if 0 < m3 < _GUARD and left != 0.0:
         verdict = "inconclusive"
     out.append(CheckEntry(name="bona1", verdict=verdict, margin=m3, mode="sampled",
-                          note=f"left={left:.9g} right={right:.9g}"))
+                          note=f"left={left:.9g} right={right:.9g}"
+                               + ("" if converged else _UNCONVERGED)))
     return out
 
 

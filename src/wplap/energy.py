@@ -20,7 +20,8 @@ import numpy as np
 
 from .expressions import Expression, parse_expression
 from .geometry import Mesh
-from .space import DiscreteFunction, QuadratureError, _cell_weight_integrals, _interp_matrix
+from .space import (DiscreteFunction, QuadratureError, _cell_quadrature,
+                    _cell_weight_integrals, _gather, _norm_terms)
 from .weight import WeightSpec
 
 __all__ = [
@@ -168,17 +169,17 @@ class EnergyAssembler:
         self.g = g
         self.zero_order = zero_order
         self.eps_reg = float(eps_reg)
-        self.pts, self.wts, self.cid, self.shp = mesh.quadrature()
-        self.B, self.G = _interp_matrix(mesh)
+        self.pts, self.wts, _, _ = mesh.quadrature()
+        self.wq, self.bary = _cell_quadrature(mesh)
         self.cellA = _cell_weight_integrals(mesh, w)
+        # flat (row, col) index of every cell-matrix entry in the dense tangent
+        self._pairs = (mesh.cells[:, :, None] * mesh.num_vertices
+                       + mesh.cells[:, None, :]).reshape(-1)
         self.interior = np.flatnonzero(mesh.interior_vertices)
         self.h_scale = mesh.max_cell_size ** (mesh.dim / 2.0)
         self._fq_cache: dict = {}
 
     # -- pointwise helpers ------------------------------------------------
-    def _grad(self, v: np.ndarray) -> np.ndarray:
-        return np.einsum("ckv,v->ck", self.G, v)
-
     def _gpow(self, gnorm: np.ndarray, expo: float) -> np.ndarray:
         if self.p >= 2.0:
             return gnorm ** expo
@@ -186,12 +187,8 @@ class EnergyAssembler:
 
     # -- energies ----------------------------------------------------------
     def norm_terms(self, v: np.ndarray):
-        uq = self.B @ v
-        lp = float(self.wts @ np.abs(uq) ** self.p)
-        g = self._grad(v)
-        gnorm = np.linalg.norm(g, axis=1)
-        grad = float(self.cellA @ gnorm ** self.p)
-        return lp, grad
+        lp, grad = _norm_terms(self.mesh, self.cellA, self.p, v)
+        return float(lp.sum()), float(grad.sum())
 
     def phi(self, v: np.ndarray) -> float:
         lp, grad = self.norm_terms(v)
@@ -202,7 +199,7 @@ class EnergyAssembler:
         return grad + (lp if self.zero_order else 0.0)
 
     def _int_F(self, nl: Nonlinearity, v: np.ndarray) -> float:
-        uq = self.B @ v
+        uq = _gather(self.mesh, v)[0].reshape(-1)
         Fq = primitive_F(nl, self.pts, uq)
         out = float(self.wts @ Fq)
         if not math.isfinite(out):
@@ -226,13 +223,11 @@ class EnergyAssembler:
     # -- residual and tangent ----------------------------------------------
     def residual(self, v: np.ndarray) -> np.ndarray:
         """Nodal gradient of the energy; zero on boundary vertices."""
-        uq = self.B @ v
-        g = self._grad(v)
+        uqc, g = _gather(self.mesh, v)
+        uq = uqc.reshape(-1)
         gnorm = np.linalg.norm(g, axis=1)
         flux = (self.cellA * self._gpow(gnorm, self.p - 2.0))[:, None] * g   # (nc, N)
-        res = np.zeros(v.size)
         cellsums = np.einsum("ck,cbk->cb", flux, self.mesh.shape_gradients)
-        np.add.at(res, self.mesh.cells, cellsums)
         source = np.zeros(uq.size)
         if self.zero_order:
             if self.p >= 2.0:
@@ -244,8 +239,9 @@ class EnergyAssembler:
         if self.g is not None and self.mu != 0.0:
             source -= self.mu * self.g.eval(self.pts, uq)
         if np.any(source):
-            contrib = (self.wts * source)[:, None] * self.shp
-            np.add.at(res, self.mesh.cells[self.cid], contrib)
+            cellsums += (self.wq * source.reshape(self.wq.shape)) @ self.bary
+        res = np.bincount(self.mesh.cells.reshape(-1), weights=cellsums.reshape(-1),
+                          minlength=v.size)
         res[self.mesh.boundary_vertices] = 0.0
         return res
 
@@ -261,11 +257,10 @@ class EnergyAssembler:
         preconditioner when the full Jacobian is indefinite."""
         nv = v.size
         p, eps = self.p, self.eps_reg
-        uq = self.B @ v
-        g = self._grad(v)
+        uqc, g = _gather(self.mesh, v)
+        uq = uqc.reshape(-1)
         gn2 = np.einsum("ck,ck->c", g, g)
         base = (gn2 + eps ** 2) ** ((p - 2.0) / 2.0)
-        A = np.zeros((nv, nv))
         sg = self.mesh.shape_gradients                     # (nc, b, k)
         # grad part: cellA * base * (delta_kl + (p-2) g_k g_l / (gn2+eps^2))
         iso = self.cellA * base
@@ -273,9 +268,6 @@ class EnergyAssembler:
         sgg = np.einsum("cbk,ck->cb", sg, g)               # (nc, b)
         M = (iso[:, None, None] * np.einsum("cbk,cdk->cbd", sg, sg)
              + aniso[:, None, None] * sgg[:, :, None] * sgg[:, None, :])
-        rows = self.mesh.cells[:, :, None].repeat(self.mesh.dim + 1, axis=2)
-        cols = self.mesh.cells[:, None, :].repeat(self.mesh.dim + 1, axis=1)
-        np.add.at(A, (rows, cols), M)
         # pointwise parts
         coef = np.zeros(uq.size)
         if self.zero_order:
@@ -286,11 +278,9 @@ class EnergyAssembler:
         if include_sources and self.g is not None and self.mu != 0.0:
             coef -= self.mu * self.g.eval_dt(self.pts, uq)
         if np.any(coef):
-            wcoef = self.wts * coef
-            Mq = wcoef[:, None, None] * self.shp[:, :, None] * self.shp[:, None, :]
-            qrows = self.mesh.cells[self.cid][:, :, None].repeat(self.mesh.dim + 1, axis=2)
-            qcols = self.mesh.cells[self.cid][:, None, :].repeat(self.mesh.dim + 1, axis=1)
-            np.add.at(A, (qrows, qcols), Mq)
+            wcoef = self.wq * coef.reshape(self.wq.shape)
+            M += np.einsum("cq,qb,qd->cbd", wcoef, self.bary, self.bary)
+        A = np.bincount(self._pairs, weights=M.reshape(-1), minlength=nv * nv).reshape(nv, nv)
         bnd = self.mesh.boundary_vertices
         A[bnd, :] = 0.0
         A[:, bnd] = 0.0
@@ -342,10 +332,9 @@ def weak_form_gap(u: DiscreteFunction, v: DiscreteFunction, w: WeightSpec, p: fl
     """Weak form of the equation tested against an arbitrary piecewise-linear
     v (direct quadrature, not a residual dot product)."""
     asm = EnergyAssembler(u.mesh, w, p, lam, mu, f, g, zero_order)
-    uq = asm.B @ u.values
-    vq = asm.B @ v.values
-    gu = asm._grad(u.values)
-    gv = asm._grad(v.values)
+    uq, gu = _gather(asm.mesh, u.values)
+    vq, gv = _gather(asm.mesh, v.values)
+    uq, vq = uq.reshape(-1), vq.reshape(-1)
     gnorm = np.linalg.norm(gu, axis=1)
     gap = float(asm.cellA @ (asm._gpow(gnorm, p - 2.0) * np.einsum("ck,ck->c", gu, gv)))
     source = np.zeros(uq.size)
@@ -372,7 +361,7 @@ def gradient_check(u: DiscreteFunction, w: WeightSpec, p: float, lam: float, mu:
     eps = 1e-6 * (1.0 + float(np.max(np.abs(u.values))))
     skip = np.zeros(u.values.size, dtype=bool)
     if p < 2.0:
-        gnorm = np.linalg.norm(asm._grad(u.values), axis=1)
+        gnorm = np.linalg.norm(_gather(asm.mesh, u.values)[1], axis=1)
         for c in np.flatnonzero(gnorm < 1e-8):
             skip[asm.mesh.cells[c]] = True
     worst = 0.0

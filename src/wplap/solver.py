@@ -86,6 +86,7 @@ class SolutionSet:
     records: list
     delta_dist: float
     distance_matrix: np.ndarray = field(init=False)
+    kept: list = field(init=False, repr=False)   # indices of the distinct records
     count: int = field(init=False)
     count_nontrivial: int = field(init=False)
     rho_observed: float = field(init=False)
@@ -104,18 +105,13 @@ class SolutionSet:
         for i in range(n):
             if all(D[i, j] > thresh for j in keep):
                 keep.append(i)
+        self.kept = keep
         self.count = len(keep)
         self.count_nontrivial = sum(1 for i in keep if sup_norm(self.records[i].u) > thresh)
         self.rho_observed = max([r.norm for r in self.records], default=0.0)
 
     def distinct_records(self) -> list:
-        scale = max([sup_norm(r.u) for r in self.records], default=0.0)
-        thresh = self.delta_dist * max(scale, 1e-30)
-        keep = []
-        for i, r in enumerate(self.records):
-            if all(self.distance_matrix[i, j] > thresh for j in keep):
-                keep.append(i)
-        return [self.records[i] for i in keep]
+        return [self.records[i] for i in self.kept]
 
 
 def _solve_tangent(J: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:

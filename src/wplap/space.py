@@ -75,24 +75,38 @@ class NormReport:
         return self.grad_term ** (1.0 / self.p)
 
 
-def _interp_matrix(mesh: Mesh):
-    """Dense (nq, nv) map from nodal values to quadrature-point values and
-    (nc, N, nv) map to per-cell gradients, cached on the mesh."""
-    if "interp" not in mesh._cache:
-        pts, wts, cid, shp = mesh.quadrature()
-        nv, nc = mesh.num_vertices, mesh.num_cells
-        B = np.zeros((pts.shape[0], nv))
-        rows = np.arange(pts.shape[0])
-        for b in range(mesh.dim + 1):
-            np.add.at(B, (rows, mesh.cells[cid, b]), shp[:, b])
-        G = np.zeros((nc, mesh.dim, nv))
-        carange = np.arange(nc)
-        sg = mesh.shape_gradients
-        for b in range(mesh.dim + 1):
-            for k in range(mesh.dim):
-                np.add.at(G, (carange, k, mesh.cells[:, b]), sg[:, b, k])
-        mesh._cache["interp"] = (B, G)
-    return mesh._cache["interp"]
+def _cell_quadrature(mesh: Mesh):
+    """Per-cell view of mesh.quadrature(): weights (nc, nqc) and the shape
+    values (nqc, N+1) shared by every cell (points are cell-major, nqc each)."""
+    _, wts, _, shp = mesh.quadrature()
+    nqc = wts.size // mesh.num_cells
+    return wts.reshape(mesh.num_cells, nqc), shp[:nqc]
+
+
+def _gather(mesh: Mesh, V: np.ndarray):
+    """Quadrature-point values (nc, nqc[, m]) and cell gradients (nc, N[, m])
+    of nodal values V (nv,) or (nv, m), read from each cell's own vertices."""
+    _, bary = _cell_quadrature(mesh)
+    Vc = V[mesh.cells]                                         # (nc, N+1[, m])
+    sg = mesh.shape_gradients                                  # (nc, N+1, N)
+    if V.ndim == 1:     # one vector: plain products beat nc tiny matmuls
+        return Vc @ bary.T, np.einsum("cbk,cb->ck", sg, Vc)
+    return bary @ Vc, sg.swapaxes(1, 2) @ Vc
+
+
+def _cell_terms(wq: np.ndarray, cellA: np.ndarray, p: float, uq: np.ndarray,
+                g: np.ndarray):
+    """Per-cell int |u|^p and int a |grad u|^p from gathered values; trailing
+    axes of uq (nc, nqc, ...) and g (nc, N, ...) are batch axes."""
+    lp = np.einsum("cq,cq...->c...", wq, np.abs(uq) ** p)
+    gnorm = np.linalg.norm(g, axis=1)
+    return lp, cellA.reshape(cellA.shape + (1,) * (gnorm.ndim - 1)) * gnorm ** p
+
+
+def _norm_terms(mesh: Mesh, cellA: np.ndarray, p: float, V: np.ndarray):
+    """Per-cell (lp, grad) contributions, (nc,) or (nc, m), for V (nv,) or (nv, m)."""
+    wq, _ = _cell_quadrature(mesh)
+    return _cell_terms(wq, cellA, p, *_gather(mesh, V))
 
 
 def _cell_weight_integrals(mesh: Mesh, w: WeightSpec) -> np.ndarray:
@@ -106,23 +120,10 @@ def _cell_weight_integrals(mesh: Mesh, w: WeightSpec) -> np.ndarray:
     return np.bincount(cid, weights=contrib, minlength=mesh.num_cells)
 
 
-def _norm_terms_batch(mesh: Mesh, w: WeightSpec, p: float, V: np.ndarray):
-    """lp and gradient terms for a batch of nodal vectors V (nv, m)."""
-    _, wts, _, _ = mesh.quadrature()
-    B, G = _interp_matrix(mesh)
-    cellA = _cell_weight_integrals(mesh, w)
-    uq = B @ V                                    # (nq, m)
-    lp = wts @ np.abs(uq) ** p
-    gq = np.einsum("ckv,vm->ckm", G, V)           # (nc, N, m)
-    gnorm = np.linalg.norm(gq, axis=1)            # (nc, m)
-    grad = cellA @ gnorm ** p
-    return lp, grad
-
-
 def weighted_norm(u: DiscreteFunction, w: WeightSpec, p: float) -> NormReport:
     """Weighted Sobolev norm terms of u: int |u|^p and int a |grad u|^p."""
-    lp, grad = _norm_terms_batch(u.mesh, w, p, u.values[:, None])
-    lp, grad = float(lp[0]), float(grad[0])
+    lp, grad = _norm_terms(u.mesh, _cell_weight_integrals(u.mesh, w), p, u.values)
+    lp, grad = float(lp.sum()), float(grad.sum())
     if not (math.isfinite(lp) and math.isfinite(grad)):
         raise QuadratureError("non-finite norm contribution")
     return NormReport(lp_term=lp, grad_term=grad, p=p)
@@ -161,12 +162,47 @@ class EmbeddingEstimate:
         return self.k_upper
 
 
-def _ratio_batch(mesh: Mesh, w: WeightSpec, p: float, V: np.ndarray) -> np.ndarray:
-    lp, grad = _norm_terms_batch(mesh, w, p, V)
+def _ratio_batch(mesh: Mesh, cellA: np.ndarray, p: float, V: np.ndarray) -> np.ndarray:
+    lp, grad = _norm_terms(mesh, cellA, p, V)
     sup = np.max(np.abs(V), axis=0)
-    denom = (lp + grad) ** (1.0 / p)
+    denom = (lp.sum(axis=0) + grad.sum(axis=0)) ** (1.0 / p)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(denom > 0, sup / denom, 0.0)
+
+
+def _star_fd_gradient(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray,
+                      eps: float) -> np.ndarray:
+    """Central differences (r(v + eps e_i) - r(v - eps e_i)) / (2 eps) of the
+    ratio r = sup|v| / ||v|| at every node i.
+
+    Moving node i changes only the cells of its star, so the norm terms of
+    the nc (N+1) single-vertex moves each way are evaluated cell by cell and
+    their changes summed into the nodes; the sup of a moved vector comes from
+    the two largest |v_j|."""
+    wq, bary = _cell_quadrature(mesh)
+    uq, g = _gather(mesh, v)
+    lp, grad = _cell_terms(wq, cellA, p, uq, g)
+    base = lp + grad                                            # (nc,)
+    signs = np.array([eps, -eps])
+    # value and gradient of v +- eps e_b on each cell, for each local vertex b
+    uq_moved = uq[:, :, None, None] + bary[None, :, :, None] * signs
+    g_moved = (g[:, :, None, None]
+               + mesh.shape_gradients.swapaxes(1, 2)[:, :, :, None] * signs)
+    lp_m, grad_m = _cell_terms(wq, cellA, p, uq_moved, g_moved)  # (nc, N+1, 2)
+    change = (lp_m + grad_m) - base[:, None, None]
+    nv = v.size
+    node = mesh.cells.ravel()
+    denom = (float(base.sum()) + np.stack(
+        [np.bincount(node, change[:, :, j].ravel(), minlength=nv) for j in (0, 1)])) ** (1.0 / p)
+
+    av = np.abs(v)
+    top = np.argsort(av)[-2:]
+    others = np.full(nv, av[top[-1]])          # max_{j != i} |v_j|
+    others[top[-1]] = av[top[0]]
+    sup = np.maximum(np.abs(v[None, :] + signs[:, None]), others)      # (2, nv)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        r = np.where(denom > 0, sup / denom, 0.0)
+    return (r[0] - r[1]) / (2.0 * eps)
 
 
 def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
@@ -175,13 +211,17 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
 
     Lower bound: cone hats (apex 1 at a node, radius = its boundary distance)
     at every interior node, then fixed-step-count gradient ascent on the best
-    one (central differences on the nodal values).  Upper bound: Talenti's
-    constant for p_s = p*s/(s+1) times (int a^(-s))^(1/((s+1) p_s)); certified
-    only when a >= 1 a.e., heuristic otherwise."""
+    one.  The ascent direction is the central difference of the ratio in each
+    interior nodal value, step fd_step_rel * ||v||_2; each difference is
+    evaluated on the node's star (the cells touching it), so one step costs
+    O(nc).  Upper bound: Talenti's constant for p_s = p*s/(s+1) times
+    (int a^(-s))^(1/((s+1) p_s)); certified only when a >= 1 a.e., heuristic
+    otherwise."""
     p_s = compute_ps(p, s)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
         raise ValueError("mesh has no interior vertices")
+    cellA = _cell_weight_integrals(mesh, w)
 
     verts = mesh.vertices
     rho = np.atleast_1d(distance_to_boundary(domain, verts))
@@ -189,7 +229,7 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
     dists = np.linalg.norm(verts[:, None, :] - verts[None, interior, :], axis=2)
     hats = np.maximum(0.0, 1.0 - dists / rho[interior][None, :])
     hats[mesh.boundary_vertices, :] = 0.0
-    ratios = _ratio_batch(mesh, w, p, hats)
+    ratios = _ratio_batch(mesh, cellA, p, hats)
     best = int(np.argmax(ratios))
     k_lower = float(ratios[best])
     v = hats[:, best].copy()
@@ -198,20 +238,15 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
     step = 0.1
     for _ in range(ascent_steps):
         eps = fd_step_rel * float(np.linalg.norm(v))
-        P = np.tile(v[:, None], (1, 2 * interior.size))
-        cols = np.arange(interior.size)
-        P[interior, 2 * cols] += eps
-        P[interior, 2 * cols + 1] -= eps
-        r = _ratio_batch(mesh, w, p, P)
         g = np.zeros_like(v)
-        g[interior] = (r[2 * cols] - r[2 * cols + 1]) / (2.0 * eps)
+        g[interior] = _star_fd_gradient(mesh, cellA, p, v, eps)[interior]
         gn = float(np.linalg.norm(g))
         if gn == 0.0:
             break
         improved = False
         while step > 1e-12:
             cand = v + step * float(np.linalg.norm(v)) * g / gn
-            rc = float(_ratio_batch(mesh, w, p, cand[:, None])[0])
+            rc = float(_ratio_batch(mesh, cellA, p, cand[:, None])[0])
             if rc > k_lower:
                 v, k_lower, improved = cand, rc, True
                 step *= 1.3

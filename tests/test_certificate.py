@@ -1,10 +1,12 @@
 """Constants, the witness bump u*, the norm sandwich, and hypothesis checks."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from wplap.certificate import (
+    _gauss_panels,
     Constants,
     ProblemSpec,
     RefinementRequiredError,
@@ -80,6 +82,15 @@ class TestAnnulusWeightMass:
             xs = lo + (hi - lo) * (np.arange(M) + 0.5) / M
             total += (hi - lo) * np.mean(np.minimum(xs, 1.0 - xs) ** -0.5)
         assert val == pytest.approx(total, rel=1e-6)
+
+    def test_kink_inside_annulus_warns(self):
+        # dist(x)^(-1/2) has its kink at x = 1/2, inside [x0 + r1, x0 + r2]
+        w = WeightSpec.distance_power(0.5)
+        with pytest.warns(RuntimeWarning, match="unconverged at 128 panels"):
+            annulus_weight_mass(w, BallSpec(x0=(0.43,), r1=0.06, r2=0.11), UNIT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            annulus_weight_mass(w, BALL, UNIT)
 
 
 class TestScalarConstants:
@@ -321,6 +332,18 @@ class TestTheoremConditions:
         assert entries["level_separation"].margin == pytest.approx(0.08, rel=1e-9)
         assert entries["bona1"].verdict == "pass"
 
+    def test_bona1_unconverged_integral_noted(self):
+        # F(x, u*(x)) has kinks where u* crosses the ramp's corners, off every
+        # dyadic panel edge, so 128 panels do not reach the tolerance; the
+        # value is kept and the note says so
+        spec = shipped_spec()
+        consts = make_constants()
+        entries = {e.name: e for e in
+                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0)}
+        assert entries["bona1"].note.endswith("; quadrature unconverged at 128 panels")
+        assert entries["bona1"].verdict == "pass"
+        assert "unconverged" not in entries["dxi_gt_c"].note
+
     def test_r_positive_always(self):
         for c in (0.1, 1.0, 5.0):
             for k in (0.3, 0.5, 2.0):
@@ -425,3 +448,20 @@ class TestBuildCertificate:
                     and rep.entry("dxi_gt_c").verdict == "pass"):
                 assert consts.r > 0.0
                 assert consts.ustar_norm_p / 2.0 > consts.r
+
+
+class TestGaussPanels:
+    def test_smooth_integrand_converges(self):
+        val, converged = _gauss_panels(np.cos, 0.0, 1.0)
+        assert converged
+        assert val == pytest.approx(math.sin(1.0), rel=1e-14)
+
+    def test_kinked_integrand_flagged(self):
+        # |x - 1/3| has its kink off every dyadic panel edge: O(h^2) error
+        val, converged = _gauss_panels(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0)
+        assert not converged
+        assert val == pytest.approx(5.0 / 18.0, rel=1e-5)
+
+    def test_h2_note_clean_when_converged(self):
+        entry = check_H2(shipped_f(), UNIT, 3.0, 0.2, 1.0, 2.0)
+        assert "unconverged" not in entry.note

@@ -1,0 +1,220 @@
+"""The per-cell gather kernel against dense reference maps, and the
+star-local finite differences of estimate_k against a tiled batch."""
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from wplap.energy import EnergyAssembler, make_nonlinearity, primitive_F
+from wplap.geometry import Domain, build_mesh
+from wplap.space import (DiscreteFunction, _cell_weight_integrals, _ratio_batch,
+                         _star_fd_gradient, estimate_k, weighted_norm)
+from wplap.weight import WeightSpec
+
+UNIT = Domain.interval(0.0, 1.0)
+SQUARE = Domain.box(0.0, 1.0, 0.0, 1.0)
+MESHES = {"1d": (UNIT, 1 / 24), "2d": (SQUARE, 0.25)}
+WEIGHTS = {"constant": WeightSpec.constant(1.0), "dist^0.5": WeightSpec.distance_power(0.5)}
+RTOL = 1e-13
+
+
+# -- dense reference: the (nq, nv) value map and the (nc, N, nv) gradient map --
+
+def dense_maps(mesh):
+    pts, wts, cid, shp = mesh.quadrature()
+    nv, nc = mesh.num_vertices, mesh.num_cells
+    B = np.zeros((pts.shape[0], nv))
+    rows = np.arange(pts.shape[0])
+    for b in range(mesh.dim + 1):
+        np.add.at(B, (rows, mesh.cells[cid, b]), shp[:, b])
+    G = np.zeros((nc, mesh.dim, nv))
+    sg = mesh.shape_gradients
+    for b in range(mesh.dim + 1):
+        for k in range(mesh.dim):
+            np.add.at(G, (np.arange(nc), k, mesh.cells[:, b]), sg[:, b, k])
+    return B, G
+
+
+def ref_norm_terms(mesh, cellA, p, V):
+    """lp and gradient terms of every column of V (nv, m) through the dense maps."""
+    _, wts, _, _ = mesh.quadrature()
+    B, G = dense_maps(mesh)
+    lp = wts @ np.abs(B @ V) ** p
+    grad = cellA @ np.linalg.norm(np.einsum("ckv,vm->ckm", G, V), axis=1) ** p
+    return lp, grad
+
+
+def ref_energy(asm, v):
+    B, _ = dense_maps(asm.mesh)
+    lp, grad = ref_norm_terms(asm.mesh, asm.cellA, asm.p, v[:, None])
+    e = (grad[0] + lp[0]) / asm.p
+    uq = B @ v
+    e -= asm.lam * float(asm.wts @ primitive_F(asm.f, asm.pts, uq))
+    e -= asm.mu * float(asm.wts @ primitive_F(asm.g, asm.pts, uq))
+    return e
+
+
+def ref_residual(asm, v):
+    mesh, p, eps = asm.mesh, asm.p, asm.eps_reg
+    B, G = dense_maps(mesh)
+    _, wts, cid, shp = mesh.quadrature()
+    uq = B @ v
+    g = np.einsum("ckv,v->ck", G, v)
+    gnorm = np.linalg.norm(g, axis=1)
+    gpow = gnorm ** (p - 2.0) if p >= 2.0 else (gnorm ** 2 + eps ** 2) ** ((p - 2.0) / 2.0)
+    flux = (asm.cellA * gpow)[:, None] * g
+    res = np.zeros(v.size)
+    np.add.at(res, mesh.cells, np.einsum("ck,cbk->cb", flux, mesh.shape_gradients))
+    source = (uq ** 2 + eps ** 2) ** ((p - 2.0) / 2.0) * uq if p < 2.0 \
+        else np.abs(uq) ** (p - 2.0) * uq
+    source = source - asm.lam * asm.f.eval(asm.pts, uq) - asm.mu * asm.g.eval(asm.pts, uq)
+    np.add.at(res, mesh.cells[cid], (wts * source)[:, None] * shp)
+    res[mesh.boundary_vertices] = 0.0
+    return res
+
+
+def ref_tangent(asm, v):
+    mesh, p, eps = asm.mesh, asm.p, asm.eps_reg
+    B, G = dense_maps(mesh)
+    _, wts, cid, shp = mesh.quadrature()
+    nv, nb = v.size, mesh.dim + 1
+    uq = B @ v
+    g = np.einsum("ckv,v->ck", G, v)
+    gn2 = np.einsum("ck,ck->c", g, g)
+    iso = asm.cellA * (gn2 + eps ** 2) ** ((p - 2.0) / 2.0)
+    aniso = iso * (p - 2.0) / (gn2 + eps ** 2)
+    sg = mesh.shape_gradients
+    sgg = np.einsum("cbk,ck->cb", sg, g)
+    M = (iso[:, None, None] * np.einsum("cbk,cdk->cbd", sg, sg)
+         + aniso[:, None, None] * sgg[:, :, None] * sgg[:, None, :])
+    A = np.zeros((nv, nv))
+    np.add.at(A, (mesh.cells[:, :, None].repeat(nb, 2), mesh.cells[:, None, :].repeat(nb, 1)), M)
+    u2 = uq ** 2
+    coef = (u2 + eps ** 2) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * u2 / (u2 + eps ** 2))
+    coef = coef - asm.lam * asm.f.eval_dt(asm.pts, uq) - asm.mu * asm.g.eval_dt(asm.pts, uq)
+    Mq = (wts * coef)[:, None, None] * shp[:, :, None] * shp[:, None, :]
+    qc = mesh.cells[cid]
+    np.add.at(A, (qc[:, :, None].repeat(nb, 2), qc[:, None, :].repeat(nb, 1)), Mq)
+    bnd = np.flatnonzero(mesh.boundary_vertices)
+    A[bnd, :] = 0.0
+    A[:, bnd] = 0.0
+    A[bnd, bnd] = 1.0
+    return A
+
+
+def close(got, ref, rtol=RTOL):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    np.testing.assert_allclose(got, ref, rtol=rtol, atol=rtol * float(np.max(np.abs(ref))))
+
+
+@pytest.fixture(scope="module")
+def nonlinearities():
+    f = make_nonlinearity("x1*t^3 + sin(t)", primitive="0.25*x1*t^4 + 1 - cos(t)")
+    g = make_nonlinearity("t/(1 + t^2)")          # primitive by panel quadrature
+    return f, g
+
+
+def random_vector(mesh, seed):
+    v = np.random.default_rng(seed).uniform(-1.5, 1.5, mesh.num_vertices)
+    v[mesh.boundary_vertices] = 0.0
+    return v
+
+
+class TestGatherKernel:
+    @pytest.mark.parametrize("dim", sorted(MESHES))
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("wname", sorted(WEIGHTS))
+    def test_matches_dense_maps(self, dim, p, wname, nonlinearities):
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        w = WEIGHTS[wname]
+        f, g = nonlinearities
+        asm = EnergyAssembler(mesh, w, p, lam=0.7, mu=-0.3, f=f, g=g)
+        v = random_vector(mesh, seed=int(10 * p) + len(wname))
+        cellA = _cell_weight_integrals(mesh, w)
+        lp, grad = ref_norm_terms(mesh, cellA, p, v[:, None])
+
+        rep = weighted_norm(DiscreteFunction(mesh, v), w, p)
+        close([rep.lp_term, rep.grad_term], [lp[0], grad[0]])
+        close(asm.norm_terms(v), [lp[0], grad[0]])
+        close(asm.energy(v), ref_energy(asm, v))
+        close(asm.residual(v), ref_residual(asm, v))
+        close(asm.tangent(v), ref_tangent(asm, v))
+
+    @pytest.mark.parametrize("dim", sorted(MESHES))
+    def test_batch_columns_match_single(self, dim):
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        cellA = _cell_weight_integrals(mesh, WEIGHTS["dist^0.5"])
+        V = np.column_stack([random_vector(mesh, s) for s in range(4)])
+        lp, grad = ref_norm_terms(mesh, cellA, 3.0, V)
+        sup = np.max(np.abs(V), axis=0)
+        close(_ratio_batch(mesh, cellA, 3.0, V), sup / (lp + grad) ** (1 / 3.0))
+
+
+# -- estimate_k: star-local central differences --------------------------------
+
+def tiled_fd_gradient(mesh, cellA, p, v, eps):
+    """Reference: central differences from one full (nv,) column per +-eps move."""
+    interior = np.flatnonzero(mesh.interior_vertices)
+    cols = np.arange(interior.size)
+    P = np.tile(v[:, None], (1, 2 * interior.size))
+    P[interior, 2 * cols] += eps
+    P[interior, 2 * cols + 1] -= eps
+    lp, grad = ref_norm_terms(mesh, cellA, p, P)
+    r = np.max(np.abs(P), axis=0) / (lp + grad) ** (1.0 / p)
+    return (r[2 * cols] - r[2 * cols + 1]) / (2.0 * eps)
+
+
+class TestStarLocalAscent:
+    @pytest.mark.parametrize("dim,p,wname", [("1d", 2.0, "constant"), ("1d", 1.5, "dist^0.5"),
+                                             ("2d", 3.0, "constant"), ("2d", 2.5, "dist^0.5")])
+    def test_gradient_matches_tiled_batch(self, dim, p, wname):
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        cellA = _cell_weight_integrals(mesh, WEIGHTS[wname])
+        interior = np.flatnonzero(mesh.interior_vertices)
+        hat = np.maximum(0.0, 1.0 - 3.0 * np.linalg.norm(mesh.vertices - 0.5, axis=1))
+        for v in (random_vector(mesh, 5), hat):
+            eps = 1e-3 * float(np.linalg.norm(v))
+            ref = tiled_fd_gradient(mesh, cellA, p, v, eps)
+            got = _star_fd_gradient(mesh, cellA, p, v, eps)[interior]
+            close(got, ref, rtol=1e-10)
+
+    def test_tied_sup_nodes(self):
+        # two nodes share max|v|: moving either one down leaves the sup in place
+        mesh = build_mesh(UNIT, 1 / 16)
+        cellA = _cell_weight_integrals(mesh, WEIGHTS["constant"])
+        v = np.zeros(mesh.num_vertices)
+        v[[5, 11]] = [1.0, -1.0]
+        v[8] = 0.4
+        ref = tiled_fd_gradient(mesh, cellA, 2.0, v, 1e-3)
+        got = _star_fd_gradient(mesh, cellA, 2.0, v, 1e-3)[mesh.interior_vertices]
+        close(got, ref, rtol=1e-10)
+
+    def test_k_lower_pinned_1d_shipped(self):
+        # the shipped instance (a = 1, p = s = 2) on its mesh at h = 1/512
+        mesh = build_mesh(UNIT, 1 / 512, breakpoints=(0.3, 0.4, 0.6, 0.7))
+        est = estimate_k(UNIT, WEIGHTS["constant"], 2.0, 2.0, mesh)
+        assert est.k_lower == pytest.approx(0.4803844614152614, rel=1e-12, abs=0)
+
+    def test_k_lower_pinned_unit_square(self):
+        mesh = build_mesh(SQUARE, 0.1)
+        est = estimate_k(SQUARE, WEIGHTS["constant"], 3.0, 3.0, mesh)
+        assert est.k_lower == pytest.approx(0.623534274762794, rel=1e-12, abs=0)
+
+
+def test_assembler_memory_is_linear():
+    """Set-up plus one residual at nv = 2049 stays small; a dense (nq, nv)
+    value map alone would take about 170 MB here."""
+    mesh = build_mesh(UNIT, 1 / 2048)
+    assert mesh.num_vertices == 2049
+    v = np.sin(np.pi * mesh.vertices[:, 0])
+    tracemalloc.start()
+    try:
+        asm = EnergyAssembler(mesh, WEIGHTS["constant"], 3.0)
+        asm.residual(v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
