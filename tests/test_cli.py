@@ -1,4 +1,13 @@
-"""End-to-end command line driver tests (in-process, via main)."""
+"""End-to-end command line driver tests (in-process, via main).
+
+The four shipped-config runs also compare every file they write with the
+golden outputs under tests/golden/; `python tests/test_cli.py` rewrites
+those files from the current code."""
+import csv
+import math
+import re
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +21,15 @@ from wplap.cli import (
     read_scan_summary,
     read_solution_csv,
 )
+from wplap.solver import SolverConfig
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "configs" / "three_solutions_1d.cfg"
 LINEAR = REPO / "configs" / "linear_benchmark_1d.cfg"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# the shipped oracle on a coarser sigma scan, so the test stays quick
+FAST_ORACLE = ("[run]", "[oracle]\nsigma_min = -10.0\nsigma_max = 10.0\n"
+                        "n_scan = 401\n\n[run]")
 
 XI_REF = 1.4907119849998596
 ETA_REF = 3.006474494967301
@@ -38,6 +52,61 @@ def variant(tmp_path, name, *replacements, base=SHIPPED):
     return path
 
 
+_NUMBER = re.compile(r"([-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?|[-+]?inf|nan)")
+_RESIDUAL_KEY = re.compile(r"\w*residual\w*\s*=\s*$")
+
+
+def _normalised(path: Path) -> str:
+    """File text with the `config = <path>` lines made path independent."""
+    return re.sub(r"(?m)^config = .*$", "config = <config>", path.read_text())
+
+
+def _check_number(got: str, want: str, residual: bool, where: str):
+    """Residual fields need only meet the solver tolerance; every other
+    number matches to 1e-10 relative with a 1e-12 absolute floor."""
+    if residual:
+        assert float(got) <= SolverConfig().residual_tol, f"{where}: {got}"
+    else:
+        assert math.isclose(float(got), float(want), rel_tol=1e-10, abs_tol=1e-12), \
+            f"{where}: {got} != {want}"
+
+
+def _compare_text(got: str, want: str, name: str):
+    got_lines, want_lines = got.splitlines(), want.splitlines()
+    assert len(got_lines) == len(want_lines), name
+    for i, (g, w) in enumerate(zip(got_lines, want_lines)):
+        gp, wp = _NUMBER.split(g), _NUMBER.split(w)
+        where = f"{name}:{i + 1}"
+        # even entries are the text between numbers, odd ones the numbers
+        assert gp[::2] == wp[::2], f"{where}: {g!r} != {w!r}"
+        for j in range(1, len(wp), 2):
+            _check_number(gp[j], wp[j], bool(_RESIDUAL_KEY.search(wp[j - 1])), where)
+
+
+def _compare_csv(got: str, want: str, name: str):
+    got_rows = list(csv.reader(got.splitlines()))
+    want_rows = list(csv.reader(want.splitlines()))
+    assert got_rows[0] == want_rows[0], name
+    assert len(got_rows) == len(want_rows), name
+    for i, (g, w) in enumerate(zip(got_rows[1:], want_rows[1:])):
+        assert len(g) == len(w), f"{name}:{i + 2}"
+        for col, gc, wc in zip(want_rows[0], g, w):
+            if _NUMBER.fullmatch(wc):
+                _check_number(gc, wc, "residual" in col, f"{name}:{i + 2}:{col}")
+            else:
+                assert gc == wc, f"{name}:{i + 2}:{col}"
+
+
+def assert_matches_golden(out: Path, command: str):
+    """Every file in out, and no other, matches tests/golden/<command>/."""
+    golden = GOLDEN / command
+    names = sorted(p.name for p in out.iterdir() if p.is_file())
+    assert names == sorted(p.name for p in golden.iterdir())
+    for name in names:
+        compare = _compare_csv if name.endswith(".csv") else _compare_text
+        compare(_normalised(out / name), _normalised(golden / name), f"{command}/{name}")
+
+
 class TestCheck:
     def test_shipped_certificate_passes(self, tmp_path, capsys):
         code = run_cli("check", "--config", SHIPPED, "--out", tmp_path)
@@ -53,6 +122,7 @@ class TestCheck:
                     "bona1": "pass"}
         got = {name: entry["verdict"] for name, entry in cert["checks"].items()}
         assert got == expected
+        assert_matches_golden(tmp_path, "check")
 
     def test_constants_round_trip(self, tmp_path):
         run_cli("check", "--config", SHIPPED, "--out", tmp_path)
@@ -118,6 +188,7 @@ class TestSolve:
         assert coords.shape[1] == 1
         assert coords.shape[0] == vals.size
         assert vals[0] == 0.0 and vals[-1] == 0.0
+        assert_matches_golden(tmp_path, "solve")
 
     def test_lambda_mu_overrides(self, tmp_path):
         code = run_cli("solve", "--config", SHIPPED, "--out", tmp_path,
@@ -167,6 +238,7 @@ class TestScan:
         assert window.count("(") == 4
         assert "(18," in window and "(20," in window
         assert len(list(tmp_path.glob("scan_c*_s*.csv"))) == sum(counts.values())
+        assert_matches_golden(tmp_path, "scan")
 
     def test_deterministic_reruns(self, tmp_path):
         run_cli("scan", "--config", SHIPPED, "--out", tmp_path / "a")
@@ -183,9 +255,7 @@ class TestScan:
 
 class TestOracle:
     def _fast_cfg(self, tmp_path):
-        return variant(tmp_path, "fast_oracle.cfg",
-                       ("[run]", "[oracle]\nsigma_min = -10.0\nsigma_max = 10.0\n"
-                                 "n_scan = 401\n\n[run]"))
+        return variant(tmp_path, "fast_oracle.cfg", FAST_ORACLE)
 
     def test_shipped_roots(self, tmp_path, capsys):
         cfg = self._fast_cfg(tmp_path)
@@ -200,6 +270,7 @@ class TestOracle:
         assert "roots = 3" in report
         assert "degenerate_flat = False\nunconverged_brackets = 0\n" in report
         assert len(list((tmp_path / "out").glob("oracle_root_*.csv"))) == 3
+        assert_matches_golden(tmp_path / "out", "oracle")
 
     def test_planar_domain_unsupported(self, tmp_path, capsys):
         cfg = variant(tmp_path, "planar.cfg", base=LINEAR,
@@ -236,3 +307,26 @@ class TestConfigDiagnostics:
             read_constants_csv(junk)
         with pytest.raises(ValueError):
             read_oracle_profile(junk)
+
+
+def write_golden():
+    """Rewrite tests/golden/ from the four shipped-config runs above."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        runs = {"check": ("check", "--config", SHIPPED),
+                "solve": ("solve", "--config", SHIPPED),
+                "scan": ("scan", "--config", SHIPPED),
+                "oracle": ("oracle", "--config", variant(tmp, "fast_oracle.cfg", FAST_ORACLE))}
+        for command, argv in runs.items():
+            out = tmp / command
+            assert run_cli(*argv, "--out", out) == 0, command
+            target = GOLDEN / command
+            target.mkdir(parents=True, exist_ok=True)
+            for old in target.iterdir():
+                old.unlink()
+            for path in sorted(out.iterdir()):
+                (target / path.name).write_text(_normalised(path))
+
+
+if __name__ == "__main__":
+    sys.exit(write_golden())
