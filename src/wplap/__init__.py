@@ -14,9 +14,8 @@ from .certificate import (CertificateReport, Constants, ProblemSpec,
                           build_ustar, compute_eta, compute_r, compute_xi,
                           ustar_norm_p)
 from .config import ConfigError, RunConfig, load_config
-from .energy import (EnergyAssembler, Nonlinearity, capital_phi,
-                     capital_upsilon, gradient_check, make_nonlinearity, phi,
-                     primitive_F, weak_residual)
+from .energy import (EnergyAssembler, Nonlinearity, gradient_check,
+                     make_nonlinearity, primitive_F)
 from .expressions import Expression, ParseError, parse_expression
 from .geometry import (BallSpec, Domain, Mesh, UnsupportedDomainError,
                        build_mesh, distance_to_boundary, domain_measure,
@@ -39,12 +38,11 @@ __all__ = [
     "ProblemSpec", "RefinementRequiredError", "RunConfig", "SolutionRecord",
     "SolutionSet", "SolverConfig", "SolverFailure", "UnsupportedDomainError",
     "WeightSpec", "build_certificate", "build_mesh", "build_ustar",
-    "capital_phi", "capital_upsilon", "check_admissibility", "compute_eta",
-    "compute_ps", "compute_r", "compute_xi", "distance_to_boundary",
-    "domain_measure", "enumerate_solutions", "estimate_k", "eval_weight",
-    "gradient_check", "invert_phi_prime", "load_config", "make_nonlinearity",
-    "minimize_energy", "mountain_pass", "parse_expression", "phi",
-    "primitive_F", "profile_on_mesh", "scan", "shoot", "solve_cell",
-    "sublevel_minimize", "sup_norm", "unit_ball_volume", "ustar_norm_p",
-    "weak_residual", "weighted_norm",
+    "check_admissibility", "compute_eta", "compute_ps", "compute_r",
+    "compute_xi", "distance_to_boundary", "domain_measure",
+    "enumerate_solutions", "estimate_k", "eval_weight", "gradient_check",
+    "invert_phi_prime", "load_config", "make_nonlinearity", "minimize_energy",
+    "mountain_pass", "parse_expression", "primitive_F", "profile_on_mesh",
+    "scan", "shoot", "solve_cell", "sublevel_minimize", "sup_norm",
+    "unit_ball_volume", "ustar_norm_p", "weighted_norm",
 ]

@@ -193,14 +193,22 @@ def _gauss_value(fn, lo: float, hi: float) -> float:
 def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> float:
     """Integral over the annulus of a function given pointwise as fn(points).
 
-    1D: two intervals.  2D: polar quadrature (trapezoid in angle is spectrally
-    accurate for periodic integrands)."""
+    1D: two intervals, each split where it crosses the domain midpoint (the
+    kink of dist(x), so of distance-power weights).  2D: polar quadrature
+    (trapezoid in angle is spectrally accurate for periodic integrands)."""
     x0 = np.asarray(ball.x0)
     r1, r2 = ball.r1, ball.r2
     if domain.dim == 1:
-        left = _gauss_value(lambda t: fn_radial(np.column_stack([x0[0] - t])), r1, r2)
-        right = _gauss_value(lambda t: fn_radial(np.column_stack([x0[0] + t])), r1, r2)
-        return left + right
+        mid = 0.5 * (domain.bounds[0] + domain.bounds[1])
+        total = 0.0
+        for sign in (-1.0, 1.0):
+            def side(t, sign=sign):
+                return fn_radial(np.column_stack([x0[0] + sign * t]))
+            kink = sign * (mid - x0[0])
+            cuts = [r1, kink, r2] if r1 < kink < r2 else [r1, r2]
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                total += _gauss_value(side, lo, hi)
+        return total
     n_ang = 64
     theta = np.linspace(0.0, 2 * np.pi, n_ang, endpoint=False)
     ct, st = np.cos(theta), np.sin(theta)

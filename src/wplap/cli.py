@@ -336,7 +336,7 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     _warn_h3(report)
     result = scan(mesh, cfg.weight, cfg.p, cfg.lambda_grid, cfg.mu_values,
                   cfg.nl_f, cfg.nl_g, r, config=cfg.solver,
-                  zero_order=cfg.zero_order_term, ustar=ustar, certificate=report)
+                  zero_order=cfg.zero_order_term, ustar=ustar)
     write_scan_summary(out / "scan_summary.csv", result.cells)
 
     lines = [f"config = {cfg.path}", f"cells = {len(result.cells)}"]
@@ -345,9 +345,6 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     lines.append("lambda_window = " + "; ".join(
         f"({lam:g}, {mu:g})" for lam, mu in result.lambda_window))
     lines.append("")
-    per_cell = {}
-    for rec in result.solution_set.records:
-        per_cell.setdefault((rec.lam, rec.mu), []).append(rec)
     for ci, cell in enumerate(result.cells):
         lines += [f"[cell_{ci:03d}]", f"lambda = {_fmt(cell.lam)}",
                   f"mu = {_fmt(cell.mu)}", f"count = {cell.count}",
@@ -355,9 +352,7 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
                   f"rho_observed = {_fmt(cell.rho)}",
                   f"min_pairwise_distance = {_fmt(cell.min_distance)}",
                   f"max_residual = {_fmt(cell.max_residual)}"]
-        cell_set = SolutionSet(per_cell.get((cell.lam, cell.mu), []),
-                               cfg.solver.delta_dist)
-        for si, rec in enumerate(cell_set.distinct_records()):
+        for si, rec in enumerate(cell.records):
             name = f"scan_c{ci:03d}_s{si}.csv"
             write_solution_csv(out / name, rec.u)
             lines.append(f"solution_{si} = {name} "

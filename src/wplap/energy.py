@@ -14,6 +14,7 @@ reproduce the residual to rounding accuracy.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,14 +27,9 @@ from .weight import WeightSpec
 
 __all__ = [
     "Nonlinearity",
-    "EnergyState",
     "EnergyAssembler",
     "make_nonlinearity",
     "primitive_F",
-    "phi",
-    "capital_phi",
-    "capital_upsilon",
-    "weak_residual",
     "weak_form_gap",
     "gradient_check",
 ]
@@ -120,8 +116,9 @@ def primitive_F(nl: Nonlinearity, x, t) -> np.ndarray:
     """F(x, t) = int_0^t f(x, s) ds at m points x (m, N), values t (m,).
 
     Closed form when supplied; otherwise composite Gauss on [0, t] with
-    panel doubling until the change drops below 1e-10 absolute (the map
-    s = t * node keeps the orientation right for t < 0)."""
+    panel doubling until every value changes by at most 1e-10 * max(1, |F|)
+    (the map s = t * node keeps the orientation right for t < 0).  When 64
+    panels still miss that, the last values come back with a RuntimeWarning."""
     t = np.asarray(t, dtype=float)
     if nl.primitive is not None:
         return _eval_expr(nl.primitive, _point_env(x, t))
@@ -133,33 +130,26 @@ def primitive_F(nl: Nonlinearity, x, t) -> np.ndarray:
         s = t[:, None] * nodes              # (m, panels*20) points along [0, t]
         fx = _eval_expr(nl.f, _point_env(x, s, extra_axis=True))
         val = t * (fx @ wts)
-        if prev is not None and np.max(np.abs(val - prev)) < 1e-10:
+        if prev is not None and np.all(np.abs(val - prev)
+                                       <= 1e-10 * np.maximum(1.0, np.abs(val))):
             return val
         prev = val
+    warnings.warn("primitive_F: Gauss panel doubling unconverged at 64 panels",
+                  RuntimeWarning, stacklevel=2)
     return val
-
-
-@dataclass
-class EnergyState:
-    u: DiscreteFunction
-    phi: float
-    capital_phi: float
-    capital_upsilon: float
-    total: float
-    residual: np.ndarray       # one entry per interior node
-    residual_norm: float       # its l2 norm, scaled by h^(N/2)
 
 
 class EnergyAssembler:
     """Precomputed quadrature data for one problem instance on one mesh.
 
     Evaluates energies, residuals and tangent matrices on raw nodal vectors;
-    the p < 2 gradient term is regularized with eps_reg."""
+    the p < 2 gradient term is regularized with eps_reg.  An optional nodal
+    load adds the linear term -load.v to the energy (its tangent is zero)."""
 
     def __init__(self, mesh: Mesh, w: WeightSpec, p: float, lam: float = 0.0,
                  mu: float = 0.0, f: Nonlinearity | None = None,
                  g: Nonlinearity | None = None, zero_order: bool = True,
-                 eps_reg: float = 1e-8):
+                 eps_reg: float = 1e-8, load: np.ndarray | None = None):
         self.mesh = mesh
         self.w = w
         self.p = float(p)
@@ -169,6 +159,7 @@ class EnergyAssembler:
         self.g = g
         self.zero_order = zero_order
         self.eps_reg = float(eps_reg)
+        self.load = load
         self.pts, self.wts, _, _ = mesh.quadrature()
         self.wq, self.bary = _cell_quadrature(mesh)
         self.cellA = _cell_weight_integrals(mesh, w)
@@ -177,7 +168,6 @@ class EnergyAssembler:
                        + mesh.cells[:, None, :]).reshape(-1)
         self.interior = np.flatnonzero(mesh.interior_vertices)
         self.h_scale = mesh.max_cell_size ** (mesh.dim / 2.0)
-        self._fq_cache: dict = {}
 
     # -- pointwise helpers ------------------------------------------------
     def _gpow(self, gnorm: np.ndarray, expo: float) -> np.ndarray:
@@ -218,6 +208,8 @@ class EnergyAssembler:
             e += self.lam * self.capital_phi(v)
         if self.g is not None and self.mu != 0.0:
             e += self.mu * self.capital_upsilon(v)
+        if self.load is not None:
+            e -= float(self.load @ v)
         return e
 
     # -- residual and tangent ----------------------------------------------
@@ -242,6 +234,8 @@ class EnergyAssembler:
             cellsums += (self.wq * source.reshape(self.wq.shape)) @ self.bary
         res = np.bincount(self.mesh.cells.reshape(-1), weights=cellsums.reshape(-1),
                           minlength=v.size)
+        if self.load is not None:
+            res -= self.load
         res[self.mesh.boundary_vertices] = 0.0
         return res
 
@@ -286,44 +280,6 @@ class EnergyAssembler:
         A[:, bnd] = 0.0
         A[np.flatnonzero(bnd), np.flatnonzero(bnd)] = 1.0
         return A
-
-    def state(self, u: DiscreteFunction) -> EnergyState:
-        v = u.values
-        res = self.residual(v)
-        return EnergyState(
-            u=u, phi=self.phi(v), capital_phi=self.capital_phi(v),
-            capital_upsilon=self.capital_upsilon(v),
-            total=self.energy(v), residual=res[self.interior],
-            residual_norm=self.residual_norm(res))
-
-
-# -- standalone operation wrappers ------------------------------------------
-
-def phi(u: DiscreteFunction, w: WeightSpec, p: float, zero_order: bool = True) -> float:
-    """phi(u) = (1/p) ||u||^p (gradient term only when zero_order is off)."""
-    return EnergyAssembler(u.mesh, w, p, zero_order=zero_order).phi(u.values)
-
-
-def capital_phi(u: DiscreteFunction, w: WeightSpec, nl: Nonlinearity) -> float:
-    """Phi(u) = -int F(x, u(x)) dx."""
-    return EnergyAssembler(u.mesh, w, 2.0, f=nl).capital_phi(u.values)
-
-
-def capital_upsilon(u: DiscreteFunction, w: WeightSpec, nl: Nonlinearity) -> float:
-    """Upsilon(u) = -int G(x, u(x)) dx."""
-    return EnergyAssembler(u.mesh, w, 2.0, g=nl).capital_upsilon(u.values)
-
-
-def weak_residual(u: DiscreteFunction, w: WeightSpec, p: float, lam: float, mu: float,
-                  f: Nonlinearity | None, g: Nonlinearity | None = None,
-                  zero_order: bool = True, eps_reg: float = 1e-8):
-    """Weak-form residual against the interior hat basis.
-
-    Returns (residual vector over all vertices, zero at boundary;
-    l2 norm over interior nodes scaled by h^(N/2))."""
-    asm = EnergyAssembler(u.mesh, w, p, lam, mu, f, g, zero_order, eps_reg)
-    res = asm.residual(u.values)
-    return res, asm.residual_norm(res)
 
 
 def weak_form_gap(u: DiscreteFunction, v: DiscreteFunction, w: WeightSpec, p: float,

@@ -4,8 +4,8 @@ Three search modes: damped-Newton energy descent with multistart (global
 minimizer candidate), projected descent on the sublevel set {phi <= r}
 (small local minimizer), and an elastic-string mountain pass between two
 distinct critical points.  phi' is uniformly monotone for p >= 2, which
-makes invert_phi_prime single-valued; that inverse is solved by damped
-Newton with a gradient-descent fallback.
+makes invert_phi_prime single-valued; that inverse is the same energy
+descent on phi with a linear load.
 """
 from __future__ import annotations
 
@@ -203,50 +203,27 @@ def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
                      u_init: DiscreteFunction | None = None) -> DiscreteFunction:
     """Solve phi'(u) = rhs (rhs in residual space, zero at boundary nodes).
 
-    Uniform monotonicity of phi' (p >= 2) makes the solution unique; damped
-    Newton on the convex merit phi(u) - rhs.u with gradient fallback."""
-    asm = EnergyAssembler(mesh, w, p, zero_order=zero_order, eps_reg=config.eps_reg)
+    Uniform monotonicity of phi' (p >= 2) makes the solution unique; it is
+    the minimizer of the convex merit phi(u) - rhs.u, found by _descend
+    (which raises CoercivityError should the merit drop below
+    -1/residual_tol)."""
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (mesh.num_vertices,):
         raise ValueError("rhs must have one entry per mesh vertex")
     rhs = rhs.copy()
     rhs[mesh.boundary_vertices] = 0.0
-
-    v = np.zeros(mesh.num_vertices) if u_init is None else u_init.values.copy()
-    merit = lambda x: asm.phi(x) - float(rhs @ x)
-    E = merit(v)
-    for _ in range(config.max_iter):
-        res = asm.residual(v) - rhs
-        res[mesh.boundary_vertices] = 0.0
-        rn = asm.residual_norm(res)
-        if rn <= config.residual_tol:
-            return DiscreteFunction(mesh, v)
-        dv = _solve_tangent(asm.tangent(v), -res)
-        if dv is None or float(res @ dv) >= 0.0:
-            dv = -res  # tangent of phi alone is positive definite; rare
-        slope = float(res @ dv)
-        alpha, accepted = 1.0, False
-        while alpha > 1e-14:
-            cand = v + alpha * dv
-            Ec = merit(cand)
-            if Ec <= E + config.sufficient_decrease * alpha * slope:
-                v, E, accepted = cand, Ec, True
-                break
-            alpha *= config.backtrack_factor
-        if not accepted:
-            break
-    res = asm.residual(v) - rhs
-    res[mesh.boundary_vertices] = 0.0
-    rn = asm.residual_norm(res)
-    if rn <= config.residual_tol:
+    asm = EnergyAssembler(mesh, w, p, zero_order=zero_order, eps_reg=config.eps_reg,
+                          load=rhs)
+    v0 = np.zeros(mesh.num_vertices) if u_init is None else u_init.values
+    v, rn, ok = _descend(asm, v0, config)
+    if ok:
         return DiscreteFunction(mesh, v)
     raise SolverFailure(f"invert_phi_prime stalled at residual {rn:.3e}",
                         best=DiscreteFunction(mesh, v), residual_norm=rn)
 
 
 def _multistart_seeds(mesh: Mesh, ustar: DiscreteFunction | None,
-                      u_init: DiscreteFunction | None, config: SolverConfig,
-                      scale: float = 1.0):
+                      config: SolverConfig, scale: float = 1.0):
     seeds = [np.zeros(mesh.num_vertices)]
     if ustar is not None:
         seeds.append(ustar.values.copy())
@@ -255,20 +232,17 @@ def _multistart_seeds(mesh: Mesh, ustar: DiscreteFunction | None,
     rnd = scale * rng.uniform(-1.0, 1.0, mesh.num_vertices)
     rnd[mesh.boundary_vertices] = 0.0
     seeds.append(rnd)
-    if u_init is not None:
-        seeds.append(u_init.values.copy())
     return seeds
 
 
 def minimize_energy(asm: EnergyAssembler, lam: float, mu: float,
-                    u_init: DiscreteFunction | None = None,
                     config: SolverConfig = SolverConfig(),
                     ustar: DiscreteFunction | None = None) -> SolutionRecord:
-    """Best local minimizer over the multistart seeds {0, u*, -u*, random}
-    (plus u_init when given); classification 'global-min-candidate'."""
+    """Best local minimizer over the multistart seeds {0, u*, -u*, random};
+    classification 'global-min-candidate'."""
     scale = sup_norm(ustar) if ustar is not None else 1.0
     best = None
-    for seed in _multistart_seeds(asm.mesh, ustar, u_init, config, scale):
+    for seed in _multistart_seeds(asm.mesh, ustar, config, scale):
         v, rn, ok = _descend(asm, seed, config)
         if not ok:
             continue
@@ -429,14 +403,13 @@ class ScanCell:
     min_distance: float
     max_residual: float
     notes: list
+    records: list         # the cell's distinct records, in solve order
 
 
 @dataclass
 class ScanResult:
-    solution_set: SolutionSet
     cells: list
     lambda_window: list   # (lam, mu) cells with count >= 3
-    certificate: object = None
 
 
 def solve_cell(asm: EnergyAssembler, lam: float, mu: float, r: float | None = None,
@@ -469,11 +442,10 @@ def solve_cell(asm: EnergyAssembler, lam: float, mu: float, r: float | None = No
 def scan(mesh: Mesh, w: WeightSpec, p: float, lam_grid, mu_list,
          f: Nonlinearity, g: Nonlinearity | None, r: float,
          config: SolverConfig = SolverConfig(), zero_order: bool = True,
-         ustar: DiscreteFunction | None = None, certificate=None) -> ScanResult:
+         ustar: DiscreteFunction | None = None) -> ScanResult:
     """Sweep the (lambda, mu) grid; per cell run minimize_energy,
     sublevel_minimize and, when the two are distinct, mountain_pass.
     Cells that error are recorded and the scan continues."""
-    all_records = []
     cells = []
     window = []
     for lam in lam_grid:
@@ -493,9 +465,7 @@ def scan(mesh: Mesh, w: WeightSpec, p: float, lam_grid, mu_list,
                 count_nontrivial=cell_set.count_nontrivial, rho=cell_set.rho_observed,
                 min_distance=mind,
                 max_residual=max([r_.residual_norm for r_ in records], default=0.0),
-                notes=notes))
+                notes=notes, records=cell_set.distinct_records()))
             if cell_set.count >= 3:
                 window.append((lam, mu))
-            all_records.extend(records)
-    return ScanResult(solution_set=SolutionSet(all_records, config.delta_dist),
-                      cells=cells, lambda_window=window, certificate=certificate)
+    return ScanResult(cells=cells, lambda_window=window)

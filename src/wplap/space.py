@@ -24,7 +24,6 @@ __all__ = [
     "sup_norm",
     "talenti_bound",
     "estimate_k",
-    "norm_equivalence_probe",
 ]
 
 
@@ -266,13 +265,3 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
     return EmbeddingEstimate(k_lower=k_lower, k_upper=float(k_upper),
                              k_upper_mode=mode, p_s=p_s, witness=refined)
 
-
-def norm_equivalence_probe(family, w: WeightSpec, p: float):
-    """(min, max) of full_norm / a_norm over a family of DiscreteFunctions."""
-    ratios = []
-    for u in family:
-        rep = weighted_norm(u, w, p)
-        if rep.a_norm == 0.0:
-            raise ValueError("norm equivalence probe needs nonzero functions")
-        ratios.append(rep.full_norm / rep.a_norm)
-    return float(np.min(ratios)), float(np.max(ratios))

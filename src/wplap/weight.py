@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Domain, Mesh, build_mesh, distance_to_boundary
+from .geometry import Domain, build_mesh, distance_to_boundary
 
 __all__ = [
     "WeightSpec",
@@ -20,30 +20,25 @@ __all__ = [
     "eval_weight",
     "check_admissibility",
     "compute_ps",
-    "suggest_s",
     "weight_lower_bound",
 ]
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight a(x): 'constant' (value), 'distance_power' (dist^(-l), l = exponent),
-    or 'tabulated' (P1 nodal values on a mesh)."""
+    """Weight a(x): 'constant' (value) or 'distance_power' (dist^(-l), l = exponent)."""
 
     form: str
     value: float = 1.0
     exponent: float = 0.0
-    table: tuple | None = None  # (Mesh, nodal values)
 
     def __post_init__(self):
-        if self.form not in ("constant", "distance_power", "tabulated"):
+        if self.form not in ("constant", "distance_power"):
             raise ValueError(f"unknown weight form {self.form!r}")
         if self.form == "constant" and self.value <= 0:
             raise ValueError("constant weight must be positive")
         if self.form == "distance_power" and self.exponent < 0:
             raise ValueError("distance_power exponent must be >= 0")
-        if self.form == "tabulated" and self.table is None:
-            raise ValueError("tabulated weight needs (mesh, values)")
 
     @staticmethod
     def constant(value: float) -> "WeightSpec":
@@ -53,70 +48,34 @@ class WeightSpec:
     def distance_power(l: float) -> "WeightSpec":
         return WeightSpec("distance_power", exponent=float(l))
 
-    @staticmethod
-    def tabulated(mesh: Mesh, values) -> "WeightSpec":
-        vals = np.asarray(values, dtype=float)
-        if vals.shape != (mesh.num_vertices,):
-            raise ValueError("tabulated values must be one per mesh vertex")
-        return WeightSpec("tabulated", table=(mesh, vals))
-
 
 def eval_weight(w: WeightSpec, domain: Domain, x) -> np.ndarray:
     """Evaluate a(x) at points x ((m, N) array, (N,) point or scalar)."""
     if w.form == "constant":
         shape = np.asarray(x, dtype=float).reshape(-1, domain.dim).shape[0]
         out = np.full(shape, w.value)
-    elif w.form == "distance_power":
+    else:
         d = np.atleast_1d(distance_to_boundary(domain, x))
         if w.exponent > 0 and np.any(d <= 0):
             raise ValueError("distance_power weight is singular on the boundary")
         out = d ** (-w.exponent) if w.exponent > 0 else np.ones(d.shape)
-    else:
-        out = _interp_tabulated(w, x)
     if np.isscalar(x) or np.asarray(x).ndim <= 1 and out.size == 1:
         return float(out[0])
     return out
 
 
-def _interp_tabulated(w: WeightSpec, x) -> np.ndarray:
-    mesh, vals = w.table
-    pts = np.asarray(x, dtype=float).reshape(-1, mesh.dim)
-    if mesh.dim == 1:
-        xv = mesh.vertices[:, 0]
-        return np.interp(pts[:, 0], xv, vals)
-    # 2D: brute-force barycentric location (adequate for the sizes we use)
-    out = np.empty(pts.shape[0])
-    v = mesh.vertices[mesh.cells]
-    e1 = v[:, 1] - v[:, 0]
-    e2 = v[:, 2] - v[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    for i, pt in enumerate(pts):
-        r = pt - v[:, 0]
-        l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
-        ok = (l1 >= -1e-12) & (l2 >= -1e-12) & (l1 + l2 <= 1 + 1e-12)
-        c = int(np.argmax(ok))
-        if not ok[c]:
-            raise ValueError(f"point {pt} outside tabulated mesh")
-        lam = np.array([1 - l1[c] - l2[c], l1[c], l2[c]])
-        out[i] = lam @ vals[mesh.cells[c]]
-    return out
-
-
 def weight_lower_bound(w: WeightSpec, domain: Domain) -> float:
-    """Closed-form essential infimum of a over the domain (nodal min if tabulated)."""
+    """Closed-form essential infimum of a over the domain."""
     if w.form == "constant":
         return w.value
-    if w.form == "distance_power":
-        b = domain.bounds
-        if domain.kind == "interval":
-            inradius = 0.5 * (b[1] - b[0])
-        elif domain.kind == "box":
-            inradius = 0.5 * min(b[1] - b[0], b[3] - b[2])
-        else:
-            inradius = b[-1]
-        return inradius ** (-w.exponent) if w.exponent > 0 else 1.0
-    return float(np.min(w.table[1]))
+    b = domain.bounds
+    if domain.kind == "interval":
+        inradius = 0.5 * (b[1] - b[0])
+    elif domain.kind == "box":
+        inradius = 0.5 * min(b[1] - b[0], b[3] - b[2])
+    else:
+        inradius = b[-1]
+    return inradius ** (-w.exponent) if w.exponent > 0 else 1.0
 
 
 def compute_ps(p: float, s: float) -> float:
@@ -124,13 +83,6 @@ def compute_ps(p: float, s: float) -> float:
     if p <= 1 or s <= 0:
         raise ValueError("need p > 1 and s > 0")
     return p * s / (s + 1.0)
-
-
-def suggest_s(n: int, p: float) -> float:
-    """A value of s inside the admissible regime: N/(p-N) + 1/2 (needs p > N)."""
-    if p <= n:
-        raise ValueError(f"regime requires p > N, got p={p}, N={n}")
-    return n / (p - n) + 0.5
 
 
 @dataclass
@@ -143,7 +95,7 @@ class AdmissibilityReport:
     a_local: str                 # a in L1_loc
     a_inv_local: str             # a^(-1/(p-1)) in L1_loc
     a_minus_s_global: str        # a^(-s) in L1(Omega)
-    mode: str                    # 'closed-form' | 'sampled'
+    mode: str                    # 'closed-form'
     admissible: bool
     exhaustion_depth: int
     a_local_estimates: list = field(default_factory=list)
@@ -224,8 +176,8 @@ def check_admissibility(w: WeightSpec, domain: Domain, p: float, s: float,
     """Check the four admissibility conditions on a compact exhaustion
     K_j = {dist(x, boundary) >= 2^(-j) * diam / 4}, j = 1..exhaustion_depth.
 
-    Closed forms (constant, distance_power) get exact verdicts with the
-    quadrature sequence attached as evidence; tabulated weights are sampled.
+    Both weight forms have closed-form verdicts; the quadrature sequence is
+    attached as evidence.
     """
     p_s = compute_ps(p, s)
     n = domain.dim
@@ -244,35 +196,19 @@ def check_admissibility(w: WeightSpec, domain: Domain, p: float, s: float,
         est_ms.append(_integrate_over_compact(lambda x: a_at(x) ** (-s), domain, delta))
 
     notes = []
-    if w.form in ("constant", "distance_power"):
-        mode = "closed-form"
-        positivity = "pass"
-        a_local = "pass"      # bounded on every K_j
-        a_inv_local = "pass"  # d^(l/(p-1)) is bounded on the bounded domain
-        a_minus_s = "pass"    # d^(l*s) is bounded on the bounded domain
-        if w.form == "distance_power" and w.exponent >= 1.0:
-            notes.append(
-                f"global integral of a diverges (exponent {w.exponent} >= 1): "
-                f"exhaustion estimates {est_a[-2]:.6g} -> {est_a[-1]:.6g}; "
-                "only local integrability is required")
-    else:
-        mode = "sampled"
-        vals = w.table[1]
-        positivity = "heuristic-pass" if np.min(vals) > 0 else "fail"
-        a_local = "heuristic-pass" if all(np.isfinite(est_a)) else "fail"
-        a_inv_local = "heuristic-pass" if all(np.isfinite(est_inv)) else "fail"
-        # Cauchy test on the global a^(-s) integral along the exhaustion
-        tail = abs(est_ms[-1] - est_ms[-2]) / max(1.0, abs(est_ms[-1]))
-        a_minus_s = "heuristic-pass" if tail < 1e-6 and np.isfinite(est_ms[-1]) else "inconclusive"
-
+    if w.form == "distance_power" and w.exponent >= 1.0:
+        notes.append(
+            f"global integral of a diverges (exponent {w.exponent} >= 1): "
+            f"exhaustion estimates {est_a[-2]:.6g} -> {est_a[-1]:.6g}; "
+            "only local integrability is required")
     if not regime_ok:
         notes.append(f"regime violated: need p > p_s > N, got p={p}, p_s={p_s:.6g}, N={n}")
 
-    ok = (positivity.endswith("pass") and a_local.endswith("pass")
-          and a_inv_local.endswith("pass") and a_minus_s.endswith("pass"))
+    # a > 0 is bounded on every K_j, and a^(-1/(p-1)) = d^(l/(p-1)) and
+    # a^(-s) = d^(l*s) are bounded on the bounded domain
     return AdmissibilityReport(
-        p=p, s=s, p_s=p_s, regime_ok=regime_ok, positivity=positivity,
-        a_local=a_local, a_inv_local=a_inv_local, a_minus_s_global=a_minus_s,
-        mode=mode, admissible=ok and regime_ok, exhaustion_depth=exhaustion_depth,
+        p=p, s=s, p_s=p_s, regime_ok=regime_ok, positivity="pass",
+        a_local="pass", a_inv_local="pass", a_minus_s_global="pass",
+        mode="closed-form", admissible=regime_ok, exhaustion_depth=exhaustion_depth,
         a_local_estimates=est_a, a_inv_local_estimates=est_inv,
         a_minus_s_estimates=est_ms, notes=notes)

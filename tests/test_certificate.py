@@ -7,6 +7,7 @@ import pytest
 
 from wplap.certificate import (
     _gauss_panels,
+    _gauss_value,
     Constants,
     ProblemSpec,
     RefinementRequiredError,
@@ -83,14 +84,17 @@ class TestAnnulusWeightMass:
             total += (hi - lo) * np.mean(np.minimum(xs, 1.0 - xs) ** -0.5)
         assert val == pytest.approx(total, rel=1e-6)
 
-    def test_kink_inside_annulus_warns(self):
-        # dist(x)^(-1/2) has its kink at x = 1/2, inside [x0 + r1, x0 + r2]
+    def test_kink_inside_annulus_matches_closed_form(self):
+        # dist(x)^(-1/2) has its kink at x = 1/2, inside [x0 + r1, x0 + r2]:
+        # the annulus is [0.32, 0.37] and [0.49, 0.54]
         w = WeightSpec.distance_power(0.5)
-        with pytest.warns(RuntimeWarning, match="unconverged at 128 panels"):
-            annulus_weight_mass(w, BallSpec(x0=(0.43,), r1=0.06, r2=0.11), UNIT)
+        exact = 2.0 * (math.sqrt(0.37) - math.sqrt(0.32)
+                       + 2.0 * math.sqrt(0.5) - math.sqrt(0.49) - math.sqrt(0.46))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            val = annulus_weight_mass(w, BallSpec(x0=(0.43,), r1=0.06, r2=0.11), UNIT)
             annulus_weight_mass(w, BALL, UNIT)
+        assert val == pytest.approx(exact, rel=1e-12)
 
 
 class TestScalarConstants:
@@ -461,6 +465,10 @@ class TestGaussPanels:
         val, converged = _gauss_panels(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0)
         assert not converged
         assert val == pytest.approx(5.0 / 18.0, rel=1e-5)
+
+    def test_gauss_value_warns_when_unconverged(self):
+        with pytest.warns(RuntimeWarning, match="^Gauss panel doubling .* at 128 panels"):
+            _gauss_value(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0)
 
     def test_h2_note_clean_when_converged(self):
         entry = check_H2(shipped_f(), UNIT, 3.0, 0.2, 1.0, 2.0)

@@ -6,7 +6,6 @@ those files from the current code."""
 import csv
 import math
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -329,4 +328,4 @@ def write_golden():
 
 
 if __name__ == "__main__":
-    sys.exit(write_golden())
+    write_golden()

@@ -1,5 +1,6 @@
 """Energy functionals, primitives, and weak-form residuals."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,14 +8,10 @@ import pytest
 from wplap.certificate import build_ustar
 from wplap.energy import (
     EnergyAssembler,
-    capital_phi,
-    capital_upsilon,
     gradient_check,
     make_nonlinearity,
-    phi,
     primitive_F,
     weak_form_gap,
-    weak_residual,
 )
 from wplap.geometry import BallSpec, Domain, build_mesh
 from wplap.space import DiscreteFunction, weighted_norm
@@ -74,19 +71,37 @@ class TestPrimitiveF:
         out = primitive_F(nl, np.array([[0.5], [1.0]]), np.array([2.0, 2.0]))
         assert out == pytest.approx([1.0, 2.0], abs=1e-12)
 
+    def test_kinked_integrand_warns(self):
+        # the kink at s = 0.3 sits off every dyadic panel edge of [0, 1]
+        nl = make_nonlinearity("max(t - 0.3, 0.3 - t)")
+        with pytest.warns(RuntimeWarning, match="^primitive_F: .*unconverged at 64 panels"):
+            primitive_F(nl, np.array([[0.5]]), np.array([1.0]))
+
+    def test_large_values_converge_relative(self):
+        # Gauss is exact for f = t, so the panel levels differ only by
+        # rounding in F itself: up to ~1 at |t| = 1e8, far above 1e-10
+        # absolute but at rounding level relative to F
+        nl = make_nonlinearity("t")
+        t = np.linspace(-1e8, 1e8, 201)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = primitive_F(nl, np.zeros((t.size, 1)), t)
+        assert out == pytest.approx(0.5 * t ** 2, rel=1e-14)
+
 
 class TestPhi:
     def test_zero(self):
-        assert phi(DiscreteFunction.zero(interval_mesh(0.25)), ONE, 2.0) == 0.0
+        mesh = interval_mesh(0.25)
+        assert EnergyAssembler(mesh, ONE, 2.0).phi(np.zeros(mesh.num_vertices)) == 0.0
 
     def test_p_homogeneity(self):
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(1))
         for p in (2.0, 3.0):
-            base = phi(u, ONE, p)
+            asm = EnergyAssembler(mesh, ONE, p)
+            base = asm.phi(u.values)
             for c in (-2.0, 0.5):
-                assert phi(u.copy_with(c * u.values), ONE, p) == \
-                    pytest.approx(abs(c) ** p * base, rel=1e-12)
+                assert asm.phi(c * u.values) == pytest.approx(abs(c) ** p * base, rel=1e-12)
 
     def test_witness_profile_value(self):
         # quadratic bump of height 1 on B(0.5, 0.1) falling to 0 at radius 0.2:
@@ -94,32 +109,36 @@ class TestPhi:
         ball = BallSpec(x0=(0.5,), r1=0.1, r2=0.2)
         mesh = interval_mesh(1 / 512, breakpoints=(0.3, 0.4, 0.6, 0.7))
         us = build_ustar(1.0, ball, mesh)
-        assert phi(us, ONE, 2.0) == pytest.approx(10.5090669489, rel=1e-3)
-        assert phi(us, ONE, 2.0, zero_order=False) == \
+        assert EnergyAssembler(mesh, ONE, 2.0).phi(us.values) == \
+            pytest.approx(10.5090669489, rel=1e-3)
+        assert EnergyAssembler(mesh, ONE, 2.0, zero_order=False).phi(us.values) == \
             pytest.approx(20.7407407407 / 2.0, rel=1e-3)
 
 
 class TestCapitalPhi:
     def test_zero_function(self):
         nl = make_nonlinearity("t", primitive="0.5*t^2")
-        u = DiscreteFunction.zero(interval_mesh(0.25))
-        assert capital_phi(u, ONE, nl) == 0.0
+        mesh = interval_mesh(0.25)
+        asm = EnergyAssembler(mesh, ONE, 2.0, f=nl)
+        assert asm.capital_phi(np.zeros(mesh.num_vertices)) == 0.0
 
     def test_constant_f(self):
         # f = 1 so F = t; Phi = -int u = -1/6 for u = x(1-x)
         nl = make_nonlinearity("1", primitive="t")
         mesh = interval_mesh(1 / 8192)
         u = DiscreteFunction.from_callable(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
-        assert capital_phi(u, ONE, nl) == pytest.approx(-1 / 6, abs=1e-8)
+        assert EnergyAssembler(mesh, ONE, 2.0, f=nl).capital_phi(u.values) == \
+            pytest.approx(-1 / 6, abs=1e-8)
 
     def test_linear_f_on_hats(self):
         # F = t^2/2, so Phi = -(1/2) int u^2, exact for piecewise-linear u:
         # full-width hat has int u^2 = 1/3, half-width 1/4 hat has 1/6
         nl = make_nonlinearity("t", primitive="0.5*t^2")
         mesh = interval_mesh(1 / 8)
-        assert capital_phi(hat_function(mesh, 0.5, 0.5), ONE, nl) == \
+        asm = EnergyAssembler(mesh, ONE, 2.0, f=nl)
+        assert asm.capital_phi(hat_function(mesh, 0.5, 0.5).values) == \
             pytest.approx(-1 / 6, abs=1e-8)
-        assert capital_phi(hat_function(mesh, 0.5, 0.25), ONE, nl) == \
+        assert asm.capital_phi(hat_function(mesh, 0.5, 0.25).values) == \
             pytest.approx(-1 / 12, abs=1e-8)
 
     def test_upsilon_quadrature_matches_closed_form(self):
@@ -127,8 +146,9 @@ class TestCapitalPhi:
         u = hat_function(mesh, 0.5, 0.5)
         quad = make_nonlinearity("sin(t)")
         closed = make_nonlinearity("sin(t)", primitive="1-cos(t)")
-        assert capital_upsilon(u, ONE, quad) == \
-            pytest.approx(capital_upsilon(u, ONE, closed), abs=1e-10)
+        assert EnergyAssembler(mesh, ONE, 2.0, g=quad).capital_upsilon(u.values) == \
+            pytest.approx(EnergyAssembler(mesh, ONE, 2.0, g=closed).capital_upsilon(u.values),
+                          abs=1e-10)
 
 
 class TestWeakResidual:
@@ -136,18 +156,19 @@ class TestWeakResidual:
         # f(x,0) = 0 and g(x,0) = 0 make every term vanish
         f = make_nonlinearity("t", primitive="0.5*t^2")
         g = make_nonlinearity("sin(t)")
-        u = DiscreteFunction.zero(interval_mesh(1 / 16))
-        res, norm = weak_residual(u, ONE, 2.0, 1.5, 0.5, f, g)
+        mesh = interval_mesh(1 / 16)
+        asm = EnergyAssembler(mesh, ONE, 2.0, 1.5, 0.5, f, g)
+        res = asm.residual(np.zeros(mesh.num_vertices))
         assert np.all(res == 0.0)
-        assert norm == 0.0
+        assert asm.residual_norm(res) == 0.0
 
     def test_manufactured_linear_solution(self):
         # -u'' + u = (1+pi^2) sin(pi x) is solved by u = sin(pi x)
         f = make_nonlinearity(f"{1 + PI ** 2}*sin({PI}*x1)")
         mesh = interval_mesh(1 / 256)
         u = DiscreteFunction.from_callable(mesh, lambda x: np.sin(PI * x[:, 0]))
-        _, norm = weak_residual(u, ONE, 2.0, 1.0, 0.0, f)
-        assert norm < 1e-3
+        asm = EnergyAssembler(mesh, ONE, 2.0, 1.0, 0.0, f)
+        assert asm.residual_norm(asm.residual(u.values)) < 1e-3
 
     def test_matches_energy_gradient(self):
         f = make_nonlinearity("t", primitive="0.5*t^2")
@@ -161,10 +182,26 @@ class TestWeakResidual:
         mesh = interval_mesh(1 / 16)
         asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.2, f=f)
         u = random_interior(mesh, np.random.default_rng(9))
-        st = asm.state(u)
-        assert st.residual.shape == (int(np.sum(mesh.interior_vertices)),)
-        recon = st.phi + 1.2 * st.capital_phi + 0.0 * st.capital_upsilon
-        assert st.total == pytest.approx(recon, abs=1e-12)
+        res = asm.residual(u.values)
+        assert res.shape == (mesh.num_vertices,)
+        assert np.all(res[mesh.boundary_vertices] == 0.0)
+        recon = asm.phi(u.values) + 1.2 * asm.capital_phi(u.values) \
+            + 0.0 * asm.capital_upsilon(u.values)
+        assert asm.energy(u.values) == pytest.approx(recon, abs=1e-12)
+
+    def test_load_is_a_linear_term(self):
+        f = make_nonlinearity("t", primitive="0.5*t^2")
+        mesh = interval_mesh(1 / 16)
+        rng = np.random.default_rng(10)
+        load = rng.standard_normal(mesh.num_vertices)
+        plain = EnergyAssembler(mesh, ONE, 3.0, lam=0.7, f=f)
+        loaded = EnergyAssembler(mesh, ONE, 3.0, lam=0.7, f=f, load=load)
+        v = random_interior(mesh, rng).values
+        assert loaded.energy(v) == plain.energy(v) - float(load @ v)
+        want = plain.residual(v) - load
+        want[mesh.boundary_vertices] = 0.0
+        assert np.array_equal(loaded.residual(v), want)
+        assert np.array_equal(loaded.tangent(v), plain.tangent(v))
 
 
 class TestGradientCheck:
@@ -222,7 +259,6 @@ class TestEnergyIdentities:
         mesh = interval_mesh(1 / 32)
         rng = np.random.default_rng(18)
         u = random_interior(mesh, rng)
-        _, _ = weak_residual(u, ONE, 3.0, 0.9, 0.1, f, g)
         asm = EnergyAssembler(mesh, ONE, 3.0, 0.9, 0.1, f, g)
         res = asm.residual(u.values)
         for _ in range(20):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wplap.certificate import build_ustar
-from wplap.energy import EnergyAssembler, make_nonlinearity, weak_residual
+from wplap.energy import EnergyAssembler, make_nonlinearity
 from wplap.geometry import BallSpec, Domain, UnsupportedDomainError, build_mesh
 from wplap import oracle1d
 from wplap.oracle1d import enumerate_solutions, profile_on_mesh, shoot
@@ -228,11 +228,10 @@ class TestProfileOnMesh:
     def test_interpolated_profiles_nearly_solve_weak_form(self):
         prof = self._shipped_profile()
         mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
-        f, g = shipped_f(), shipped_g()
+        asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, shipped_f(), shipped_g())
         for root in prof.roots:
             df = profile_on_mesh(root, mesh, UNIT)
-            _, scaled = weak_residual(df, ONE, 2.0, 18.0, 0.0, f, g)
-            assert scaled <= 5e-4
+            assert asm.residual_norm(asm.residual(df.values)) <= 5e-4
 
     def test_matches_variational_solver(self):
         prof = self._shipped_profile()

@@ -9,7 +9,6 @@ from wplap.space import (
     DiscreteFunction,
     QuadratureError,
     estimate_k,
-    norm_equivalence_probe,
     sup_norm,
     talenti_bound,
     weighted_norm,
@@ -93,13 +92,12 @@ class TestWeightedNorm:
         assert rep.lp_term + rep.grad_term == pytest.approx(oracle, rel=1e-4)
 
     def test_nonfinite_weight_reports_cell(self):
+        # d^(-400) overflows at the quadrature points nearest the boundary
         mesh = interval_mesh(0.25)
-        vals = np.ones(mesh.num_vertices)
-        vals[2] = np.inf
-        w = WeightSpec.tabulated(mesh, vals)
         u = random_interior(mesh, np.random.default_rng(0))
-        with pytest.raises(QuadratureError, match="cell"):
-            weighted_norm(u, w, 2.0)
+        with np.errstate(over="ignore"), \
+                pytest.raises(QuadratureError, match="non-finite weight contribution in cell 0"):
+            weighted_norm(u, WeightSpec.distance_power(400.0), 2.0)
 
     def test_homogeneity(self):
         mesh = interval_mesh(1 / 32)
@@ -208,24 +206,22 @@ class TestEstimateK:
                 assert sup_norm(u) <= est.k_upper * weighted_norm(u, w, 2.0).full_norm + 1e-12
 
 
+def norm_ratios(family, w, p):
+    """full_norm / a_norm of each function of the family."""
+    return [rep.full_norm / rep.a_norm for rep in (weighted_norm(u, w, p) for u in family)]
+
+
 class TestNormEquivalenceProbe:
     def test_random_family_bounds(self):
         mesh = interval_mesh(1 / 128)
         rng = np.random.default_rng(23)
-        family = [random_interior(mesh, rng) for _ in range(100)]
-        lo, hi = norm_equivalence_probe(family, ONE, 2.0)
-        assert lo >= 1.0
+        ratios = norm_ratios([random_interior(mesh, rng) for _ in range(100)], ONE, 2.0)
+        assert min(ratios) >= 1.0
         # ratio^2 = 1 + int u^2 / int (u')^2 <= 1 + 1/pi^2 by the Poincare bound
-        assert hi <= math.sqrt(1 + 1 / math.pi ** 2) * (1 + 1e-3)
+        assert max(ratios) <= math.sqrt(1 + 1 / math.pi ** 2) * (1 + 1e-3)
 
     def test_constant_multiples_identical(self):
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(4))
-        family = [u.copy_with(c * u.values) for c in (1.0, -3.0, 0.1)]
-        lo, hi = norm_equivalence_probe(family, ONE, 2.0)
-        assert lo == pytest.approx(hi, rel=1e-13)
-
-    def test_zero_function_rejected(self):
-        mesh = interval_mesh(0.25)
-        with pytest.raises(ValueError):
-            norm_equivalence_probe([DiscreteFunction.zero(mesh)], ONE, 2.0)
+        ratios = norm_ratios([u.copy_with(c * u.values) for c in (1.0, -3.0, 0.1)], ONE, 2.0)
+        assert min(ratios) == pytest.approx(max(ratios), rel=1e-13)

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wplap.geometry import Domain, build_mesh
+from wplap.geometry import Domain
 from wplap.weight import (WeightSpec, check_admissibility, compute_ps,
-                          eval_weight, suggest_s, weight_lower_bound)
+                          eval_weight, weight_lower_bound)
 
 
 def test_weightspec_validation():
@@ -49,17 +49,6 @@ def test_positive_everywhere():
         assert np.all(eval_weight(w, dom, xs) > 0)
 
 
-def test_tabulated_roundtrip():
-    dom = Domain.interval(0, 1)
-    mesh = build_mesh(dom, 0.25)
-    vals = 1.0 + mesh.vertices[:, 0]
-    w = WeightSpec.tabulated(mesh, vals)
-    got = eval_weight(w, dom, mesh.vertices)
-    np.testing.assert_allclose(got, vals)
-    # linear interpolation between nodes
-    assert eval_weight(w, dom, 0.125) == pytest.approx(1.125)
-
-
 def test_compute_ps():
     assert compute_ps(3, 2) == pytest.approx(2.0)
     assert compute_ps(2, 2) == pytest.approx(4.0 / 3.0)
@@ -75,11 +64,6 @@ def test_ps_regime():
         s = n / (p - n) + 0.5
         ps = compute_ps(p, s)
         assert n < ps < p
-
-
-def test_suggest_s():
-    assert suggest_s(1, 2.0) == pytest.approx(1.5)   # N/(p-N) + 0.5
-    assert suggest_s(2, 3.0) == pytest.approx(2.5)
 
 
 def test_admissibility_constant():
