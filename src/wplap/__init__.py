@@ -27,7 +27,7 @@ from .solver import (CoercivityError, SolutionRecord, SolutionSet,
                      sublevel_minimize)
 from .space import (DiscreteFunction, EmbeddingEstimate, estimate_k, sup_norm,
                     weighted_norm)
-from .weight import WeightSpec, check_admissibility, compute_ps, eval_weight
+from .weight import WeightSpec, compute_ps, eval_weight
 
 __version__ = "0.1.0"
 
@@ -38,9 +38,9 @@ __all__ = [
     "ProblemSpec", "RefinementRequiredError", "RunConfig", "SolutionRecord",
     "SolutionSet", "SolverConfig", "SolverFailure", "UnsupportedDomainError",
     "WeightSpec", "build_certificate", "build_mesh", "build_ustar",
-    "check_admissibility", "compute_eta", "compute_ps", "compute_r",
-    "compute_xi", "distance_to_boundary", "domain_measure",
-    "enumerate_solutions", "estimate_k", "eval_weight", "gradient_check",
+    "compute_eta", "compute_ps", "compute_r", "compute_xi",
+    "distance_to_boundary", "domain_measure", "enumerate_solutions",
+    "estimate_k", "eval_weight", "gradient_check",
     "invert_phi_prime", "load_config", "make_nonlinearity", "minimize_energy",
     "mountain_pass", "parse_expression", "primitive_F", "profile_on_mesh",
     "scan", "shoot", "solve_cell", "sublevel_minimize", "sup_norm",

@@ -280,12 +280,10 @@ class UstarNorm:
 
 
 def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
-                 zero_order_term: bool = True,
-                 domain: Domain | None = None) -> UstarNorm:
+                 zero_order_term: bool = True) -> UstarNorm:
     """||u*||^p two ways: direct quadrature of the interpolant, and the
     three-term radial formula (gradient term + annulus mass + inner mass)."""
-    if domain is None:
-        domain = _domain_of_mesh(mesh)
+    domain = mesh.domain
     ustar = build_ustar(d, ball, mesh)
     rep: NormReport = weighted_norm(ustar, w, p)
     direct = (rep.full_norm if zero_order_term else rep.a_norm) ** p
@@ -309,15 +307,6 @@ def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
     return UstarNorm(direct=direct, formula=formula, formula_corrected=corrected)
 
 
-def _domain_of_mesh(mesh: Mesh) -> Domain:
-    if mesh.dim == 1:
-        return Domain.interval(float(mesh.vertices[:, 0].min()),
-                               float(mesh.vertices[:, 0].max()))
-    lo = mesh.vertices.min(axis=0)
-    hi = mesh.vertices.max(axis=0)
-    return Domain.box(float(lo[0]), float(hi[0]), float(lo[1]), float(hi[1]))
-
-
 def sandwich_check(constants: Constants) -> CheckEntry:
     """xi^p d^p / k^p < ||u*||^p < eta^p d^p / k^p against the direct norm.
 
@@ -339,19 +328,11 @@ def _x_samples(domain: Domain, exclude_ball: BallSpec | None = None,
     if domain.dim == 1:
         a, b = domain.bounds
         xs = np.linspace(a, b, n)[:, None]
-    elif domain.kind == "box":
+    else:
         m = max(2, int(math.isqrt(n)))
         x1 = np.linspace(domain.bounds[0], domain.bounds[1], m)
         x2 = np.linspace(domain.bounds[2], domain.bounds[3], m)
         xs = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)
-    else:
-        c = np.asarray(domain.bounds[:-1])
-        R = domain.bounds[-1]
-        m = max(2, int(math.isqrt(n)))
-        rr = np.linspace(0, R, m)
-        th = np.linspace(0, 2 * np.pi, m, endpoint=False)
-        xs = np.stack([c[0] + np.outer(rr, np.cos(th)),
-                       c[1] + np.outer(rr, np.sin(th))], axis=-1).reshape(-1, 2)
     if exclude_ball is not None:
         x0 = np.asarray(exclude_ball.x0)
         keep = np.linalg.norm(xs - x0[None, :], axis=1) > exclude_ball.r1
@@ -380,6 +361,9 @@ def check_H1(nl_f: Nonlinearity, domain: Domain, ball: BallSpec, d: float) -> Ch
 
 def _sup_F_box(nl_f: Nonlinearity, domain: Domain, c: float,
                xs: np.ndarray) -> float:
+    """max F over the points xs (the domain corners appended) x 400 values of
+    t in [-c, c]."""
+    xs = np.vstack([xs, _corner_points(domain)])
     ts = np.linspace(-c, c, 400)
     sup = -math.inf
     for t in ts:
@@ -389,14 +373,15 @@ def _sup_F_box(nl_f: Nonlinearity, domain: Domain, c: float,
 
 
 def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
-             d: float, p: float, quad_x: np.ndarray | None = None) -> CheckEntry:
-    """d^p eta^p |Omega| sup_{Omega x [-c,c]} F  <  c^p Int F(x,d) dx."""
-    corners = _corner_points(domain)
-    if quad_x is None:
-        quad_x = _x_samples(domain, n=200)
-    xs = np.vstack([quad_x, corners])
+             d: float, p: float, sup_F: float | None = None) -> CheckEntry:
+    """d^p eta^p |Omega| sup_{Omega x [-c,c]} F  <  c^p Int F(x,d) dx.
+
+    sup_F is the sampled sup of F over the domain x [-c, c] (_sup_F_box);
+    when None it is sampled on _x_samples."""
+    if sup_F is None:
+        sup_F = _sup_F_box(nl_f, domain, c, _x_samples(domain, n=200))
     omega = domain_measure(domain)
-    left = d ** p * eta ** p * omega * _sup_F_box(nl_f, domain, c, xs)
+    left = d ** p * eta ** p * omega * sup_F
     converged = True
     if domain.dim == 1:
         a, b = domain.bounds
@@ -417,10 +402,8 @@ def _corner_points(domain: Domain) -> np.ndarray:
     if domain.dim == 1:
         a, b = domain.bounds
         return np.array([[a], [b]])
-    if domain.kind == "box":
-        x1a, x1b, x2a, x2b = domain.bounds
-        return np.array([[x1a, x2a], [x1a, x2b], [x1b, x2a], [x1b, x2b]])
-    return np.asarray(domain.bounds[:-1])[None, :]
+    x1a, x1b, x2a, x2b = domain.bounds
+    return np.array([[x1a, x2a], [x1a, x2b], [x1b, x2a], [x1b, x2b]])
 
 
 def _box_integral(fn, domain: Domain) -> float:
@@ -509,11 +492,14 @@ def _eval_x_expr(expr, xs: np.ndarray, tau: float | None = None) -> np.ndarray:
 
 def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
                              phi_zero: float, phi_ustar: float,
-                             quad_x: np.ndarray | None = None) -> list:
+                             sup_F: float | None = None) -> list:
     """The derived conditions: d^p xi^p > c^p, the level separation
     phi(0) < r < phi(u*), and the sublevel inequality with u0 = 0, u1 = u*:
 
-        |Omega| max_{[-c,c]} F <= (c/(k ||u*||))^p Int F(x, u*) dx."""
+        |Omega| max_{[-c,c]} F <= (c/(k ||u*||))^p Int F(x, u*) dx.
+
+    sup_F is the sampled sup of F over the domain x [-c, c] (_sup_F_box);
+    when None it is sampled on _x_samples."""
     out = []
     p, c, d = spec.p, spec.c, spec.d
     m1 = d ** p * constants.xi ** p - c ** p
@@ -527,12 +513,10 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
                           note=f"phi(0)={phi_zero:.9g} < r={constants.r:.9g} < "
                                f"phi(u*)={phi_ustar:.9g}"))
 
-    corners = _corner_points(spec.domain)
-    if quad_x is None:
-        quad_x = _x_samples(spec.domain, n=200)
-    xs = np.vstack([quad_x, corners])
+    if sup_F is None:
+        sup_F = _sup_F_box(spec.nl_f, spec.domain, c, _x_samples(spec.domain, n=200))
     omega = domain_measure(spec.domain)
-    left = omega * _sup_F_box(spec.nl_f, spec.domain, c, xs)
+    left = omega * sup_F
     ustar_norm = constants.ustar_norm_p ** (1.0 / p)
 
     def F_at_ustar(pts: np.ndarray) -> np.ndarray:
@@ -571,7 +555,7 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     notes = []
 
     norm3 = ustar_norm_p(d, spec.ball, spec.weight, p, mesh,
-                         zero_order_term=spec.zero_order_term, domain=spec.domain)
+                         zero_order_term=spec.zero_order_term)
     r1, r2 = spec.ball.r1, spec.ball.r2
     lower_kfree = (2.0 * r1 / (r2 ** 2 - r1 ** 2)) ** p * a_mass * d ** p
     eta_over_k_p = (2.0 ** p * r2 ** p / (r2 ** 2 - r1 ** 2) ** p * a_mass
@@ -609,11 +593,11 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
                  "direct quadrature is authoritative")
 
     phi_ustar = norm3.direct / p
-    quad_x = mesh.quadrature()[0]
+    sup_F = _sup_F_box(spec.nl_f, spec.domain, c, mesh.quadrature()[0])
     entries = [sandwich_check(constants),
                check_H1(spec.nl_f, spec.domain, spec.ball, d),
-               check_H2(spec.nl_f, spec.domain, constants.eta, c, d, p, quad_x=quad_x)]
+               check_H2(spec.nl_f, spec.domain, constants.eta, c, d, p, sup_F=sup_F)]
     entries.extend(check_H3_H4_H5(spec.nl_f, spec.nl_g, spec.gamma, spec.domain, c, d))
-    entries.extend(check_theorem_conditions(spec, constants, 0.0, phi_ustar, quad_x=quad_x))
+    entries.extend(check_theorem_conditions(spec, constants, 0.0, phi_ustar, sup_F=sup_F))
     return CertificateReport(constants=constants, entries=entries,
                              overall=_overall(entries), notes=notes)

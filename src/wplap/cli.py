@@ -291,7 +291,7 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
     asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lam, mu, cfg.nl_f, cfg.nl_g,
                           cfg.zero_order_term, cfg.solver.eps_reg)
     try:
-        records, notes = solve_cell(asm, lam, mu, r, config=cfg.solver, ustar=ustar)
+        records, notes = solve_cell(asm, r, config=cfg.solver, ustar=ustar)
     except (SolverFailure, CoercivityError) as exc:
         lines = ["status = failed", f"lambda = {_fmt(lam)}", f"mu = {_fmt(mu)}",
                  f"error = {exc}"]

@@ -169,8 +169,6 @@ def load_config(path: str) -> RunConfig:
             domain = Domain.interval(*bounds)
         elif kind == "box":
             domain = Domain.box(*bounds)
-        elif kind == "ball":
-            domain = Domain.ball(bounds[:-1], bounds[-1])
         else:
             raise ValueError(f"unknown domain kind {kind!r}")
     except (TypeError, ValueError) as exc:
@@ -194,7 +192,6 @@ def load_config(path: str) -> RunConfig:
     try:
         nl_f = make_nonlinearity(get("nonlinearity_f", "expr"),
                                  primitive=get("nonlinearity_f", "primitive"),
-                                 gamma=gamma,
                                  growth_h=get("nonlinearity_f", "growth_h"))
     except (ParseError, ValueError) as exc:
         raise ConfigError(f"{path} [nonlinearity_f]: {exc}"

@@ -66,13 +66,13 @@ class Nonlinearity:
     """Carathéodory nonlinearity f(x, t) with optional metadata.
 
     primitive      : closed form of F(x, t) = int_0^t f(x, s) ds
-    gamma, growth_h: growth envelope data, F(x, t) < h(x) (1 + |t|^gamma)
+    growth_h       : growth envelope h(x), F(x, t) < h(x) (1 + |t|^gamma) with
+                     gamma from the problem constants
     caratheodory_w : w_tau(x), bound for sup_{|t|<=tau} |f(x, t)|; may use 'tau'
     """
 
     f: Expression
     primitive: Expression | None = None
-    gamma: float | None = None
     growth_h: Expression | None = None
     caratheodory_w: Expression | None = None
 
@@ -86,18 +86,18 @@ class Nonlinearity:
         return _eval_expr(self.__dict__["_dft"], _point_env(x, t))
 
 
-def make_nonlinearity(f, primitive=None, gamma=None, growth_h=None,
-                      caratheodory_w=None, seed: int = 42) -> Nonlinearity:
+def make_nonlinearity(f, primitive=None, growth_h=None,
+                      caratheodory_w=None) -> Nonlinearity:
     """Build a Nonlinearity, verifying a supplied primitive against f.
 
     The check samples 1000 (x, t) pairs and compares the symbolic
     t-derivative of the primitive with f (relative error < 1e-6), and
     requires F(x, 0) = 0.
     """
-    nl = Nonlinearity(f=_as_expr(f), primitive=_as_expr(primitive), gamma=gamma,
+    nl = Nonlinearity(f=_as_expr(f), primitive=_as_expr(primitive),
                       growth_h=_as_expr(growth_h), caratheodory_w=_as_expr(caratheodory_w))
     if nl.primitive is not None:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(42)
         x = rng.uniform(0.0, 1.0, size=(1000, 2))
         t = rng.uniform(-5.0, 5.0, size=1000)
         env = {"t": t, "x1": x[:, 0], "x2": x[:, 1]}

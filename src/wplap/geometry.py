@@ -1,14 +1,14 @@
 """Domains, simplicial meshes and the geometric constants used by the certificates.
 
-Supported domains are bounded intervals (N=1), axis-aligned boxes (N=2) and
-balls.  Meshes are segment/triangle meshes with optional geometric grading
+Supported domains are bounded intervals (N=1) and axis-aligned boxes (N=2).
+Meshes are segment/triangle meshes with optional geometric grading
 toward the boundary (ratio 2), which is where the distance-power weights blow
 up.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "UnsupportedDomainError",
     "build_mesh",
     "distance_to_boundary",
-    "region_of",
     "unit_ball_volume",
     "domain_measure",
 ]
@@ -33,9 +32,8 @@ class UnsupportedDomainError(ValueError):
 class Domain:
     """Bounded open domain.
 
-    kind   : 'interval' | 'box' | 'ball'
-    bounds : interval -> (a, b); box -> (x1min, x1max, x2min, x2max);
-             ball -> (c1, ..., cN, radius)
+    kind   : 'interval' | 'box'
+    bounds : interval -> (a, b); box -> (x1min, x1max, x2min, x2max)
     dim    : spatial dimension N (1 or 2)
     """
 
@@ -44,7 +42,7 @@ class Domain:
     dim: int
 
     def __post_init__(self):
-        if self.kind not in ("interval", "box", "ball"):
+        if self.kind not in ("interval", "box"):
             raise UnsupportedDomainError(f"unknown domain kind {self.kind!r}")
         if self.dim not in (1, 2):
             raise UnsupportedDomainError(f"dimension {self.dim} not supported (N must be 1 or 2)")
@@ -52,12 +50,8 @@ class Domain:
         if self.kind == "interval":
             if self.dim != 1 or len(b) != 2 or not b[0] < b[1]:
                 raise ValueError(f"bad interval bounds {b}")
-        elif self.kind == "box":
-            if self.dim != 2 or len(b) != 4 or not (b[0] < b[1] and b[2] < b[3]):
-                raise ValueError(f"bad box bounds {b}")
-        else:
-            if len(b) != self.dim + 1 or b[-1] <= 0:
-                raise ValueError(f"bad ball bounds {b}")
+        elif self.dim != 2 or len(b) != 4 or not (b[0] < b[1] and b[2] < b[3]):
+            raise ValueError(f"bad box bounds {b}")
 
     @staticmethod
     def interval(a: float, b: float) -> "Domain":
@@ -67,18 +61,11 @@ class Domain:
     def box(x1min: float, x1max: float, x2min: float, x2max: float) -> "Domain":
         return Domain("box", (float(x1min), float(x1max), float(x2min), float(x2max)), 2)
 
-    @staticmethod
-    def ball(center, radius: float) -> "Domain":
-        center = tuple(float(c) for c in np.atleast_1d(center))
-        return Domain("ball", center + (float(radius),), len(center))
-
     @property
     def diameter(self) -> float:
         if self.kind == "interval":
             return self.bounds[1] - self.bounds[0]
-        if self.kind == "box":
-            return math.hypot(self.bounds[1] - self.bounds[0], self.bounds[3] - self.bounds[2])
-        return 2.0 * self.bounds[-1]
+        return math.hypot(self.bounds[1] - self.bounds[0], self.bounds[3] - self.bounds[2])
 
 
 def unit_ball_volume(n: int) -> float:
@@ -99,9 +86,7 @@ def domain_measure(domain: Domain) -> float:
     b = domain.bounds
     if domain.kind == "interval":
         return b[1] - b[0]
-    if domain.kind == "box":
-        return (b[1] - b[0]) * (b[3] - b[2])
-    return unit_ball_volume(domain.dim) * b[-1] ** domain.dim
+    return (b[1] - b[0]) * (b[3] - b[2])
 
 
 def distance_to_boundary(domain: Domain, x) -> np.ndarray:
@@ -114,12 +99,9 @@ def distance_to_boundary(domain: Domain, x) -> np.ndarray:
     b = domain.bounds
     if domain.kind == "interval":
         d = np.minimum(pts[:, 0] - b[0], b[1] - pts[:, 0])
-    elif domain.kind == "box":
+    else:
         d = np.minimum.reduce([pts[:, 0] - b[0], b[1] - pts[:, 0],
                                pts[:, 1] - b[2], b[3] - pts[:, 1]])
-    else:
-        center = np.asarray(b[:-1])
-        d = b[-1] - np.linalg.norm(pts - center, axis=1)
     if np.isscalar(x) or np.asarray(x).ndim <= 1:
         return d[0] if d.size == 1 else d
     return d
@@ -148,20 +130,6 @@ class BallSpec:
             raise ValueError(
                 f"ball B(x0, r2) not compactly contained: r2={r2}, dist(x0, boundary)={margin:.6g}")
         return BallSpec(x0, float(r1), float(r2))
-
-
-def region_of(x, ball: BallSpec) -> str:
-    """Locate a single point relative to the ball pair.
-
-    Returns 'inner' (|x-x0| <= r1), 'annulus' (r1 < |x-x0| <= r2) or
-    'outside'; ties land in the closure of the inner region.
-    """
-    r = float(np.linalg.norm(np.atleast_1d(np.asarray(x, dtype=float)) - np.asarray(ball.x0)))
-    if r <= ball.r1:
-        return "inner"
-    if r <= ball.r2:
-        return "annulus"
-    return "outside"
 
 
 # degree-5 rule on the reference triangle (Radon 7 point), barycentric coords
@@ -265,16 +233,14 @@ class Mesh:
             self._cache["grads"] = g
         return self._cache["grads"]
 
-    def quadrature(self, order: int = 5):
+    def quadrature(self):
         """Per-cell quadrature: (points (nq, N), weights (nq,), cell ids (nq,),
         shape-function values (nq, N+1)).  Weights include the cell Jacobian.
-        Gauss-Legendre of the given order on segments, a degree-5 rule on
-        triangles."""
-        key = ("quad", order)
-        if key not in self._cache:
+        5-point Gauss-Legendre on segments, a degree-5 rule on triangles."""
+        if "quad" not in self._cache:
             v = self.vertices[self.cells]
             if self.dim == 1:
-                xi, w = np.polynomial.legendre.leggauss(max(order, 5))
+                xi, w = np.polynomial.legendre.leggauss(5)
                 xi = 0.5 * (xi + 1.0)  # to [0, 1]
                 w = 0.5 * w
                 h = v[:, 1, 0] - v[:, 0, 0]
@@ -288,8 +254,8 @@ class Mesh:
                 wts = np.outer(self.cell_measures, w).reshape(-1)
                 cid = np.repeat(np.arange(self.num_cells), w.size)
                 shp = np.tile(bary, (self.num_cells, 1))
-            self._cache[key] = (pts, wts, cid, shp)
-        return self._cache[key]
+            self._cache["quad"] = (pts, wts, cid, shp)
+        return self._cache["quad"]
 
 
 def _graded_axis(lo: float, hi: float, h_target: float, depth: int,
@@ -325,16 +291,9 @@ def build_mesh(domain: Domain, h_target: float, grading_depth: int = 0,
     """
     if h_target <= 0:
         raise ValueError("h_target must be positive")
-    if domain.dim > 2:
-        raise UnsupportedDomainError("meshing supports N <= 2 only")
-    if domain.kind == "ball" and domain.dim == 2:
-        raise UnsupportedDomainError("2D ball domains are not meshable with straight triangles")
 
     if domain.dim == 1:
-        if domain.kind == "ball":
-            lo, hi = domain.bounds[0] - domain.bounds[1], domain.bounds[0] + domain.bounds[1]
-        else:
-            lo, hi = domain.bounds
+        lo, hi = domain.bounds
         x = _graded_axis(lo, hi, h_target, grading_depth, breakpoints)
         cells = np.column_stack([np.arange(x.size - 1), np.arange(1, x.size)])
         return Mesh(domain, x[:, None], cells)

@@ -12,7 +12,6 @@ machinery except for the final interpolation onto a mesh.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,15 +50,12 @@ class ShootingProfile:
 
 
 def _check_domain(domain: Domain):
-    if domain.kind not in ("interval",) and not (domain.kind == "ball" and domain.dim == 1):
+    if domain.kind != "interval":
         raise UnsupportedDomainError("shooting oracle handles one dimension only")
 
 
 def _interval(domain: Domain):
-    if domain.kind == "interval":
-        return float(domain.bounds[0]), float(domain.bounds[1])
-    c, r = float(domain.bounds[0]), float(domain.bounds[1])
-    return c - r, c + r
+    return float(domain.bounds[0]), float(domain.bounds[1])
 
 
 def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,

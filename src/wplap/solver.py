@@ -186,13 +186,12 @@ class _SublevelProjection:
         return v
 
 
-def _record(asm: EnergyAssembler, v: np.ndarray, lam: float, mu: float,
-            classification: str, converged: bool = True,
-            inconclusive: bool = False) -> SolutionRecord:
+def _record(asm: EnergyAssembler, v: np.ndarray, classification: str,
+            converged: bool = True, inconclusive: bool = False) -> SolutionRecord:
     u = DiscreteFunction(asm.mesh, v)
     res = asm.residual(u.values)
     return SolutionRecord(
-        u=u, lam=lam, mu=mu, residual_norm=asm.residual_norm(res),
+        u=u, lam=asm.lam, mu=asm.mu, residual_norm=asm.residual_norm(res),
         energy=asm.energy(u.values), classification=classification,
         norm=asm.norm_p(u.values) ** (1.0 / asm.p), converged=converged,
         inconclusive=inconclusive)
@@ -235,8 +234,7 @@ def _multistart_seeds(mesh: Mesh, ustar: DiscreteFunction | None,
     return seeds
 
 
-def minimize_energy(asm: EnergyAssembler, lam: float, mu: float,
-                    config: SolverConfig = SolverConfig(),
+def minimize_energy(asm: EnergyAssembler, config: SolverConfig = SolverConfig(),
                     ustar: DiscreteFunction | None = None) -> SolutionRecord:
     """Best local minimizer over the multistart seeds {0, u*, -u*, random};
     classification 'global-min-candidate'."""
@@ -251,10 +249,10 @@ def minimize_energy(asm: EnergyAssembler, lam: float, mu: float,
             best = (v, E)
     if best is None:
         raise SolverFailure("no multistart run converged")
-    return _record(asm, best[0], lam, mu, "global-min-candidate")
+    return _record(asm, best[0], "global-min-candidate")
 
 
-def sublevel_minimize(asm: EnergyAssembler, lam: float, mu: float, r: float,
+def sublevel_minimize(asm: EnergyAssembler, r: float,
                       config: SolverConfig = SolverConfig(),
                       ustar: DiscreteFunction | None = None) -> SolutionRecord:
     """Projected descent on {phi <= r}; converged means an interior critical
@@ -279,7 +277,7 @@ def sublevel_minimize(asm: EnergyAssembler, lam: float, mu: float, r: float,
         if best is None or (cand[2] and not best[2]) or (cand[2] == best[2] and E < best[1]):
             best = cand
     v, _, ok = best
-    return _record(asm, v, lam, mu, "sublevel-min", converged=ok)
+    return _record(asm, v, "sublevel-min", converged=ok)
 
 
 def _reparametrize(images: list) -> list:
@@ -301,7 +299,6 @@ def _reparametrize(images: list) -> list:
 
 
 def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunction,
-                  lam: float, mu: float,
                   config: SolverConfig = SolverConfig()) -> SolutionRecord:
     """Elastic-string search for the lowest saddle between u_a and u_b.
 
@@ -356,7 +353,7 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
         if sweep % 20 == 0:
             cand = _polish(images[peak_idx])
             if cand is not None and _acceptable(cand):
-                return _record(asm, cand, lam, mu, "mountain-pass")
+                return _record(asm, cand, "mountain-pass")
         residuals = [asm.residual(v) for v in images]
         forces = []
         fmax = 0.0
@@ -389,8 +386,8 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
     v = images[int(np.argmax(energies))].copy()
     cand = _polish(v)
     if cand is not None and _acceptable(cand):
-        return _record(asm, cand, lam, mu, "mountain-pass")
-    return _record(asm, v, lam, mu, "mountain-pass", converged=False, inconclusive=True)
+        return _record(asm, cand, "mountain-pass")
+    return _record(asm, v, "mountain-pass", converged=False, inconclusive=True)
 
 
 @dataclass
@@ -412,18 +409,18 @@ class ScanResult:
     lambda_window: list   # (lam, mu) cells with count >= 3
 
 
-def solve_cell(asm: EnergyAssembler, lam: float, mu: float, r: float | None = None,
+def solve_cell(asm: EnergyAssembler, r: float | None = None,
                config: SolverConfig = SolverConfig(),
                ustar: DiscreteFunction | None = None):
-    """One (lambda, mu) cell: minimize_energy, then (when r is given)
+    """The cell (asm.lam, asm.mu): minimize_energy, then (when r is given)
     sublevel_minimize, then mountain_pass between the two when distinct.
     Returns (records, notes); solver errors propagate to the caller."""
     notes = []
-    records = [minimize_energy(asm, lam, mu, config=config, ustar=ustar)]
+    records = [minimize_energy(asm, config=config, ustar=ustar)]
     if r is None:
         return records, notes
     gmin = records[0]
-    sub = sublevel_minimize(asm, lam, mu, r, config=config, ustar=ustar)
+    sub = sublevel_minimize(asm, r, config=config, ustar=ustar)
     if not sub.converged:
         notes.append("sublevel minimizer stuck on the constraint boundary")
         return records, notes
@@ -431,7 +428,7 @@ def solve_cell(asm: EnergyAssembler, lam: float, mu: float, r: float | None = No
     scale = max(sup_norm(gmin.u), sup_norm(sub.u), 1e-30)
     dist = sup_norm(gmin.u.copy_with(gmin.u.values - sub.u.values))
     if dist > config.delta_dist * scale:
-        mp = mountain_pass(asm, sub.u, gmin.u, lam, mu, config=config)
+        mp = mountain_pass(asm, sub.u, gmin.u, config=config)
         if mp.converged:
             records.append(mp)
         else:
@@ -454,7 +451,7 @@ def scan(mesh: Mesh, w: WeightSpec, p: float, lam_grid, mu_list,
             notes = []
             records = []
             try:
-                records, notes = solve_cell(asm, lam, mu, r, config=config, ustar=ustar)
+                records, notes = solve_cell(asm, r, config=config, ustar=ustar)
             except (SolverFailure, CoercivityError) as exc:
                 notes.append(f"cell failed: {exc}")
             cell_set = SolutionSet(records, config.delta_dist)

@@ -33,30 +33,28 @@ class QuadratureError(RuntimeError):
 
 @dataclass
 class DiscreteFunction:
-    """Piecewise-linear function given by one value per mesh vertex."""
+    """Piecewise-linear function given by one value per mesh vertex; the
+    values on boundary vertices are set to zero."""
 
     mesh: Mesh
     values: np.ndarray
-    boundary_zero: bool = True
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
+        self.values = np.array(self.values, dtype=float)
         if self.values.shape != (self.mesh.num_vertices,):
             raise ValueError("need one value per vertex")
-        if self.boundary_zero:
-            self.values = self.values.copy()
-            self.values[self.mesh.boundary_vertices] = 0.0
+        self.values[self.mesh.boundary_vertices] = 0.0
 
     @staticmethod
-    def from_callable(mesh: Mesh, fn, boundary_zero: bool = True) -> "DiscreteFunction":
-        return DiscreteFunction(mesh, np.asarray(fn(mesh.vertices)).reshape(-1), boundary_zero)
+    def from_callable(mesh: Mesh, fn) -> "DiscreteFunction":
+        return DiscreteFunction(mesh, np.asarray(fn(mesh.vertices)).reshape(-1))
 
     @staticmethod
     def zero(mesh: Mesh) -> "DiscreteFunction":
         return DiscreteFunction(mesh, np.zeros(mesh.num_vertices))
 
     def copy_with(self, values) -> "DiscreteFunction":
-        return DiscreteFunction(self.mesh, values, self.boundary_zero)
+        return DiscreteFunction(self.mesh, values)
 
 
 @dataclass(frozen=True)
@@ -204,18 +202,22 @@ def _star_fd_gradient(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray,
     return (r[0] - r[1]) / (2.0 * eps)
 
 
-def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
-               ascent_steps: int = 50, fd_step_rel: float = 1e-3) -> EmbeddingEstimate:
+_ASCENT_STEPS = 50      # gradient-ascent steps of the lower bound
+_FD_STEP_REL = 1e-3     # finite-difference step relative to ||v||_2
+
+
+def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
+               mesh: Mesh) -> EmbeddingEstimate:
     """Two-sided estimate of k = sup max|u| / ||u||.
 
     Lower bound: cone hats (apex 1 at a node, radius = its boundary distance)
-    at every interior node, then fixed-step-count gradient ascent on the best
-    one.  The ascent direction is the central difference of the ratio in each
-    interior nodal value, step fd_step_rel * ||v||_2; each difference is
-    evaluated on the node's star (the cells touching it), so one step costs
-    O(nc).  Upper bound: Talenti's constant for p_s = p*s/(s+1) times
-    (int a^(-s))^(1/((s+1) p_s)); certified only when a >= 1 a.e., heuristic
-    otherwise."""
+    at every interior node, then up to _ASCENT_STEPS steps of gradient ascent
+    on the best one.  The ascent direction is the central difference of the
+    ratio in each interior nodal value, step _FD_STEP_REL * ||v||_2; each
+    difference is evaluated on the node's star (the cells touching it), so
+    one step costs O(nc).  Upper bound: Talenti's constant for
+    p_s = p*s/(s+1) times (int a^(-s))^(1/((s+1) p_s)); certified only when
+    a >= 1 a.e., heuristic otherwise."""
     p_s = compute_ps(p, s)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
@@ -235,8 +237,8 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float, mesh: Mesh,
 
     # gradient ascent on the ratio, free interior nodes only
     step = 0.1
-    for _ in range(ascent_steps):
-        eps = fd_step_rel * float(np.linalg.norm(v))
+    for _ in range(_ASCENT_STEPS):
+        eps = _FD_STEP_REL * float(np.linalg.norm(v))
         g = np.zeros_like(v)
         g[interior] = _star_fd_gradient(mesh, cellA, p, v, eps)[interior]
         gn = float(np.linalg.norm(g))

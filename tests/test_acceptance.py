@@ -67,7 +67,7 @@ def test_criterion_3_linear_benchmark():
     exact = np.sin(PI * mesh.vertices[:, 0])
 
     asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=f)
-    rec = minimize_energy(asm, 1.0, 0.0)
+    rec = minimize_energy(asm)
     assert np.max(np.abs(rec.u.values - exact)) <= 1e-3
 
     rhs = -asm.residual(np.zeros(mesh.num_vertices))
@@ -95,7 +95,7 @@ def test_criterion_4_norm_sandwich():
         # evaluating at k = 1 cancels k out of xi^p d^p / k^p
         lower = compute_xi(p, r1, r2, 1.0, a_mass) ** p * d ** p
         upper = compute_eta(p, 1, r1, r2, 1.0, d, a_mass, w_N) ** p * d ** p
-        direct = ustar_norm_p(d, ball, w, p, mesh, domain=UNIT).direct
+        direct = ustar_norm_p(d, ball, w, p, mesh).direct
         assert lower < direct < upper, (i, lower, direct, upper)
 
     ball = BallSpec(x0=(0.5,), r1=0.1, r2=0.2)
@@ -103,7 +103,7 @@ def test_criterion_4_norm_sandwich():
     a_mass = annulus_weight_mass(ONE, ball, UNIT)
     lower = compute_xi(2.0, 0.1, 0.2, 1.0, a_mass) ** 2
     upper = compute_eta(2.0, 1, 0.1, 0.2, 1.0, 1.0, a_mass, w_N) ** 2
-    direct = ustar_norm_p(1.0, ball, ONE, 2.0, mesh, domain=UNIT).direct
+    direct = ustar_norm_p(1.0, ball, ONE, 2.0, mesh).direct
     assert lower == pytest.approx(8.889, rel=1e-3)
     assert direct == pytest.approx(21.019, rel=1e-3)
     assert upper == pytest.approx(36.156, rel=1e-3)

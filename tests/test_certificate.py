@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wplap import certificate
 from wplap.certificate import (
     _gauss_panels,
     _gauss_value,
@@ -42,7 +43,7 @@ UPPER_REF = 36.15555555555556                          # lower*4.0681 terms, k-f
 NORM_REF = 21.0181339                                  # piecewise closed form
 
 F_SHIPPED = dict(primitive="0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)",
-                 gamma=1.0, growth_h="1")
+                 growth_h="1")
 
 
 def shipped_f():
@@ -163,25 +164,24 @@ class TestBuildUstar:
 
 class TestUstarNorm:
     def test_running_example_direct(self):
-        norm3 = ustar_norm_p(1.0, BALL, ONE, 2.0, ball_mesh(), domain=UNIT)
+        norm3 = ustar_norm_p(1.0, BALL, ONE, 2.0, ball_mesh())
         assert norm3.direct == pytest.approx(NORM_REF, rel=1e-3)
 
     def test_d_scaling(self):
         mesh = ball_mesh(1 / 128)
-        n1 = ustar_norm_p(1.0, BALL, ONE, 2.0, mesh, domain=UNIT)
-        n2 = ustar_norm_p(2.0, BALL, ONE, 2.0, mesh, domain=UNIT)
+        n1 = ustar_norm_p(1.0, BALL, ONE, 2.0, mesh)
+        n2 = ustar_norm_p(2.0, BALL, ONE, 2.0, mesh)
         assert n2.direct == pytest.approx(4.0 * n1.direct, rel=1e-12)
 
     def test_formula_agrees_with_direct(self):
-        norm3 = ustar_norm_p(1.0, BALL, ONE, 2.0, ball_mesh(), domain=UNIT)
+        norm3 = ustar_norm_p(1.0, BALL, ONE, 2.0, ball_mesh())
         assert norm3.formula_corrected == pytest.approx(norm3.direct, rel=1e-4)
         # N=1 is the regime where the printed surface factor w_N already
         # equals N*w_N, so both formula variants coincide
         assert norm3.formula == pytest.approx(norm3.formula_corrected, rel=1e-15)
 
     def test_gradient_only_variant(self):
-        norm3 = ustar_norm_p(1.0, BALL, ONE, 2.0, ball_mesh(), zero_order_term=False,
-                             domain=UNIT)
+        norm3 = ustar_norm_p(1.0, BALL, ONE, 2.0, ball_mesh(), zero_order_term=False)
         assert norm3.direct == pytest.approx(20.7407407407, rel=1e-3)
         assert norm3.formula == norm3.formula_corrected
 
@@ -189,7 +189,7 @@ class TestUstarNorm:
 def make_constants(d=1.0, c=0.2, k=0.5, p=2.0, ball=BALL, w=ONE, h=1 / 512):
     mesh = ball_mesh(h, ball)
     a_mass = annulus_weight_mass(w, ball, UNIT)
-    norm3 = ustar_norm_p(d, ball, w, p, mesh, domain=UNIT)
+    norm3 = ustar_norm_p(d, ball, w, p, mesh)
     r1, r2 = ball.r1, ball.r2
     lower = (2.0 * r1 / (r2 ** 2 - r1 ** 2)) ** p * a_mass * d ** p
     upper = (2.0 ** p * r2 ** p / (r2 ** 2 - r1 ** 2) ** p * a_mass
@@ -283,7 +283,7 @@ class TestHypothesisH2:
 
 class TestHypothesesH3H4H5:
     def test_linear_f_heuristic_pass(self):
-        nl = make_nonlinearity("t", primitive="0.5*t^2", gamma=2.0, growth_h="1")
+        nl = make_nonlinearity("t", primitive="0.5*t^2", growth_h="1")
         entries = {e.name: e for e in check_H3_H4_H5(nl, None, 2.0, UNIT, 0.2, 1.0)}
         assert entries["H3"].verdict == "heuristic-pass"
         # tightest sample is t = 100: (1 + t^2) - t^2/2 = 5001
@@ -298,7 +298,7 @@ class TestHypothesesH3H4H5:
         assert math.isnan(entries["H3"].margin)
 
     def test_superlinear_growth_fails(self):
-        nl = make_nonlinearity("t^3", primitive="t^4/4", gamma=2.0, growth_h="1")
+        nl = make_nonlinearity("t^3", primitive="t^4/4", growth_h="1")
         entries = {e.name: e for e in check_H3_H4_H5(nl, None, 2.0, UNIT, 0.2, 1.0)}
         assert entries["H3"].verdict == "fail"
 
@@ -355,7 +355,7 @@ class TestTheoremConditions:
 
     def test_bona1_violation_named(self):
         # F = t^2/2 with c = d = 1 sends the sup side far above the integral side
-        f = make_nonlinearity("t", primitive="0.5*t^2", gamma=1.0, growth_h="1")
+        f = make_nonlinearity("t", primitive="0.5*t^2", growth_h="1")
         spec = ProblemSpec(domain=UNIT, weight=ONE, p=2.0, s=2.0, ball=BALL,
                            c=1.0, d=1.0, gamma=1.0, nl_f=f)
         consts = make_constants(c=1.0, d=1.0)
@@ -412,6 +412,20 @@ class TestBuildCertificate:
         assert rep.entry("H3").verdict == "inconclusive"
         assert rep.overall == "inconclusive"
         assert rep.exit_code == 3
+
+    def test_sup_F_sampled_once(self, monkeypatch):
+        # H2 and bona1 share one sampled sup of F over the box
+        calls = []
+        sample = certificate._sup_F_box
+
+        def counted(*args):
+            calls.append(args)
+            return sample(*args)
+
+        monkeypatch.setattr(certificate, "_sup_F_box", counted)
+        rep = build_certificate(shipped_spec(), ball_mesh(1 / 256))
+        assert len(calls) == 1
+        assert rep.overall == "pass"
 
     def test_k_variants_recorded(self):
         rep = build_certificate(shipped_spec(), ball_mesh(1 / 256))

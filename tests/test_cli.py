@@ -295,6 +295,13 @@ class TestConfigDiagnostics:
         assert code == 64
         assert "unknown section [bogus]" in capsys.readouterr().err
 
+    def test_ball_domain_rejected(self, tmp_path, capsys):
+        cfg = variant(tmp_path, "ball.cfg", ("kind = interval\nbounds = 0.0 1.0",
+                                             "kind = ball\nbounds = 0.5 0.5"))
+        code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        assert "unknown domain kind 'ball'" in capsys.readouterr().err
+
     def test_reader_header_validation(self, tmp_path):
         junk = tmp_path / "junk.csv"
         junk.write_text("a,b\n1,2\n")

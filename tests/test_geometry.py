@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from wplap.geometry import (BallSpec, Domain, UnsupportedDomainError, build_mesh,
-                            distance_to_boundary, domain_measure, region_of,
-                            unit_ball_volume)
+                            distance_to_boundary, domain_measure, unit_ball_volume)
 
 
 # -- domains ---------------------------------------------------------------
@@ -31,7 +30,6 @@ def test_unit_ball_volume():
 def test_domain_measure():
     assert domain_measure(Domain.interval(0, 1)) == 1.0
     assert domain_measure(Domain.box(0, 2, 0, 3)) == 6.0
-    assert abs(domain_measure(Domain.ball([0, 0], 1.0)) - math.pi) < 1e-15
 
 
 def test_distance_to_boundary_interval():
@@ -70,32 +68,6 @@ def test_ballspec_validation():
         BallSpec.create([0.5], 0.1, 0.5, dom)  # touches the boundary
     with pytest.raises(ValueError):
         BallSpec.create([0.9], 0.1, 0.2, dom)  # sticks out
-
-
-def test_region_of():
-    dom = Domain.interval(0, 1)
-    b = BallSpec.create([0.5], 0.1, 0.2, dom)
-    assert region_of([0.5], b) == "inner"
-    assert region_of([0.5 + 0.15], b) == "annulus"
-    assert region_of([0.9], b) == "outside"
-    # ties resolve to the closure of the inner region
-    assert region_of([0.6], b) == "inner"       # |x-x0| = r1
-    assert region_of([0.7], b) == "annulus"     # |x-x0| = r2
-
-
-def test_region_partition_random():
-    dom = Domain.box(0, 1, 0, 1)
-    b = BallSpec.create([0.5, 0.5], 0.1, 0.2, dom)
-    rng = np.random.default_rng(1)
-    for x in rng.uniform(0, 1, size=(200, 2)):
-        rr = np.linalg.norm(x - np.array(b.x0))
-        tag = region_of(x, b)
-        if rr <= b.r1:
-            assert tag == "inner"
-        elif rr <= b.r2:
-            assert tag == "annulus"
-        else:
-            assert tag == "outside"
 
 
 # -- meshes ----------------------------------------------------------------
@@ -160,7 +132,7 @@ def test_graded_mesh_refines_near_boundary():
 
 def test_unsupported_dimensions():
     with pytest.raises(UnsupportedDomainError):
-        build_mesh(Domain.ball([0, 0], 1.0), 0.1)
+        Domain("ball", (0.0, 0.0, 1.0), 2)  # only intervals and boxes
     with pytest.raises(UnsupportedDomainError):
         Domain("box", (0, 1, 0, 1, 0, 1), 3)  # N=3 rejected at construction
 

@@ -25,7 +25,7 @@ SHIPPED_SIGMAS = (0.0, 2.218708133698, 6.120923662186)
 def shipped_f():
     return make_nonlinearity("min(max(t - 0.25, 0), 1)",
                              primitive="0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)",
-                             gamma=1.0, growth_h="1")
+                             growth_h="1")
 
 
 def shipped_g():
@@ -239,7 +239,7 @@ class TestProfileOnMesh:
         f, g = shipped_f(), shipped_g()
         asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, f, g)
         ustar = build_ustar(1.0, BallSpec(x0=(0.5,), r1=0.1, r2=0.2), mesh)
-        records, _ = solve_cell(asm, 18.0, 0.0, r=0.08, ustar=ustar)
+        records, _ = solve_cell(asm, r=0.08, ustar=ustar)
         assert len(records) >= 3
         for rec in records:
             best = min(

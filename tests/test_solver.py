@@ -31,7 +31,7 @@ BALL = BallSpec(x0=(0.5,), r1=0.1, r2=0.2)
 def shipped_f():
     return make_nonlinearity("min(max(t - 0.25, 0), 1)",
                              primitive="0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)",
-                             gamma=1.0, growth_h="1")
+                             growth_h="1")
 
 
 def shipped_g():
@@ -56,7 +56,7 @@ def shipped_cell():
     ustar = build_ustar(1.0, BALL, mesh)
     f, g = shipped_f(), shipped_g()
     asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, f, g)
-    records, notes = solve_cell(asm, 18.0, 0.0, r=0.08, ustar=ustar)
+    records, notes = solve_cell(asm, r=0.08, ustar=ustar)
     return asm, ustar, records, notes, f, g
 
 
@@ -117,7 +117,7 @@ class TestMinimizeEnergy:
     def test_unloaded_problem_returns_zero(self):
         mesh = build_mesh(UNIT, 1 / 32)
         asm = EnergyAssembler(mesh, ONE, 2.0)
-        rec = minimize_energy(asm, 0.0, 0.0)
+        rec = minimize_energy(asm)
         assert sup_norm(rec.u) == 0.0
         assert rec.energy == 0.0
         assert rec.classification == "global-min-candidate"
@@ -125,7 +125,7 @@ class TestMinimizeEnergy:
     def test_linear_benchmark(self):
         mesh = build_mesh(UNIT, 1 / 256)
         asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=linear_f())
-        rec = minimize_energy(asm, 1.0, 0.0)
+        rec = minimize_energy(asm)
         exact = np.sin(PI * mesh.vertices[:, 0])
         assert rec.residual_norm < 1e-6
         assert np.max(np.abs(rec.u.values - exact)) < 1e-3
@@ -143,15 +143,15 @@ class TestSublevelMinimize:
     def test_unloaded_interior_zero(self):
         mesh = build_mesh(UNIT, 1 / 32)
         asm = EnergyAssembler(mesh, ONE, 2.0)
-        rec = sublevel_minimize(asm, 0.0, 0.0, r=0.08)
+        rec = sublevel_minimize(asm, r=0.08)
         assert sup_norm(rec.u) == 0.0
         assert rec.converged
 
     def test_huge_radius_matches_unconstrained(self):
         mesh = build_mesh(UNIT, 1 / 128)
         asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=linear_f())
-        free = minimize_energy(asm, 1.0, 0.0)
-        capped = sublevel_minimize(asm, 1.0, 0.0, r=1e12)
+        free = minimize_energy(asm)
+        capped = sublevel_minimize(asm, r=1e12)
         diff = sup_norm(free.u.copy_with(free.u.values - capped.u.values))
         assert diff <= 10 * SolverConfig().residual_tol
 
@@ -165,7 +165,7 @@ class TestSublevelMinimize:
         mesh = build_mesh(UNIT, 1 / 32)
         asm = EnergyAssembler(mesh, ONE, 2.0)
         with pytest.raises(ValueError):
-            sublevel_minimize(asm, 0.0, 0.0, r=0.0)
+            sublevel_minimize(asm, r=0.0)
 
 
 def _toy_assembler():
@@ -219,7 +219,7 @@ class TestMountainPass:
         ub = np.zeros(mesh.num_vertices)
         ua[ii], ub[ii] = minima[0][0], minima[1][0]
         rec = mountain_pass(asm, DiscreteFunction(mesh, ua),
-                            DiscreteFunction(mesh, ub), 30.0, 0.0)
+                            DiscreteFunction(mesh, ub))
         assert rec.converged
         assert np.max(np.abs(rec.u.values[ii] - saddles[0][0])) < 1e-6
         assert rec.energy == pytest.approx(saddles[0][1], abs=1e-6)
@@ -228,7 +228,7 @@ class TestMountainPass:
         mesh, asm = _toy_assembler()
         u = DiscreteFunction(mesh, np.ones(mesh.num_vertices))
         with pytest.raises(ValueError, match="distinct"):
-            mountain_pass(asm, u, u, 30.0, 0.0)
+            mountain_pass(asm, u, u)
 
     def test_pass_value_dominates_endpoints(self, shipped_cell):
         asm, _, records, _, _, _ = shipped_cell
@@ -293,7 +293,7 @@ class TestScan:
         mesh = build_mesh(UNIT, 1 / 64)
         asm = EnergyAssembler(mesh, ONE, 3.0, lam=1.0, f=linear_f())
         with pytest.raises(SolverFailure):
-            solve_cell(asm, 1.0, 0.0, config=SolverConfig(max_iter=1))
+            solve_cell(asm, config=SolverConfig(max_iter=1))
 
 
 class TestSolverConfig:
@@ -386,7 +386,7 @@ class TestMeshRefinement:
         for n in (32, 64, 128):
             mesh = build_mesh(UNIT, 1 / n)
             asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=linear_f())
-            sols[n] = (mesh, minimize_energy(asm, 1.0, 0.0))
+            sols[n] = (mesh, minimize_energy(asm))
         for n in (32, 64):
             coarse_mesh, coarse = sols[n]
             fine_mesh, fine = sols[2 * n]

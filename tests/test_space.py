@@ -40,11 +40,6 @@ class TestDiscreteFunction:
         assert np.all(u.values[mesh.boundary_vertices] == 0.0)
         assert np.all(u.values[mesh.interior_vertices] == 1.0)
 
-    def test_free_boundary_flag(self):
-        mesh = interval_mesh(0.25)
-        u = DiscreteFunction(mesh, np.ones(mesh.num_vertices), boundary_zero=False)
-        assert np.all(u.values == 1.0)
-
     def test_wrong_length_rejected(self):
         mesh = interval_mesh(0.25)
         with pytest.raises(ValueError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from wplap.geometry import Domain
-from wplap.weight import (WeightSpec, check_admissibility, compute_ps,
-                          eval_weight, weight_lower_bound)
+from wplap.weight import WeightSpec, compute_ps, eval_weight, weight_lower_bound
 
 
 def test_weightspec_validation():
@@ -64,50 +63,6 @@ def test_ps_regime():
         s = n / (p - n) + 0.5
         ps = compute_ps(p, s)
         assert n < ps < p
-
-
-def test_admissibility_constant():
-    rep = check_admissibility(WeightSpec.constant(1.0), Domain.interval(0, 1), 2.0, 2.0)
-    assert rep.a_local == "pass" and rep.a_inv_local == "pass"
-    assert rep.a_minus_s_global == "pass" and rep.regime_ok
-    assert rep.p_s == pytest.approx(4.0 / 3.0)
-    assert rep.mode == "closed-form"
-    assert rep.admissible
-
-
-def test_admissibility_constant_random_regimes():
-    rng = np.random.default_rng(7)
-    dom = Domain.interval(0, 1)
-    for _ in range(10):
-        p = rng.uniform(1.5, 4.0)
-        s = 1.0 / (p - 1.0) + rng.uniform(0.1, 3.0)  # N=1
-        rep = check_admissibility(WeightSpec.constant(1.0), dom, p, s)
-        assert rep.admissible
-
-
-def test_admissibility_distance_power_integrable():
-    # a^{-s} = dist^{s l} with l=0.5, s=2: integral of dist on (0,1) is 1/4
-    rep = check_admissibility(WeightSpec.distance_power(0.5),
-                              Domain.interval(0, 1), 2.0, 2.0)
-    assert rep.admissible
-    assert rep.a_minus_s_estimates[-1] == pytest.approx(0.25, rel=1e-4)
-
-
-def test_admissibility_l1_local_but_not_global():
-    # dist^{-1} is locally integrable on compacts but the global integral
-    # diverges; the exhaustion estimates keep growing and the report says so
-    rep = check_admissibility(WeightSpec.distance_power(1.0),
-                              Domain.interval(0, 1), 2.0, 2.0)
-    assert rep.a_local == "pass"
-    assert rep.a_local_estimates[-1] > rep.a_local_estimates[0] + 1.0
-    assert any("diverges" in note for note in rep.notes)
-
-
-def test_regime_violation_flagged():
-    rep = check_admissibility(WeightSpec.constant(1.0), Domain.interval(0, 1),
-                              2.0, 0.5)  # s <= N/(p-N) = 1
-    assert not rep.regime_ok
-    assert not rep.admissible
 
 
 def test_weight_lower_bound():
