@@ -70,8 +70,6 @@ class ProblemSpec:
     gamma: float
     nl_f: Nonlinearity
     nl_g: Nonlinearity | None = None
-    lam: float = 0.0
-    mu: float = 0.0
     zero_order_term: bool = True
 
     def __post_init__(self):
@@ -373,13 +371,10 @@ def _sup_F_box(nl_f: Nonlinearity, domain: Domain, c: float,
 
 
 def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
-             d: float, p: float, sup_F: float | None = None) -> CheckEntry:
-    """d^p eta^p |Omega| sup_{Omega x [-c,c]} F  <  c^p Int F(x,d) dx.
-
-    sup_F is the sampled sup of F over the domain x [-c, c] (_sup_F_box);
-    when None it is sampled on _x_samples."""
-    if sup_F is None:
-        sup_F = _sup_F_box(nl_f, domain, c, _x_samples(domain, n=200))
+             d: float, p: float, sup_F: float) -> CheckEntry:
+    """d^p eta^p |Omega| sup_{Omega x [-c,c]} F  <  c^p Int F(x,d) dx,
+    with sup_F the sup of F over the domain x [-c, c] (build_certificate
+    samples it with _sup_F_box)."""
     omega = domain_measure(domain)
     left = d ** p * eta ** p * omega * sup_F
     converged = True
@@ -491,15 +486,13 @@ def _eval_x_expr(expr, xs: np.ndarray, tau: float | None = None) -> np.ndarray:
 
 
 def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
-                             phi_zero: float, phi_ustar: float,
-                             sup_F: float | None = None) -> list:
+                             phi_zero: float, phi_ustar: float, sup_F: float) -> list:
     """The derived conditions: d^p xi^p > c^p, the level separation
     phi(0) < r < phi(u*), and the sublevel inequality with u0 = 0, u1 = u*:
 
-        |Omega| max_{[-c,c]} F <= (c/(k ||u*||))^p Int F(x, u*) dx.
+        |Omega| max_{[-c,c]} F <= (c/(k ||u*||))^p Int F(x, u*) dx,
 
-    sup_F is the sampled sup of F over the domain x [-c, c] (_sup_F_box);
-    when None it is sampled on _x_samples."""
+    with sup_F the sup of F over the domain x [-c, c] (as in check_H2)."""
     out = []
     p, c, d = spec.p, spec.c, spec.d
     m1 = d ** p * constants.xi ** p - c ** p
@@ -513,8 +506,6 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
                           note=f"phi(0)={phi_zero:.9g} < r={constants.r:.9g} < "
                                f"phi(u*)={phi_ustar:.9g}"))
 
-    if sup_F is None:
-        sup_F = _sup_F_box(spec.nl_f, spec.domain, c, _x_samples(spec.domain, n=200))
     omega = domain_measure(spec.domain)
     left = omega * sup_F
     ustar_norm = constants.ustar_norm_p ** (1.0 / p)
@@ -596,8 +587,8 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     sup_F = _sup_F_box(spec.nl_f, spec.domain, c, mesh.quadrature()[0])
     entries = [sandwich_check(constants),
                check_H1(spec.nl_f, spec.domain, spec.ball, d),
-               check_H2(spec.nl_f, spec.domain, constants.eta, c, d, p, sup_F=sup_F)]
+               check_H2(spec.nl_f, spec.domain, constants.eta, c, d, p, sup_F)]
     entries.extend(check_H3_H4_H5(spec.nl_f, spec.nl_g, spec.gamma, spec.domain, c, d))
-    entries.extend(check_theorem_conditions(spec, constants, 0.0, phi_ustar, sup_F=sup_F))
+    entries.extend(check_theorem_conditions(spec, constants, 0.0, phi_ustar, sup_F))
     return CertificateReport(constants=constants, entries=entries,
                              overall=_overall(entries), notes=notes)

@@ -54,13 +54,18 @@ def build_problem_mesh(cfg: RunConfig) -> Mesh:
                       breakpoints=breakpoints)
 
 
-def _problem_spec(cfg: RunConfig, lam: float, mu: float) -> ProblemSpec | None:
+def _problem_spec(cfg: RunConfig) -> ProblemSpec | None:
+    """The certificate's instance, or None without [ball] and [constants];
+    a spec outside the theorem's regime is a config error."""
     if cfg.ball is None or cfg.c is None or cfg.d is None:
         return None
-    return ProblemSpec(domain=cfg.domain, weight=cfg.weight, p=cfg.p, s=cfg.s,
-                       ball=cfg.ball, c=cfg.c, d=cfg.d, gamma=cfg.gamma,
-                       nl_f=cfg.nl_f, nl_g=cfg.nl_g, lam=lam, mu=mu,
-                       zero_order_term=cfg.zero_order_term)
+    try:
+        return ProblemSpec(domain=cfg.domain, weight=cfg.weight, p=cfg.p, s=cfg.s,
+                           ball=cfg.ball, c=cfg.c, d=cfg.d, gamma=cfg.gamma,
+                           nl_f=cfg.nl_f, nl_g=cfg.nl_g,
+                           zero_order_term=cfg.zero_order_term)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg.path}: {exc}") from exc
 
 
 # -- writers / readers ----------------------------------------------------
@@ -242,13 +247,13 @@ def _report_lines(report: CertificateReport):
 def cmd_check(cfg: RunConfig, args, out: Path) -> int:
     lam = args.lam if args.lam is not None else cfg.run_lambda
     mu = args.mu if args.mu is not None else cfg.run_mu
-    spec = _problem_spec(cfg, lam, mu)
+    spec = _problem_spec(cfg)
     if spec is None:
         raise ConfigError(f"{cfg.path}: check requires [ball] and [constants] sections")
     mesh = build_problem_mesh(cfg)
     report = build_certificate(spec, mesh)
     meta = {"config": cfg.path, "lambda": _fmt(lam), "mu": _fmt(mu),
-            "h": _fmt(cfg.h), "p": _fmt(cfg.p), "seed": cfg.seed}
+            "h": _fmt(cfg.h), "p": _fmt(cfg.p), "seed": cfg.solver.seed}
     write_certificate_txt(out / "certificate.txt", report, meta)
     write_constants_csv(out / "constants.csv", report)
     for line in _report_lines(report):
@@ -260,36 +265,28 @@ def cmd_check(cfg: RunConfig, args, out: Path) -> int:
     return report.exit_code
 
 
-def _warn_h3(report: CertificateReport | None):
-    if report is None:
-        return
-    try:
-        h3 = report.entry("H3")
-    except KeyError:
-        return
-    if h3.verdict not in ("pass", "heuristic-pass"):
-        print("warning: H3 growth bound not established; coercivity unknown, "
-              "proceeding anyway", file=sys.stderr)
-
-
-def _cell_inputs(cfg: RunConfig, lam: float, mu: float, mesh: Mesh):
-    """Certificate-derived pieces for the solvers: (report, r, ustar)."""
-    spec = _problem_spec(cfg, lam, mu)
-    if spec is None:
-        return None, None, None
-    report = build_certificate(spec, mesh)
-    ustar = build_ustar(cfg.d, cfg.ball, mesh)
-    return report, report.constants.r, ustar
+def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
+    """The problem mesh's assembler at (lam, mu) and the certificate-derived
+    pieces for the solvers: (asm, report, r, ustar), the last three None
+    without a certificate.  Warns when H3 is not established."""
+    mesh = build_problem_mesh(cfg)
+    report = r = ustar = None
+    spec = _problem_spec(cfg)
+    if spec is not None:
+        report = build_certificate(spec, mesh)
+        r, ustar = report.constants.r, build_ustar(cfg.d, cfg.ball, mesh)
+        if report.entry("H3").verdict not in ("pass", "heuristic-pass"):
+            print("warning: H3 growth bound not established; coercivity unknown, "
+                  "proceeding anyway", file=sys.stderr)
+    asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lam, mu, cfg.nl_f, cfg.nl_g,
+                          cfg.zero_order_term, cfg.solver.eps_reg)
+    return asm, report, r, ustar
 
 
 def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
     lam = args.lam if args.lam is not None else cfg.run_lambda
     mu = args.mu if args.mu is not None else cfg.run_mu
-    mesh = build_problem_mesh(cfg)
-    report, r, ustar = _cell_inputs(cfg, lam, mu, mesh)
-    _warn_h3(report)
-    asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lam, mu, cfg.nl_f, cfg.nl_g,
-                          cfg.zero_order_term, cfg.solver.eps_reg)
+    asm, _, r, ustar = _solver_inputs(cfg, lam, mu)
     try:
         records, notes = solve_cell(asm, r, config=cfg.solver, ustar=ustar)
     except (SolverFailure, CoercivityError) as exc:
@@ -331,12 +328,8 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
 def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.lambda_grid:
         raise ConfigError(f"{cfg.path}: scan requires a non-empty [lambda_grid]")
-    mesh = build_problem_mesh(cfg)
-    report, r, ustar = _cell_inputs(cfg, cfg.lambda_grid[0], cfg.mu_values[0], mesh)
-    _warn_h3(report)
-    result = scan(mesh, cfg.weight, cfg.p, cfg.lambda_grid, cfg.mu_values,
-                  cfg.nl_f, cfg.nl_g, r, config=cfg.solver,
-                  zero_order=cfg.zero_order_term, ustar=ustar)
+    asm, report, r, ustar = _solver_inputs(cfg)
+    result = scan(asm, cfg.lambda_grid, cfg.mu_values, r, config=cfg.solver, ustar=ustar)
     write_scan_summary(out / "scan_summary.csv", result.cells)
 
     lines = [f"config = {cfg.path}", f"cells = {len(result.cells)}"]
@@ -429,14 +422,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.solver = replace(cfg.solver, seed=args.seed)
-            cfg.seed = args.seed
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, args, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 64
-    except RefinementRequiredError as exc:
+    except (ConfigError, RefinementRequiredError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
     except UnsupportedDomainError as exc:

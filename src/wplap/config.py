@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .energy import Nonlinearity, make_nonlinearity
@@ -42,10 +42,7 @@ _SCHEMA = {
                     "count": ("int", True)},
     "mu": {"values": ("floats", True)},
     "solver": {"residual_tol": ("float", False), "max_iter": ("int", False),
-               "backtrack_factor": ("float", False),
-               "sufficient_decrease": ("float", False),
-               "eps_reg": ("float", False), "string_images": ("int", False),
-               "string_max_sweeps": ("int", False), "delta_dist": ("float", False)},
+               "eps_reg": ("float", False), "delta_dist": ("float", False)},
     "oracle": {"sigma_min": ("float", False), "sigma_max": ("float", False),
                "n_scan": ("int", False), "steps_per_unit": ("int", False)},
     "run": {"lambda": ("float", False), "mu": ("float", False),
@@ -75,11 +72,9 @@ class RunConfig:
     solver: SolverConfig
     run_lambda: float
     run_mu: float
-    seed: int
     sigma_range: tuple = (-50.0, 50.0)
     n_scan: int = 2001
     steps_per_unit: int = 1024
-    notes: list = field(default_factory=list)
 
 
 def _line_of(path: str, section: str, key: str | None = None) -> str:
@@ -226,11 +221,7 @@ def load_config(path: str) -> RunConfig:
         solver = SolverConfig(
             residual_tol=get("solver", "residual_tol", 1e-8),
             max_iter=get("solver", "max_iter", 5000),
-            backtrack_factor=get("solver", "backtrack_factor", 0.5),
-            sufficient_decrease=get("solver", "sufficient_decrease", 1e-4),
             eps_reg=get("solver", "eps_reg", 1e-8),
-            string_images=get("solver", "string_images", 33),
-            string_max_sweeps=get("solver", "string_max_sweeps", 600),
             delta_dist=get("solver", "delta_dist", 1e-3),
             seed=get("run", "seed", 42),
         )
@@ -252,7 +243,6 @@ def load_config(path: str) -> RunConfig:
         solver=solver,
         run_lambda=get("run", "lambda", 0.0),
         run_mu=get("run", "mu", 0.0),
-        seed=get("run", "seed", 42),
         sigma_range=(get("oracle", "sigma_min", -50.0), get("oracle", "sigma_max", 50.0)),
         n_scan=get("oracle", "n_scan", 2001),
         steps_per_unit=get("oracle", "steps_per_unit", 1024),

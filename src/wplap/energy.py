@@ -21,8 +21,8 @@ import numpy as np
 
 from .expressions import Expression, parse_expression
 from .geometry import Mesh
-from .space import (DiscreteFunction, QuadratureError, _cell_quadrature,
-                    _cell_weight_integrals, _gather, _norm_terms)
+from .space import (DiscreteFunction, QuadratureError, _cell_weight_integrals,
+                    _gather, _norm_terms)
 from .weight import WeightSpec
 
 __all__ = [
@@ -160,8 +160,7 @@ class EnergyAssembler:
         self.zero_order = zero_order
         self.eps_reg = float(eps_reg)
         self.load = load
-        self.pts, self.wts, _, _ = mesh.quadrature()
-        self.wq, self.bary = _cell_quadrature(mesh)
+        self.pts, self.wq, self.bary = mesh.quadrature()
         self.cellA = _cell_weight_integrals(mesh, w)
         # flat (row, col) index of every cell-matrix entry in the dense tangent
         self._pairs = (mesh.cells[:, :, None] * mesh.num_vertices
@@ -191,7 +190,7 @@ class EnergyAssembler:
     def _int_F(self, nl: Nonlinearity, v: np.ndarray) -> float:
         uq = _gather(self.mesh, v)[0].reshape(-1)
         Fq = primitive_F(nl, self.pts, uq)
-        out = float(self.wts @ Fq)
+        out = float(self.wq.ravel() @ Fq)
         if not math.isfinite(out):
             raise QuadratureError("non-finite nonlinearity integral")
         return out
@@ -282,41 +281,38 @@ class EnergyAssembler:
         return A
 
 
-def weak_form_gap(u: DiscreteFunction, v: DiscreteFunction, w: WeightSpec, p: float,
-                  lam: float, mu: float, f: Nonlinearity | None,
-                  g: Nonlinearity | None = None, zero_order: bool = True) -> float:
-    """Weak form of the equation tested against an arbitrary piecewise-linear
-    v (direct quadrature, not a residual dot product)."""
-    asm = EnergyAssembler(u.mesh, w, p, lam, mu, f, g, zero_order)
+def weak_form_gap(asm: EnergyAssembler, u: DiscreteFunction, v: DiscreteFunction) -> float:
+    """Weak form of asm's equation at u tested against an arbitrary
+    piecewise-linear v (direct quadrature, not a residual dot product)."""
+    p = asm.p
     uq, gu = _gather(asm.mesh, u.values)
     vq, gv = _gather(asm.mesh, v.values)
     uq, vq = uq.reshape(-1), vq.reshape(-1)
     gnorm = np.linalg.norm(gu, axis=1)
     gap = float(asm.cellA @ (asm._gpow(gnorm, p - 2.0) * np.einsum("ck,ck->c", gu, gv)))
     source = np.zeros(uq.size)
-    if zero_order:
+    if asm.zero_order:
         source += np.abs(uq) ** (p - 2.0) * uq
-    if f is not None and lam != 0.0:
-        source -= lam * f.eval(asm.pts, uq)
-    if g is not None and mu != 0.0:
-        source -= mu * g.eval(asm.pts, uq)
-    gap += float(asm.wts @ (source * vq))
+    if asm.f is not None and asm.lam != 0.0:
+        source -= asm.lam * asm.f.eval(asm.pts, uq)
+    if asm.g is not None and asm.mu != 0.0:
+        source -= asm.mu * asm.g.eval(asm.pts, uq)
+    gap += float(asm.wq.ravel() @ (source * vq))
+    if asm.load is not None:
+        gap -= float(asm.load @ v.values)
     return gap
 
 
-def gradient_check(u: DiscreteFunction, w: WeightSpec, p: float, lam: float, mu: float,
-                   f: Nonlinearity | None, g: Nonlinearity | None = None,
-                   zero_order: bool = True) -> float:
+def gradient_check(asm: EnergyAssembler, u: DiscreteFunction) -> float:
     """Max over interior nodes of |residual_i - central FD of the energy| /
-    (1 + |residual_i|), FD step 1e-6 * (1 + sup|u|).
+    (1 + |residual_i|) for asm at u, FD step 1e-6 * (1 + sup|u|).
 
     For p < 2 the flux is non-differentiable where grad u = 0, so nodes with
     an adjacent cell gradient below 1e-8 are skipped."""
-    asm = EnergyAssembler(u.mesh, w, p, lam, mu, f, g, zero_order)
     res = asm.residual(u.values)
     eps = 1e-6 * (1.0 + float(np.max(np.abs(u.values))))
     skip = np.zeros(u.values.size, dtype=bool)
-    if p < 2.0:
+    if asm.p < 2.0:
         gnorm = np.linalg.norm(_gather(asm.mesh, u.values)[1], axis=1)
         for c in np.flatnonzero(gnorm < 1e-8):
             skip[asm.mesh.cells[c]] = True

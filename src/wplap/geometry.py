@@ -234,9 +234,10 @@ class Mesh:
         return self._cache["grads"]
 
     def quadrature(self):
-        """Per-cell quadrature: (points (nq, N), weights (nq,), cell ids (nq,),
-        shape-function values (nq, N+1)).  Weights include the cell Jacobian.
-        5-point Gauss-Legendre on segments, a degree-5 rule on triangles."""
+        """Per-cell quadrature: points (nq, N) in cell-major order, weights
+        (nc, nqc) including the cell Jacobian, and the shape-function values
+        (nqc, N+1) shared by every cell.  5-point Gauss-Legendre on segments,
+        a degree-5 rule on triangles."""
         if "quad" not in self._cache:
             v = self.vertices[self.cells]
             if self.dim == 1:
@@ -245,16 +246,13 @@ class Mesh:
                 w = 0.5 * w
                 h = v[:, 1, 0] - v[:, 0, 0]
                 pts = (v[:, 0, 0][:, None] + np.outer(h, xi)).reshape(-1, 1)
-                wts = np.outer(h, w).reshape(-1)
-                cid = np.repeat(np.arange(self.num_cells), xi.size)
-                shp = np.tile(np.column_stack([1.0 - xi, xi]), (self.num_cells, 1))
+                wq = np.outer(h, w)
+                shp = np.column_stack([1.0 - xi, xi])
             else:
-                bary, w = _TRI7_BARY, _TRI7_W
-                pts = np.einsum("qb,cbk->cqk", bary, v).reshape(-1, 2)
-                wts = np.outer(self.cell_measures, w).reshape(-1)
-                cid = np.repeat(np.arange(self.num_cells), w.size)
-                shp = np.tile(bary, (self.num_cells, 1))
-            self._cache["quad"] = (pts, wts, cid, shp)
+                shp, w = _TRI7_BARY, _TRI7_W
+                pts = np.einsum("qb,cbk->cqk", shp, v).reshape(-1, 2)
+                wq = np.outer(self.cell_measures, w)
+            self._cache["quad"] = (pts, wq, shp)
         return self._cache["quad"]
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyAssembler, Nonlinearity
+from .energy import EnergyAssembler
 from .geometry import Mesh
 from .space import DiscreteFunction, sup_norm
 from .weight import WeightSpec
@@ -48,24 +48,23 @@ class CoercivityError(RuntimeError):
     """Energy diverged below -1/tolerance; growth hypothesis likely violated."""
 
 
+_BACKTRACK = 0.5              # step shrink factor of the Armijo line search
+_SUFFICIENT_DECREASE = 1e-4   # Armijo constant
+_STRING_IMAGES = 33           # images on the mountain-pass string (odd)
+_STRING_MAX_SWEEPS = 600      # relaxation sweeps of the string
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     residual_tol: float = 1e-8        # on the h^(N/2)-scaled residual norm
     max_iter: int = 5000
-    backtrack_factor: float = 0.5
-    sufficient_decrease: float = 1e-4
     eps_reg: float = 1e-8
-    string_images: int = 33
-    string_max_sweeps: int = 600
     delta_dist: float = 1e-3          # sup-norm, relative to max sup-norm
     seed: int = 42
 
     def __post_init__(self):
-        if min(self.residual_tol, self.backtrack_factor, self.sufficient_decrease,
-               self.eps_reg, self.delta_dist) <= 0:
+        if min(self.residual_tol, self.eps_reg, self.delta_dist) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.string_images < 5 or self.string_images % 2 == 0:
-            raise ValueError("string size must be odd and >= 5")
 
 
 @dataclass
@@ -155,10 +154,10 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
             if project is not None:
                 cand = project(cand)
             Ec = asm.energy(cand)
-            if Ec <= E + config.sufficient_decrease * alpha * min(slope, 0.0):
+            if Ec <= E + _SUFFICIENT_DECREASE * alpha * min(slope, 0.0):
                 v, E, accepted = cand, Ec, True
                 break
-            alpha *= config.backtrack_factor
+            alpha *= _BACKTRACK
         if not accepted:
             # stationary for this line search (possibly constrained)
             return v, rn, rn <= config.residual_tol
@@ -342,11 +341,11 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
                 return False
         return True
 
-    M = config.string_images
+    M = _STRING_IMAGES
     images = [(1 - t) * u_a.values + t * u_b.values for t in np.linspace(0, 1, M)]
     alpha = 0.05
     prev_peak = math.inf
-    for sweep in range(config.string_max_sweeps):
+    for sweep in range(_STRING_MAX_SWEEPS):
         energies = [asm.energy(v) for v in images]
         peak_idx = int(np.argmax(energies))
         peak = energies[peak_idx]
@@ -436,18 +435,18 @@ def solve_cell(asm: EnergyAssembler, r: float | None = None,
     return records, notes
 
 
-def scan(mesh: Mesh, w: WeightSpec, p: float, lam_grid, mu_list,
-         f: Nonlinearity, g: Nonlinearity | None, r: float,
-         config: SolverConfig = SolverConfig(), zero_order: bool = True,
+def scan(asm: EnergyAssembler, lam_grid, mu_list, r: float,
+         config: SolverConfig = SolverConfig(),
          ustar: DiscreteFunction | None = None) -> ScanResult:
-    """Sweep the (lambda, mu) grid; per cell run minimize_energy,
-    sublevel_minimize and, when the two are distinct, mountain_pass.
-    Cells that error are recorded and the scan continues."""
+    """Sweep the (lambda, mu) grid on the one assembler asm, setting asm.lam
+    and asm.mu per cell (asm is left at the last cell); per cell run
+    minimize_energy, sublevel_minimize and, when the two are distinct,
+    mountain_pass.  Cells that error are recorded and the scan continues."""
     cells = []
     window = []
     for lam in lam_grid:
         for mu in mu_list:
-            asm = EnergyAssembler(mesh, w, p, lam, mu, f, g, zero_order, config.eps_reg)
+            asm.lam, asm.mu = float(lam), float(mu)
             notes = []
             records = []
             try:

@@ -72,18 +72,10 @@ class NormReport:
         return self.grad_term ** (1.0 / self.p)
 
 
-def _cell_quadrature(mesh: Mesh):
-    """Per-cell view of mesh.quadrature(): weights (nc, nqc) and the shape
-    values (nqc, N+1) shared by every cell (points are cell-major, nqc each)."""
-    _, wts, _, shp = mesh.quadrature()
-    nqc = wts.size // mesh.num_cells
-    return wts.reshape(mesh.num_cells, nqc), shp[:nqc]
-
-
 def _gather(mesh: Mesh, V: np.ndarray):
     """Quadrature-point values (nc, nqc[, m]) and cell gradients (nc, N[, m])
     of nodal values V (nv,) or (nv, m), read from each cell's own vertices."""
-    _, bary = _cell_quadrature(mesh)
+    bary = mesh.quadrature()[2]
     Vc = V[mesh.cells]                                         # (nc, N+1[, m])
     sg = mesh.shape_gradients                                  # (nc, N+1, N)
     if V.ndim == 1:     # one vector: plain products beat nc tiny matmuls
@@ -102,19 +94,18 @@ def _cell_terms(wq: np.ndarray, cellA: np.ndarray, p: float, uq: np.ndarray,
 
 def _norm_terms(mesh: Mesh, cellA: np.ndarray, p: float, V: np.ndarray):
     """Per-cell (lp, grad) contributions, (nc,) or (nc, m), for V (nv,) or (nv, m)."""
-    wq, _ = _cell_quadrature(mesh)
-    return _cell_terms(wq, cellA, p, *_gather(mesh, V))
+    return _cell_terms(mesh.quadrature()[1], cellA, p, *_gather(mesh, V))
 
 
 def _cell_weight_integrals(mesh: Mesh, w: WeightSpec) -> np.ndarray:
     """int_cell a dx for every cell (order-5 Gauss), with a finiteness guard."""
-    pts, wts, cid, _ = mesh.quadrature()
-    aq = np.atleast_1d(eval_weight(w, mesh.domain, pts))
-    contrib = wts * aq
-    if not np.all(np.isfinite(contrib)):
-        bad = int(cid[int(np.argmax(~np.isfinite(contrib)))])
+    pts, wq, _ = mesh.quadrature()
+    contrib = wq * eval_weight(w, mesh.domain, pts).reshape(wq.shape)
+    finite = np.isfinite(contrib).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
         raise QuadratureError(f"non-finite weight contribution in cell {bad}")
-    return np.bincount(cid, weights=contrib, minlength=mesh.num_cells)
+    return contrib.sum(axis=1)
 
 
 def weighted_norm(u: DiscreteFunction, w: WeightSpec, p: float) -> NormReport:
@@ -150,7 +141,6 @@ class EmbeddingEstimate:
     k_lower: float
     k_upper: float
     k_upper_mode: str          # 'certified' | 'heuristic'
-    p_s: float
     witness: DiscreteFunction  # maximizer found for the lower bound
 
     @property
@@ -176,7 +166,7 @@ def _star_fd_gradient(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray,
     the nc (N+1) single-vertex moves each way are evaluated cell by cell and
     their changes summed into the nodes; the sup of a moved vector comes from
     the two largest |v_j|."""
-    wq, bary = _cell_quadrature(mesh)
+    _, wq, bary = mesh.quadrature()
     uq, g = _gather(mesh, v)
     lp, grad = _cell_terms(wq, cellA, p, uq, g)
     base = lp + grad                                            # (nc,)
@@ -258,12 +248,12 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
 
     refined = DiscreteFunction(mesh, v)
     # int a^(-s) over the mesh quadrature
-    pts, wts, _, _ = mesh.quadrature()
+    pts, wq, _ = mesh.quadrature()
     aq = np.atleast_1d(eval_weight(w, mesh.domain, pts))
-    int_a_ms = float(wts @ aq ** (-s))
+    int_a_ms = float(wq.ravel() @ aq ** (-s))
     k_upper = talenti_bound(domain.dim, p_s, domain_measure(domain)) \
         * int_a_ms ** (1.0 / ((s + 1.0) * p_s))
     mode = "certified" if weight_lower_bound(w, domain) >= 1.0 - 1e-12 else "heuristic"
     return EmbeddingEstimate(k_lower=k_lower, k_upper=float(k_upper),
-                             k_upper_mode=mode, p_s=p_s, witness=refined)
+                             k_upper_mode=mode, witness=refined)
 

@@ -262,21 +262,22 @@ class TestHypothesisH1:
 
 class TestHypothesisH2:
     def test_quartic_pass(self):
-        # for F = t^4/4 the inequality reduces to d > eta c
+        # for F = t^4/4 (sup_F = c^4/4) the inequality reduces to d > eta c
         nl = make_nonlinearity("t^3", primitive="t^4/4")
-        entry = check_H2(nl, UNIT, 1.2, 0.5, 2.0, 2.0)
+        entry = check_H2(nl, UNIT, 1.2, 0.5, 2.0, 2.0, sup_F=0.5 ** 4 / 4)
         assert entry.verdict == "pass"
         # margin = (c^2 d^2/4)(d^2 - eta^2 c^2) for this F
         assert entry.margin == pytest.approx(0.91, rel=1e-9)
 
     def test_quartic_fail_when_c_equals_d(self):
         nl = make_nonlinearity("t^3", primitive="t^4/4")
-        entry = check_H2(nl, UNIT, 1.5, 1.0, 1.0, 2.0)
+        entry = check_H2(nl, UNIT, 1.5, 1.0, 1.0, 2.0, sup_F=0.25)
         assert entry.verdict == "fail"
         assert entry.margin < 0
 
     def test_zero_F_fails_strictness(self):
-        entry = check_H2(make_nonlinearity("0", primitive="0*t"), UNIT, 1.0, 1.0, 1.0, 2.0)
+        entry = check_H2(make_nonlinearity("0", primitive="0*t"), UNIT, 1.0, 1.0, 1.0, 2.0,
+                         sup_F=0.0)
         assert entry.verdict == "fail"
         assert entry.margin == 0.0
 
@@ -326,8 +327,10 @@ class TestTheoremConditions:
     def test_running_example(self):
         spec = shipped_spec()
         consts = make_constants()
+        # the shipped F vanishes on [-c, c] = [-0.2, 0.2], so sup_F = 0
         entries = {e.name: e for e in
-                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0)}
+                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0,
+                                            sup_F=0.0)}
         assert entries["dxi_gt_c"].verdict == "pass"
         assert entries["dxi_gt_c"].margin == pytest.approx(XI_REF ** 2 - 0.04, rel=1e-9)
         assert entries["level_separation"].verdict == "pass"
@@ -343,7 +346,8 @@ class TestTheoremConditions:
         spec = shipped_spec()
         consts = make_constants()
         entries = {e.name: e for e in
-                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0)}
+                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0,
+                                            sup_F=0.0)}
         assert entries["bona1"].note.endswith("; quadrature unconverged at 128 panels")
         assert entries["bona1"].verdict == "pass"
         assert "unconverged" not in entries["dxi_gt_c"].note
@@ -354,13 +358,15 @@ class TestTheoremConditions:
                 assert compute_r(c, k, 2.0) > 0.0
 
     def test_bona1_violation_named(self):
-        # F = t^2/2 with c = d = 1 sends the sup side far above the integral side
+        # F = t^2/2 with c = d = 1 (sup_F = 1/2) sends the sup side far above
+        # the integral side
         f = make_nonlinearity("t", primitive="0.5*t^2", growth_h="1")
         spec = ProblemSpec(domain=UNIT, weight=ONE, p=2.0, s=2.0, ball=BALL,
                            c=1.0, d=1.0, gamma=1.0, nl_f=f)
         consts = make_constants(c=1.0, d=1.0)
         entries = {e.name: e for e in
-                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0)}
+                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0,
+                                            sup_F=0.5)}
         assert entries["bona1"].verdict == "fail"
         assert entries["bona1"].margin < 0
 
@@ -485,5 +491,5 @@ class TestGaussPanels:
             _gauss_value(lambda x: np.abs(x - 1.0 / 3.0), 0.0, 1.0)
 
     def test_h2_note_clean_when_converged(self):
-        entry = check_H2(shipped_f(), UNIT, 3.0, 0.2, 1.0, 2.0)
+        entry = check_H2(shipped_f(), UNIT, 3.0, 0.2, 1.0, 2.0, sup_F=0.0)
         assert "unconverged" not in entry.note

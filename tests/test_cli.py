@@ -7,6 +7,7 @@ import csv
 import math
 import re
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from wplap.cli import (
     read_scan_summary,
     read_solution_csv,
 )
+from wplap.config import _SCHEMA, load_config
 from wplap.solver import SolverConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -301,6 +303,54 @@ class TestConfigDiagnostics:
         code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
         assert code == 64
         assert "unknown domain kind 'ball'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["check", "solve"])
+    @pytest.mark.parametrize("old, new, message", [
+        ("p = 2.0", "p = 1.0", "need p > N"),
+        ("s = 2.0", "s = 0.5", "need s > N/(p-N)"),
+        ("c = 0.2", "c = -0.2", "c, d, gamma must be positive"),
+    ])
+    def test_spec_outside_regime_is_config_error(self, tmp_path, capsys, command,
+                                                 old, new, message):
+        cfg = variant(tmp_path, "regime.cfg", (old, new))
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+
+    def test_removed_solver_key_names_its_line(self, tmp_path, capsys):
+        cfg = variant(tmp_path, "old_key.cfg",
+                      ("[run]", "[solver]\nstring_images = 33\n\n[run]"))
+        line = cfg.read_text().splitlines().index("string_images = 33") + 1
+        code = run_cli("solve", "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "unknown key 'string_images' in [solver]" in err
+        assert f"(line {line}, column 1)" in err
+
+    def test_every_solver_and_oracle_key_reaches_run_config(self, tmp_path):
+        solver = {"residual_tol": "1e-9", "max_iter": "77", "eps_reg": "1e-6",
+                  "delta_dist": "0.002"}
+        oracle = {"sigma_min": "-3.0", "sigma_max": "4.0", "n_scan": "11",
+                  "steps_per_unit": "64"}
+        assert set(solver) == set(_SCHEMA["solver"])
+        assert set(oracle) == set(_SCHEMA["oracle"])
+        # every SolverConfig field is settable: the [solver] keys plus [run] seed
+        assert {f.name for f in fields(SolverConfig)} == set(solver) | {"seed"}
+        sections = ""
+        for name, keys in (("solver", solver), ("oracle", oracle)):
+            sections += f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+        cfg = variant(tmp_path, "all_keys.cfg", ("[run]", sections + "[run]"),
+                      ("seed = 42", "seed = 9"))
+        run = load_config(str(cfg))
+        want = SolverConfig(residual_tol=1e-9, max_iter=77, eps_reg=1e-6,
+                            delta_dist=0.002, seed=9)
+        assert run.solver == want
+        default = SolverConfig()
+        assert all(getattr(want, f.name) != getattr(default, f.name)
+                   for f in fields(SolverConfig))
+        assert (run.sigma_range, run.n_scan, run.steps_per_unit) == ((-3.0, 4.0), 11, 64)
 
     def test_reader_header_validation(self, tmp_path):
         junk = tmp_path / "junk.csv"

@@ -175,7 +175,7 @@ class TestWeakResidual:
         g = make_nonlinearity("sin(t)", primitive="1-cos(t)")
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(8))
-        assert gradient_check(u, ONE, 2.0, 0.7, 0.3, f, g) < 1e-5
+        assert gradient_check(EnergyAssembler(mesh, ONE, 2.0, 0.7, 0.3, f, g), u) < 1e-5
 
     def test_residual_length_and_state(self):
         f = make_nonlinearity("t", primitive="0.5*t^2")
@@ -202,6 +202,9 @@ class TestWeakResidual:
         want[mesh.boundary_vertices] = 0.0
         assert np.array_equal(loaded.residual(v), want)
         assert np.array_equal(loaded.tangent(v), plain.tangent(v))
+        u, w = DiscreteFunction(mesh, v), random_interior(mesh, rng)
+        assert weak_form_gap(loaded, u, w) == pytest.approx(
+            weak_form_gap(plain, u, w) - float(load @ w.values), abs=1e-12)
 
 
 class TestGradientCheck:
@@ -209,20 +212,21 @@ class TestGradientCheck:
         f = make_nonlinearity(f"sin({PI}*x1)")
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(12))
-        assert gradient_check(u, ONE, 2.0, 1.0, 0.0, f) < 1e-6
+        assert gradient_check(EnergyAssembler(mesh, ONE, 2.0, 1.0, 0.0, f), u) < 1e-6
 
     def test_zero_point_exact(self):
         f = make_nonlinearity("t", primitive="0.5*t^2")
         g = make_nonlinearity("sin(t)")
-        u = DiscreteFunction.zero(interval_mesh(1 / 16))
-        assert gradient_check(u, ONE, 2.0, 1.0, 1.0, f, g) < 1e-12
+        mesh = interval_mesh(1 / 16)
+        u = DiscreteFunction.zero(mesh)
+        assert gradient_check(EnergyAssembler(mesh, ONE, 2.0, 1.0, 1.0, f, g), u) < 1e-12
 
     def test_degenerate_weight_p3(self):
         w = WeightSpec.distance_power(0.5)
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(13))
-        assert gradient_check(u, w, 3.0, 0.5, 0.0,
-                              make_nonlinearity("t", primitive="0.5*t^2")) < 1e-4
+        f = make_nonlinearity("t", primitive="0.5*t^2")
+        assert gradient_check(EnergyAssembler(mesh, w, 3.0, 0.5, 0.0, f), u) < 1e-4
 
     def test_across_configurations(self):
         f = make_nonlinearity("t", primitive="0.5*t^2")
@@ -233,7 +237,8 @@ class TestGradientCheck:
             for w in (ONE, WeightSpec.distance_power(0.5)):
                 for zero_order in (True, False):
                     u = random_interior(mesh, rng)
-                    gap = gradient_check(u, w, p, 0.8, 0.2, f, g, zero_order)
+                    asm = EnergyAssembler(mesh, w, p, 0.8, 0.2, f, g, zero_order)
+                    gap = gradient_check(asm, u)
                     assert gap < 1e-4, (p, w.form, zero_order, gap)
 
 
@@ -263,7 +268,7 @@ class TestEnergyIdentities:
         res = asm.residual(u.values)
         for _ in range(20):
             v = random_interior(mesh, rng)
-            gap = weak_form_gap(u, v, ONE, 3.0, 0.9, 0.1, f, g)
+            gap = weak_form_gap(asm, u, v)
             ref = float(res @ v.values)
             assert gap == pytest.approx(ref, abs=1e-6 * (1 + abs(ref)))
 

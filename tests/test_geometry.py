@@ -139,5 +139,5 @@ def test_unsupported_dimensions():
 
 def test_quadrature_weights_sum_to_measure():
     mesh = build_mesh(Domain.interval(0, 1), 0.2, breakpoints=(0.37,))
-    _, wts, _, _ = mesh.quadrature()
-    assert np.sum(wts) == pytest.approx(1.0, rel=1e-12)
+    _, wq, _ = mesh.quadrature()
+    assert np.sum(wq) == pytest.approx(1.0, rel=1e-12)

@@ -20,11 +20,19 @@ RTOL = 1e-13
 
 # -- dense reference: the (nq, nv) value map and the (nc, N, nv) gradient map --
 
+def flat_quadrature(mesh):
+    """Weights (nq,), owning cell (nq,) and shape values (nq, N+1) of every
+    quadrature point, rebuilt from the per-cell layout of mesh.quadrature()."""
+    _, wq, shp = mesh.quadrature()
+    nc, nqc = wq.shape
+    return wq.ravel(), np.repeat(np.arange(nc), nqc), np.tile(shp, (nc, 1))
+
+
 def dense_maps(mesh):
-    pts, wts, cid, shp = mesh.quadrature()
+    _, cid, shp = flat_quadrature(mesh)
     nv, nc = mesh.num_vertices, mesh.num_cells
-    B = np.zeros((pts.shape[0], nv))
-    rows = np.arange(pts.shape[0])
+    B = np.zeros((cid.size, nv))
+    rows = np.arange(cid.size)
     for b in range(mesh.dim + 1):
         np.add.at(B, (rows, mesh.cells[cid, b]), shp[:, b])
     G = np.zeros((nc, mesh.dim, nv))
@@ -37,7 +45,7 @@ def dense_maps(mesh):
 
 def ref_norm_terms(mesh, cellA, p, V):
     """lp and gradient terms of every column of V (nv, m) through the dense maps."""
-    _, wts, _, _ = mesh.quadrature()
+    wts, _, _ = flat_quadrature(mesh)
     B, G = dense_maps(mesh)
     lp = wts @ np.abs(B @ V) ** p
     grad = cellA @ np.linalg.norm(np.einsum("ckv,vm->ckm", G, V), axis=1) ** p
@@ -49,15 +57,16 @@ def ref_energy(asm, v):
     lp, grad = ref_norm_terms(asm.mesh, asm.cellA, asm.p, v[:, None])
     e = (grad[0] + lp[0]) / asm.p
     uq = B @ v
-    e -= asm.lam * float(asm.wts @ primitive_F(asm.f, asm.pts, uq))
-    e -= asm.mu * float(asm.wts @ primitive_F(asm.g, asm.pts, uq))
+    wts, _, _ = flat_quadrature(asm.mesh)
+    e -= asm.lam * float(wts @ primitive_F(asm.f, asm.pts, uq))
+    e -= asm.mu * float(wts @ primitive_F(asm.g, asm.pts, uq))
     return e
 
 
 def ref_residual(asm, v):
     mesh, p, eps = asm.mesh, asm.p, asm.eps_reg
     B, G = dense_maps(mesh)
-    _, wts, cid, shp = mesh.quadrature()
+    wts, cid, shp = flat_quadrature(mesh)
     uq = B @ v
     g = np.einsum("ckv,v->ck", G, v)
     gnorm = np.linalg.norm(g, axis=1)
@@ -76,7 +85,7 @@ def ref_residual(asm, v):
 def ref_tangent(asm, v):
     mesh, p, eps = asm.mesh, asm.p, asm.eps_reg
     B, G = dense_maps(mesh)
-    _, wts, cid, shp = mesh.quadrature()
+    wts, cid, shp = flat_quadrature(mesh)
     nv, nb = v.size, mesh.dim + 1
     uq = B @ v
     g = np.einsum("ckv,v->ck", G, v)

@@ -265,7 +265,7 @@ class TestShippedCell:
             for _ in range(20):
                 vals = rng.standard_normal(asm.mesh.num_vertices)
                 v = DiscreteFunction(asm.mesh, vals)
-                gap = weak_form_gap(rec.u, v, ONE, 2.0, 18.0, 0.0, f, g)
+                gap = weak_form_gap(asm, rec.u, v)
                 assert abs(gap) <= 1e-6 * (1.0 + sup_norm(v))
 
 
@@ -273,8 +273,8 @@ class TestScan:
     def test_unloaded_grid_single_trivial_solution(self):
         mesh = build_mesh(UNIT, 1 / 64, breakpoints=(0.3, 0.4, 0.6, 0.7))
         ustar = build_ustar(1.0, BALL, mesh)
-        result = scan(mesh, ONE, 2.0, [0.0], [0.0], shipped_f(), shipped_g(),
-                      r=0.08, ustar=ustar)
+        asm = EnergyAssembler(mesh, ONE, 2.0, f=shipped_f(), g=shipped_g())
+        result = scan(asm, [0.0], [0.0], r=0.08, ustar=ustar)
         cell = result.cells[0]
         assert cell.count == 1
         assert cell.count_nontrivial == 0
@@ -284,8 +284,8 @@ class TestScan:
         # p = 3 keeps the problem nonlinear, so one iteration cannot converge
         mesh = build_mesh(UNIT, 1 / 64)
         cfg = SolverConfig(max_iter=1)
-        result = scan(mesh, ONE, 3.0, [1.0, 2.0], [0.0], linear_f(), None,
-                      r=2.0, config=cfg)
+        asm = EnergyAssembler(mesh, ONE, 3.0, f=linear_f())
+        result = scan(asm, [1.0, 2.0], [0.0], r=2.0, config=cfg)
         assert len(result.cells) == 2
         assert all(any("cell failed" in n for n in c.notes) for c in result.cells)
 
@@ -302,13 +302,6 @@ class TestSolverConfig:
             SolverConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(delta_dist=-1.0)
-
-    def test_string_size(self):
-        with pytest.raises(ValueError):
-            SolverConfig(string_images=32)
-        with pytest.raises(ValueError):
-            SolverConfig(string_images=3)
-        SolverConfig(string_images=5)
 
 
 class TestSolutionSet:
