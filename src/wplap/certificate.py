@@ -13,18 +13,20 @@ the vocabulary pass / heuristic-pass / fail / inconclusive; "pass" for a
 sampled check is accompanied by mode="sampled", "heuristic-pass" is reserved
 for checks whose domain cannot be exhausted (unbounded t) or whose metadata
 had to be inferred.  Strict inequalities with margin below 1e-9 come back
-inconclusive rather than pass.
+inconclusive rather than pass, and so does every check whose margin is not
+finite (NaN samples, for one, decide nothing).
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .energy import Nonlinearity, primitive_F
+from .energy import Nonlinearity, _eval_expr, _point_env, primitive_F
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
 from .space import DiscreteFunction, EmbeddingEstimate, NormReport, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
@@ -110,11 +112,16 @@ class Constants:
 
 @dataclass
 class CheckEntry:
+    """One check's verdict; a margin that is not finite reads inconclusive."""
     name: str
     verdict: str          # pass | heuristic-pass | fail | inconclusive
     margin: float
     mode: str = "sampled"  # closed-form | sampled
     note: str = ""
+
+    def __post_init__(self):
+        if not math.isfinite(self.margin):
+            self.verdict = "inconclusive"
 
 
 @dataclass
@@ -338,15 +345,25 @@ def _x_samples(domain: Domain, exclude_ball: BallSpec | None = None,
     return xs
 
 
+def _sample_over_t(values, xs: np.ndarray, ts, reduce, post=None) -> np.ndarray:
+    """Pointwise reduce (np.minimum or np.maximum) over t in ts of
+    post(values(xs, t), t): one values call per t on all of xs, with t as one
+    value per point.  NaN samples propagate into the result."""
+    out = None
+    for t in ts:
+        v = values(xs, np.full(xs.shape[0], t))
+        if post is not None:
+            v = post(v, t)
+        out = v if out is None else reduce(out, v)
+    return out
+
+
 def check_H1(nl_f: Nonlinearity, domain: Domain, ball: BallSpec, d: float) -> CheckEntry:
     """F(x,t) >= 0 on (closure(Omega) minus B(x0,r1)) x [0,d], sampled on a
     200 x 200 grid."""
     xs = _x_samples(domain, exclude_ball=ball, n=200)
-    ts = np.linspace(0.0, d, 200)
-    worst = math.inf
-    for t in ts:
-        Fv = primitive_F(nl_f, xs, np.full(xs.shape[0], t))
-        worst = min(worst, float(np.min(Fv)))
+    worst = float(np.min(_sample_over_t(partial(primitive_F, nl_f), xs,
+                                        np.linspace(0.0, d, 200), np.minimum)))
     if worst < -1e-9:
         verdict = "fail"
     elif worst >= -1e-12:
@@ -362,12 +379,8 @@ def _sup_F_box(nl_f: Nonlinearity, domain: Domain, c: float,
     """max F over the points xs (the domain corners appended) x 400 values of
     t in [-c, c]."""
     xs = np.vstack([xs, _corner_points(domain)])
-    ts = np.linspace(-c, c, 400)
-    sup = -math.inf
-    for t in ts:
-        Fv = primitive_F(nl_f, xs, np.full(xs.shape[0], t))
-        sup = max(sup, float(np.max(Fv)))
-    return sup
+    return float(np.max(_sample_over_t(partial(primitive_F, nl_f), xs,
+                                       np.linspace(-c, c, 400), np.maximum)))
 
 
 def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
@@ -377,14 +390,8 @@ def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
     samples it with _sup_F_box)."""
     omega = domain_measure(domain)
     left = d ** p * eta ** p * omega * sup_F
-    converged = True
-    if domain.dim == 1:
-        a, b = domain.bounds
-        integral, converged = _gauss_panels(
-            lambda t: primitive_F(nl_f, np.column_stack([t]), np.full(t.size, d)), a, b)
-    else:
-        integral = _box_integral(
-            lambda pts: primitive_F(nl_f, pts, np.full(pts.shape[0], d)), domain)
+    integral, converged = _domain_integral(
+        lambda pts: primitive_F(nl_f, pts, np.full(pts.shape[0], d)), domain)
     right = c ** p * integral
     margin = right - left
     verdict = _strict_verdict(margin)
@@ -401,14 +408,20 @@ def _corner_points(domain: Domain) -> np.ndarray:
     return np.array([[x1a, x2a], [x1a, x2b], [x1b, x2a], [x1b, x2b]])
 
 
-def _box_integral(fn, domain: Domain) -> float:
+def _domain_integral(fn, domain: Domain) -> tuple[float, bool]:
+    """Integral over the domain of fn(points), as (value, converged):
+    _gauss_panels on an interval, a 20 x 20 Gauss rule on a box (converged
+    is then always True)."""
+    if domain.dim == 1:
+        a, b = domain.bounds
+        return _gauss_panels(lambda t: fn(np.column_stack([t])), a, b)
     xg, wg = _GL
     x1a, x1b, x2a, x2b = domain.bounds
     m1 = 0.5 * (x1a + x1b) + 0.5 * (x1b - x1a) * xg
     m2 = 0.5 * (x2a + x2b) + 0.5 * (x2b - x2a) * xg
     W = np.outer(wg, wg) * (0.25 * (x1b - x1a) * (x2b - x2a))
     P = np.stack(np.meshgrid(m1, m2), axis=-1).reshape(-1, 2)
-    return float(np.dot(fn(P), W.ravel()))
+    return float(np.dot(fn(P), W.ravel())), True
 
 
 def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
@@ -416,6 +429,7 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
     """H3: F(x,t) < h(x)(1+|t|^gamma) sampled at |t| in {1e2, 1e3, 1e4};
     H4: F(x,0) = 0;  H5: sup_{|t|<=tau} |g| <= w_tau for tau in {1, c, d, 10}."""
     xs = _x_samples(domain, n=200)
+    F = partial(primitive_F, nl_f)
     out = []
 
     # H3 (coercivity growth): unbounded t, so at best heuristic
@@ -424,20 +438,18 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
                               mode="sampled",
                               note="no growth envelope h(x) supplied; coercivity unknown"))
     else:
-        worst = math.inf
-        for t in (1e2, 1e3, 1e4, -1e2, -1e3, -1e4):
-            Fv = primitive_F(nl_f, xs, np.full(xs.shape[0], t))
-            hv = _eval_x_expr(nl_f.growth_h, xs)
-            bound = hv * (1.0 + abs(t) ** gamma)
-            worst = min(worst, float(np.min(bound - Fv)))
+        hv = _eval_x_expr(nl_f.growth_h, xs)
+        worst = float(np.min(_sample_over_t(
+            F, xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
+            post=lambda Fv, t: hv * (1.0 + abs(t) ** gamma) - Fv)))
         verdict = "heuristic-pass" if worst > 0 else "fail"
         out.append(CheckEntry(name="H3", verdict=verdict, margin=worst, mode="sampled",
                               note="sampled at |t| in {1e2,1e3,1e4}; growth beyond the"
                                    " sampled range is not certified"))
 
     # H4: the primitive-integral construction gives F(x,0)=0 identically
-    F0 = primitive_F(nl_f, xs, np.zeros(xs.shape[0]))
-    m = float(np.max(np.abs(F0)))
+    m = float(np.max(_sample_over_t(F, xs, (0.0,), np.maximum,
+                                    post=lambda Fv, t: np.abs(Fv))))
     out.append(CheckEntry(name="H4", verdict="pass" if m <= 1e-12 else "fail",
                           margin=-m, mode="closed-form",
                           note="F(x,0) = 0 by construction of the primitive"))
@@ -448,41 +460,28 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
                               mode="closed-form", note="no g term present"))
         return out
     taus = sorted({1.0, c, d, 10.0})
-    worst = math.inf
-    inferred = nl_g.caratheodory_w is None
-    for tau in taus:
-        ts = np.linspace(-tau, tau, 101)
-        sup_g = np.zeros(xs.shape[0])
-        for t in ts:
-            gv = np.abs(nl_g.eval(xs, np.full(xs.shape[0], t)))
-            sup_g = np.maximum(sup_g, gv)
-        if inferred:
-            # envelope inferred from the samples themselves: always consistent,
-            # reported as heuristic
-            margin_tau = 0.0
-        else:
-            wv = _eval_x_expr(nl_g.caratheodory_w, xs, tau=tau)
-            margin_tau = float(np.min(wv - sup_g))
-        worst = min(worst, margin_tau)
-    if inferred:
+    if nl_g.caratheodory_w is None:
         out.append(CheckEntry(name="H5", verdict="heuristic-pass", margin=0.0,
                               mode="sampled",
-                              note=f"no w_tau supplied; sampled envelope recorded for tau in {taus}"))
-    else:
-        verdict = "pass" if worst >= -1e-12 else "fail"
-        out.append(CheckEntry(name="H5", verdict=verdict, margin=worst, mode="sampled",
-                              note=f"tau list {taus}"))
+                              note=f"no w_tau supplied; sup |g| not checked for tau in {taus}"))
+        return out
+    margins = []
+    for tau in taus:
+        sup_g = _sample_over_t(nl_g.eval, xs, np.linspace(-tau, tau, 101), np.maximum,
+                               post=lambda gv, t: np.abs(gv))
+        margins.append(np.min(_eval_x_expr(nl_g.caratheodory_w, xs, tau=tau) - sup_g))
+    worst = float(np.min(margins))
+    verdict = "pass" if worst >= -1e-12 else "fail"
+    out.append(CheckEntry(name="H5", verdict=verdict, margin=worst, mode="sampled",
+                          note=f"tau list {taus}"))
     return out
 
 
 def _eval_x_expr(expr, xs: np.ndarray, tau: float | None = None) -> np.ndarray:
-    env = {"x1": xs[:, 0]}
-    if xs.shape[1] > 1:
-        env["x2"] = xs[:, 1]
-    if tau is not None:
-        env["tau"] = np.full(xs.shape[0], tau)
-    out = expr(**{k: v for k, v in env.items() if k in expr.variables})
-    return np.broadcast_to(np.asarray(out, dtype=float), (xs.shape[0],)).copy()
+    """An expression in x (and tau, NaN when not given) at the points xs."""
+    env = _point_env(xs, np.full(xs.shape[0], math.nan if tau is None else tau))
+    env["tau"] = env.pop("t")
+    return _eval_expr(expr, env)
 
 
 def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
@@ -510,17 +509,9 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
     left = omega * sup_F
     ustar_norm = constants.ustar_norm_p ** (1.0 / p)
 
-    def F_at_ustar(pts: np.ndarray) -> np.ndarray:
-        pts2 = np.atleast_2d(pts)
-        uvals = _ustar_values(pts2, d, spec.ball)
-        return primitive_F(spec.nl_f, pts2, uvals)
-
-    converged = True
-    if spec.domain.dim == 1:
-        a, b = spec.domain.bounds
-        integral, converged = _gauss_panels(lambda t: F_at_ustar(np.column_stack([t])), a, b)
-    else:
-        integral = _box_integral(F_at_ustar, spec.domain)
+    integral, converged = _domain_integral(
+        lambda pts: primitive_F(spec.nl_f, pts, _ustar_values(pts, d, spec.ball)),
+        spec.domain)
     right = (c / (constants.k * ustar_norm)) ** p * integral
     m3 = right - left
     # this inequality is non-strict; zero margin still passes
@@ -553,21 +544,19 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
                     + d ** p * w_N * r2 ** N / N + w_N * r1 ** N)
     upper_kfree = eta_over_k_p * d ** p
 
-    variants = {}
-    for label, kv in (("k_upper", embedding.k_upper), ("k_lower", embedding.k_lower)):
-        variants[label] = {
-            "k": kv,
-            "xi": compute_xi(p, r1, r2, kv, a_mass),
-            "eta": compute_eta(p, N, r1, r2, kv, d, a_mass, w_N),
-            "r": compute_r(c, kv, p),
-        }
+    def at_k(kv: float) -> dict:
+        return {"k": kv, "xi": compute_xi(p, r1, r2, kv, a_mass),
+                "eta": compute_eta(p, N, r1, r2, kv, d, a_mass, w_N),
+                "r": compute_r(c, kv, p)}
 
+    # the certificate's k is k_upper, so its xi, eta and r are that variant's
+    variants = {"k_upper": at_k(embedding.k_upper), "k_lower": at_k(embedding.k_lower)}
     constants = Constants(
         w_N=w_N, a_L1_annulus=a_mass, k=k, k_mode=embedding.k_upper_mode,
         k_lower=embedding.k_lower,
-        xi=compute_xi(p, r1, r2, k, a_mass),
-        eta=compute_eta(p, N, r1, r2, k, d, a_mass, w_N),
-        r=compute_r(c, k, p),
+        xi=variants["k_upper"]["xi"],
+        eta=variants["k_upper"]["eta"],
+        r=variants["k_upper"]["r"],
         ustar_norm_p=norm3.direct,
         ustar_norm_formula=norm3.formula,
         ustar_norm_formula_corrected=norm3.formula_corrected,

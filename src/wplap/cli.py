@@ -245,14 +245,12 @@ def _report_lines(report: CertificateReport):
 
 
 def cmd_check(cfg: RunConfig, args, out: Path) -> int:
-    lam = args.lam if args.lam is not None else cfg.run_lambda
-    mu = args.mu if args.mu is not None else cfg.run_mu
     spec = _problem_spec(cfg)
     if spec is None:
         raise ConfigError(f"{cfg.path}: check requires [ball] and [constants] sections")
     mesh = build_problem_mesh(cfg)
     report = build_certificate(spec, mesh)
-    meta = {"config": cfg.path, "lambda": _fmt(lam), "mu": _fmt(mu),
+    meta = {"config": cfg.path, "lambda": _fmt(cfg.run_lambda), "mu": _fmt(cfg.run_mu),
             "h": _fmt(cfg.h), "p": _fmt(cfg.p), "seed": cfg.solver.seed}
     write_certificate_txt(out / "certificate.txt", report, meta)
     write_constants_csv(out / "constants.csv", report)
@@ -284,8 +282,7 @@ def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
 
 
 def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
-    lam = args.lam if args.lam is not None else cfg.run_lambda
-    mu = args.mu if args.mu is not None else cfg.run_mu
+    lam, mu = cfg.run_lambda, cfg.run_mu
     asm, _, r, ustar = _solver_inputs(cfg, lam, mu)
     try:
         records, notes = solve_cell(asm, r, config=cfg.solver, ustar=ustar)
@@ -365,8 +362,7 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, args, out: Path) -> int:
-    lam = args.lam if args.lam is not None else cfg.run_lambda
-    mu = args.mu if args.mu is not None else cfg.run_mu
+    lam, mu = cfg.run_lambda, cfg.run_mu
     profile = enumerate_solutions(cfg.domain, cfg.weight, cfg.p, lam, mu,
                                   f=cfg.nl_f, g=cfg.nl_g,
                                   zero_order=cfg.zero_order_term,
@@ -422,6 +418,10 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.solver = replace(cfg.solver, seed=args.seed)
+        if args.lam is not None:
+            cfg.run_lambda = args.lam
+        if args.mu is not None:
+            cfg.run_mu = args.mu
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, args, out)

@@ -174,6 +174,22 @@ class EnergyAssembler:
             return gnorm ** expo
         return (gnorm ** 2 + self.eps_reg ** 2) ** (expo / 2.0)
 
+    def _source(self, uq: np.ndarray) -> np.ndarray:
+        """Pointwise zero-order part of the residual at the quadrature values
+        uq: |u|^(p-2) u (regularized with eps_reg for p < 2), minus lambda f
+        and mu g."""
+        source = np.zeros(uq.size)
+        if self.zero_order:
+            if self.p >= 2.0:
+                source += np.abs(uq) ** (self.p - 2.0) * uq
+            else:
+                source += (uq ** 2 + self.eps_reg ** 2) ** ((self.p - 2.0) / 2.0) * uq
+        if self.f is not None and self.lam != 0.0:
+            source -= self.lam * self.f.eval(self.pts, uq)
+        if self.g is not None and self.mu != 0.0:
+            source -= self.mu * self.g.eval(self.pts, uq)
+        return source
+
     # -- energies ----------------------------------------------------------
     def norm_terms(self, v: np.ndarray):
         lp, grad = _norm_terms(self.mesh, self.cellA, self.p, v)
@@ -219,16 +235,7 @@ class EnergyAssembler:
         gnorm = np.linalg.norm(g, axis=1)
         flux = (self.cellA * self._gpow(gnorm, self.p - 2.0))[:, None] * g   # (nc, N)
         cellsums = np.einsum("ck,cbk->cb", flux, self.mesh.shape_gradients)
-        source = np.zeros(uq.size)
-        if self.zero_order:
-            if self.p >= 2.0:
-                source += np.abs(uq) ** (self.p - 2.0) * uq
-            else:
-                source += (uq ** 2 + self.eps_reg ** 2) ** ((self.p - 2.0) / 2.0) * uq
-        if self.f is not None and self.lam != 0.0:
-            source -= self.lam * self.f.eval(self.pts, uq)
-        if self.g is not None and self.mu != 0.0:
-            source -= self.mu * self.g.eval(self.pts, uq)
+        source = self._source(uq)
         if np.any(source):
             cellsums += (self.wq * source.reshape(self.wq.shape)) @ self.bary
         res = np.bincount(self.mesh.cells.reshape(-1), weights=cellsums.reshape(-1),
@@ -290,14 +297,7 @@ def weak_form_gap(asm: EnergyAssembler, u: DiscreteFunction, v: DiscreteFunction
     uq, vq = uq.reshape(-1), vq.reshape(-1)
     gnorm = np.linalg.norm(gu, axis=1)
     gap = float(asm.cellA @ (asm._gpow(gnorm, p - 2.0) * np.einsum("ck,ck->c", gu, gv)))
-    source = np.zeros(uq.size)
-    if asm.zero_order:
-        source += np.abs(uq) ** (p - 2.0) * uq
-    if asm.f is not None and asm.lam != 0.0:
-        source -= asm.lam * asm.f.eval(asm.pts, uq)
-    if asm.g is not None and asm.mu != 0.0:
-        source -= asm.mu * asm.g.eval(asm.pts, uq)
-    gap += float(asm.wq.ravel() @ (source * vq))
+    gap += float(asm.wq.ravel() @ (asm._source(uq) * vq))
     if asm.load is not None:
         gap -= float(asm.load @ v.values)
     return gap

@@ -2,10 +2,11 @@
 
 Three search modes: damped-Newton energy descent with multistart (global
 minimizer candidate), projected descent on the sublevel set {phi <= r}
-(small local minimizer), and an elastic-string mountain pass between two
-distinct critical points.  phi' is uniformly monotone for p >= 2, which
-makes invert_phi_prime single-valued; that inverse is the same energy
-descent on phi with a linear load.
+(small local minimizer), and a mountain pass between two distinct critical
+points, Newton-polished from the energy peak on the segment joining them.
+phi' is uniformly monotone for p >= 2, which makes invert_phi_prime
+single-valued; that inverse is the same energy descent on phi with a linear
+load.
 """
 from __future__ import annotations
 
@@ -50,8 +51,7 @@ class CoercivityError(RuntimeError):
 
 _BACKTRACK = 0.5              # step shrink factor of the Armijo line search
 _SUFFICIENT_DECREASE = 1e-4   # Armijo constant
-_STRING_IMAGES = 33           # images on the mountain-pass string (odd)
-_STRING_MAX_SWEEPS = 600      # relaxation sweeps of the string
+_SEGMENT_SAMPLES = 33         # points on the mountain-pass segment searched for its peak
 
 
 @dataclass(frozen=True)
@@ -279,59 +279,44 @@ def sublevel_minimize(asm: EnergyAssembler, r: float,
     return _record(asm, v, "sublevel-min", converged=ok)
 
 
-def _reparametrize(images: list) -> list:
-    pts = np.stack(images)
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    s = np.concatenate([[0.0], np.cumsum(seg)])
-    if s[-1] == 0.0:
-        return images
-    targets = np.linspace(0.0, s[-1], len(images))
-    out = []
-    for tgt in targets:
-        j = min(np.searchsorted(s, tgt), len(s) - 1)
-        if j == 0:
-            out.append(pts[0].copy())
-            continue
-        t = (tgt - s[j - 1]) / max(s[j] - s[j - 1], 1e-300)
-        out.append((1 - t) * pts[j - 1] + t * pts[j])
-    return out
+def _polish(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig):
+    # Newton on the residual norm; indefinite Hessian is fine at a saddle
+    v = v0.copy()
+    for _ in range(60):
+        res = asm.residual(v)
+        rn = asm.residual_norm(res)
+        if rn <= config.residual_tol:
+            return v
+        dv = _solve_tangent(asm.tangent(v), -res)
+        if dv is None:
+            return None
+        beta, ok = 1.0, False
+        while beta > 1e-12:
+            cand = v + beta * dv
+            if asm.residual_norm(asm.residual(cand)) < rn:
+                v, ok = cand, True
+                break
+            beta *= 0.5
+        if not ok:
+            return None
+    return v if asm.residual_norm(asm.residual(v)) <= config.residual_tol else None
 
 
 def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunction,
                   config: SolverConfig = SolverConfig()) -> SolutionRecord:
-    """Elastic-string search for the lowest saddle between u_a and u_b.
+    """Saddle between u_a and u_b, Newton-polished from the energy peak on
+    the segment joining them.
 
-    Interior images relax along -grad E orthogonal to the string, the string
-    is rebalanced by arclength each sweep, the max-energy image is then
-    Newton-polished to residual tolerance."""
+    The highest of _SEGMENT_SAMPLES equispaced points (1 - t) u_a + t u_b is
+    polished to residual tolerance.  A result below the higher endpoint
+    energy, or within delta_dist of an endpoint, is rejected; the segment
+    peak then comes back with converged=False, inconclusive=True."""
     dist = sup_norm(u_a.copy_with(u_a.values - u_b.values))
     scale = max(sup_norm(u_a), sup_norm(u_b), 1e-30)
     if dist <= config.delta_dist * scale:
         raise ValueError("mountain pass endpoints must be distinct")
 
     E_end = max(asm.energy(u_a.values), asm.energy(u_b.values))
-
-    def _polish(v0: np.ndarray):
-        # Newton on the residual norm; indefinite Hessian is fine at a saddle
-        v = v0.copy()
-        for _ in range(60):
-            res = asm.residual(v)
-            rn = asm.residual_norm(res)
-            if rn <= config.residual_tol:
-                return v
-            dv = _solve_tangent(asm.tangent(v), -res)
-            if dv is None:
-                return None
-            beta, ok = 1.0, False
-            while beta > 1e-12:
-                cand = v + beta * dv
-                if asm.residual_norm(asm.residual(cand)) < rn:
-                    v, ok = cand, True
-                    break
-                beta *= 0.5
-            if not ok:
-                return None
-        return v if asm.residual_norm(asm.residual(v)) <= config.residual_tol else None
 
     def _acceptable(v: np.ndarray) -> bool:
         if asm.energy(v) < E_end - 1e-9 * (1.0 + abs(E_end)):
@@ -341,52 +326,13 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
                 return False
         return True
 
-    M = _STRING_IMAGES
-    images = [(1 - t) * u_a.values + t * u_b.values for t in np.linspace(0, 1, M)]
-    alpha = 0.05
-    prev_peak = math.inf
-    for sweep in range(_STRING_MAX_SWEEPS):
-        energies = [asm.energy(v) for v in images]
-        peak_idx = int(np.argmax(energies))
-        peak = energies[peak_idx]
-        if sweep % 20 == 0:
-            cand = _polish(images[peak_idx])
-            if cand is not None and _acceptable(cand):
-                return _record(asm, cand, "mountain-pass")
-        residuals = [asm.residual(v) for v in images]
-        forces = []
-        fmax = 0.0
-        for j in range(1, M - 1):
-            tau = images[j + 1] - images[j - 1]
-            tn = np.linalg.norm(tau)
-            if tn > 0:
-                tau = tau / tn
-            Fj = -residuals[j]
-            Fj = Fj - float(Fj @ tau) * tau
-            forces.append(Fj)
-            fmax = max(fmax, asm.residual_norm(Fj))
-        if fmax <= max(100.0 * config.residual_tol, 1e-7) and sweep > 2:
-            break
-        step = alpha / (1.0 + max(np.linalg.norm(f) for f in forces))
-        trial = [images[0]] + [images[j + 1] + step * forces[j] for j in range(M - 2)] \
-            + [images[-1]]
-        trial = _reparametrize(trial)
-        trial_peak = max(asm.energy(v) for v in trial)
-        if trial_peak <= peak + 1e-12 * (1.0 + abs(peak)) or trial_peak < prev_peak:
-            images = trial
-            prev_peak = min(prev_peak, trial_peak)
-            alpha = min(alpha * 1.05, 0.5)
-        else:
-            alpha *= 0.5
-            if alpha < 1e-12:
-                break
-
-    energies = [asm.energy(v) for v in images]
-    v = images[int(np.argmax(energies))].copy()
-    cand = _polish(v)
+    samples = [(1 - t) * u_a.values + t * u_b.values
+               for t in np.linspace(0, 1, _SEGMENT_SAMPLES)]
+    peak = samples[int(np.argmax([asm.energy(v) for v in samples]))]
+    cand = _polish(asm, peak, config)
     if cand is not None and _acceptable(cand):
         return _record(asm, cand, "mountain-pass")
-    return _record(asm, v, "mountain-pass", converged=False, inconclusive=True)
+    return _record(asm, peak, "mountain-pass", converged=False, inconclusive=True)
 
 
 @dataclass

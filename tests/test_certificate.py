@@ -433,6 +433,21 @@ class TestBuildCertificate:
         assert len(calls) == 1
         assert rep.overall == "pass"
 
+    def test_nan_samples_read_inconclusive(self):
+        # F is NaN wherever x1 < 0.25, so no sampled minimum, sup or integral
+        # over the domain certifies anything
+        with np.errstate(invalid="ignore"):
+            f = make_nonlinearity("(x1 - 0.25)^0.5 * t",
+                                  primitive="(x1 - 0.25)^0.5 * t^2/2", growth_h="1")
+            spec = ProblemSpec(domain=UNIT, weight=ONE, p=2.0, s=2.0, ball=BALL,
+                               c=0.2, d=1.0, gamma=1.0, nl_f=f, nl_g=shipped_g())
+            rep = build_certificate(spec, ball_mesh(1 / 256))
+        for name in ("H1", "H2", "H3"):
+            assert rep.entry(name).verdict == "inconclusive"
+        assert all(e.verdict == "inconclusive" for e in rep.entries
+                   if not math.isfinite(e.margin))
+        assert rep.overall == "inconclusive"
+
     def test_k_variants_recorded(self):
         rep = build_certificate(shipped_spec(), ball_mesh(1 / 256))
         kv = rep.constants.k_variants

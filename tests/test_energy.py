@@ -272,6 +272,17 @@ class TestEnergyIdentities:
             ref = float(res @ v.values)
             assert gap == pytest.approx(ref, abs=1e-6 * (1 + abs(ref)))
 
+    def test_weak_form_gap_matches_residual_below_p2(self):
+        # p < 2: both regularize |u|^(p-2) u, so u = 0 gives 0, not 0 * inf
+        f = make_nonlinearity("t", primitive="0.5*t^2")
+        mesh = interval_mesh(1 / 32)
+        rng = np.random.default_rng(19)
+        asm = EnergyAssembler(mesh, ONE, 1.5, 0.9, 0.0, f)
+        v = random_interior(mesh, rng)
+        for u in (DiscreteFunction.zero(mesh), random_interior(mesh, rng)):
+            ref = float(asm.residual(u.values) @ v.values)
+            assert weak_form_gap(asm, u, v) == pytest.approx(ref, abs=1e-12)
+
     def test_caratheodory_bound_sampled(self):
         # shipped g = sin(t) with w_tau = 1: |g| <= w_tau on a 100x100 grid
         g = make_nonlinearity("sin(t)", caratheodory_w="1")

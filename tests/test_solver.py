@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wplap import solver
 from wplap.certificate import build_ustar
 from wplap.energy import EnergyAssembler, make_nonlinearity, weak_form_gap
 from wplap.geometry import BallSpec, Domain, build_mesh
@@ -208,21 +209,48 @@ def _toy_criticals(mesh, asm):
     return ii, out
 
 
+def _toy_minima(mesh, ii, crits):
+    """Nodal vectors of the two lowest toy minima."""
+    minima = sorted([c for c in crits if c[2] == 0], key=lambda c: c[1])
+    assert len(minima) >= 2
+    ua = np.zeros(mesh.num_vertices)
+    ub = np.zeros(mesh.num_vertices)
+    ua[ii], ub[ii] = minima[0][0], minima[1][0]
+    return ua, ub
+
+
 class TestMountainPass:
     def test_toy_saddle_matches_brute_force(self):
         mesh, asm = _toy_assembler()
         ii, crits = _toy_criticals(mesh, asm)
-        minima = sorted([c for c in crits if c[2] == 0], key=lambda c: c[1])
         saddles = [c for c in crits if c[2] == 1]
-        assert len(minima) >= 2 and len(saddles) == 1
-        ua = np.zeros(mesh.num_vertices)
-        ub = np.zeros(mesh.num_vertices)
-        ua[ii], ub[ii] = minima[0][0], minima[1][0]
+        assert len(saddles) == 1
+        ua, ub = _toy_minima(mesh, ii, crits)
         rec = mountain_pass(asm, DiscreteFunction(mesh, ua),
                             DiscreteFunction(mesh, ub))
         assert rec.converged
         assert np.max(np.abs(rec.u.values[ii] - saddles[0][0])) < 1e-6
         assert rec.energy == pytest.approx(saddles[0][1], abs=1e-6)
+
+    def test_failed_polish_returns_segment_peak(self):
+        # no iterate reaches residual 1e-300, so the polish cannot succeed
+        mesh, asm = _toy_assembler()
+        ua, ub = _toy_minima(mesh, *_toy_criticals(mesh, asm))
+        rec = mountain_pass(asm, DiscreteFunction(mesh, ua), DiscreteFunction(mesh, ub),
+                            config=SolverConfig(residual_tol=1e-300))
+        assert not rec.converged and rec.inconclusive
+        samples = [(1 - t) * ua + t * ub for t in np.linspace(0, 1, 33)]
+        peak = samples[int(np.argmax([asm.energy(v) for v in samples]))]
+        assert np.array_equal(rec.u.values, peak)
+
+    def test_solve_cell_notes_failed_polish(self, monkeypatch):
+        mesh = build_mesh(UNIT, 1 / 64, breakpoints=(0.3, 0.4, 0.6, 0.7))
+        asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, shipped_f(), shipped_g())
+        monkeypatch.setattr(solver, "_polish", lambda *args: None)
+        records, notes = solve_cell(asm, r=0.08, ustar=build_ustar(1.0, BALL, mesh))
+        assert [r.classification for r in records] == ["global-min-candidate",
+                                                       "sublevel-min"]
+        assert notes == ["mountain pass polish did not converge"]
 
     def test_identical_endpoints_rejected(self):
         mesh, asm = _toy_assembler()
