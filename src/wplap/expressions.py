@@ -15,7 +15,9 @@ expanded to min(max(e, lo), hi).  "^" is right-associative and binds tighter
 than unary minus.  Each Expression compiles its AST once into a tree of
 closures; evaluation is vectorized over numpy arrays.  t-derivatives
 are formed symbolically (min/max differentiate branch-wise, which is enough
-for the almost-everywhere derivatives the solver needs).
+for the almost-everywhere derivatives the solver needs).  t-primitives
+int_0^t are formed symbolically too, for the subset _antidiff_t names; any
+other expression has none, and its primitive is left to quadrature.
 """
 from __future__ import annotations
 
@@ -217,6 +219,153 @@ def _diff(node):
     raise ParseError(f"cannot differentiate node {op!r}")
 
 
+_T = ("var", "t")
+
+
+def _t_free(node) -> bool:
+    return "t" not in _vars_of(node, set())
+
+
+def _at_zero(node):
+    """The AST with t replaced by 0, so it evaluates the same operations."""
+    if node == _T:
+        return _ZERO
+    return (node[0], *(_at_zero(c) if isinstance(c, tuple) else c for c in node[1:]))
+
+
+def _number(node) -> float | None:
+    """Finite value of a variable-free node, else None."""
+    if _vars_of(node, set()):
+        return None
+    try:
+        with np.errstate(all="ignore"):
+            value = float(_compile(node)({}))
+    except (ArithmeticError, TypeError, ValueError):
+        return None
+    return value if np.isfinite(value) else None
+
+
+def _slope(node) -> float | None:
+    """Numeric d/dt of node when node is a*t + b with b free of t, else None."""
+    if _t_free(node):
+        return 0.0
+    op = node[0]
+    if op == "var":
+        return 1.0
+    if op == "neg":
+        a = _slope(node[1])
+        return None if a is None else -a
+    if op in ("+", "-"):
+        a, b = _slope(node[1]), _slope(node[2])
+        if a is None or b is None:
+            return None
+        return a + b if op == "+" else a - b
+    if op == "*":
+        for factor, rest in ((node[1], node[2]), (node[2], node[1])):
+            k = _number(factor)
+            if k is not None:
+                a = _slope(rest)
+                return None if a is None else k * a
+        return None
+    if op == "/":
+        k, a = _number(node[2]), _slope(node[1])
+        return None if k is None or k == 0.0 or a is None else a / k
+    return None
+
+
+def _lattice(node):
+    """node as base + sum c*max(w, 0) with c = +-1, base and every w affine in
+    t with a numeric slope.  Returns (base, [(c, w, slope of w)]) or None.
+
+    max(u, v) = v + max(u - v, 0) and min(u, v) = u - max(u - v, 0).  The
+    positive part of u - v is again a sum of hinges when u - v is affine, or
+    when it is q +- max(z, 0) with q constant in t (after max(z, 0) =
+    z + max(-z, 0) if need be):
+        max(q + max(z, 0), 0) = max(q, 0) + max(z + min(q, 0), 0),
+        max(q - max(z, 0), 0) = max(q, 0) - max(z, 0) + max(z - max(q, 0), 0).
+    That covers clamp(e, lo, hi) = min(max(e, lo), hi) whenever lo - hi is
+    constant in t; two kinks that both move with t are left to quadrature."""
+    if _slope(node) is not None:
+        return node, []
+    if node[0] not in ("min", "max"):
+        return None
+    u, v = _lattice(node[1]), _lattice(node[2])
+    if u is None or v is None:
+        return None
+    q = ("-", u[0], v[0])
+    hinges = u[1] + [(-c, w, s) for c, w, s in v[1]]
+    if not hinges:
+        pos = [(1, q, _slope(q))]
+    elif len(hinges) == 1:
+        c, z, s = hinges[0]
+        slope_q = _slope(q)
+        if slope_q != 0.0 and slope_q == -c * s:
+            # q + c max(z, 0) = (q + c z) + c max(-z, 0), whose base is flat
+            q, z, s = ("+" if c > 0 else "-", q, z), ("neg", z), -s
+        elif slope_q != 0.0:
+            return None
+        q = _at_zero(q)
+        if c > 0:
+            pos = [(1, q, 0.0), (1, ("+", z, ("min", q, _ZERO)), s)]
+        else:
+            pos = [(1, q, 0.0), (-1, z, s), (1, ("-", z, ("max", q, _ZERO)), s)]
+    else:
+        return None
+    if node[0] == "max":
+        return v[0], v[1] + pos
+    return u[0], u[1] + [(-c, w, s) for c, w, s in pos]
+
+
+def _ramp_integral(w, a: float):
+    """int_0^t max(w(s), 0) ds for w = a*s + b: (max(w(t),0)^2 - max(b,0)^2)/(2a)."""
+    pos = ("max", w, _ZERO)
+    if a == 0.0:
+        return ("*", pos, _T)
+    pos0 = ("max", _at_zero(w), _ZERO)
+    return ("/", ("-", ("*", pos, pos), ("*", pos0, pos0)), ("num", 2.0 * a))
+
+
+def _antidiff_t(node):
+    """AST of int_0^t node ds, or None when node is outside the subset:
+    t-free nodes, t^n (n a nonnegative integer literal), + - neg, * and / by
+    a t-free side, sin/cos/exp of a*t + b with numeric a != 0, and min/max
+    lattices that _lattice reduces to hinges of affine arguments."""
+    if _t_free(node):
+        return ("*", node, _T)
+    op = node[0]
+    if op == "var" or (op == "^" and node[1] == _T and node[2][0] == "num"
+                       and node[2][1] >= 0 and float(node[2][1]).is_integer()):
+        n1 = ("num", 2.0 if op == "var" else node[2][1] + 1.0)
+        return ("/", ("^", _T, n1), n1)
+    scaled = (op == "*" and (_t_free(node[1]) or _t_free(node[2]))
+              or op == "/" and _t_free(node[2]))
+    if op in ("neg", "+", "-") or scaled:
+        # integral is linear: integrate the terms, keep a t-free factor or divisor
+        kids = [c if scaled and _t_free(c) else _antidiff_t(c) for c in node[1:]]
+        return None if None in kids else (op, *kids)
+    if op in ("sin", "cos", "exp"):
+        arg = node[1]
+        a = _slope(arg)
+        if not a:
+            return None
+        b, k = _at_zero(arg), ("num", a)
+        if op == "sin":
+            return ("/", ("-", ("cos", b), ("cos", arg)), k)
+        if op == "cos":
+            return ("/", ("-", ("sin", arg), ("sin", b)), k)
+        return ("/", ("-", ("exp", arg), ("exp", b)), k)
+    if op in ("min", "max"):
+        lattice = _lattice(node)
+        if lattice is None:
+            return None
+        base, hinges = lattice
+        out = _antidiff_t(base)
+        for c, w, a in hinges:
+            out = ("-" if c < 0 else "+", out, _ramp_integral(w, a))
+        return out
+    return None
+
+
 class Expression:
     """Parsed expression; call with keyword arrays, e.g. e(t=tt, x1=xx)."""
 
@@ -235,6 +384,12 @@ class Expression:
 
     def diff_t(self) -> "Expression":
         return Expression(f"d/dt({self.source})", node=_diff(self.node))
+
+    def antidiff_t(self) -> "Expression | None":
+        """int_0^t of the expression in closed form, None outside the subset
+        that _antidiff_t covers."""
+        node = _antidiff_t(self.node)
+        return None if node is None else Expression(f"int_0^t({self.source})", node=node)
 
     def __repr__(self):
         return f"Expression({self.source!r})"

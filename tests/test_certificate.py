@@ -483,8 +483,9 @@ class TestBuildCertificate:
             if rep.overall == "pass":
                 assert all(e.verdict == "pass" for e in strict)
             consts = rep.constants
+            # dxi_gt_c reads heuristic-pass when k is heuristic
             if (rep.entry("sandwich").verdict == "pass"
-                    and rep.entry("dxi_gt_c").verdict == "pass"):
+                    and rep.entry("dxi_gt_c").verdict in ("pass", "heuristic-pass")):
                 assert consts.r > 0.0
                 assert consts.ustar_norm_p / 2.0 > consts.r
 

@@ -141,6 +141,23 @@ class TestCheck:
         assert cert["variants"]["k_upper"]["r"] == pytest.approx(consts["r"], rel=1e-12)
         assert consts["k[k_lower]"] <= consts["k[k_upper]"]
 
+    def test_heuristic_k_marks_k_built_checks(self, tmp_path):
+        # a = 0.5 < 1 leaves k heuristic; d^p xi^p > c^p, the level separation
+        # and bona1 are built from k, so they pass only heuristically
+        cfg = variant(tmp_path, "half_weight.cfg", ("value = 1.0", "value = 0.5"))
+        code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
+        cert = read_certificate(tmp_path / "out" / "certificate.txt")
+        assert cert["constants"]["k_mode"] == "heuristic"
+        k = cert["constants"]["k"]
+        for name in ("dxi_gt_c", "level_separation", "bona1"):
+            entry = cert["checks"][name]
+            assert entry["verdict"] == "heuristic-pass", name
+            assert entry["note"].endswith(f"; k = {k:.9g} is heuristic"), name
+        assert cert["checks"]["sandwich"]["verdict"] == "pass"
+        # overall and the exit code still treat heuristic-pass as pass
+        assert cert["meta"]["overall"] == "pass"
+        assert code == 0
+
     def test_oversized_c_fails_named_condition(self, tmp_path, capsys):
         cfg = variant(tmp_path, "bad_c.cfg", ("c = 0.2", "c = 1.5"))
         code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")

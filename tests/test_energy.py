@@ -1,11 +1,14 @@
 """Energy functionals, primitives, and weak-form residuals."""
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wplap.certificate import build_ustar
+from wplap.cli import build_problem_mesh
+from wplap.config import load_config
 from wplap.energy import (
     EnergyAssembler,
     gradient_check,
@@ -13,6 +16,7 @@ from wplap.energy import (
     primitive_F,
     weak_form_gap,
 )
+from wplap.expressions import Expression
 from wplap.geometry import BallSpec, Domain, build_mesh
 from wplap.space import DiscreteFunction, weighted_norm
 from wplap.weight import WeightSpec
@@ -38,16 +42,21 @@ def hat_function(mesh, center, half_width):
 
 class TestPrimitiveF:
     def test_linear_quadrature_path(self):
-        nl = make_nonlinearity("t")  # no closed form supplied
+        # t/(1 + t^2) lies outside the closed-form subset: F = ln(1 + t^2)/2
+        nl = make_nonlinearity("t/(1 + t^2)")
+        assert nl.primitive is None
         x = np.array([[0.3]])
-        assert primitive_F(nl, x, np.array([2.0]))[0] == pytest.approx(2.0, abs=1e-10)
-        # sign-aware for t < 0: int_0^{-2} s ds = 2
-        assert primitive_F(nl, x, np.array([-2.0]))[0] == pytest.approx(2.0, abs=1e-10)
+        ref = math.log(5.0) / 2.0
+        assert primitive_F(nl, x, np.array([2.0]))[0] == pytest.approx(ref, abs=1e-10)
+        # sign-aware for t < 0: int_0^{-2} s/(1 + s^2) ds = ln(5)/2
+        assert primitive_F(nl, x, np.array([-2.0]))[0] == pytest.approx(ref, abs=1e-10)
 
     def test_cosine(self):
-        nl = make_nonlinearity("cos(t)")
+        # a power of cos(t) is outside the closed-form subset: quadrature
+        nl = make_nonlinearity("cos(t)^2")
+        assert nl.primitive is None
         val = primitive_F(nl, np.array([[0.1]]), np.array([math.pi / 2]))[0]
-        assert val == pytest.approx(1.0, abs=1e-10)
+        assert val == pytest.approx(math.pi / 4, abs=1e-10)
 
     def test_gaussian_closed_form_agrees(self):
         # F(t) = (1 - e^{-t^2})/2; t = 1 gives (1 - 1/e)/2
@@ -66,27 +75,75 @@ class TestPrimitiveF:
             make_nonlinearity("t", primitive="0.5*t^2 + 1")
         make_nonlinearity("t", primitive="0.5*t^2")  # good one passes
 
+    def test_primitive_checked_where_f_is_finite(self):
+        # f is NaN for x1 < 0.25; the samples with x1 >= 0.25 still decide
+        f = "(x1 - 0.25)^0.5 * t"
+        with np.errstate(invalid="ignore"):
+            make_nonlinearity(f, primitive="(x1 - 0.25)^0.5 * t^2/2")
+            make_nonlinearity("t", primitive="0.5*t^2")
+            with pytest.raises(ValueError, match="differentiate"):
+                make_nonlinearity(f, primitive="(x1 - 0.25)^0.5 * t^2")
+            # a finite f whose primitive differentiates to NaN fails
+            with pytest.raises(ValueError, match="differentiate"):
+                make_nonlinearity("t", primitive="0.5*t^2 + 0*(x1 - 2)^0.5")
+            with pytest.raises(ValueError, match="not finite at any sample"):
+                make_nonlinearity("(x1 - 2)^0.5 * t", primitive="(x1 - 2)^0.5 * t^2/2")
+
+    def test_primitive_derived_in_closed_form(self):
+        nl = make_nonlinearity("sin(t)")
+        assert nl.primitive is not None
+        t = np.linspace(-4.0, 4.0, 33)
+        np.testing.assert_allclose(primitive_F(nl, np.zeros((t.size, 1)), t),
+                                   1.0 - np.cos(t), rtol=0, atol=1e-15)
+
     def test_x_dependent_primitive(self):
         nl = make_nonlinearity("x1*t", primitive="0.5*x1*t^2")
         out = primitive_F(nl, np.array([[0.5], [1.0]]), np.array([2.0, 2.0]))
         assert out == pytest.approx([1.0, 2.0], abs=1e-12)
 
     def test_kinked_integrand_warns(self):
-        # the kink at s = 0.3 sits off every dyadic panel edge of [0, 1]
-        nl = make_nonlinearity("max(t - 0.3, 0.3 - t)")
+        # the kink at s = 0.3 sits off every dyadic panel edge of [0, 1]; the
+        # argument t^2 - 0.09 is not affine, so no closed form is derived
+        nl = make_nonlinearity("max(t^2 - 0.09, 0)")
+        assert nl.primitive is None
         with pytest.warns(RuntimeWarning, match="^primitive_F: .*unconverged at 64 panels"):
             primitive_F(nl, np.array([[0.5]]), np.array([1.0]))
 
     def test_large_values_converge_relative(self):
-        # Gauss is exact for f = t, so the panel levels differ only by
-        # rounding in F itself: up to ~1 at |t| = 1e8, far above 1e-10
-        # absolute but at rounding level relative to F
-        nl = make_nonlinearity("t")
+        # Gauss is exact for f = t*t (a product of two t-dependent factors,
+        # so outside the closed-form subset), and the panel levels differ
+        # only by rounding in F itself: far above 1e-10 absolute at
+        # |t| = 1e8 but at rounding level relative to F
+        nl = make_nonlinearity("t*t")
+        assert nl.primitive is None
         t = np.linspace(-1e8, 1e8, 201)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             out = primitive_F(nl, np.zeros((t.size, 1)), t)
-        assert out == pytest.approx(0.5 * t ** 2, rel=1e-14)
+        assert out == pytest.approx(t ** 3 / 3.0, rel=1e-14)
+
+
+class TestShippedPrimitives:
+    def test_shipped_g_integrates_in_closed_form(self, monkeypatch):
+        # g = sin(t) has no primitive key; the derived closed form makes one
+        # Expression call per Upsilon, where Gauss panels make one per level
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "configs" / "three_solutions_1d.cfg")
+        assert cfg.nl_g.primitive is not None
+        mesh = build_problem_mesh(cfg)
+        asm = EnergyAssembler(mesh, cfg.weight, cfg.p, cfg.run_lambda, 0.05,
+                              cfg.nl_f, cfg.nl_g)
+        u = np.sin(PI * mesh.vertices[:, 0])
+        calls = []
+        call = Expression.__call__
+
+        def counted(self, **env):
+            calls.append(self.source)
+            return call(self, **env)
+
+        monkeypatch.setattr(Expression, "__call__", counted)
+        assert asm.capital_upsilon(u) < 0.0
+        assert calls == ["int_0^t(sin(t))"]
 
 
 class TestPhi:
@@ -144,8 +201,10 @@ class TestCapitalPhi:
     def test_upsilon_quadrature_matches_closed_form(self):
         mesh = interval_mesh(1 / 64)
         u = hat_function(mesh, 0.5, 0.5)
-        quad = make_nonlinearity("sin(t)")
-        closed = make_nonlinearity("sin(t)", primitive="1-cos(t)")
+        # a product of two t-dependent factors is left to quadrature
+        quad = make_nonlinearity("sin(t)*cos(t)")
+        assert quad.primitive is None
+        closed = make_nonlinearity("sin(t)*cos(t)", primitive="0.5*sin(t)^2")
         assert EnergyAssembler(mesh, ONE, 2.0, g=quad).capital_upsilon(u.values) == \
             pytest.approx(EnergyAssembler(mesh, ONE, 2.0, g=closed).capital_upsilon(u.values),
                           abs=1e-10)

@@ -154,3 +154,160 @@ def test_compiled_missing_variable_raises(node):
     e = Expression("generated", node=("+", ("var", "x2"), node))
     with pytest.raises(ParseError, match="variable 'x2' not available here"):
         e(t=np.zeros(3), x1=np.zeros(3))
+
+
+# -- closed-form t-primitives ------------------------------------------------
+
+_T = ("var", "t")
+
+
+def _num(v):
+    return ("num", float(v))
+
+
+_x = st.sampled_from([("var", "x1"), ("var", "x2")])
+_t_free = st.one_of(st.floats(-2.0, 2.0, allow_nan=False).map(_num), _x,
+                    st.tuples(st.just("+"), _x, st.floats(-1.0, 1.0).map(_num)),
+                    st.tuples(st.just("sin"), _x))
+_slopes = st.sampled_from([-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 2.0]).map(_num)
+_affine = st.one_of(
+    st.just(_T), st.just(("neg", _T)),
+    st.tuples(st.just("+"), st.tuples(st.just("*"), _slopes, st.just(_T)), _t_free),
+    st.tuples(st.just("-"), st.just(_T), _t_free),
+    st.tuples(st.just("/"), st.tuples(st.just("-"), _t_free, st.just(_T)), _slopes))
+_smooth_leaves = st.one_of(
+    _t_free, st.just(_T),
+    st.sampled_from([0, 1, 2, 3]).map(lambda n: ("^", _T, _num(n))),
+    st.tuples(st.sampled_from(["sin", "cos", "exp"]), _affine))
+_kinked_leaves = st.one_of(
+    st.tuples(st.sampled_from(["min", "max"]), _affine, _affine),
+    st.builds(lambda e, lo, hi: ("min", ("max", e, lo), hi), _affine, _t_free, _t_free),
+    st.builds(lambda e, lo, hi: ("max", ("min", e, hi), lo), _affine, _t_free, _t_free))
+_denominators = st.one_of(st.floats(0.5, 2.0).map(_num),
+                          st.just(("+", _num(1), ("*", ("var", "x1"), ("var", "x1")))))
+
+
+def _combine(kids):
+    return st.one_of(
+        st.tuples(st.just("neg"), kids),
+        st.tuples(st.sampled_from(["+", "-"]), kids, kids),
+        st.tuples(st.just("*"), _t_free, kids),
+        st.tuples(st.just("*"), kids, _t_free),
+        st.tuples(st.just("/"), kids, _denominators))
+
+
+_subset_smooth = st.recursive(_smooth_leaves, _combine, max_leaves=8)
+_subset_kinked = st.recursive(_kinked_leaves, _combine, max_leaves=8)
+_rng = np.random.default_rng(2024)
+_X = _rng.uniform(0.0, 1.0, size=(12, 2))
+_TS = _rng.uniform(-2.0, 2.0, size=12)
+
+
+def _env(t):
+    return {"t": t, "x1": _X[:, 0], "x2": _X[:, 1]}
+
+
+def _values(expr, t):
+    return np.broadcast_to(np.asarray(expr(**_env(t)), dtype=float), t.shape)
+
+
+def _check_primitive(node, reference):
+    """antidiff_t of node differentiates back to node, matches reference
+    (a function of the sample t values) to 1e-10, and is exactly 0 at t = 0."""
+    e = Expression("generated", node=node)
+    F = e.antidiff_t()
+    assert F is not None
+    f, dF = _values(e, _TS), _values(F.diff_t(), _TS)
+    np.testing.assert_allclose(dF, f, rtol=1e-9, atol=1e-9 * (1.0 + np.max(np.abs(f))))
+    got, want = _values(F, _TS), reference(e)
+    assert np.all(np.abs(got - want) <= 1e-10 * np.maximum(1.0, np.abs(want)))
+    assert np.all(_values(F, np.zeros(_TS.size)) == 0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(node=_subset_smooth)
+def test_antidiff_smooth_matches_gauss_fallback(node):
+    from wplap.energy import Nonlinearity, primitive_F
+    _check_primitive(node, lambda e: primitive_F(Nonlinearity(f=e), _X, _TS))
+
+
+def _kinks(node, x1, x2, t):
+    """Points strictly between 0 and t where the two arguments of a min/max
+    node of the AST cross, by sign changes on a grid and brentq."""
+    from scipy.optimize import brentq
+    if node[0] not in ("min", "max"):
+        return [k for child in node[1:] if isinstance(child, tuple)
+                for k in _kinks(child, x1, x2, t)]
+    gap = Expression("gap", node=("-", node[1], node[2]))
+    s = np.linspace(0.0, t, 401)
+    g = gap(t=s, x1=x1, x2=x2)
+    roots = [brentq(lambda v: gap(t=v, x1=x1, x2=x2), s[i], s[i + 1], xtol=1e-15)
+             for i in np.flatnonzero(g[:-1] * g[1:] < 0)]
+    return roots + _kinks(node[1], x1, x2, t) + _kinks(node[2], x1, x2, t)
+
+
+_GL = np.polynomial.legendre.leggauss(20)
+
+
+def _split_gauss(e, x1, x2, t):
+    """int_0^t e ds by 20-point Gauss on 4 panels per smooth piece, the pieces
+    cut at the kinks."""
+    cuts = [0.0] + sorted(_kinks(e.node, x1, x2, t), key=abs) + [t]
+    total = 0.0
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        ends = lo + (hi - lo) * np.linspace(0.0, 1.0, 5)
+        for a, b in zip(ends[:-1], ends[1:]):
+            s = 0.5 * (a + b) + 0.5 * (b - a) * _GL[0]
+            total += 0.5 * (b - a) * float(_GL[1] @ np.broadcast_to(
+                np.asarray(e(t=s, x1=x1, x2=x2), dtype=float), s.shape))
+    return total
+
+
+@settings(max_examples=60, deadline=None)
+@given(node=_subset_kinked)
+def test_antidiff_kinked_matches_split_gauss(node):
+    # Gauss with panel edges only at dyadic points cannot resolve a kink to
+    # 1e-10, so the reference cuts [0, t] at the kinks first
+    _check_primitive(node, lambda e: np.array([_split_gauss(e, x1, x2, t)
+                                               for (x1, x2), t in zip(_X, _TS)]))
+
+
+def test_antidiff_matches_sympy():
+    sp = pytest.importorskip("sympy")
+    s, t = sp.symbols("s t", real=True)
+    # x enters as numbers: sympy 1.14 mis-integrates clamp(1 - s, -x2, 1/2)
+    # for t < 0 when x2 stays a symbol
+    names = {"t": s, "x1": sp.Rational(3, 10), "x2": sp.Rational(7, 10)}
+    ops = {"neg": lambda a: -a, "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+           "*": lambda a, b: a * b, "/": lambda a, b: a / b, "^": lambda a, b: a ** b,
+           "sin": sp.sin, "cos": sp.cos, "exp": sp.exp, "min": sp.Min, "max": sp.Max}
+
+    def to_sympy(node):
+        if node[0] == "num":
+            return sp.nsimplify(node[1], rational=True)
+        if node[0] == "var":
+            return names[node[1]]
+        return ops[node[0]](*(to_sympy(c) for c in node[1:]))
+
+    ts = np.linspace(-3.0, 3.0, 25)
+    for src in ("t^3 - 2*t + x1", "x1*t^2/3 - 4", "sin(2*t + 1)", "cos(t/3 - x1)",
+                "exp(-t/2 + x2)", "min(max(t - 0.25, 0), 1)", "max(2*t - x1, -1)",
+                "clamp(1 - t, -x2, 0.5)", "min(t, 2*t - 1)", "2*max(min(t, 1), 0) - sin(t)"):
+        e = parse_expression(src)
+        exact = sp.integrate(to_sympy(e.node).rewrite(sp.Piecewise), (s, 0, t))
+        want = np.array([float(sp.lambdify(t, exact, "numpy")(tv)) for tv in ts])
+        got = e.antidiff_t()(t=ts, x1=0.3, x2=0.7)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=src)
+
+
+def test_antidiff_of_shipped_ramp_matches_shipped_primitive():
+    ramp = parse_expression("min(max(t - 0.25, 0), 1)")
+    shipped = parse_expression("0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)")
+    t = np.linspace(-5.0, 5.0, 2001)
+    np.testing.assert_allclose(ramp.antidiff_t()(t=t), shipped(t=t), rtol=0, atol=1e-14)
+
+
+def test_antidiff_outside_subset_is_none():
+    for src in ("t*sin(t)", "t^0.5", "exp(t^2)", "sin(x1*t)", "1/t", "t^-1",
+                "min(t, max(1 - t, 0))"):
+        assert parse_expression(src).antidiff_t() is None, src
