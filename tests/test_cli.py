@@ -1,8 +1,9 @@
 """End-to-end command line driver tests (in-process, via main).
 
-The four shipped-config runs also compare every file they write with the
-golden outputs under tests/golden/; `python tests/test_cli.py` rewrites
-those files from the current code."""
+The four shipped-config runs, and `solve` on the shipped instance lifted to
+the unit square, also compare every file they write with the golden outputs
+under tests/golden/; `python tests/test_cli.py` rewrites those files from
+the current code."""
 import csv
 import math
 import re
@@ -31,6 +32,12 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # the shipped oracle on a coarser sigma scan, so the test stays quick
 FAST_ORACLE = ("[run]", "[oracle]\nsigma_min = -10.0\nsigma_max = 10.0\n"
                         "n_scan = 401\n\n[run]")
+# the shipped instance lifted to the unit square: p = s = 3, h = 0.1, lambda = 2000
+BOX2D = (("kind = interval\nbounds = 0.0 1.0\n", "kind = box\nbounds = 0.0 1.0 0.0 1.0\n"),
+         ("p = 2.0\ns = 2.0\n", "p = 3.0\ns = 3.0\n"),
+         ("x0 = 0.5\n", "x0 = 0.5 0.5\n"),
+         ("h = 0.00390625\n", "h = 0.1\n"),
+         ("lambda = 18.0\n", "lambda = 2000.0\n"))
 
 XI_REF = 1.4907119849998596
 ETA_REF = 3.006474494967301
@@ -208,6 +215,12 @@ class TestSolve:
         assert vals[0] == 0.0 and vals[-1] == 0.0
         assert_matches_golden(tmp_path, "solve")
 
+    def test_box2d_lift_matches_golden(self, tmp_path, capsys):
+        cfg = variant(tmp_path, "box2d.cfg", *BOX2D)
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert "at lambda=2000, mu=0" in capsys.readouterr().out
+        assert_matches_golden(tmp_path / "out", "solve2d")
+
     def test_lambda_mu_overrides(self, tmp_path):
         code = run_cli("solve", "--config", SHIPPED, "--out", tmp_path,
                        "--lambda", "0.0", "--mu", "0.0")
@@ -383,13 +396,15 @@ class TestConfigDiagnostics:
 
 
 def write_golden():
-    """Rewrite tests/golden/ from the four shipped-config runs above."""
+    """Rewrite tests/golden/ from the four shipped-config runs above and the
+    box2d-lift solve."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         runs = {"check": ("check", "--config", SHIPPED),
                 "solve": ("solve", "--config", SHIPPED),
                 "scan": ("scan", "--config", SHIPPED),
-                "oracle": ("oracle", "--config", variant(tmp, "fast_oracle.cfg", FAST_ORACLE))}
+                "oracle": ("oracle", "--config", variant(tmp, "fast_oracle.cfg", FAST_ORACLE)),
+                "solve2d": ("solve", "--config", variant(tmp, "box2d.cfg", *BOX2D))}
         for command, argv in runs.items():
             out = tmp / command
             assert run_cli(*argv, "--out", out) == 0, command
