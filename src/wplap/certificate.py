@@ -47,6 +47,7 @@ __all__ = [
     "sandwich_check",
     "check_H1",
     "check_H2",
+    "check_H3",
     "check_H3_H4_H5",
     "check_theorem_conditions",
     "build_certificate",
@@ -424,28 +425,31 @@ def _domain_integral(fn, domain: Domain) -> tuple[float, bool]:
     return float(np.dot(fn(P), W.ravel())), True
 
 
+def check_H3(nl_f: Nonlinearity, gamma: float, domain: Domain) -> CheckEntry:
+    """H3 (coercivity growth): F(x,t) < h(x)(1+|t|^gamma) sampled at |t| in
+    {1e2, 1e3, 1e4}.  The range of t is unbounded, so at best heuristic."""
+    if nl_f.growth_h is None:
+        return CheckEntry(name="H3", verdict="inconclusive", margin=math.nan,
+                          mode="sampled",
+                          note="no growth envelope h(x) supplied; coercivity unknown")
+    xs = _x_samples(domain, n=200)
+    hv = _eval_x_expr(nl_f.growth_h, xs)
+    worst = float(np.min(_sample_over_t(
+        partial(primitive_F, nl_f), xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
+        post=lambda Fv, t: hv * (1.0 + abs(t) ** gamma) - Fv)))
+    verdict = "heuristic-pass" if worst > 0 else "fail"
+    return CheckEntry(name="H3", verdict=verdict, margin=worst, mode="sampled",
+                      note="sampled at |t| in {1e2,1e3,1e4}; growth beyond the"
+                           " sampled range is not certified")
+
+
 def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
                    domain: Domain, c: float, d: float) -> list:
-    """H3: F(x,t) < h(x)(1+|t|^gamma) sampled at |t| in {1e2, 1e3, 1e4};
-    H4: F(x,0) = 0;  H5: sup_{|t|<=tau} |g| <= w_tau for tau in {1, c, d, 10}."""
+    """H3 (check_H3); H4: F(x,0) = 0;  H5: sup_{|t|<=tau} |g| <= w_tau for
+    tau in {1, c, d, 10}."""
     xs = _x_samples(domain, n=200)
     F = partial(primitive_F, nl_f)
-    out = []
-
-    # H3 (coercivity growth): unbounded t, so at best heuristic
-    if nl_f.growth_h is None:
-        out.append(CheckEntry(name="H3", verdict="inconclusive", margin=math.nan,
-                              mode="sampled",
-                              note="no growth envelope h(x) supplied; coercivity unknown"))
-    else:
-        hv = _eval_x_expr(nl_f.growth_h, xs)
-        worst = float(np.min(_sample_over_t(
-            F, xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
-            post=lambda Fv, t: hv * (1.0 + abs(t) ** gamma) - Fv)))
-        verdict = "heuristic-pass" if worst > 0 else "fail"
-        out.append(CheckEntry(name="H3", verdict=verdict, margin=worst, mode="sampled",
-                              note="sampled at |t| in {1e2,1e3,1e4}; growth beyond the"
-                                   " sampled range is not certified"))
+    out = [check_H3(nl_f, gamma, domain)]
 
     # H4: the primitive-integral construction gives F(x,0)=0 identically
     m = float(np.max(_sample_over_t(F, xs, (0.0,), np.maximum,

@@ -21,13 +21,13 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import (CertificateReport, ProblemSpec, RefinementRequiredError,
-                          build_certificate, build_ustar)
+                          build_certificate, build_ustar, check_H3, compute_r)
 from .config import ConfigError, RunConfig, load_config
 from .energy import EnergyAssembler
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
 from .oracle1d import ShootingProfile, enumerate_solutions
 from .solver import CoercivityError, SolutionSet, SolverFailure, scan, solve_cell
-from .space import DiscreteFunction
+from .space import DiscreteFunction, k_upper_bound
 
 __all__ = [
     "main",
@@ -263,17 +263,27 @@ def cmd_check(cfg: RunConfig, args, out: Path) -> int:
     return report.exit_code
 
 
-def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
-    """The problem mesh's assembler at (lam, mu) and the certificate-derived
-    pieces for the solvers: (asm, report, r, ustar), the last three None
-    without a certificate.  Warns when H3 is not established."""
+def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0,
+                   certificate: bool = False):
+    """The problem mesh's assembler at (lam, mu) and the theorem's pieces for
+    the solvers: (asm, report, r, ustar), the last three None without a
+    problem spec.  The level r = (1/p)(c/k)^p needs only the closed-form
+    k_upper, so the certificate report is built (and r and H3 read from it)
+    only when certificate is set; report is None otherwise.  Warns when H3
+    is not established."""
     mesh = build_problem_mesh(cfg)
     report = r = ustar = None
     spec = _problem_spec(cfg)
     if spec is not None:
-        report = build_certificate(spec, mesh)
-        r, ustar = report.constants.r, build_ustar(cfg.d, cfg.ball, mesh)
-        if report.entry("H3").verdict not in ("pass", "heuristic-pass"):
+        ustar = build_ustar(cfg.d, cfg.ball, mesh)
+        if certificate:
+            report = build_certificate(spec, mesh)
+            r, h3 = report.constants.r, report.entry("H3")
+        else:
+            k_upper, _ = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
+            r, h3 = compute_r(spec.c, k_upper, spec.p), check_H3(spec.nl_f, spec.gamma,
+                                                                  spec.domain)
+        if h3.verdict not in ("pass", "heuristic-pass"):
             print("warning: H3 growth bound not established; coercivity unknown, "
                   "proceeding anyway", file=sys.stderr)
     asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lam, mu, cfg.nl_f, cfg.nl_g,
@@ -325,7 +335,7 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
 def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.lambda_grid:
         raise ConfigError(f"{cfg.path}: scan requires a non-empty [lambda_grid]")
-    asm, report, r, ustar = _solver_inputs(cfg)
+    asm, report, r, ustar = _solver_inputs(cfg, certificate=True)
     result = scan(asm, cfg.lambda_grid, cfg.mu_values, r, config=cfg.solver, ustar=ustar)
     write_scan_summary(out / "scan_summary.csv", result.cells)
 

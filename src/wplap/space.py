@@ -23,6 +23,7 @@ __all__ = [
     "weighted_norm",
     "sup_norm",
     "talenti_bound",
+    "k_upper_bound",
     "estimate_k",
 ]
 
@@ -192,6 +193,21 @@ def _star_fd_gradient(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray,
     return (r[0] - r[1]) / (2.0 * eps)
 
 
+def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
+                  mesh: Mesh) -> tuple[float, str]:
+    """(k_upper, mode): Talenti's constant for p_s = p*s/(s+1) times
+    (int a^(-s))^(1/((s+1) p_s)), the integral taken with the mesh
+    quadrature; mode is 'certified' when a >= 1 a.e., 'heuristic' otherwise."""
+    p_s = compute_ps(p, s)
+    pts, wq, _ = mesh.quadrature()
+    aq = np.atleast_1d(eval_weight(w, mesh.domain, pts))
+    int_a_ms = float(wq.ravel() @ aq ** (-s))
+    k_upper = talenti_bound(domain.dim, p_s, domain_measure(domain)) \
+        * int_a_ms ** (1.0 / ((s + 1.0) * p_s))
+    mode = "certified" if weight_lower_bound(w, domain) >= 1.0 - 1e-12 else "heuristic"
+    return float(k_upper), mode
+
+
 _ASCENT_STEPS = 50      # gradient-ascent steps of the lower bound
 _FD_STEP_REL = 1e-3     # finite-difference step relative to ||v||_2
 
@@ -205,10 +221,8 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
     on the best one.  The ascent direction is the central difference of the
     ratio in each interior nodal value, step _FD_STEP_REL * ||v||_2; each
     difference is evaluated on the node's star (the cells touching it), so
-    one step costs O(nc).  Upper bound: Talenti's constant for
-    p_s = p*s/(s+1) times (int a^(-s))^(1/((s+1) p_s)); certified only when
-    a >= 1 a.e., heuristic otherwise."""
-    p_s = compute_ps(p, s)
+    one step costs O(nc).  Upper bound: k_upper_bound."""
+    k_upper, mode = k_upper_bound(domain, w, p, s, mesh)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
         raise ValueError("mesh has no interior vertices")
@@ -246,14 +260,6 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
         if not improved:
             break
 
-    refined = DiscreteFunction(mesh, v)
-    # int a^(-s) over the mesh quadrature
-    pts, wq, _ = mesh.quadrature()
-    aq = np.atleast_1d(eval_weight(w, mesh.domain, pts))
-    int_a_ms = float(wq.ravel() @ aq ** (-s))
-    k_upper = talenti_bound(domain.dim, p_s, domain_measure(domain)) \
-        * int_a_ms ** (1.0 / ((s + 1.0) * p_s))
-    mode = "certified" if weight_lower_bound(w, domain) >= 1.0 - 1e-12 else "heuristic"
-    return EmbeddingEstimate(k_lower=k_lower, k_upper=float(k_upper),
-                             k_upper_mode=mode, witness=refined)
+    return EmbeddingEstimate(k_lower=k_lower, k_upper=k_upper,
+                             k_upper_mode=mode, witness=DiscreteFunction(mesh, v))
 

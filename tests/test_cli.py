@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wplap import certificate, cli, space
 from wplap.cli import (
     main,
     read_certificate,
@@ -215,6 +216,17 @@ class TestSolve:
         assert vals[0] == 0.0 and vals[-1] == 0.0
         assert_matches_golden(tmp_path, "solve")
 
+    def test_solve_builds_no_certificate(self, tmp_path, monkeypatch):
+        # r needs only the closed-form k_upper, and H3 is checked on its own
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve built the certificate")
+
+        monkeypatch.setattr(cli, "build_certificate", forbidden)
+        monkeypatch.setattr(space, "estimate_k", forbidden)
+        monkeypatch.setattr(certificate, "estimate_k", forbidden)
+        assert run_cli("solve", "--config", SHIPPED, "--out", tmp_path) == 0
+        assert_matches_golden(tmp_path, "solve")
+
     def test_box2d_lift_matches_golden(self, tmp_path, capsys):
         cfg = variant(tmp_path, "box2d.cfg", *BOX2D)
         assert run_cli("solve", "--config", cfg, "--out", tmp_path / "out") == 0
@@ -277,6 +289,22 @@ class TestScan:
         for name in ("scan_summary.csv", "scan_report.txt"):
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
+
+    def test_scan_reads_r_and_H3_from_its_one_certificate(self, tmp_path, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return certificate.build_certificate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "build_certificate", counted)
+        for name in ("k_upper_bound", "check_H3"):   # the short path is solve's
+            monkeypatch.setattr(cli, name, None)
+        cfg = variant(tmp_path, "one_cell.cfg", ("count = 5", "count = 1"),
+                      ("values = 0.0, 0.05", "values = 0.0"))
+        assert run_cli("scan", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert built == [1]
+        assert "certificate_overall = pass" in (tmp_path / "out" / "scan_report.txt").read_text()
 
     def test_missing_grid_is_config_error(self, tmp_path, capsys):
         code = run_cli("scan", "--config", LINEAR, "--out", tmp_path)

@@ -9,6 +9,7 @@ from wplap.space import (
     DiscreteFunction,
     QuadratureError,
     estimate_k,
+    k_upper_bound,
     sup_norm,
     talenti_bound,
     weighted_norm,
@@ -199,6 +200,17 @@ class TestEstimateK:
             for _ in range(25):
                 u = random_interior(mesh, rng)
                 assert sup_norm(u) <= est.k_upper * weighted_norm(u, w, 2.0).full_norm + 1e-12
+
+
+@pytest.mark.parametrize("w", [ONE, WeightSpec.distance_power(0.5)], ids=["constant",
+                                                                           "distance_power"])
+@pytest.mark.parametrize("domain,h,p,s", [(UNIT, 1 / 64, 2.0, 2.0),
+                                          (Domain.box(0.0, 1.0, 0.0, 1.0), 0.2, 3.0, 3.0)],
+                         ids=["1d", "2d"])
+def test_k_upper_bound_is_estimate_k_upper(domain, h, p, s, w):
+    mesh = build_mesh(domain, h)
+    est = estimate_k(domain, w, p, s, mesh)
+    assert k_upper_bound(domain, w, p, s, mesh) == (est.k_upper, est.k_upper_mode)
 
 
 def norm_ratios(family, w, p):
