@@ -155,11 +155,15 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
                 cand = project(cand)
             Ec = asm.energy(cand)
             if Ec <= E + _SUFFICIENT_DECREASE * alpha * min(slope, 0.0):
-                v, E, accepted = cand, Ec, True
+                # a step that leaves E bitwise unchanged sits at the energy's
+                # rounding floor, where taking it would repeat until max_iter
+                accepted = Ec < E
+                if accepted:
+                    v, E = cand, Ec
                 break
             alpha *= _BACKTRACK
         if not accepted:
-            # stationary for this line search (possibly constrained)
+            # stationary for this line search (possibly constrained) or stalled
             return v, rn, rn <= config.residual_tol
     res = asm.residual(v)
     rn = asm.residual_norm(res)

@@ -139,6 +139,30 @@ class TestMinimizeEnergy:
         for seed in (np.zeros(asm.mesh.num_vertices), ustar.values, -ustar.values):
             assert gmin.energy <= asm.energy(seed) + 1e-12
 
+    def test_stall_at_energy_rounding_floor_ends_descent(self, monkeypatch):
+        # the shipped instance on the unit square (p = s = 3, h = 0.1,
+        # lambda = 2000): multistart seed 206's random start reaches
+        # E = -3116.6000541843937 with scaled residual 2.02e-8 and then finds
+        # only steps that leave E bitwise unchanged
+        mesh = build_mesh(Domain.box(0.0, 1.0, 0.0, 1.0), 0.1)
+        ustar = build_ustar(1.0, BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2), mesh)
+        asm = EnergyAssembler(mesh, ONE, 3.0, 2000.0, 0.0, shipped_f(), shipped_g())
+        config = SolverConfig(seed=206)
+        start = solver._multistart_seeds(mesh, ustar, config, sup_norm(ustar))[-1]
+        iterations = 0
+        tangent = asm.tangent
+
+        def counted(v, include_sources=True):
+            nonlocal iterations
+            iterations += include_sources
+            assert iterations <= 100, "descent did not stop at the stall"
+            return tangent(v, include_sources=include_sources)
+
+        monkeypatch.setattr(asm, "tangent", counted)
+        v, rn, ok = solver._descend(asm, start, config)
+        assert not ok and rn > config.residual_tol
+        assert asm.energy(v) == pytest.approx(-3116.6000541843937, rel=1e-12)
+
 
 class TestSublevelMinimize:
     def test_unloaded_interior_zero(self):
