@@ -138,7 +138,9 @@ class _Parser:
         raise ParseError(f"unexpected token {val!r} in {self.src!r}")
 
 
-_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+# expm1 is internal: no source text parses to it (see _antidiff_t)
+_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "expm1": np.expm1}
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
            "/": operator.truediv, "^": operator.pow,
            "min": np.minimum, "max": np.maximum}
@@ -212,6 +214,8 @@ def _diff(node):
         return ("neg", ("*", ("sin", node[1]), _diff(node[1])))
     if op == "exp":
         return ("*", node, _diff(node[1]))
+    if op == "expm1":
+        return ("*", ("exp", node[1]), _diff(node[1]))
     if op == "min":
         return ("where_le", node[1], node[2], _diff(node[1]), _diff(node[2]))
     if op == "max":
@@ -328,8 +332,9 @@ def _ramp_integral(w, a: float):
 def _antidiff_t(node):
     """AST of int_0^t node ds, or None when node is outside the subset:
     t-free nodes, t^n (n a nonnegative integer literal), + - neg, * and / by
-    a t-free side, sin/cos/exp of a*t + b with numeric a != 0, and min/max
-    lattices that _lattice reduces to hinges of affine arguments."""
+    a t-free side, sin/cos/exp of a*t + b with numeric a != 0 (product
+    forms when |a| < 1), and min/max lattices that _lattice reduces to
+    hinges of affine arguments."""
     if _t_free(node):
         return ("*", node, _T)
     op = node[0]
@@ -349,11 +354,22 @@ def _antidiff_t(node):
         if not a:
             return None
         b, k = _at_zero(arg), ("num", a)
-        if op == "sin":
-            return ("/", ("-", ("cos", b), ("cos", arg)), k)
-        if op == "cos":
-            return ("/", ("-", ("sin", arg), ("sin", b)), k)
-        return ("/", ("-", ("exp", arg), ("exp", b)), k)
+        if abs(a) >= 1.0:
+            if op == "sin":
+                return ("/", ("-", ("cos", b), ("cos", arg)), k)
+            if op == "cos":
+                return ("/", ("-", ("sin", arg), ("sin", b)), k)
+            return ("/", ("-", ("exp", arg), ("exp", b)), k)
+        # a small slope makes those differences cancel (error ~ eps/|a|); the
+        # product forms keep the relative accuracy:
+        #   cos b - cos(at + b) = 2 sin(b + at/2) sin(at/2),
+        #   sin(at + b) - sin b = 2 cos(b + at/2) sin(at/2),
+        #   exp(at + b) - exp b = exp(b) expm1(at)
+        if op == "exp":
+            return ("/", ("*", ("exp", b), ("expm1", ("*", k, _T))), k)
+        half = ("*", ("num", 0.5 * a), _T)
+        mid = ("sin" if op == "sin" else "cos", ("+", b, half))
+        return ("/", ("*", ("*", ("num", 2.0), mid), ("sin", half)), k)
     if op in ("min", "max"):
         lattice = _lattice(node)
         if lattice is None:

@@ -96,6 +96,13 @@ class TestPrimitiveF:
         np.testing.assert_allclose(primitive_F(nl, np.zeros((t.size, 1)), t),
                                    1.0 - np.cos(t), rtol=0, atol=1e-15)
 
+    def test_tiny_slope_primitive_keeps_relative_accuracy(self):
+        nl = make_nonlinearity("exp(1e-12*t)")
+        t = np.array([-3.0, 1.0, 3.0])
+        # (exp(a t) - 1)/a = t + a t^2/2 + O(a^2 t^3)
+        np.testing.assert_allclose(primitive_F(nl, np.zeros((3, 1)), t),
+                                   t + 0.5e-12 * t ** 2, rtol=1e-15, atol=0)
+
     def test_x_dependent_primitive(self):
         nl = make_nonlinearity("x1*t", primitive="0.5*x1*t^2")
         out = primitive_F(nl, np.array([[0.5], [1.0]]), np.array([2.0, 2.0]))

@@ -300,6 +300,29 @@ def test_antidiff_matches_sympy():
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=src)
 
 
+@pytest.mark.parametrize("a", [1e-12, -1e-9, 1e-9, 1e-3])
+def test_antidiff_tiny_slopes_match_gauss_and_sympy(a):
+    # (cos b - cos(a t + b))/a and its siblings lose about eps/|a| to
+    # cancellation; the product forms must hold 1e-13 relative
+    sp = pytest.importorskip("sympy")
+    from wplap.energy import Nonlinearity, primitive_F
+    s, t = sp.symbols("s t", real=True)
+    ra, x1 = sp.nsimplify(a, rational=True), sp.Rational(3, 10)
+    ts = np.array([-3.0, -1.0, -0.25, 0.5, 1.0, 3.0])
+    X = np.full((ts.size, 1), 0.3)
+    for src, f in ((f"sin({a!r}*t + 1)", sp.sin(ra * s + 1)),
+                   (f"cos({a!r}*t - x1)", sp.cos(ra * s - x1)),
+                   (f"exp({a!r}*t + x1)", sp.exp(ra * s + x1))):
+        e = parse_expression(src)
+        got = e.antidiff_t()(t=ts, x1=X[:, 0])
+        exact = sp.integrate(f, (s, 0, t))
+        want = np.array([float(exact.subs(t, sp.nsimplify(tv, rational=True)).evalf(40))
+                         for tv in ts])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=src)
+        np.testing.assert_allclose(got, primitive_F(Nonlinearity(f=e), X, ts),
+                                   rtol=1e-13, atol=0, err_msg=src)
+
+
 def test_antidiff_of_shipped_ramp_matches_shipped_primitive():
     ramp = parse_expression("min(max(t - 0.25, 0), 1)")
     shipped = parse_expression("0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)")
