@@ -267,10 +267,9 @@ def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0,
                    certificate: bool = False):
     """The problem mesh's assembler at (lam, mu) and the theorem's pieces for
     the solvers: (asm, report, r, ustar), the last three None without a
-    problem spec.  The level r = (1/p)(c/k)^p needs only the closed-form
-    k_upper, so the certificate report is built (and r and H3 read from it)
-    only when certificate is set; report is None otherwise.  Warns when H3
-    is not established."""
+    problem spec.  The level r = (1/p)(c/k)^p takes only the closed-form
+    k_upper; with certificate set, the certificate report is built and
+    supplies r and the H3 verdict.  Warns when H3 is not established."""
     mesh = build_problem_mesh(cfg)
     report = r = ustar = None
     spec = _problem_spec(cfg)
@@ -281,8 +280,8 @@ def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0,
             r, h3 = report.constants.r, report.entry("H3")
         else:
             k_upper, _ = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
-            r, h3 = compute_r(spec.c, k_upper, spec.p), check_H3(spec.nl_f, spec.gamma,
-                                                                  spec.domain)
+            r = compute_r(spec.c, k_upper, spec.p)
+            h3 = check_H3(spec.nl_f, spec.gamma, spec.domain)
         if h3.verdict not in ("pass", "heuristic-pass"):
             print("warning: H3 growth bound not established; coercivity unknown, "
                   "proceeding anyway", file=sys.stderr)

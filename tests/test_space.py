@@ -202,8 +202,8 @@ class TestEstimateK:
                 assert sup_norm(u) <= est.k_upper * weighted_norm(u, w, 2.0).full_norm + 1e-12
 
 
-@pytest.mark.parametrize("w", [ONE, WeightSpec.distance_power(0.5)], ids=["constant",
-                                                                           "distance_power"])
+@pytest.mark.parametrize("w", [ONE, WeightSpec.distance_power(0.5)],
+                         ids=["constant", "distance_power"])
 @pytest.mark.parametrize("domain,h,p,s", [(UNIT, 1 / 64, 2.0, 2.0),
                                           (Domain.box(0.0, 1.0, 0.0, 1.0), 0.2, 3.0, 3.0)],
                          ids=["1d", "2d"])
