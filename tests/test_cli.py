@@ -1,8 +1,8 @@
 """End-to-end command line driver tests (in-process, via main).
 
-The four shipped-config runs, and `solve` on the shipped instance lifted to
-the unit square, also compare every file they write with the golden outputs
-under tests/golden/; `python tests/test_cli.py` rewrites those files from
+The four shipped-config runs, and `check` and `solve` on the shipped instance
+lifted to the unit square, also compare every file they write with the
+golden outputs under tests/golden/; `python tests/test_cli.py` rewrites those files from
 the current code."""
 import csv
 import math
@@ -132,6 +132,13 @@ class TestCheck:
         got = {name: entry["verdict"] for name, entry in cert["checks"].items()}
         assert got == expected
         assert_matches_golden(tmp_path, "check")
+
+    def test_box2d_lift_matches_golden(self, tmp_path):
+        # the 2D certificate path: box rule for H2, polar annulus integrals
+        # and the star-local k_lower ascent
+        cfg = variant(tmp_path, "box2d.cfg", *BOX2D)
+        assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert_matches_golden(tmp_path / "out", "check2d")
 
     def test_constants_round_trip(self, tmp_path):
         run_cli("check", "--config", SHIPPED, "--out", tmp_path)
@@ -425,14 +432,16 @@ class TestConfigDiagnostics:
 
 def write_golden():
     """Rewrite tests/golden/ from the four shipped-config runs above and the
-    box2d-lift solve."""
+    box2d-lift check and solve."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        box2d = variant(tmp, "box2d.cfg", *BOX2D)
         runs = {"check": ("check", "--config", SHIPPED),
                 "solve": ("solve", "--config", SHIPPED),
                 "scan": ("scan", "--config", SHIPPED),
                 "oracle": ("oracle", "--config", variant(tmp, "fast_oracle.cfg", FAST_ORACLE)),
-                "solve2d": ("solve", "--config", variant(tmp, "box2d.cfg", *BOX2D))}
+                "check2d": ("check", "--config", box2d),
+                "solve2d": ("solve", "--config", box2d)}
         for command, argv in runs.items():
             out = tmp / command
             assert run_cli(*argv, "--out", out) == 0, command
