@@ -5,9 +5,10 @@ scan (full grid sweep), oracle (1D shooting cross-check).  Exit codes:
 0 pass, 2 certificate fail, 3 inconclusive, 4 solver failure, 64 config
 error, 65 unsupported domain.
 
-Every output file has a matching reader in this module so results can be
-reloaded programmatically; floats are written with repr for bit-identical
-reruns.
+Every CSV file and certificate.txt has a reader in this module so results
+can be reloaded programmatically (read_solution_csv also reads the oracle's
+root profiles); the *_report.txt files have none.  Floats are written with
+repr for bit-identical reruns.
 """
 from __future__ import annotations
 
@@ -263,31 +264,24 @@ def cmd_check(cfg: RunConfig, args, out: Path) -> int:
     return report.exit_code
 
 
-def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0,
-                   certificate: bool = False):
+def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
     """The problem mesh's assembler at (lam, mu) and the theorem's pieces for
-    the solvers: (asm, report, r, ustar), the last three None without a
+    the solvers: (asm, spec, r, ustar), the last three None without a
     problem spec.  The level r = (1/p)(c/k)^p takes only the closed-form
-    k_upper; with certificate set, the certificate report is built and
-    supplies r and the H3 verdict.  Warns when H3 is not established."""
+    k_upper.  Warns when H3 is not established."""
     mesh = build_problem_mesh(cfg)
-    report = r = ustar = None
+    r = ustar = None
     spec = _problem_spec(cfg)
     if spec is not None:
         ustar = build_ustar(cfg.d, cfg.ball, mesh)
-        if certificate:
-            report = build_certificate(spec, mesh)
-            r, h3 = report.constants.r, report.entry("H3")
-        else:
-            k_upper, _ = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
-            r = compute_r(spec.c, k_upper, spec.p)
-            h3 = check_H3(spec.nl_f, spec.gamma, spec.domain)
-        if h3.verdict not in ("pass", "heuristic-pass"):
+        k_upper, _ = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
+        r = compute_r(spec.c, k_upper, spec.p)
+        if check_H3(spec.nl_f, spec.gamma, spec.domain).verdict not in ("pass", "heuristic-pass"):
             print("warning: H3 growth bound not established; coercivity unknown, "
                   "proceeding anyway", file=sys.stderr)
     asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lam, mu, cfg.nl_f, cfg.nl_g,
                           cfg.zero_order_term, cfg.solver.eps_reg)
-    return asm, report, r, ustar
+    return asm, spec, r, ustar
 
 
 def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
@@ -334,7 +328,8 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
 def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.lambda_grid:
         raise ConfigError(f"{cfg.path}: scan requires a non-empty [lambda_grid]")
-    asm, report, r, ustar = _solver_inputs(cfg, certificate=True)
+    asm, spec, r, ustar = _solver_inputs(cfg)
+    report = None if spec is None else build_certificate(spec, asm.mesh)
     result = scan(asm, cfg.lambda_grid, cfg.mu_values, r, config=cfg.solver, ustar=ustar)
     write_scan_summary(out / "scan_summary.csv", result.cells)
 

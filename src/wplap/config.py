@@ -232,6 +232,18 @@ def load_config(path: str) -> RunConfig:
     if h <= 0:
         raise ConfigError(f"{path} [mesh]: h must be positive" + _line_of(path, "mesh", "h"))
 
+    mu_values = get("mu", "values", [0.0])
+    sigma_range = (get("oracle", "sigma_min", -50.0), get("oracle", "sigma_max", 50.0))
+    n_scan = get("oracle", "n_scan", 2001)
+    steps_per_unit = get("oracle", "steps_per_unit", 1024)
+    for bad, section, key, message in (
+            (not mu_values, "mu", "values", "values must not be empty"),
+            (not sigma_range[0] < sigma_range[1], "oracle", None, "need sigma_min < sigma_max"),
+            (n_scan < 2, "oracle", "n_scan", "need n_scan >= 2"),
+            (steps_per_unit < 1, "oracle", "steps_per_unit", "need steps_per_unit >= 1")):
+        if bad:
+            raise ConfigError(f"{path} [{section}]: {message}" + _line_of(path, section, key))
+
     return RunConfig(
         path=path, domain=domain, weight=weight, p=p, s=s,
         zero_order_term=get("space", "zero_order_term", True),
@@ -239,11 +251,9 @@ def load_config(path: str) -> RunConfig:
         nl_f=nl_f, nl_g=nl_g, ball=ball,
         c=get("constants", "c"), d=get("constants", "d"), gamma=gamma,
         lambda_grid=lam_grid,
-        mu_values=get("mu", "values", [0.0]),
+        mu_values=mu_values,
         solver=solver,
         run_lambda=get("run", "lambda", 0.0),
         run_mu=get("run", "mu", 0.0),
-        sigma_range=(get("oracle", "sigma_min", -50.0), get("oracle", "sigma_max", 50.0)),
-        n_scan=get("oracle", "n_scan", 2001),
-        steps_per_unit=get("oracle", "steps_per_unit", 1024),
+        sigma_range=sigma_range, n_scan=n_scan, steps_per_unit=steps_per_unit,
     )

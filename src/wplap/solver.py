@@ -1,7 +1,7 @@
 """Critical-point solvers for E = phi + lambda*Phi + mu*Upsilon.
 
 Three search modes: damped-Newton energy descent with multistart (global
-minimizer candidate), projected descent on the sublevel set {phi <= r}
+minimizer candidate), the same descent held to the sublevel set {phi <= r}
 (small local minimizer), and a mountain pass between two distinct critical
 points, Newton-polished from the energy peak on the segment joining them.
 phi' is uniformly monotone for p >= 2, which makes invert_phi_prime
@@ -124,21 +124,33 @@ def _solve_tangent(J: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
 
 
 def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
-             project=None):
+             level: float | None = None):
     """Monotone energy descent: damped Newton direction when it helps,
-    backtracking gradient step otherwise.  Returns (v, scaled residual,
-    converged flag)."""
-    v = v0.copy()
-    if project is not None:
-        v = project(v)
+    backtracking gradient step otherwise.  With a level, every iterate is
+    rescaled radially onto {phi <= level} (phi is p-homogeneous, so
+    u -> (level/phi(u))^(1/p) u lands exactly on the level set), and
+    converged also requires the constraint to be inactive.  Returns
+    (v, scaled residual, converged flag)."""
+
+    def onto_level(u):
+        if level is not None:
+            ph = asm.phi(u)
+            if ph > level:
+                return u * (level / ph) ** (1.0 / asm.p)
+        return u
+
+    def converged(v, rn):
+        return rn <= config.residual_tol and (
+            level is None or asm.phi(v) < level * (1.0 - 1e-10))
+
+    v = onto_level(v0.copy())
     E = asm.energy(v)
     for _ in range(config.max_iter):
         if E < -1.0 / config.residual_tol:
             raise CoercivityError(f"energy diverged to {E:.3e}")
         res = asm.residual(v)
         rn = asm.residual_norm(res)
-        interior_ok = project is None or not _constraint_active(asm, v, project)
-        if rn <= config.residual_tol and interior_ok:
+        if converged(v, rn):
             return v, rn, True
         dv = _solve_tangent(asm.tangent(v), -res)
         if dv is None or float(res @ dv) >= 0.0:
@@ -150,9 +162,7 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
         slope = float(res @ dv)
         alpha, accepted = 1.0, False
         while alpha > 1e-14:
-            cand = v + alpha * dv
-            if project is not None:
-                cand = project(cand)
+            cand = onto_level(v + alpha * dv)
             Ec = asm.energy(cand)
             if Ec <= E + _SUFFICIENT_DECREASE * alpha * min(slope, 0.0):
                 # a step that leaves E bitwise unchanged sits at the energy's
@@ -164,29 +174,10 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
             alpha *= _BACKTRACK
         if not accepted:
             # stationary for this line search (possibly constrained) or stalled
-            return v, rn, rn <= config.residual_tol
+            return v, rn, converged(v, rn)
     res = asm.residual(v)
     rn = asm.residual_norm(res)
-    return v, rn, rn <= config.residual_tol
-
-
-def _constraint_active(asm: EnergyAssembler, v: np.ndarray, project) -> bool:
-    return asm.phi(v) >= project.level * (1.0 - 1e-10)
-
-
-class _SublevelProjection:
-    """Radial rescaling onto {phi <= level}: phi is p-homogeneous, so
-    u -> (level/phi(u))^(1/p) u lands exactly on the level set."""
-
-    def __init__(self, asm: EnergyAssembler, level: float):
-        self.asm = asm
-        self.level = level
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        ph = self.asm.phi(v)
-        if ph > self.level:
-            return v * (self.level / ph) ** (1.0 / self.asm.p)
-        return v
+    return v, rn, converged(v, rn)
 
 
 def _record(asm: EnergyAssembler, v: np.ndarray, classification: str,
@@ -225,11 +216,14 @@ def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
 
 
 def _multistart_seeds(mesh: Mesh, ustar: DiscreteFunction | None,
-                      config: SolverConfig, scale: float = 1.0):
+                      config: SolverConfig):
+    """[0, u*, random]: the random start is uniform in [-1, 1], scaled by
+    sup|u*| (by 1 without u*), with zeros on the boundary."""
     seeds = [np.zeros(mesh.num_vertices)]
+    scale = 1.0
     if ustar is not None:
         seeds.append(ustar.values.copy())
-        seeds.append(-ustar.values.copy())
+        scale = sup_norm(ustar)
     rng = np.random.default_rng(config.seed)
     rnd = scale * rng.uniform(-1.0, 1.0, mesh.num_vertices)
     rnd[mesh.boundary_vertices] = 0.0
@@ -237,49 +231,42 @@ def _multistart_seeds(mesh: Mesh, ustar: DiscreteFunction | None,
     return seeds
 
 
+def _best_descent(asm: EnergyAssembler, seeds, config: SolverConfig,
+                  level: float | None = None):
+    """Descend from every seed and keep the best result: converged before
+    unconverged, then strictly lower energy, so the first seed wins a tie.
+    Returns (v, converged)."""
+    best = None
+    for seed in seeds:
+        v, _, ok = _descend(asm, seed, config, level)
+        rank = (not ok, asm.energy(v))
+        if best is None or rank < best[0]:
+            best = (rank, v, ok)
+    return best[1], best[2]
+
+
 def minimize_energy(asm: EnergyAssembler, config: SolverConfig = SolverConfig(),
                     ustar: DiscreteFunction | None = None) -> SolutionRecord:
     """Best local minimizer over the multistart seeds {0, u*, -u*, random};
     classification 'global-min-candidate'."""
-    scale = sup_norm(ustar) if ustar is not None else 1.0
-    best = None
-    for seed in _multistart_seeds(asm.mesh, ustar, config, scale):
-        v, rn, ok = _descend(asm, seed, config)
-        if not ok:
-            continue
-        E = asm.energy(v)
-        if best is None or E < best[1]:
-            best = (v, E)
-    if best is None:
+    seeds = _multistart_seeds(asm.mesh, ustar, config)
+    if ustar is not None:
+        seeds.insert(2, -ustar.values)
+    v, ok = _best_descent(asm, seeds, config)
+    if not ok:
         raise SolverFailure("no multistart run converged")
-    return _record(asm, best[0], "global-min-candidate")
+    return _record(asm, v, "global-min-candidate")
 
 
 def sublevel_minimize(asm: EnergyAssembler, r: float,
                       config: SolverConfig = SolverConfig(),
                       ustar: DiscreteFunction | None = None) -> SolutionRecord:
-    """Projected descent on {phi <= r}; converged means an interior critical
-    point (constraint inactive), otherwise the best boundary point is
-    returned with converged=False."""
+    """Descent on {phi <= r} from the seeds {0, u*, random}; converged means
+    an interior critical point (constraint inactive), otherwise the best
+    boundary point is returned with converged=False."""
     if r <= 0:
         raise ValueError("sublevel radius must be positive")
-    proj = _SublevelProjection(asm, r)
-    best = None
-    seeds = [np.zeros(asm.mesh.num_vertices)]
-    if ustar is not None:
-        seeds.append(ustar.values.copy())
-    rng = np.random.default_rng(config.seed)
-    rnd = rng.uniform(-1.0, 1.0, asm.mesh.num_vertices)
-    rnd[asm.mesh.boundary_vertices] = 0.0
-    seeds.append(rnd)
-    for seed in seeds:
-        v, rn, ok = _descend(asm, seed, config, project=proj)
-        E = asm.energy(v)
-        interior = asm.phi(v) < r * (1.0 - 1e-10)
-        cand = (v, E, ok and interior)
-        if best is None or (cand[2] and not best[2]) or (cand[2] == best[2] and E < best[1]):
-            best = cand
-    v, _, ok = best
+    v, ok = _best_descent(asm, _multistart_seeds(asm.mesh, ustar, config), config, r)
     return _record(asm, v, "sublevel-min", converged=ok)
 
 

@@ -297,7 +297,7 @@ class TestScan:
             assert (tmp_path / "a" / name).read_bytes() == \
                 (tmp_path / "b" / name).read_bytes()
 
-    def test_scan_reads_r_and_H3_from_its_one_certificate(self, tmp_path, monkeypatch):
+    def test_scan_builds_its_certificate_once(self, tmp_path, monkeypatch):
         built = []
 
         def counted(*args, **kwargs):
@@ -305,8 +305,6 @@ class TestScan:
             return certificate.build_certificate(*args, **kwargs)
 
         monkeypatch.setattr(cli, "build_certificate", counted)
-        for name in ("k_upper_bound", "check_H3"):   # the short path is solve's
-            monkeypatch.setattr(cli, name, None)
         cfg = variant(tmp_path, "one_cell.cfg", ("count = 5", "count = 1"),
                       ("values = 0.0, 0.05", "values = 0.0"))
         assert run_cli("scan", "--config", cfg, "--out", tmp_path / "out") == 0
@@ -393,6 +391,25 @@ class TestConfigDiagnostics:
         err = capsys.readouterr().err
         assert "unknown key 'string_images' in [solver]" in err
         assert f"(line {line}, column 1)" in err
+
+    @pytest.mark.parametrize("command, old, new, message, key", [
+        ("oracle", "[run]", "[oracle]\nn_scan = 1\n\n[run]", "need n_scan >= 2", "n_scan"),
+        ("oracle", "[run]", "[oracle]\nsigma_min = 50.0\nsigma_max = -50.0\n\n[run]",
+         "need sigma_min < sigma_max", "[oracle]"),
+        ("oracle", "[run]", "[oracle]\nsteps_per_unit = 0\n\n[run]",
+         "need steps_per_unit >= 1", "steps_per_unit"),
+        ("scan", "values = 0.0, 0.05", "values =", "values must not be empty", "values"),
+    ])
+    def test_malformed_oracle_and_mu_values_rejected(self, tmp_path, capsys, command,
+                                                     old, new, message, key):
+        cfg = variant(tmp_path, "malformed.cfg", (old, new))
+        lines = cfg.read_text().splitlines()
+        line = next(i for i, text in enumerate(lines, start=1) if text.startswith(key))
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err and f"(line {line}, column 1)" in err
 
     def test_every_solver_and_oracle_key_reaches_run_config(self, tmp_path):
         solver = {"residual_tol": "1e-9", "max_iter": "77", "eps_reg": "1e-6",

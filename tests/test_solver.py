@@ -1,5 +1,6 @@
 """Critical-point search: inversion, minimization, mountain pass, and scan."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -139,6 +140,55 @@ class TestMinimizeEnergy:
         for seed in (np.zeros(asm.mesh.num_vertices), ustar.values, -ustar.values):
             assert gmin.energy <= asm.energy(seed) + 1e-12
 
+    def test_starts_share_one_seed_list(self, monkeypatch):
+        # u* with d = 2: the random start is the uniform draw scaled by
+        # sup|u*| = 2; the sublevel search drops only -u*
+        mesh = build_mesh(UNIT, 1 / 64)
+        ustar = build_ustar(2.0, BALL, mesh)
+        asm = EnergyAssembler(mesh, ONE, 2.0)
+        config = SolverConfig(seed=5)
+        rnd = 2.0 * np.random.default_rng(5).uniform(-1.0, 1.0, mesh.num_vertices)
+        rnd[mesh.boundary_vertices] = 0.0
+        starts = []
+
+        def recorded(asm_, v0, config_, level=None):
+            starts.append(v0.copy())
+            return v0, 0.0, True
+
+        monkeypatch.setattr(solver, "_descend", recorded)
+        zero = np.zeros(mesh.num_vertices)
+        for search, want in ((minimize_energy, [zero, ustar.values, -ustar.values, rnd]),
+                             (lambda a, **kw: sublevel_minimize(a, 0.08, **kw),
+                              [zero, ustar.values, rnd])):
+            starts.clear()
+            search(asm, config=config, ustar=ustar)
+            assert len(starts) == len(want)
+            for got, expected in zip(starts, want):
+                assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("starts, winner", [
+        # (energy, converged) per start: converged first, then lower energy
+        ([(-5.0, False), (1.0, True)], 1),
+        ([(1.0, True), (-5.0, False)], 0),
+        ([(0.5, True), (0.5, True)], 0),      # a tie keeps the first start
+        ([(0.5, False), (0.5, False)], 0),
+        ([(2.0, True), (0.5, True), (1.0, True)], 1),
+    ])
+    def test_best_descent_ranks_converged_then_energy(self, monkeypatch, starts, winner):
+        monkeypatch.setattr(solver, "_descend",
+                            lambda asm_, v0, config_, level=None: (v0, 0.0, starts[int(v0[1])][1]))
+        asm = SimpleNamespace(energy=lambda v: v[0])
+        seeds = [np.array([E, i]) for i, (E, _) in enumerate(starts)]
+        v, ok = solver._best_descent(asm, seeds, SolverConfig())
+        assert v[1] == winner and ok == starts[winner][1]
+
+    def test_no_converged_start_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "_descend",
+                            lambda asm_, v0, config_, level=None: (v0, 1.0, False))
+        asm = EnergyAssembler(build_mesh(UNIT, 1 / 16), ONE, 2.0)
+        with pytest.raises(SolverFailure, match="no multistart run converged"):
+            minimize_energy(asm)
+
     def test_stall_at_energy_rounding_floor_ends_descent(self, monkeypatch):
         # the shipped instance on the unit square (p = s = 3, h = 0.1,
         # lambda = 2000): multistart seed 206's random start reaches
@@ -148,7 +198,7 @@ class TestMinimizeEnergy:
         ustar = build_ustar(1.0, BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2), mesh)
         asm = EnergyAssembler(mesh, ONE, 3.0, 2000.0, 0.0, shipped_f(), shipped_g())
         config = SolverConfig(seed=206)
-        start = solver._multistart_seeds(mesh, ustar, config, sup_norm(ustar))[-1]
+        start = solver._multistart_seeds(mesh, ustar, config)[-1]
         iterations = 0
         tangent = asm.tangent
 
@@ -186,6 +236,12 @@ class TestSublevelMinimize:
         _, _, records, _, _, _ = shipped_cell
         sub = [r for r in records if r.classification == "sublevel-min"][0]
         assert sup_norm(sub.u) <= 0.2 + 1e-6
+
+    def test_no_converged_start_returns_unconverged(self, monkeypatch):
+        monkeypatch.setattr(solver, "_descend",
+                            lambda asm_, v0, config_, level=None: (v0, 1.0, False))
+        asm = EnergyAssembler(build_mesh(UNIT, 1 / 16), ONE, 2.0)
+        assert not sublevel_minimize(asm, r=0.08).converged
 
     def test_rejects_nonpositive_radius(self):
         mesh = build_mesh(UNIT, 1 / 32)
