@@ -141,8 +141,10 @@ class _Parser:
 # expm1 is internal: no source text parses to it (see _antidiff_t)
 _UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
           "expm1": np.expm1}
+# np.power, not operator.pow: a negative constant to a fractional power is
+# nan as it is for arrays, where operator.pow on two floats returns a complex
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": operator.pow,
+           "/": operator.truediv, "^": np.power,
            "min": np.minimum, "max": np.maximum}
 
 

@@ -27,7 +27,11 @@ __all__ = ["ShootingRoot", "ShootingProfile", "shoot", "enumerate_solutions",
 _BLOWUP = 1e8
 _TERMINAL_TOL = 1e-8
 _SECTIONS = 31     # interior slopes per bracket and refinement level
-_MAX_LEVELS = 16   # 80 halvings' worth of shrinkage
+_MAX_LEVELS = 16   # 65 halvings' worth of shrinkage at the least
+# 16 of the _SECTIONS slopes are evenly spaced; the other 15 sit at the root
+# estimate and at +-w 4^-k, k = 1..7, around it
+_EVEN = np.arange(1, _SECTIONS // 2 + 2) / (_SECTIONS // 2 + 2)
+_OFFSETS = 4.0 ** -np.arange(1, _SECTIONS // 4 + 1)
 
 
 @dataclass
@@ -150,42 +154,85 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
     return terminal, diverged
 
 
-def _refine_all(brackets, t_lo, shooter_batch):
-    """Multi-section of every bracket at once: each level marches _SECTIONS
-    interior slopes per bracket in one batched call and keeps the subinterval
-    holding the first sign change, so a bracket shrinks by _SECTIONS + 1 per
-    march.  A bracket stops when an interior slope has |t| <= _TERMINAL_TOL
+def _root_estimate(lo, hi, ps, pt):
+    """Safeguarded inverse interpolation for the root in (lo, hi) from the
+    sorted marched slopes ps with values pt.  The four of them nearest the
+    bracket give sigma as a cubic in t (Lagrange form, sigma centred on the
+    bracket and scaled by its width) when their values are strictly
+    monotone; the secant through the ends is next, the midpoint last.  An
+    estimate outside (lo, hi) falls through to the next rule."""
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    m = int(np.searchsorted(ps, lo))
+    start = max(0, min(m - 1, ps.size - 4))
+    x, y = (ps[start:start + 4] - mid) / half, pt[start:start + 4]
+    steps = np.diff(y)
+    if y.size == 4 and (np.all(steps > 0) or np.all(steps < 0)):
+        basis = [np.prod(np.delete(y, i) / (np.delete(y, i) - y[i])) for i in range(4)]
+        est = mid + half * float(np.dot(x, basis))
+        if lo < est < hi:
+            return est
+    if m + 1 < ps.size and ps[m] == lo and ps[m + 1] == hi:
+        est = lo - pt[m] * (hi - lo) / (pt[m + 1] - pt[m])
+        if lo < est < hi:
+            return est
+    return mid
+
+
+def _refine_all(brackets, t_lo, shooter_batch, known=None):
+    """Multi-section of every bracket at once: each level marches up to
+    _SECTIONS interior slopes per bracket in one batched call and keeps the
+    subinterval holding the first sign change.  Sixteen of the slopes are
+    evenly spaced, so a bracket shrinks at least 17x per level; the others
+    sit at a root estimate (`_root_estimate`) and at +-w 4^-k, k = 1..7,
+    around it, where w is the bracket width.  Level 0 interpolates the
+    already marched slopes ``known`` = (sigmas, terminals), sorted, nearest
+    each bracket (the midpoint stands in without them); later levels use the
+    previous level's slopes nearest the sign change.
+
+    A bracket stops when an interior slope has |t| <= _TERMINAL_TOL
     (converged) or when it is narrower than 1e-15 max(1, |sigma|) or the
     level cap is reached (not converged).  Returns (converged, unconverged),
     each a list of (sigma, terminal) at the slope of least |t| marched last.
     """
-    frac = np.arange(1, _SECTIONS + 1) / (_SECTIONS + 1)
-    active = [[lo, hi, t] for (lo, hi), t in zip(brackets, t_lo)]
+    active = []
+    for (lo, hi), t in zip(brackets, t_lo):
+        ps, pt = known if known is not None else (np.array([lo]), np.array([t]))
+        active.append([lo, hi, t, ps, pt])
     converged, unconverged = [], []
     for level in range(_MAX_LEVELS):
         if not active:
             break
-        lo = np.array([b[0] for b in active])
-        hi = np.array([b[1] for b in active])
-        pts = lo[:, None] + (hi - lo)[:, None] * frac
-        ts = shooter_batch(pts.ravel()).reshape(pts.shape)
+        batch = []
+        for lo, hi, _, ps, pt in active:
+            w, est = hi - lo, _root_estimate(lo, hi, ps, pt)
+            pts = np.concatenate([lo + w * _EVEN, [est], est - w * _OFFSETS,
+                                  est + w * _OFFSETS])
+            pts = np.sort(pts[(pts > lo) & (pts < hi)])
+            batch.append(pts[np.diff(pts, prepend=lo) > 0])
+        marched = shooter_batch(np.concatenate(batch))
+        ts = np.split(marched, np.cumsum([b.size for b in batch])[:-1])
         still = []
-        for b, sig, t in zip(active, pts, ts):
+        for (lo, hi, tl, ps, pt), sig, t in zip(active, batch, ts):
             best = int(np.argmin(np.abs(t)))
             found = (float(sig[best]), float(t[best]))
             if abs(found[1]) <= _TERMINAL_TOL:
                 converged.append(found)
                 continue
             # the first interior slope past the sign change (hi if none)
-            far = (t < 0) != (b[2] < 0)
-            j = int(np.argmax(far)) if far.any() else _SECTIONS
-            new_lo, t_new = (b[0], b[2]) if j == 0 else (float(sig[j - 1]), float(t[j - 1]))
-            new_hi = b[1] if j == _SECTIONS else float(sig[j])
+            far = (t < 0) != (tl < 0)
+            j = int(np.argmax(far)) if far.any() else sig.size
+            new_lo, t_new = (lo, tl) if j == 0 else (float(sig[j - 1]), float(t[j - 1]))
+            new_hi = hi if j == sig.size else float(sig[j])
             if (new_hi - new_lo < 1e-15 * max(1.0, abs(found[0]))
                     or level == _MAX_LEVELS - 1):
                 unconverged.append(found)
-            else:
-                still.append([new_lo, new_hi, t_new])
+                continue
+            # the next estimate interpolates this level's slopes and the ends
+            ends = (ps >= lo) & (ps <= hi)
+            pool_s = np.concatenate([ps[ends], sig])
+            order = np.argsort(pool_s)
+            still.append([new_lo, new_hi, t_new, pool_s[order],
+                          np.concatenate([pt[ends], t])[order]])
         active = still
     return converged, unconverged
 
@@ -196,14 +243,17 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
                         sigma_range: tuple[float, float] = (-50.0, 50.0),
                         n_scan: int = 2001,
                         steps_per_unit: int = 1024) -> ShootingProfile:
-    """Scan the terminal map over the slope range, bracket its sign changes,
-    refine each bracket by multi-section to |u(x_b)| <= 1e-8 and store the
-    root profiles.  Brackets that stop short of the tolerance are listed in
-    ``unconverged``.
+    """Scan the terminal map over the slope range, bracket its sign changes
+    and refine each bracket by interpolation-centred multi-section
+    (`_refine_all`) to |u(x_b)| <= 1e-8.  Brackets that stop short of the
+    tolerance are listed in ``unconverged``.
 
     Exact and near-zero scan values are kept as roots directly; a long run of
     vanishing terminals raises the degenerate_flat flag (the map carries no
-    bracketing information there)."""
+    bracketing information there).  The refinement marches keep their
+    trajectories, and each root's profile is the column of the march that
+    found it; near-zero roots ride along in the first refinement march, or
+    march on their own when there is no bracket."""
     _check_domain(domain)
     sigma_grid = np.linspace(sigma_range[0], sigma_range[1], n_scan)
     terminal, diverged = shoot(sigma_grid, domain, w, p, lam, mu, f, g,
@@ -213,9 +263,6 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
     near_zero = (np.abs(terminal) <= _TERMINAL_TOL * np.maximum(1.0, np.abs(sigma_grid))) \
         & ~diverged
     degenerate = bool(near_zero.sum() > max(3, n_scan // 100))
-
-    def shooter_batch(ss: np.ndarray) -> np.ndarray:
-        return shoot(ss, domain, w, p, lam, mu, f, g, zero_order, steps_per_unit)[0]
 
     root_sigmas: list[float] = []
     # representative of each exact-zero run
@@ -237,7 +284,33 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
         if (terminal[i] < 0) != (terminal[i + 1] < 0):
             brackets.append((float(sigma_grid[i]), float(sigma_grid[i + 1])))
             t_lo.append(float(terminal[i]))
-    converged, unconverged = _refine_all(brackets, t_lo, shooter_batch)
+
+    # profiles of the slopes that end within tolerance, by sigma; the
+    # near-zero scan roots ride along in the next march
+    profiles: dict[float, ShootingRoot] = {}
+    pending = np.array(root_sigmas)
+
+    def shooter_batch(ss: np.ndarray) -> np.ndarray:
+        nonlocal pending
+        batch = np.concatenate([pending, ss])
+        term, div, grid, hist = shoot(batch, domain, w, p, lam, mu, f, g,
+                                      zero_order, steps_per_unit,
+                                      keep_trajectory=True)
+        keep = ~div & (np.abs(term) <= _TERMINAL_TOL)
+        keep[:pending.size] = ~div[:pending.size]
+        for k in np.flatnonzero(keep):
+            s = float(batch[k])
+            profiles[s] = ShootingRoot(sigma=s, terminal=float(term[k]),
+                                       x=grid.copy(), u=hist[:, k].copy())
+        out = term[pending.size:]
+        pending = pending[:0]
+        return out
+
+    converged, unconverged = _refine_all(brackets, t_lo, shooter_batch,
+                                         known=(sigma_grid[~diverged],
+                                                terminal[~diverged]))
+    if pending.size:
+        shooter_batch(np.empty(0))
     root_sigmas += [s for s, _ in converged]
 
     # dedupe (a zero run adjacent to a bracket can double-report)
@@ -247,16 +320,8 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
     for s in root_sigmas:
         if not kept or s - kept[-1] > 0.5 * spacing:
             kept.append(s)
-
-    roots = []
-    if kept:
-        term, div, grid, hist = shoot(np.array(kept), domain, w, p, lam, mu, f,
-                                      g, zero_order, steps_per_unit,
-                                      keep_trajectory=True)
-        for k, s in enumerate(kept):
-            if not div[k]:
-                roots.append(ShootingRoot(sigma=s, terminal=float(term[k]),
-                                          x=grid.copy(), u=hist[:, k].copy()))
+    # a diverged near-zero march has no profile and is dropped
+    roots = [profiles[s] for s in kept if s in profiles]
     return ShootingProfile(sigma_grid=sigma_grid, terminal_values=terminal,
                            diverged=diverged, brackets=brackets, roots=roots,
                            degenerate_flat=degenerate, unconverged=unconverged)

@@ -2,12 +2,11 @@
 
 The four shipped-config runs, and `check` and `solve` on the shipped instance
 lifted to the unit square, also compare every file they write with the
-golden outputs under tests/golden/; `python tests/test_cli.py` rewrites those files from
-the current code."""
+golden outputs under tests/golden/; `python3 tests/regen_golden.py <name>` rewrites
+tests/golden/<name>/ from the current code."""
 import csv
 import math
 import re
-import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -446,29 +445,3 @@ class TestConfigDiagnostics:
         with pytest.raises(ValueError):
             read_oracle_profile(junk)
 
-
-def write_golden():
-    """Rewrite tests/golden/ from the four shipped-config runs above and the
-    box2d-lift check and solve."""
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        box2d = variant(tmp, "box2d.cfg", *BOX2D)
-        runs = {"check": ("check", "--config", SHIPPED),
-                "solve": ("solve", "--config", SHIPPED),
-                "scan": ("scan", "--config", SHIPPED),
-                "oracle": ("oracle", "--config", variant(tmp, "fast_oracle.cfg", FAST_ORACLE)),
-                "check2d": ("check", "--config", box2d),
-                "solve2d": ("solve", "--config", box2d)}
-        for command, argv in runs.items():
-            out = tmp / command
-            assert run_cli(*argv, "--out", out) == 0, command
-            target = GOLDEN / command
-            target.mkdir(parents=True, exist_ok=True)
-            for old in target.iterdir():
-                old.unlink()
-            for path in sorted(out.iterdir()):
-                (target / path.name).write_text(_normalised(path))
-
-
-if __name__ == "__main__":
-    write_golden()

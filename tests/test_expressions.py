@@ -94,7 +94,7 @@ def test_t_dependent_exponent_rejected():
 
 _WALK_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
                 "*": lambda a, b: a * b, "/": lambda a, b: a / b,
-                "^": lambda a, b: a ** b, "min": np.minimum, "max": np.maximum}
+                "^": np.power, "min": np.minimum, "max": np.maximum}
 _WALK_UNARY = {"neg": lambda a: -a, "sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
@@ -145,6 +145,20 @@ def test_compiled_matches_tree_walk(node, t, x1, x2):
         pass  # t-dependent exponent
     for e in exprs:
         assert outcome(lambda: e(**env)) == outcome(lambda: walk(e.node, env))
+
+
+def test_constant_power_is_nan_not_complex():
+    # (-1)^0.5 of two constants follows numpy, as it does for arrays
+    node = ("min", ("num", 0.0), ("^", ("num", -1.0), ("num", 0.5)))
+    env = {"t": np.linspace(-1.0, 1.0, 6), "x1": np.zeros(6), "x2": np.zeros(6)}
+    e = Expression("generated", node=node)
+    for ex in (e, e.diff_t()):
+        assert outcome(lambda: ex(**env)) == outcome(lambda: walk(ex.node, env))
+    shifted = parse_expression("min(0, (0-1)^0.5) + t")
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(e(**env))
+        for value in (shifted(t=np.array([1.0])), shifted.diff_t()(t=np.array([1.0]))):
+            assert np.asarray(value).dtype == np.float64 and np.isnan(value).all()
 
 
 @settings(max_examples=100, deadline=None)

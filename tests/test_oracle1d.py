@@ -17,9 +17,10 @@ UNIT = Domain.interval(0.0, 1.0)
 ONE = WeightSpec.constant(1.0)
 SINH1 = math.sinh(1.0)
 
-# slopes produced by the lambda = 18 shipped instance, frozen from a
-# bisection run at the default scan resolution
-SHIPPED_SIGMAS = (0.0, 2.218708133698, 6.120923662186)
+# slopes produced by the lambda = 18 shipped instance, frozen from the
+# interpolation-centred multi-section at the default scan resolution; the
+# terminal map is below 1e-15 in magnitude at both nontrivial ones
+SHIPPED_SIGMAS = (0.0, 2.218708149747, 6.120923667383)
 
 
 def shipped_f():
@@ -136,12 +137,30 @@ class TestShoot:
             np.testing.assert_array_equal(hist[:, 0], batch[3][:, k])
 
 
+@pytest.fixture
+def marches(monkeypatch):
+    """Batch size of every shoot call enumerate_solutions makes."""
+    sizes = []
+
+    def counting_shoot(*args, **kwargs):
+        sizes.append(np.size(args[0]))
+        return shoot(*args, **kwargs)
+
+    monkeypatch.setattr(oracle1d, "shoot", counting_shoot)
+    return sizes
+
+
 class TestEnumerate:
-    def test_unloaded_problem_single_trivial_root(self):
+    def test_unloaded_problem_single_trivial_root(self, marches):
+        # no bracket: the near-zero scan root marches alone for its profile
         prof = enumerate_solutions(UNIT, ONE, 2.0, 0.0, 0.0)
         assert not prof.degenerate_flat
+        assert prof.brackets == []
+        assert marches == [2001, 1]
         assert len(prof.roots) == 1
         assert prof.roots[0].sigma == 0.0
+        assert prof.roots[0].u.shape == prof.roots[0].x.shape
+        assert not prof.roots[0].u.any()
 
     def test_resonant_coefficient_flags_degenerate(self):
         # -u'' + u = (1+pi^2) u is solved by sigma*sin(pi x)/pi for every sigma
@@ -159,20 +178,25 @@ class TestEnumerate:
         for r in prof.roots:
             assert abs(r.terminal) <= 1e-8 * max(1.0, abs(r.sigma))
 
-    def test_shipped_instance_needs_few_marches(self, monkeypatch):
-        marches = []
-
-        def counting_shoot(*args, **kwargs):
-            marches.append(np.size(args[0]))
-            return shoot(*args, **kwargs)
-
-        monkeypatch.setattr(oracle1d, "shoot", counting_shoot)
+    def test_shipped_instance_needs_few_marches(self, marches):
         prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0,
                                    f=shipped_f(), g=shipped_g())
-        assert len(marches) <= 8
+        # the scan and two refinement levels; the profiles come out of those
+        assert len(marches) == 3
         assert prof.unconverged == []
         sigmas = sorted(r.sigma for r in prof.roots)
         assert sigmas == pytest.approx(SHIPPED_SIGMAS, abs=1e-9)
+
+    def test_root_profiles_match_fresh_marches(self):
+        f, g = shipped_f(), shipped_g()
+        prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0, f=f, g=g)
+        assert len(prof.roots) == 3
+        for root in prof.roots:
+            t, d, grid, hist = shoot(np.array([root.sigma]), UNIT, ONE, 2.0, 18.0,
+                                     0.0, f=f, g=g, keep_trajectory=True)
+            assert not d[0] and t[0] == root.terminal
+            np.testing.assert_array_equal(root.x, grid)
+            np.testing.assert_array_equal(root.u, hist[:, 0])
 
     def test_refinement_converges_on_smooth_map(self):
         calls = []
@@ -187,6 +211,30 @@ class TestEnumerate:
         assert [s for s, _ in converged] == pytest.approx([0.3, 0.3], abs=1e-8)
         assert all(abs(t) <= 1e-8 for _, t in converged)
         assert calls[0] == 2 * oracle1d._SECTIONS and len(calls) <= 6
+
+    @pytest.mark.parametrize("with_scan", [True, False])
+    def test_refinement_converges_in_two_levels_on_curved_map(self, with_scan):
+        # a 0.05-wide bracket as the scan leaves it; with_scan hands level 0
+        # the scan's neighbours, without it level 0 centres on the midpoint
+        def curved(ss):
+            return np.exp(3.0 * ss) - 2.0
+
+        scan = np.linspace(0.0, 0.5, 11)
+        calls = []
+
+        def shooter(ss):
+            calls.append(ss.size)
+            return curved(ss)
+
+        known = (scan, curved(scan)) if with_scan else None
+        converged, unconverged = oracle1d._refine_all(
+            [(0.2, 0.25)], [float(curved(0.2))], shooter, known=known)
+        assert unconverged == []
+        assert len(calls) <= 2
+        assert all(n <= oracle1d._SECTIONS for n in calls)
+        (sigma, terminal), = converged
+        assert abs(terminal) <= 1e-8
+        assert sigma == pytest.approx(math.log(2.0) / 3.0, abs=1e-8)
 
     def test_refinement_reports_jump_as_unconverged(self):
         # a sign change without a root: the bracket collapses onto the jump
@@ -247,6 +295,26 @@ class TestProfileOnMesh:
                     rec.u.values - profile_on_mesh(root, mesh, UNIT).values))
                 for root in prof.roots)
             assert best <= 5e-3
+
+    def test_fe_solutions_converge_at_second_order(self):
+        # sup error at the vertices of the CLI's mesh against a fine oracle,
+        # for the two nontrivial solutions at h = 1/64, 1/128, 1/256
+        f, g = shipped_f(), shipped_g()
+        prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0, f=f, g=g,
+                                   sigma_range=(1.0, 7.0), n_scan=25,
+                                   steps_per_unit=4096)
+        assert len(prof.roots) == 2 and prof.unconverged == []
+        errors = []
+        for n in (64, 128, 256):
+            mesh = build_mesh(UNIT, 1 / n, breakpoints=(0.3, 0.4, 0.6, 0.7))
+            asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, f, g)
+            ustar = build_ustar(1.0, BallSpec(x0=(0.5,), r1=0.1, r2=0.2), mesh)
+            records, _ = solve_cell(asm, r=0.08, ustar=ustar)
+            errors.append([min(np.max(np.abs(rec.u.values - profile_on_mesh(root, mesh, UNIT).values))
+                               for rec in records)
+                           for root in prof.roots])
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 1.8), orders
 
     def test_rejects_planar_mesh(self):
         prof = self._shipped_profile()
