@@ -18,6 +18,7 @@ finite (NaN samples, for one, decide nothing).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -205,7 +206,8 @@ def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> float:
     x0 = np.asarray(ball.x0)
     r1, r2 = ball.r1, ball.r2
     if domain.dim == 1:
-        mid = 0.5 * (domain.bounds[0] + domain.bounds[1])
+        (lo, hi), = domain.axes
+        mid = 0.5 * (lo + hi)
         total = 0.0
         for sign in (-1.0, 1.0):
             def side(t, sign=sign):
@@ -329,16 +331,12 @@ def sandwich_check(constants: Constants) -> CheckEntry:
 
 def _x_samples(domain: Domain, exclude_ball: BallSpec | None = None,
                n: int = 200) -> np.ndarray:
-    """Deterministic x grid over the closed domain, optionally dropping the
-    inner ball; includes the corners."""
-    if domain.dim == 1:
-        a, b = domain.bounds
-        xs = np.linspace(a, b, n)[:, None]
-    else:
-        m = max(2, int(math.isqrt(n)))
-        x1 = np.linspace(domain.bounds[0], domain.bounds[1], m)
-        x2 = np.linspace(domain.bounds[2], domain.bounds[3], m)
-        xs = np.stack(np.meshgrid(x1, x2), axis=-1).reshape(-1, 2)
+    """Deterministic x grid over the closed domain, about n points with
+    floor(n^(1/N)) per axis and x1 fastest, optionally dropping the inner
+    ball; includes the corners."""
+    m = max(2, int(n ** (1.0 / domain.dim) + 1e-9))
+    grids = np.meshgrid(*(np.linspace(lo, hi, m) for lo, hi in domain.axes))
+    xs = np.stack(grids, axis=-1).reshape(-1, domain.dim)
     if exclude_ball is not None:
         x0 = np.asarray(exclude_ball.x0)
         keep = np.linalg.norm(xs - x0[None, :], axis=1) > exclude_ball.r1
@@ -360,8 +358,9 @@ def _sample_over_t(values, xs: np.ndarray, ts, reduce, post=None) -> np.ndarray:
 
 
 def check_H1(nl_f: Nonlinearity, domain: Domain, ball: BallSpec, d: float) -> CheckEntry:
-    """F(x,t) >= 0 on (closure(Omega) minus B(x0,r1)) x [0,d], sampled on a
-    200 x 200 grid."""
+    """F(x,t) >= 0 on (closure(Omega) minus B(x0,r1)) x [0,d], sampled at
+    200 values of t times the x grid of _x_samples(n=200): 200 points on an
+    interval, 14 x 14 on a box, minus those in the inner ball."""
     xs = _x_samples(domain, exclude_ball=ball, n=200)
     worst = float(np.min(_sample_over_t(partial(primitive_F, nl_f), xs,
                                         np.linspace(0.0, d, 200), np.minimum)))
@@ -402,11 +401,7 @@ def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
 
 
 def _corner_points(domain: Domain) -> np.ndarray:
-    if domain.dim == 1:
-        a, b = domain.bounds
-        return np.array([[a], [b]])
-    x1a, x1b, x2a, x2b = domain.bounds
-    return np.array([[x1a, x2a], [x1a, x2b], [x1b, x2a], [x1b, x2b]])
+    return np.array(list(itertools.product(*domain.axes)))
 
 
 def _domain_integral(fn, domain: Domain) -> tuple[float, bool]:
@@ -414,10 +409,10 @@ def _domain_integral(fn, domain: Domain) -> tuple[float, bool]:
     _gauss_panels on an interval, a 20 x 20 Gauss rule on a box (converged
     is then always True)."""
     if domain.dim == 1:
-        a, b = domain.bounds
+        (a, b), = domain.axes
         return _gauss_panels(lambda t: fn(np.column_stack([t])), a, b)
     xg, wg = _GL
-    x1a, x1b, x2a, x2b = domain.bounds
+    (x1a, x1b), (x2a, x2b) = domain.axes
     m1 = 0.5 * (x1a + x1b) + 0.5 * (x1b - x1a) * xg
     m2 = 0.5 * (x2a + x2b) + 0.5 * (x2b - x2a) * xg
     W = np.outer(wg, wg) * (0.25 * (x1b - x1a) * (x2b - x2a))

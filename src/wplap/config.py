@@ -11,7 +11,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .energy import Nonlinearity, make_nonlinearity
+import numpy as np
+
+from .energy import Nonlinearity, _check_primitive, make_nonlinearity
 from .expressions import ParseError
 from .geometry import BallSpec, Domain
 from .solver import SolverConfig
@@ -191,6 +193,15 @@ def load_config(path: str) -> RunConfig:
     except (ParseError, ValueError) as exc:
         raise ConfigError(f"{path} [nonlinearity_f]: {exc}"
                           + _line_of(path, "nonlinearity_f")) from exc
+    if get("nonlinearity_f", "primitive") is not None:
+        # make_nonlinearity checked the unit square; check the configured domain too
+        lo, hi = domain.axes.T
+        xs = lo + (hi - lo) * np.random.default_rng(42).uniform(size=(1000, domain.dim))
+        try:
+            _check_primitive(nl_f, xs)
+        except (ParseError, ValueError) as exc:
+            raise ConfigError(f"{path} [nonlinearity_f]: {exc} on the configured domain"
+                              + _line_of(path, "nonlinearity_f", "primitive")) from exc
     nl_g = None
     if "nonlinearity_g" in cp.sections():
         try:
@@ -236,7 +247,13 @@ def load_config(path: str) -> RunConfig:
     sigma_range = (get("oracle", "sigma_min", -50.0), get("oracle", "sigma_max", 50.0))
     n_scan = get("oracle", "n_scan", 2001)
     steps_per_unit = get("oracle", "steps_per_unit", 1024)
+    grading_depth = get("mesh", "grading_depth", 0)
+    # p <= 1 is outside p > N for every N, and the flux system divides by
+    # p - 1; a 1 < p <= N without [ball] still solves, so ProblemSpec checks that
     for bad, section, key, message in (
+            (not p > 1, "space", "p", f"need p > N, got p={p}, N={domain.dim}"),
+            (solver.max_iter < 1, "solver", "max_iter", "need max_iter >= 1"),
+            (grading_depth < 0, "mesh", "grading_depth", "need grading_depth >= 0"),
             (not mu_values, "mu", "values", "values must not be empty"),
             (not sigma_range[0] < sigma_range[1], "oracle", None, "need sigma_min < sigma_max"),
             (n_scan < 2, "oracle", "n_scan", "need n_scan >= 2"),
@@ -247,7 +264,7 @@ def load_config(path: str) -> RunConfig:
     return RunConfig(
         path=path, domain=domain, weight=weight, p=p, s=s,
         zero_order_term=get("space", "zero_order_term", True),
-        h=h, grading_depth=get("mesh", "grading_depth", 0),
+        h=h, grading_depth=grading_depth,
         nl_f=nl_f, nl_g=nl_g, ball=ball,
         c=get("constants", "c"), d=get("constants", "d"), gamma=gamma,
         lambda_grid=lam_grid,

@@ -48,10 +48,9 @@ def _point_env(x, t, extra_axis: bool = False):
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         x = x[:, None]
-    x1 = x[:, 0]
-    env = {"t": np.asarray(t, dtype=float), "x1": x1[:, None] if extra_axis else x1}
-    if x.shape[1] > 1:
-        env["x2"] = x[:, 1][:, None] if extra_axis else x[:, 1]
+    env = {"t": np.asarray(t, dtype=float)}
+    for i in range(x.shape[1]):
+        env[f"x{i + 1}"] = x[:, i, None] if extra_axis else x[:, i]
     return env
 
 
@@ -89,36 +88,41 @@ class Nonlinearity:
 
 def make_nonlinearity(f, primitive=None, growth_h=None,
                       caratheodory_w=None) -> Nonlinearity:
-    """Build a Nonlinearity, verifying a supplied primitive against f.
+    """Build a Nonlinearity, verifying a supplied primitive against f with
+    _check_primitive at 1000 points x of the unit square.
 
-    The check samples 1000 (x, t) pairs and compares the symbolic
-    t-derivative of the primitive with f (relative error < 1e-6) wherever f
-    is finite, and requires F(x, 0) = 0 wherever f(x, 0) is finite.  Without
-    a supplied primitive, F comes from Expression.antidiff_t when f lies in
-    its closed-form subset; otherwise it stays None and primitive_F
+    Without a supplied primitive, F comes from Expression.antidiff_t when f
+    lies in its closed-form subset; otherwise it stays None and primitive_F
     integrates f numerically.
     """
     f, supplied = _as_expr(f), _as_expr(primitive)
     nl = Nonlinearity(f=f, primitive=f.antidiff_t() if supplied is None else supplied,
                       growth_h=_as_expr(growth_h), caratheodory_w=_as_expr(caratheodory_w))
     if supplied is not None:
-        rng = np.random.default_rng(42)
-        x = rng.uniform(0.0, 1.0, size=(1000, 2))
-        t = rng.uniform(-5.0, 5.0, size=1000)
-        env = {"t": t, "x1": x[:, 0], "x2": x[:, 1]}
-        fv = _eval_expr(nl.f, env)
-        finite = np.isfinite(fv)
-        if not finite.any():
-            raise ValueError("f is not finite at any sample (x, t); cannot check the primitive")
-        dF = _eval_expr(nl.primitive.diff_t(), env)[finite]
-        err = np.max(np.abs(dF - fv[finite]) / (1.0 + np.abs(fv[finite])))
-        if not err <= 1e-6:
-            raise ValueError(f"primitive does not differentiate to f (max rel err {err:.3e})")
-        env0 = {"t": np.zeros(100), "x1": x[:100, 0], "x2": x[:100, 1]}
-        F0 = _eval_expr(nl.primitive, env0)[np.isfinite(_eval_expr(nl.f, env0))]
-        if not np.all(np.abs(F0) <= 1e-12):
-            raise ValueError("primitive must vanish at t = 0")
+        _check_primitive(nl, np.random.default_rng(42).uniform(0.0, 1.0, size=(1000, 2)))
     return nl
+
+
+def _check_primitive(nl: Nonlinearity, x: np.ndarray):
+    """Raise ValueError unless nl.primitive is a t-primitive of nl.f at the
+    points x (m, N): each x is paired with one t drawn from [-5, 5], and the
+    symbolic t-derivative of the primitive must match f (relative error
+    <= 1e-6) wherever f is finite; at the first 100 points F(x, 0) = 0 is
+    required wherever f(x, 0) is finite."""
+    t = np.random.default_rng(1).uniform(-5.0, 5.0, size=x.shape[0])
+    env = _point_env(x, t)
+    fv = _eval_expr(nl.f, env)
+    finite = np.isfinite(fv)
+    if not finite.any():
+        raise ValueError("f is not finite at any sample (x, t); cannot check the primitive")
+    dF = _eval_expr(nl.primitive.diff_t(), env)[finite]
+    err = np.max(np.abs(dF - fv[finite]) / (1.0 + np.abs(fv[finite])))
+    if not err <= 1e-6:
+        raise ValueError(f"primitive does not differentiate to f (max rel err {err:.3e})")
+    env0 = _point_env(x[:100], np.zeros(min(100, x.shape[0])))
+    F0 = _eval_expr(nl.primitive, env0)[np.isfinite(_eval_expr(nl.f, env0))]
+    if not np.all(np.abs(F0) <= 1e-12):
+        raise ValueError("primitive must vanish at t = 0")
 
 
 def primitive_F(nl: Nonlinearity, x, t) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Domains, simplicial meshes and the geometric constants used by the certificates.
 
-Supported domains are bounded intervals (N=1) and axis-aligned boxes (N=2).
-Meshes are segment/triangle meshes with optional geometric grading
-toward the boundary (ratio 2), which is where the distance-power weights blow
-up.
+Supported domains are bounded intervals (N=1) and axis-aligned boxes (N=2),
+both read through their per-axis bounds Domain.axes; this is the only module
+that tells the two apart.  Meshes are segment/triangle meshes with optional
+geometric grading toward the boundary (ratio 2), which is where the
+distance-power weights blow up.
 """
 from __future__ import annotations
 
@@ -28,13 +29,19 @@ class UnsupportedDomainError(ValueError):
     """Raised for domain kinds/dimensions the mesher cannot handle."""
 
 
+_KIND_DIM = {"interval": 1, "box": 2}
+
+
 @dataclass(frozen=True)
 class Domain:
-    """Bounded open domain.
+    """Bounded open domain: an interval (N=1) or an axis-aligned box (N=2).
 
     kind   : 'interval' | 'box'
     bounds : interval -> (a, b); box -> (x1min, x1max, x2min, x2max)
     dim    : spatial dimension N (1 or 2)
+
+    Everything that measures or samples the domain reads `axes`, the per-axis
+    (lo, hi) pairs, so the interval/box distinction stays in this module.
     """
 
     kind: str
@@ -42,16 +49,13 @@ class Domain:
     dim: int
 
     def __post_init__(self):
-        if self.kind not in ("interval", "box"):
+        if self.kind not in _KIND_DIM:
             raise UnsupportedDomainError(f"unknown domain kind {self.kind!r}")
         if self.dim not in (1, 2):
             raise UnsupportedDomainError(f"dimension {self.dim} not supported (N must be 1 or 2)")
-        b = self.bounds
-        if self.kind == "interval":
-            if self.dim != 1 or len(b) != 2 or not b[0] < b[1]:
-                raise ValueError(f"bad interval bounds {b}")
-        elif self.dim != 2 or len(b) != 4 or not (b[0] < b[1] and b[2] < b[3]):
-            raise ValueError(f"bad box bounds {b}")
+        if (self.dim != _KIND_DIM[self.kind] or len(self.bounds) != 2 * self.dim
+                or not np.all(self.axes[:, 0] < self.axes[:, 1])):
+            raise ValueError(f"bad {self.kind} bounds {self.bounds}")
 
     @staticmethod
     def interval(a: float, b: float) -> "Domain":
@@ -62,10 +66,13 @@ class Domain:
         return Domain("box", (float(x1min), float(x1max), float(x2min), float(x2max)), 2)
 
     @property
+    def axes(self) -> np.ndarray:
+        """(N, 2) array of per-axis (lo, hi)."""
+        return np.array(self.bounds, dtype=float).reshape(-1, 2)
+
+    @property
     def diameter(self) -> float:
-        if self.kind == "interval":
-            return self.bounds[1] - self.bounds[0]
-        return math.hypot(self.bounds[1] - self.bounds[0], self.bounds[3] - self.bounds[2])
+        return math.hypot(*(self.axes[:, 1] - self.axes[:, 0]))
 
 
 def unit_ball_volume(n: int) -> float:
@@ -83,10 +90,8 @@ def unit_ball_volume(n: int) -> float:
 
 def domain_measure(domain: Domain) -> float:
     """Lebesgue measure |Omega| in closed form."""
-    b = domain.bounds
-    if domain.kind == "interval":
-        return b[1] - b[0]
-    return (b[1] - b[0]) * (b[3] - b[2])
+    lo, hi = domain.axes.T
+    return float(np.prod(hi - lo))
 
 
 def distance_to_boundary(domain: Domain, x) -> np.ndarray:
@@ -96,12 +101,8 @@ def distance_to_boundary(domain: Domain, x) -> np.ndarray:
     values mean x lies outside the closure.
     """
     pts = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, domain.dim))
-    b = domain.bounds
-    if domain.kind == "interval":
-        d = np.minimum(pts[:, 0] - b[0], b[1] - pts[:, 0])
-    else:
-        d = np.minimum.reduce([pts[:, 0] - b[0], b[1] - pts[:, 0],
-                               pts[:, 1] - b[2], b[3] - pts[:, 1]])
+    lo, hi = domain.axes.T
+    d = np.minimum(pts - lo, hi - pts).min(axis=1)
     if np.isscalar(x) or np.asarray(x).ndim <= 1:
         return d[0] if d.size == 1 else d
     return d
@@ -132,6 +133,9 @@ class BallSpec:
         return BallSpec(x0, float(r1), float(r2))
 
 
+# 5-point Gauss-Legendre, mapped from [-1, 1] to [0, 1]
+_GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
+_GL5_X, _GL5_W = 0.5 * (_GL5_X + 1.0), 0.5 * _GL5_W
 # degree-5 rule on the reference triangle (Radon 7 point), barycentric coords
 _TRI7_BARY = np.array([
     [1 / 3, 1 / 3, 1 / 3],
@@ -154,14 +158,47 @@ class Mesh:
 
     vertices : (nv, N) coordinates
     cells    : (nc, N+1) vertex indices, positively oriented
-    """
+
+    The cell measures, shape-function gradients, boundary masks, largest
+    cell edge and quadrature are computed once, here."""
 
     def __init__(self, domain: Domain, vertices: np.ndarray, cells: np.ndarray):
         self.domain = domain
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         self.cells = np.ascontiguousarray(cells, dtype=np.intp)
         self.dim = domain.dim
-        self._cache: dict = {}
+        v = self.vertices[self.cells]
+        if self.dim == 1:
+            h = v[:, 1, 0] - v[:, 0, 0]
+            self.cell_measures = h
+            g = np.empty((self.num_cells, 2, 1))
+            g[:, 0, 0] = -1.0
+            g[:, 1, 0] = 1.0
+            g /= h[:, None, None]
+            pts = (v[:, 0, 0][:, None] + np.outer(h, _GL5_X)).reshape(-1, 1)
+            self._quadrature = (pts, np.outer(h, _GL5_W),
+                                np.column_stack([1.0 - _GL5_X, _GL5_X]))
+        else:
+            e1 = v[:, 1] - v[:, 0]
+            e2 = v[:, 2] - v[:, 0]
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            self.cell_measures = 0.5 * det
+            # rows of the inverse affine map transpose
+            g = np.empty((self.num_cells, 3, 2))
+            g[:, 1, 0] = e2[:, 1]
+            g[:, 1, 1] = -e2[:, 0]
+            g[:, 2, 0] = -e1[:, 1]
+            g[:, 2, 1] = e1[:, 0]
+            g[:, 1:] /= det[:, None, None]
+            g[:, 0] = -g[:, 1] - g[:, 2]
+            pts = np.einsum("qb,cbk->cqk", _TRI7_BARY, v).reshape(-1, 2)
+            self._quadrature = (pts, np.outer(self.cell_measures, _TRI7_W), _TRI7_BARY)
+        self.shape_gradients = g    # (nc, N+1, N) gradients of the linear shape functions
+        edges = np.roll(v, -1, axis=1) - v
+        self.max_cell_size = float(np.max(np.linalg.norm(edges, axis=2)))
+        tol = 1e-12 * max(1.0, domain.diameter)
+        self.boundary_vertices = np.asarray(distance_to_boundary(domain, self.vertices)) <= tol
+        self.interior_vertices = ~self.boundary_vertices
 
     @property
     def num_vertices(self) -> int:
@@ -171,89 +208,12 @@ class Mesh:
     def num_cells(self) -> int:
         return self.cells.shape[0]
 
-    @property
-    def cell_measures(self) -> np.ndarray:
-        if "measures" not in self._cache:
-            v = self.vertices[self.cells]
-            if self.dim == 1:
-                m = v[:, 1, 0] - v[:, 0, 0]
-            else:
-                e1 = v[:, 1] - v[:, 0]
-                e2 = v[:, 2] - v[:, 0]
-                m = 0.5 * (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-            self._cache["measures"] = m
-        return self._cache["measures"]
-
-    @property
-    def max_cell_size(self) -> float:
-        v = self.vertices[self.cells]
-        if self.dim == 1:
-            return float(np.max(v[:, 1, 0] - v[:, 0, 0]))
-        a = np.linalg.norm(v[:, 1] - v[:, 0], axis=1)
-        b = np.linalg.norm(v[:, 2] - v[:, 1], axis=1)
-        c = np.linalg.norm(v[:, 0] - v[:, 2], axis=1)
-        return float(np.max(np.maximum(a, np.maximum(b, c))))
-
-    @property
-    def boundary_vertices(self) -> np.ndarray:
-        """Boolean mask of vertices on the domain boundary."""
-        if "boundary" not in self._cache:
-            tol = 1e-12 * max(1.0, self.domain.diameter)
-            d = distance_to_boundary(self.domain, self.vertices)
-            self._cache["boundary"] = np.asarray(d) <= tol
-        return self._cache["boundary"]
-
-    @property
-    def interior_vertices(self) -> np.ndarray:
-        return ~self.boundary_vertices
-
-    @property
-    def shape_gradients(self) -> np.ndarray:
-        """(nc, N+1, N) gradients of the linear shape functions per cell."""
-        if "grads" not in self._cache:
-            v = self.vertices[self.cells]
-            if self.dim == 1:
-                h = (v[:, 1, 0] - v[:, 0, 0])[:, None]
-                g = np.empty((self.num_cells, 2, 1))
-                g[:, 0, 0] = -1.0
-                g[:, 1, 0] = 1.0
-                g /= h[:, None]
-            else:
-                # rows of the inverse affine map transpose
-                e1 = v[:, 1] - v[:, 0]
-                e2 = v[:, 2] - v[:, 0]
-                det = (e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])[:, None]
-                g = np.empty((self.num_cells, 3, 2))
-                g[:, 1, 0] = e2[:, 1]
-                g[:, 1, 1] = -e2[:, 0]
-                g[:, 2, 0] = -e1[:, 1]
-                g[:, 2, 1] = e1[:, 0]
-                g[:, 1:] /= det[:, None]
-                g[:, 0] = -g[:, 1] - g[:, 2]
-            self._cache["grads"] = g
-        return self._cache["grads"]
-
     def quadrature(self):
         """Per-cell quadrature: points (nq, N) in cell-major order, weights
         (nc, nqc) including the cell Jacobian, and the shape-function values
         (nqc, N+1) shared by every cell.  5-point Gauss-Legendre on segments,
         a degree-5 rule on triangles."""
-        if "quad" not in self._cache:
-            v = self.vertices[self.cells]
-            if self.dim == 1:
-                xi, w = np.polynomial.legendre.leggauss(5)
-                xi = 0.5 * (xi + 1.0)  # to [0, 1]
-                w = 0.5 * w
-                h = v[:, 1, 0] - v[:, 0, 0]
-                pts = (v[:, 0, 0][:, None] + np.outer(h, xi)).reshape(-1, 1)
-                wq = np.outer(h, w)
-                shp = np.column_stack([1.0 - xi, xi])
-            else:
-                shp, w = _TRI7_BARY, _TRI7_W
-                pts = np.einsum("qb,cbk->cqk", shp, v).reshape(-1, 2)
-                wq = np.outer(self.cell_measures, w)
-            self._cache["quad"] = (pts, wq, shp)
-        return self._cache["quad"]
+        return self._quadrature
 
 
 def _graded_axis(lo: float, hi: float, h_target: float, depth: int,
@@ -283,36 +243,23 @@ def build_mesh(domain: Domain, h_target: float, grading_depth: int = 0,
                breakpoints=()) -> Mesh:
     """Mesh the domain with cell size <= h_target.
 
-    grading_depth > 0 repeatedly halves the boundary-adjacent cells toward
-    the boundary (geometric ratio 2), for weights singular there.
-    1D breakpoints are inserted as exact vertices.
+    Every axis is a _graded_axis at step h_target / sqrt(N), since a cell's
+    diameter is the diagonal of its axis-aligned grid cell.  grading_depth > 0
+    repeatedly halves the boundary-adjacent cells toward the boundary
+    (geometric ratio 2), for weights singular there.  Breakpoints are
+    inserted as exact vertex coordinates on every axis.  Vertices run in
+    C order over the per-axis index (the last axis fastest); each grid
+    square (i, j) splits into (00, 10, 11) and (00, 11, 01).
     """
     if h_target <= 0:
         raise ValueError("h_target must be positive")
-
+    axes = [_graded_axis(lo, hi, h_target / math.sqrt(domain.dim), grading_depth, breakpoints)
+            for lo, hi in domain.axes]
+    verts = np.column_stack([c.ravel() for c in np.meshgrid(*axes, indexing="ij")])
+    ids = np.arange(verts.shape[0]).reshape([ax.size for ax in axes])
     if domain.dim == 1:
-        lo, hi = domain.bounds
-        x = _graded_axis(lo, hi, h_target, grading_depth, breakpoints)
-        cells = np.column_stack([np.arange(x.size - 1), np.arange(1, x.size)])
-        return Mesh(domain, x[:, None], cells)
-
-    x1min, x1max, x2min, x2max = domain.bounds
-    # triangle diameter is the quad diagonal; shrink the axis step to honor h_target
-    ax_h = h_target / math.sqrt(2.0)
-    xs = _graded_axis(x1min, x1max, ax_h, grading_depth)
-    ys = _graded_axis(x2min, x2max, ax_h, grading_depth)
-    nx, ny = xs.size, ys.size
-    xx, yy = np.meshgrid(xs, ys, indexing="ij")
-    verts = np.column_stack([xx.ravel(), yy.ravel()])
-
-    def vid(i, j):
-        return i * ny + j
-
-    tris = []
-    for i in range(nx - 1):
-        for j in range(ny - 1):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return Mesh(domain, verts, np.array(tris, dtype=np.intp))
+        cells = np.column_stack([ids[:-1], ids[1:]])
+    else:
+        v00, v10, v01, v11 = ids[:-1, :-1], ids[1:, :-1], ids[:-1, 1:], ids[1:, 1:]
+        cells = np.stack([v00, v10, v11, v00, v11, v01], axis=-1).reshape(-1, 3)
+    return Mesh(domain, verts, cells)

@@ -53,13 +53,11 @@ class ShootingProfile:
     unconverged: list = field(default_factory=list)  # (sigma, terminal), bracket short of tol
 
 
-def _check_domain(domain: Domain):
-    if domain.kind != "interval":
-        raise UnsupportedDomainError("shooting oracle handles one dimension only")
-
-
 def _interval(domain: Domain):
-    return float(domain.bounds[0]), float(domain.bounds[1])
+    if domain.dim != 1:
+        raise UnsupportedDomainError("shooting oracle handles one dimension only")
+    (x_a, x_b), = domain.axes.tolist()
+    return x_a, x_b
 
 
 def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
@@ -103,9 +101,8 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
 
     Returns (terminal values of u at x_b, diverged flags) and, when
     keep_trajectory is set, the grid and the full u history."""
-    _check_domain(domain)
-    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     x_a, x_b = _interval(domain)
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
     grid, h = _ode_grid(domain, w, steps_per_unit)
     rhs = _rhs_factory(p, lam, mu, f, g, zero_order)
 
@@ -254,7 +251,6 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
     trajectories, and each root's profile is the column of the march that
     found it; near-zero roots ride along in the first refinement march, or
     march on their own when there is no bracket."""
-    _check_domain(domain)
     sigma_grid = np.linspace(sigma_range[0], sigma_range[1], n_scan)
     terminal, diverged = shoot(sigma_grid, domain, w, p, lam, mu, f, g,
                                zero_order, steps_per_unit)

@@ -65,11 +65,8 @@ def weight_lower_bound(w: WeightSpec, domain: Domain) -> float:
     """Closed-form essential infimum of a over the domain."""
     if w.form == "constant":
         return w.value
-    b = domain.bounds
-    if domain.kind == "interval":
-        inradius = 0.5 * (b[1] - b[0])
-    else:
-        inradius = 0.5 * min(b[1] - b[0], b[3] - b[2])
+    lo, hi = domain.axes.T
+    inradius = 0.5 * float(np.min(hi - lo))
     return inradius ** (-w.exponent) if w.exponent > 0 else 1.0
 
 

@@ -244,6 +244,38 @@ class TestSandwich:
                 pytest.approx(consts.ustar_norm_p, rel=1e-3)
 
 
+class TestSampleLayout:
+    """The x samples and corners the checks read, in the order they come."""
+    BOX = Domain.box(0, 2, 0, 3)
+
+    def test_interval_samples(self):
+        np.testing.assert_array_equal(certificate._x_samples(UNIT, n=5),
+                                      [[0.0], [0.25], [0.5], [0.75], [1.0]])
+        ball = BallSpec.create([0.5], 0.25, 0.3, UNIT)
+        np.testing.assert_array_equal(certificate._x_samples(UNIT, exclude_ball=ball, n=5),
+                                      [[0.0], [1.0]])
+        assert certificate._x_samples(UNIT).shape == (200, 1)
+
+    def test_box_samples_run_x1_fastest(self):
+        # n = 10 gives floor(sqrt(10)) = 3 points per axis
+        np.testing.assert_array_equal(certificate._x_samples(self.BOX, n=10), [
+            [0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+            [0.0, 1.5], [1.0, 1.5], [2.0, 1.5],
+            [0.0, 3.0], [1.0, 3.0], [2.0, 3.0]])
+        ball = BallSpec.create([1.0, 1.5], 0.5, 0.6, self.BOX)
+        np.testing.assert_array_equal(
+            certificate._x_samples(self.BOX, exclude_ball=ball, n=10), [
+                [0.0, 0.0], [1.0, 0.0], [2.0, 0.0],
+                [0.0, 1.5], [2.0, 1.5],
+                [0.0, 3.0], [1.0, 3.0], [2.0, 3.0]])
+        assert certificate._x_samples(self.BOX).shape == (196, 2)
+
+    def test_corner_points(self):
+        np.testing.assert_array_equal(certificate._corner_points(UNIT), [[0.0], [1.0]])
+        np.testing.assert_array_equal(certificate._corner_points(self.BOX),
+                                      [[0.0, 0.0], [0.0, 3.0], [2.0, 0.0], [2.0, 3.0]])
+
+
 class TestHypothesisH1:
     def test_cubic_passes(self):
         nl = make_nonlinearity("t^3", primitive="t^4/4")

@@ -398,9 +398,15 @@ class TestConfigDiagnostics:
         ("oracle", "[run]", "[oracle]\nsteps_per_unit = 0\n\n[run]",
          "need steps_per_unit >= 1", "steps_per_unit"),
         ("scan", "values = 0.0, 0.05", "values =", "values must not be empty", "values"),
+        ("oracle", "p = 2.0", "p = 1.0", "need p > N, got p=1.0, N=1", "p ="),
+        ("solve", "[run]", "[solver]\nmax_iter = 0\n\n[run]", "need max_iter >= 1", "max_iter"),
+        ("check", "h = 0.00390625\n", "h = 0.00390625\ngrading_depth = -1\n",
+         "need grading_depth >= 0", "grading_depth"),
     ])
     def test_malformed_oracle_and_mu_values_rejected(self, tmp_path, capsys, command,
                                                      old, new, message, key):
+        """A bad value exits 64 with the line of the key at fault (also for
+        [space] p, [solver] max_iter and [mesh] grading_depth)."""
         cfg = variant(tmp_path, "malformed.cfg", (old, new))
         lines = cfg.read_text().splitlines()
         line = next(i for i, text in enumerate(lines, start=1) if text.startswith(key))
@@ -409,6 +415,20 @@ class TestConfigDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert message in err and f"(line {line}, column 1)" in err
+
+    def test_primitive_checked_over_the_configured_domain(self, tmp_path, capsys):
+        # 0.5 t^2 min(x1, 1) is a primitive of x1 t on the unit square only
+        cfg = variant(tmp_path, "primitive.cfg", ("bounds = 0.0 1.0", "bounds = 0.0 10.0"),
+                      ("expr = min(max(t - 0.25, 0), 1)", "expr = x1*t"),
+                      ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)",
+                       "primitive = 0.5*t^2*min(x1, 1)"))
+        line = cfg.read_text().splitlines().index("primitive = 0.5*t^2*min(x1, 1)") + 1
+        code = run_cli("solve", "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "primitive does not differentiate to f" in err
+        assert "on the configured domain" in err and f"(line {line}, column 1)" in err
 
     def test_every_solver_and_oracle_key_reaches_run_config(self, tmp_path):
         solver = {"residual_tol": "1e-9", "max_iter": "77", "eps_reg": "1e-6",

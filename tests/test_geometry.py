@@ -114,6 +114,27 @@ def test_mesh_square_triangulation():
     assert np.sum(mesh.cell_measures) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_box_mesh_layout():
+    """Vertices run with x2 fastest; grid square (i, j) splits into the
+    triangles (00, 10, 11) and (00, 11, 01)."""
+    mesh = build_mesh(Domain.box(0, 2, 0, 3), 1.0)
+    np.testing.assert_allclose(mesh.vertices, [
+        [0.0, 0.0], [0.0, 0.6], [0.0, 1.2], [0.0, 1.8], [0.0, 2.4], [0.0, 3.0],
+        [2 / 3, 0.0], [2 / 3, 0.6], [2 / 3, 1.2], [2 / 3, 1.8], [2 / 3, 2.4], [2 / 3, 3.0],
+        [4 / 3, 0.0], [4 / 3, 0.6], [4 / 3, 1.2], [4 / 3, 1.8], [4 / 3, 2.4], [4 / 3, 3.0],
+        [2.0, 0.0], [2.0, 0.6], [2.0, 1.2], [2.0, 1.8], [2.0, 2.4], [2.0, 3.0]],
+        rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(mesh.cells, [
+        [0, 6, 7], [0, 7, 1], [1, 7, 8], [1, 8, 2], [2, 8, 9], [2, 9, 3],
+        [3, 9, 10], [3, 10, 4], [4, 10, 11], [4, 11, 5],
+        [6, 12, 13], [6, 13, 7], [7, 13, 14], [7, 14, 8], [8, 14, 15], [8, 15, 9],
+        [9, 15, 16], [9, 16, 10], [10, 16, 17], [10, 17, 11],
+        [12, 18, 19], [12, 19, 13], [13, 19, 20], [13, 20, 14], [14, 20, 21], [14, 21, 15],
+        [15, 21, 22], [15, 22, 16], [16, 22, 23], [16, 23, 17]])
+    assert mesh.cells.dtype == np.intp
+    assert np.all(mesh.cell_measures > 0)
+
+
 def test_mesh_boundary_flags_on_boundary():
     mesh = build_mesh(Domain.box(0, 1, 0, 1), 0.3)
     d = distance_to_boundary(mesh.domain, mesh.vertices)
