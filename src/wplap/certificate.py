@@ -197,26 +197,30 @@ def _gauss_value(fn, lo: float, hi: float) -> float:
     return val
 
 
-def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> float:
-    """Integral over the annulus of a function given pointwise as fn(points).
+def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> tuple[float, bool]:
+    """Integral over the annulus of a function given pointwise as fn(points),
+    as (value, converged) with converged from _gauss_panels (every piece).
 
     1D: two intervals, each split where it crosses the domain midpoint (the
     kink of dist(x), so of distance-power weights).  2D: polar quadrature
-    (trapezoid in angle is spectrally accurate for periodic integrands)."""
+    (trapezoid in angle is spectrally accurate for periodic integrands; a
+    weight with kinks in angle can leave the radial doubling unconverged)."""
     x0 = np.asarray(ball.x0)
     r1, r2 = ball.r1, ball.r2
     if domain.dim == 1:
         (lo, hi), = domain.axes
         mid = 0.5 * (lo + hi)
-        total = 0.0
+        total, converged = 0.0, True
         for sign in (-1.0, 1.0):
             def side(t, sign=sign):
                 return fn_radial(np.column_stack([x0[0] + sign * t]))
             kink = sign * (mid - x0[0])
             cuts = [r1, kink, r2] if r1 < kink < r2 else [r1, r2]
             for lo, hi in zip(cuts[:-1], cuts[1:]):
-                total += _gauss_value(side, lo, hi)
-        return total
+                val, ok = _gauss_panels(side, lo, hi)
+                total += val
+                converged &= ok
+        return total, converged
     n_ang = 64
     theta = np.linspace(0.0, 2 * np.pi, n_ang, endpoint=False)
     ct, st = np.cos(theta), np.sin(theta)
@@ -228,16 +232,17 @@ def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> float:
         vals = fn_radial(pts).reshape(rr.size, n_ang)
         return vals.mean(axis=1) * (2 * np.pi) * rr
 
-    return _gauss_value(ring, r1, r2)
+    return _gauss_panels(ring, r1, r2)
 
 
-def annulus_weight_mass(w: WeightSpec, ball: BallSpec, domain: Domain) -> float:
-    """||a||_{L^1} over B(x0, r2) \\ B(x0, r1)."""
-    val = _annulus_integral(lambda pts: np.asarray(eval_weight(w, domain, pts)),
-                            domain, ball)
+def annulus_weight_mass(w: WeightSpec, ball: BallSpec,
+                        domain: Domain) -> tuple[float, bool]:
+    """||a||_{L^1} over B(x0, r2) \\ B(x0, r1), as (value, converged)."""
+    val, converged = _annulus_integral(
+        lambda pts: np.asarray(eval_weight(w, domain, pts)), domain, ball)
     if not (math.isfinite(val) and val > 0):
         raise ValueError(f"annulus weight mass not finite/positive: {val}")
-    return val
+    return val, converged
 
 
 def compute_xi(p: float, r1: float, r2: float, k: float, a_mass: float) -> float:
@@ -285,6 +290,7 @@ class UstarNorm:
     direct: float               # weighted_norm(interpolated u*)^p
     formula: float              # surface factor w_N as printed
     formula_corrected: float    # surface factor N*w_N
+    converged: bool             # the formula's annulus quadrature
 
 
 def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
@@ -300,10 +306,11 @@ def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
     r1, r2 = ball.r1, ball.r2
     w_N = unit_ball_volume(N)
     denom = (r2 ** 2 - r1 ** 2) ** p
-    grad = 2.0 ** p * d ** p / denom * _annulus_integral(
+    grad_int, converged = _annulus_integral(
         lambda pts: np.asarray(eval_weight(w, domain, pts))
         * np.linalg.norm(np.atleast_2d(pts) - np.asarray(ball.x0)[None, :], axis=1) ** p,
         domain, ball)
+    grad = 2.0 ** p * d ** p / denom * grad_int
     if zero_order_term:
         radial = _gauss_value(lambda rr: (r2 ** 2 - rr ** 2) ** p * rr ** (N - 1), r1, r2)
         annulus_mass = d ** p / denom * radial
@@ -312,7 +319,8 @@ def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
         corrected = grad + N * w_N * annulus_mass + inner_mass
     else:
         formula = corrected = grad
-    return UstarNorm(direct=direct, formula=formula, formula_corrected=corrected)
+    return UstarNorm(direct=direct, formula=formula, formula_corrected=corrected,
+                     converged=converged)
 
 
 def sandwich_check(constants: Constants) -> CheckEntry:
@@ -536,7 +544,7 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     N = spec.domain.dim
     p, c, d = spec.p, spec.c, spec.d
     w_N = unit_ball_volume(N)
-    a_mass = annulus_weight_mass(spec.weight, spec.ball, spec.domain)
+    a_mass, a_converged = annulus_weight_mass(spec.weight, spec.ball, spec.domain)
     if embedding is None:
         embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh)
     k = embedding.k
@@ -576,7 +584,8 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     notes.append(f"k mode: {embedding.k_upper_mode}; xi/eta/r per k variant recorded")
     rel = abs(norm3.formula_corrected - norm3.direct) / norm3.direct
     notes.append(f"||u*||^p formula (surface factor corrected) vs direct: rel diff {rel:.3e}; "
-                 "direct quadrature is authoritative")
+                 "direct quadrature is authoritative"
+                 + ("" if norm3.converged else _UNCONVERGED))
 
     phi_ustar = norm3.direct / p
     sup_F = _sup_F_box(spec.nl_f, spec.domain, c, mesh.quadrature()[0])
@@ -585,5 +594,10 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
                check_H2(spec.nl_f, spec.domain, constants.eta, c, d, p, sup_F)]
     entries.extend(check_H3_H4_H5(spec.nl_f, spec.nl_g, spec.gamma, spec.domain, c, d))
     entries.extend(check_theorem_conditions(spec, constants, 0.0, phi_ustar, sup_F))
+    if not a_converged:
+        # the sandwich bounds, eta (H2) and xi (dxi_gt_c) are built from a_mass
+        for e in entries:
+            if e.name in ("sandwich", "H2", "dxi_gt_c"):
+                e.note += _UNCONVERGED
     return CertificateReport(constants=constants, entries=entries,
                              overall=_overall(entries), notes=notes)

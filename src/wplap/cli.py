@@ -71,13 +71,19 @@ def _problem_spec(cfg: RunConfig) -> ProblemSpec | None:
 
 # -- writers / readers ----------------------------------------------------
 
+def _write_table(path, header, rows):
+    """One numeric CSV file in a single write: the header, then rows of
+    Python floats and ints (as from ndarray.tolist()), each value written
+    with repr as _fmt does, and CRLF line ends as csv.writer writes them."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join(lines) + "\r\n")
+
+
 def write_solution_csv(path, u: DiscreteFunction):
     mesh = u.mesh
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow([f"x{i + 1}" for i in range(mesh.dim)] + ["u"])
-        for row, val in zip(mesh.vertices, u.values):
-            wr.writerow([_fmt(c) for c in row] + [_fmt(val)])
+    _write_table(path, [f"x{i + 1}" for i in range(mesh.dim)] + ["u"],
+                 np.column_stack([mesh.vertices, u.values]).tolist())
 
 
 def read_solution_csv(path):
@@ -206,12 +212,10 @@ def read_scan_summary(path) -> list:
 
 
 def write_oracle_profile(path, profile: ShootingProfile):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["sigma", "terminal", "diverged"])
-        for s, t, dv in zip(profile.sigma_grid, profile.terminal_values,
-                            profile.diverged):
-            wr.writerow([_fmt(s), _fmt(t), int(dv)])
+    rows = np.column_stack([profile.sigma_grid, profile.terminal_values]).tolist()
+    for row, dv in zip(rows, profile.diverged.tolist()):
+        row.append(int(dv))
+    _write_table(path, ["sigma", "terminal", "diverged"], rows)
 
 
 def read_oracle_profile(path):
@@ -227,11 +231,7 @@ def read_oracle_profile(path):
 
 
 def write_oracle_root_csv(path, root):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["x1", "u"])
-        for x, u in zip(root.x, root.u):
-            wr.writerow([_fmt(x), _fmt(u)])
+    _write_table(path, ["x1", "u"], np.column_stack([root.x, root.u]).tolist())
 
 
 # -- subcommands ----------------------------------------------------------

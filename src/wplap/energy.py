@@ -21,8 +21,8 @@ import numpy as np
 
 from .expressions import Expression, parse_expression
 from .geometry import Mesh
-from .space import (DiscreteFunction, QuadratureError, _cell_weight_integrals,
-                    _gather, _norm_terms)
+from .space import (DiscreteFunction, QuadratureError, _cell_terms,
+                    _cell_weight_integrals, _gather, _norm_terms)
 from .weight import WeightSpec
 
 __all__ = [
@@ -175,11 +175,23 @@ class EnergyAssembler:
         self.load = load
         self.pts, self.wq, self.bary = mesh.quadrature()
         self.cellA = _cell_weight_integrals(mesh, w)
-        # flat (row, col) index of every cell-matrix entry in the dense tangent
-        self._pairs = (mesh.cells[:, :, None] * mesh.num_vertices
-                       + mesh.cells[:, None, :]).reshape(-1)
         self.interior = np.flatnonzero(mesh.interior_vertices)
         self.h_scale = mesh.max_cell_size ** (mesh.dim / 2.0)
+        # the mesh-constant part of the gradient tangent: grad phi_b . grad phi_d
+        sg = mesh.shape_gradients
+        self._gram = np.einsum("cbk,cdk->cbd", sg, sg)
+        # flat cell-matrix entries joining two interior vertices, with their
+        # flat index in the free (ni x ni) and the full (nv x nv) tangent
+        nv, ni = mesh.num_vertices, self.interior.size
+        free = np.full(nv, -1)
+        free[self.interior] = np.arange(ni)
+        fc = free[mesh.cells]
+        self._entries = np.flatnonzero(
+            ((fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)).reshape(-1))
+        self._free_pairs = (fc[:, :, None] * ni + fc[:, None, :]).reshape(-1)[self._entries]
+        self._full_pairs = (mesh.cells[:, :, None] * nv
+                            + mesh.cells[:, None, :]).reshape(-1)[self._entries]
+        self._boundary_diagonal = np.flatnonzero(mesh.boundary_vertices) * (nv + 1)
 
     # -- pointwise helpers ------------------------------------------------
     def _gpow(self, gnorm: np.ndarray, expo: float) -> np.ndarray:
@@ -216,26 +228,33 @@ class EnergyAssembler:
         lp, grad = self.norm_terms(v)
         return grad + (lp if self.zero_order else 0.0)
 
-    def _int_F(self, nl: Nonlinearity, v: np.ndarray) -> float:
-        uq = _gather(self.mesh, v)[0].reshape(-1)
-        Fq = primitive_F(nl, self.pts, uq)
-        out = float(self.wq.ravel() @ Fq)
+    def _int_F(self, nl: Nonlinearity, uq: np.ndarray) -> float:
+        """int F(x, u) from the flat quadrature-point values uq of u."""
+        out = float(self.wq.ravel() @ primitive_F(nl, self.pts, uq))
         if not math.isfinite(out):
             raise QuadratureError("non-finite nonlinearity integral")
         return out
 
     def capital_phi(self, v: np.ndarray) -> float:
-        return -self._int_F(self.f, v) if self.f is not None else 0.0
+        if self.f is None:
+            return 0.0
+        return -self._int_F(self.f, _gather(self.mesh, v)[0].reshape(-1))
 
     def capital_upsilon(self, v: np.ndarray) -> float:
-        return -self._int_F(self.g, v) if self.g is not None else 0.0
+        if self.g is None:
+            return 0.0
+        return -self._int_F(self.g, _gather(self.mesh, v)[0].reshape(-1))
 
     def energy(self, v: np.ndarray) -> float:
-        e = self.phi(v)
+        """phi + lambda Phi + mu Upsilon (- load.v) from one gather of v."""
+        uqc, g = _gather(self.mesh, v)
+        lp, grad = _cell_terms(self.wq, self.cellA, self.p, uqc, g)
+        e = (float(grad.sum()) + (float(lp.sum()) if self.zero_order else 0.0)) / self.p
+        uq = uqc.reshape(-1)
         if self.f is not None and self.lam != 0.0:
-            e += self.lam * self.capital_phi(v)
+            e += self.lam * -self._int_F(self.f, uq)
         if self.g is not None and self.mu != 0.0:
-            e += self.mu * self.capital_upsilon(v)
+            e += self.mu * -self._int_F(self.g, uq)
         if self.load is not None:
             e -= float(self.load @ v)
         return e
@@ -261,25 +280,29 @@ class EnergyAssembler:
     def residual_norm(self, res: np.ndarray) -> float:
         return float(np.linalg.norm(res[self.interior])) * self.h_scale
 
-    def tangent(self, v: np.ndarray, include_sources: bool = True) -> np.ndarray:
+    def tangent(self, v: np.ndarray, include_sources: bool = True,
+                free: bool = False) -> np.ndarray:
         """Dense Jacobian of the residual (regularized for the p-Laplacian
-        part), rows/cols of boundary vertices set to identity.
+        part).  free=True returns the (ni x ni) block on the interior
+        vertices asm.interior, the unknowns of the Dirichlet problem;
+        otherwise the (nv x nv) matrix bordered by identity rows and columns
+        on the boundary vertices.  Both come from the same cell matrices
+        summed in the same order, so the free block equals the bordered
+        matrix's interior block bit for bit.
 
         include_sources=False drops the f/g linearizations, leaving the
         monotone (positive definite) part; solvers use it as a descent
         preconditioner when the full Jacobian is indefinite."""
-        nv = v.size
         p, eps = self.p, self.eps_reg
         uqc, g = _gather(self.mesh, v)
         uq = uqc.reshape(-1)
         gn2 = np.einsum("ck,ck->c", g, g)
         base = (gn2 + eps ** 2) ** ((p - 2.0) / 2.0)
-        sg = self.mesh.shape_gradients                     # (nc, b, k)
         # grad part: cellA * base * (delta_kl + (p-2) g_k g_l / (gn2+eps^2))
         iso = self.cellA * base
         aniso = iso * (p - 2.0) / (gn2 + eps ** 2)
-        sgg = np.einsum("cbk,ck->cb", sg, g)               # (nc, b)
-        M = (iso[:, None, None] * np.einsum("cbk,cdk->cbd", sg, sg)
+        sgg = np.einsum("cbk,ck->cb", self.mesh.shape_gradients, g)   # (nc, b)
+        M = (iso[:, None, None] * self._gram
              + aniso[:, None, None] * sgg[:, :, None] * sgg[:, None, :])
         # pointwise parts
         coef = np.zeros(uq.size)
@@ -293,12 +316,15 @@ class EnergyAssembler:
         if np.any(coef):
             wcoef = self.wq * coef.reshape(self.wq.shape)
             M += np.einsum("cq,qb,qd->cbd", wcoef, self.bary, self.bary)
-        A = np.bincount(self._pairs, weights=M.reshape(-1), minlength=nv * nv).reshape(nv, nv)
-        bnd = self.mesh.boundary_vertices
-        A[bnd, :] = 0.0
-        A[:, bnd] = 0.0
-        A[np.flatnonzero(bnd), np.flatnonzero(bnd)] = 1.0
-        return A
+        weights = M.reshape(-1)[self._entries]
+        if free:
+            ni = self.interior.size
+            return np.bincount(self._free_pairs, weights=weights,
+                               minlength=ni * ni).reshape(ni, ni)
+        nv = v.size
+        A = np.bincount(self._full_pairs, weights=weights, minlength=nv * nv)
+        A[self._boundary_diagonal] = 1.0
+        return A.reshape(nv, nv)
 
 
 def weak_form_gap(asm: EnergyAssembler, u: DiscreteFunction, v: DiscreteFunction) -> float:

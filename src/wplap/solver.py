@@ -6,7 +6,8 @@ minimizer candidate), the same descent held to the sublevel set {phi <= r}
 points, Newton-polished from the energy peak on the segment joining them.
 phi' is uniformly monotone for p >= 2, which makes invert_phi_prime
 single-valued; that inverse is the same energy descent on phi with a linear
-load.
+load.  Every Newton step (_solve_tangent) solves for the interior vertices
+only, on the tangent's free block; the Dirichlet values stay 0.
 """
 from __future__ import annotations
 
@@ -113,9 +114,15 @@ class SolutionSet:
         return [self.records[i] for i in self.kept]
 
 
-def _solve_tangent(J: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+def _solve_tangent(asm: EnergyAssembler, v: np.ndarray, res: np.ndarray,
+                   include_sources: bool = True) -> np.ndarray | None:
+    """Newton direction at v: the tangent's free block solved against -res
+    on the interior vertices, 0 on the boundary (the Dirichlet values stay
+    fixed).  None when the solve is singular or not finite."""
+    dv = np.zeros(v.size)
     try:
-        dv = np.linalg.solve(J, rhs)
+        dv[asm.interior] = np.linalg.solve(asm.tangent(v, include_sources, free=True),
+                                           -res[asm.interior])
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(dv)):
@@ -152,11 +159,11 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
         rn = asm.residual_norm(res)
         if converged(v, rn):
             return v, rn, True
-        dv = _solve_tangent(asm.tangent(v), -res)
+        dv = _solve_tangent(asm, v, res)
         if dv is None or float(res @ dv) >= 0.0:
             # full Jacobian indefinite: precondition the gradient with the
             # monotone part, which is positive definite, so res.dv < 0
-            dv = _solve_tangent(asm.tangent(v, include_sources=False), -res)
+            dv = _solve_tangent(asm, v, res, include_sources=False)
             if dv is None or float(res @ dv) >= 0.0:
                 dv = -res
         slope = float(res @ dv)
@@ -278,7 +285,7 @@ def _polish(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig):
         rn = asm.residual_norm(res)
         if rn <= config.residual_tol:
             return v
-        dv = _solve_tangent(asm.tangent(v), -res)
+        dv = _solve_tangent(asm, v, res)
         if dv is None:
             return None
         beta, ok = 1.0, False

@@ -91,7 +91,7 @@ def test_criterion_4_norm_sandwich():
         ball = BallSpec(x0=(x0,), r1=r1, r2=r2)
         mesh = build_mesh(UNIT, 1 / 256,
                           breakpoints=(x0 - r2, x0 - r1, x0 + r1, x0 + r2))
-        a_mass = annulus_weight_mass(w, ball, UNIT)
+        a_mass = annulus_weight_mass(w, ball, UNIT)[0]
         # evaluating at k = 1 cancels k out of xi^p d^p / k^p
         lower = compute_xi(p, r1, r2, 1.0, a_mass) ** p * d ** p
         upper = compute_eta(p, 1, r1, r2, 1.0, d, a_mass, w_N) ** p * d ** p
@@ -100,7 +100,7 @@ def test_criterion_4_norm_sandwich():
 
     ball = BallSpec(x0=(0.5,), r1=0.1, r2=0.2)
     mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
-    a_mass = annulus_weight_mass(ONE, ball, UNIT)
+    a_mass = annulus_weight_mass(ONE, ball, UNIT)[0]
     lower = compute_xi(2.0, 0.1, 0.2, 1.0, a_mass) ** 2
     upper = compute_eta(2.0, 1, 0.1, 0.2, 1.0, 1.0, a_mass, w_N) ** 2
     direct = ustar_norm_p(1.0, ball, ONE, 2.0, mesh).direct

@@ -6,9 +6,17 @@ import importlib
 import importlib.util
 import inspect
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import wplap
+from wplap import solver
+from wplap.energy import EnergyAssembler, make_nonlinearity
+from wplap.geometry import Domain, build_mesh
+from wplap.weight import WeightSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -33,3 +41,31 @@ def test_observed_parameters_are_bound_by_name():
     from wplap.solver import solve_cell
     assert {"domain", "steps_per_unit"} <= set(inspect.signature(shoot).parameters)
     assert "config" in inspect.signature(solve_cell).parameters
+
+
+@pytest.mark.parametrize("domain,h", [(Domain.interval(0.0, 1.0), 1 / 16),
+                                      (Domain.box(0.0, 1.0, 0.0, 1.0), 0.25)],
+                         ids=["1d", "2d"])
+def test_descent_calls_the_traced_solve_and_tangent(monkeypatch, domain, h):
+    """The traced run counts numpy.linalg.solve inside solver spans and
+    EnergyAssembler.tangent on the class, both looked up at call time; a
+    Newton step that reached neither would empty those spans."""
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(np.linalg, "solve")
+    count(EnergyAssembler, "tangent")
+    mesh = build_mesh(domain, h)
+    asm = EnergyAssembler(mesh, WeightSpec.constant(1.0), 2.0, lam=0.5,
+                          f=make_nonlinearity("t", primitive="0.5*t^2"))
+    start = np.sin(np.pi * mesh.vertices).prod(axis=1)
+    v, rn, ok = solver._descend(asm, start, solver.SolverConfig())
+    assert ok
+    assert calls["solve"] >= 1 and calls["tangent"] >= 1

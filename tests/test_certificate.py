@@ -67,17 +67,18 @@ def ball_mesh(h=1 / 512, ball=BALL):
 
 class TestAnnulusWeightMass:
     def test_unit_weight_1d(self):
-        assert annulus_weight_mass(ONE, BALL, UNIT) == pytest.approx(0.2, abs=1e-12)
+        assert annulus_weight_mass(ONE, BALL, UNIT) == (pytest.approx(0.2, abs=1e-12), True)
 
     def test_unit_weight_2d(self):
         box = Domain.box(-3.0, 3.0, -3.0, 3.0)
         ball = BallSpec(x0=(0.0, 0.0), r1=1.0, r2=2.0)
         assert annulus_weight_mass(ONE, ball, box) == \
-            pytest.approx(3.0 * math.pi, rel=1e-12)
+            (pytest.approx(3.0 * math.pi, rel=1e-12), True)
 
     def test_singular_weight_vs_midpoint_oracle(self):
         w = WeightSpec.distance_power(0.5)
-        val = annulus_weight_mass(w, BALL, UNIT)
+        val, converged = annulus_weight_mass(w, BALL, UNIT)
+        assert converged
         M = 10 ** 6
         total = 0.0
         for lo, hi in ((0.3, 0.4), (0.6, 0.7)):
@@ -93,9 +94,20 @@ class TestAnnulusWeightMass:
                        + 2.0 * math.sqrt(0.5) - math.sqrt(0.49) - math.sqrt(0.46))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            val = annulus_weight_mass(w, BallSpec(x0=(0.43,), r1=0.06, r2=0.11), UNIT)
-            annulus_weight_mass(w, BALL, UNIT)
+            val, converged = annulus_weight_mass(w, BallSpec(x0=(0.43,), r1=0.06, r2=0.11),
+                                                 UNIT)
+            assert converged and annulus_weight_mass(w, BALL, UNIT)[1]
         assert val == pytest.approx(exact, rel=1e-12)
+
+    def test_kinked_2d_weight_reports_unconverged(self):
+        # dist(x)^(-0.3) on a 1.2 x 1 box changes its nearest side along
+        # each circle around (0.6, 0.5); centred in the unit square it converges
+        w = WeightSpec.distance_power(0.3)
+        ball = BallSpec(x0=(0.6, 0.5), r1=0.1, r2=0.2)
+        val, converged = annulus_weight_mass(w, ball, Domain.box(0.0, 1.2, 0.0, 1.0))
+        assert not converged and val == pytest.approx(0.1249, rel=1e-3)
+        centred = BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2)
+        assert annulus_weight_mass(w, centred, Domain.box(0.0, 1.0, 0.0, 1.0))[1]
 
 
 class TestScalarConstants:
@@ -188,7 +200,7 @@ class TestUstarNorm:
 
 def make_constants(d=1.0, c=0.2, k=0.5, p=2.0, ball=BALL, w=ONE, h=1 / 512):
     mesh = ball_mesh(h, ball)
-    a_mass = annulus_weight_mass(w, ball, UNIT)
+    a_mass = annulus_weight_mass(w, ball, UNIT)[0]
     norm3 = ustar_norm_p(d, ball, w, p, mesh)
     r1, r2 = ball.r1, ball.r2
     lower = (2.0 * r1 / (r2 ** 2 - r1 ** 2)) ** p * a_mass * d ** p

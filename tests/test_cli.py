@@ -139,6 +139,23 @@ class TestCheck:
         assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
         assert_matches_golden(tmp_path / "out", "check2d")
 
+    def test_unconverged_annulus_quadrature_is_noted(self, tmp_path):
+        # a distance-power weight on a 1.2 x 1 box has kinks in angle around
+        # x0 = (0.6, 0.5), so the radial panel doubling behind a_L1_annulus
+        # stops unconverged; every entry built from that mass must say so
+        cfg = variant(tmp_path, "box_dp.cfg",
+                      ("kind = interval\nbounds = 0.0 1.0\n",
+                       "kind = box\nbounds = 0.0 1.2 0.0 1.0\n"),
+                      ("form = constant\nvalue = 1.0\n",
+                       "form = distance_power\nexponent = 0.3\n"),
+                      ("p = 2.0\ns = 2.0\n", "p = 3.0\ns = 3.0\n"),
+                      ("x0 = 0.5\n", "x0 = 0.6 0.5\n"),
+                      ("h = 0.00390625\n", "h = 0.12\n"))
+        assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
+        checks = read_certificate(tmp_path / "out" / "certificate.txt")["checks"]
+        noted = {name for name, e in checks.items() if "unconverged" in e["note"]}
+        assert noted == {"sandwich", "H2", "dxi_gt_c"}
+
     def test_constants_round_trip(self, tmp_path):
         run_cli("check", "--config", SHIPPED, "--out", tmp_path)
         consts = read_constants_csv(tmp_path / "constants.csv")

@@ -7,7 +7,7 @@ import pytest
 
 from wplap.energy import EnergyAssembler, make_nonlinearity, primitive_F
 from wplap.geometry import Domain, build_mesh
-from wplap.space import (DiscreteFunction, _cell_weight_integrals, _ratio_batch,
+from wplap.space import (DiscreteFunction, _cell_weight_integrals, _gather, _ratio_batch,
                          _star_fd_gradient, estimate_k, weighted_norm)
 from wplap.weight import WeightSpec
 
@@ -159,6 +159,80 @@ class TestGatherKernel:
         lp, grad = ref_norm_terms(mesh, cellA, 3.0, V)
         sup = np.max(np.abs(V), axis=0)
         close(_ratio_batch(mesh, cellA, 3.0, V), sup / (lp + grad) ** (1 / 3.0))
+
+
+# -- the Newton system on the interior vertices --------------------------------
+
+def bordered_reference(asm, v, include_sources):
+    """The tangent as assembled before condensation: every cell-matrix entry
+    (Gram rebuilt per call, three-operand mass einsum) summed into nv x nv,
+    then the boundary rows and columns zeroed and 1 put on their diagonal."""
+    mesh, p, eps, nv = asm.mesh, asm.p, asm.eps_reg, v.size
+    uqc, g = _gather(mesh, v)
+    uq = uqc.reshape(-1)
+    gn2 = np.einsum("ck,ck->c", g, g)
+    iso = asm.cellA * (gn2 + eps ** 2) ** ((p - 2.0) / 2.0)
+    aniso = iso * (p - 2.0) / (gn2 + eps ** 2)
+    sg = mesh.shape_gradients
+    sgg = np.einsum("cbk,ck->cb", sg, g)
+    M = (iso[:, None, None] * np.einsum("cbk,cdk->cbd", sg, sg)
+         + aniso[:, None, None] * sgg[:, :, None] * sgg[:, None, :])
+    u2 = uq ** 2
+    coef = (u2 + eps ** 2) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * u2 / (u2 + eps ** 2))
+    if include_sources:
+        coef -= asm.lam * asm.f.eval_dt(asm.pts, uq)
+        coef -= asm.mu * asm.g.eval_dt(asm.pts, uq)
+    wcoef = asm.wq * coef.reshape(asm.wq.shape)
+    M += np.einsum("cq,qb,qd->cbd", wcoef, asm.bary, asm.bary)
+    pairs = (mesh.cells[:, :, None] * nv + mesh.cells[:, None, :]).reshape(-1)
+    A = np.bincount(pairs, weights=M.reshape(-1), minlength=nv * nv).reshape(nv, nv)
+    bnd = np.flatnonzero(mesh.boundary_vertices)
+    A[bnd, :] = 0.0
+    A[:, bnd] = 0.0
+    A[bnd, bnd] = 1.0
+    return A
+
+
+def same_bits(got, want):
+    got, want = np.ascontiguousarray(got), np.ascontiguousarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64),
+                                                      want.view(np.uint64))
+
+
+class TestCondensedTangent:
+    @pytest.mark.parametrize("dim", sorted(MESHES))
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("include_sources", [True, False])
+    def test_free_block_and_bordered_matrix_bitwise(self, dim, p, include_sources,
+                                                    nonlinearities):
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        f, g = nonlinearities
+        asm = EnergyAssembler(mesh, WEIGHTS["dist^0.5"], p, lam=0.7, mu=-0.3, f=f, g=g)
+        v = random_vector(mesh, seed=int(10 * p))
+        full = asm.tangent(v, include_sources)
+        free = asm.tangent(v, include_sources, free=True)
+        ii = asm.interior
+        assert free.shape == (ii.size, ii.size)
+        assert same_bits(free, full[np.ix_(ii, ii)])
+        assert same_bits(full, bordered_reference(asm, v, include_sources))
+
+    @pytest.mark.parametrize("dim", sorted(MESHES))
+    def test_energy_from_one_gather_bitwise(self, dim, nonlinearities):
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        f, g = nonlinearities
+        load = random_vector(mesh, seed=3)
+        for p in (1.5, 2.0, 3.0):
+            for kw in ({}, {"load": load}, {"zero_order": False}):
+                asm = EnergyAssembler(mesh, WEIGHTS["dist^0.5"], p, lam=0.7, mu=-0.3,
+                                      f=f, g=g, **kw)
+                v = random_vector(mesh, seed=int(10 * p))
+                want = asm.phi(v) + asm.lam * asm.capital_phi(v) \
+                    + asm.mu * asm.capital_upsilon(v)
+                if asm.load is not None:
+                    want -= float(load @ v)
+                assert asm.energy(v) == want, (p, kw)
 
 
 # -- estimate_k: star-local central differences --------------------------------

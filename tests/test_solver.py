@@ -115,6 +115,45 @@ class TestInvertPhiPrime:
             invert_phi_prime(np.zeros(3), ONE, 2.0, mesh)
 
 
+class TestSolveTangent:
+    """The Newton step solves the tangent's free block on the interior
+    vertices and leaves the Dirichlet values fixed."""
+
+    @pytest.mark.parametrize("domain,h", [(UNIT, 1 / 32), (Domain.box(0.0, 1.0, 0.0, 1.0), 0.2)],
+                             ids=["1d", "2d"])
+    @pytest.mark.parametrize("include_sources", [True, False])
+    def test_zero_on_boundary_and_solves(self, domain, h, include_sources):
+        mesh = build_mesh(domain, h)
+        asm = EnergyAssembler(mesh, ONE, 3.0, 40.0, 0.5, shipped_f(), shipped_g())
+        v = np.random.default_rng(4).uniform(-1.5, 1.5, mesh.num_vertices)
+        v[mesh.boundary_vertices] = 0.0
+        res = asm.residual(v)
+        dv = solver._solve_tangent(asm, v, res, include_sources)
+        assert np.all(dv[mesh.boundary_vertices] == 0.0)
+        lhs = asm.tangent(v, include_sources) @ dv
+        np.testing.assert_allclose(lhs, -res, rtol=0, atol=1e-10 * np.max(np.abs(res)))
+
+    def test_mesh_without_interior_vertex(self):
+        mesh = build_mesh(UNIT, 1.0)
+        assert mesh.num_vertices == 2 and not mesh.interior_vertices.any()
+        asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=shipped_f())
+        zero = np.zeros(2)
+        assert asm.tangent(zero, free=True).shape == (0, 0)
+        assert np.array_equal(solver._solve_tangent(asm, zero, zero), zero)
+        v, rn, ok = solver._descend(asm, zero, SolverConfig())
+        assert ok and rn == 0.0 and np.array_equal(v, zero)
+
+    def test_singular_or_non_finite_solve_is_none(self, monkeypatch):
+        mesh = build_mesh(UNIT, 1 / 8)
+        asm = EnergyAssembler(mesh, ONE, 2.0)
+        v = np.zeros(mesh.num_vertices)
+        res = np.ones(mesh.num_vertices)
+        ni = asm.interior.size
+        for block in (np.zeros((ni, ni)), np.full((ni, ni), np.nan)):
+            monkeypatch.setattr(asm, "tangent", lambda *a, block=block, **kw: block)
+            assert solver._solve_tangent(asm, v, res) is None
+
+
 class TestMinimizeEnergy:
     def test_unloaded_problem_returns_zero(self):
         mesh = build_mesh(UNIT, 1 / 32)
@@ -202,12 +241,12 @@ class TestMinimizeEnergy:
         iterations = 0
         tangent = asm.tangent
 
-        def counted(v, include_sources=True):
+        def counted(v, include_sources=True, **kw):
             nonlocal iterations
             if include_sources:     # once per iteration
                 iterations += 1
             assert iterations <= 100, "descent did not stop at the stall"
-            return tangent(v, include_sources=include_sources)
+            return tangent(v, include_sources=include_sources, **kw)
 
         monkeypatch.setattr(asm, "tangent", counted)
         v, rn, ok = solver._descend(asm, start, config)
