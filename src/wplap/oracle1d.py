@@ -9,6 +9,12 @@ integrated by classical RK4 from u(x_a) = 0, q(x_a) = a(x_a)|sigma|^(p-2)sigma.
 Roots of the terminal map sigma -> u(x_b) enumerate the solutions of the
 boundary value problem.  Everything here is independent of the finite element
 machinery except for the final interpolation onto a mesh.
+
+Every signed power of the march (the initial flux, the flux map, the
+zero-order term and the terminal slope) goes through one map,
+_signed_power(z, e) = sign(z)|z|^e.  At p = 2 both exponents are 1, and the
+march runs the linear flux u' = q/a, q' = u - ... directly.  The zero-order
+term is sign(u)|u|^(p-1), which is 0 at u = 0, so p in (1, 2) marches too.
 """
 from __future__ import annotations
 
@@ -60,6 +66,17 @@ def _interval(domain: Domain):
     return x_a, x_b
 
 
+def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
+    """sign(z) |z|^e for e > 0, and 0 at z = 0.  z itself at e = 1, where
+    |z|^1 sign(z) rounds to z; z |z|^(e-1) above 1, so that e = 1.5 and
+    e = 2 take numpy's sqrt and identity fast paths for |z|^(e-1)."""
+    if e == 1.0:
+        return z
+    if e > 1.0:
+        return z * np.abs(z) ** (e - 1.0)
+    return np.copysign(np.abs(z) ** e, z)
+
+
 def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
                  g: Nonlinearity | None, zero_order: bool):
     """Right-hand side at one abscissa x with the weight value a = a(x)."""
@@ -68,8 +85,9 @@ def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
     use_g = g is not None and mu != 0.0
 
     def rhs(x: float, a: float, u: np.ndarray, q: np.ndarray):
-        du = np.abs(q / a) ** inv_pm1 * np.sign(q)
-        dq = np.abs(u) ** (p - 2.0) * u if zero_order else np.zeros_like(u)
+        du = _signed_power(q / a, inv_pm1)
+        # |u|^(p-2) u written so that it is 0, not inf * 0, at u = 0 for p < 2
+        dq = _signed_power(u, p - 1.0) if zero_order else np.zeros_like(u)
         if use_f:
             dq = dq - lam * f.f(t=u, x1=x)
         if use_g:
@@ -118,7 +136,7 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
         u = sigmas * (grid[0] - x_a)
     else:
         u = np.zeros_like(sigmas)
-    q = a_node[0] * np.abs(sigmas) ** (p - 1.0) * np.sign(sigmas)
+    q = a_node[0] * _signed_power(sigmas, p - 1.0)
 
     diverged = np.zeros(sigmas.shape, dtype=bool)
     history = np.empty((grid.size, sigmas.size)) if keep_trajectory else None
@@ -132,8 +150,9 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
         k4u, k4q = rhs(xe, a_end[i], u + hs * k3u, q + hs * k3q)
         u = u + (hs / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         q = q + (hs / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        bad = ~np.isfinite(u) | ~np.isfinite(q) | (np.abs(u) > _BLOWUP)
-        if bad.any():
+        # NaN fails the comparison, so the max also catches a non-finite u
+        if not (np.abs(u).max(initial=0.0) <= _BLOWUP and np.isfinite(q).all()):
+            bad = ~np.isfinite(u) | ~np.isfinite(q) | (np.abs(u) > _BLOWUP)
             diverged |= bad
             u = np.where(bad, np.sign(np.where(np.isfinite(u), u, 1.0)) * _BLOWUP, u)
             q = np.where(bad, 0.0, q)
@@ -141,7 +160,7 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
             history[i + 1] = u
     if grid[-1] < x_b:
         # extrapolate the boundary layer with the local slope
-        slope = np.abs(q / a_node[-1]) ** (1.0 / (p - 1.0)) * np.sign(q)
+        slope = _signed_power(q / a_node[-1], 1.0 / (p - 1.0))
         terminal = u + slope * (x_b - grid[-1])
     else:
         terminal = u

@@ -9,7 +9,7 @@ from wplap.energy import EnergyAssembler, make_nonlinearity
 from wplap.geometry import BallSpec, Domain, UnsupportedDomainError, build_mesh
 from wplap import oracle1d
 from wplap.oracle1d import enumerate_solutions, profile_on_mesh, shoot
-from wplap.solver import solve_cell
+from wplap.solver import SolverConfig, _polish, solve_cell
 from wplap.space import sup_norm
 from wplap.weight import WeightSpec, eval_weight
 
@@ -111,6 +111,7 @@ class TestShoot:
     @pytest.mark.parametrize("w, p, f, g", [
         (WeightSpec.distance_power(0.5), 2.5, "x1*t", None),
         (WeightSpec.constant(2.0), 3.0, None, "sin(t) + x1"),
+        (WeightSpec.constant(2.0), 2.0, "x1*t", "sin(t)"),
     ])
     def test_matches_per_stage_reference(self, w, p, f, g):
         # x-dependent f/g and a non-unit weight: paths the shipped config skips
@@ -122,8 +123,30 @@ class TestShoot:
         t_ref, hist_ref = reference_shoot(sigmas, w, p, 3.0, 0.7, f, g, 64)
         assert not d.any()
         assert hist.shape == hist_ref.shape == (grid.size, sigmas.size)
-        np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=1e-13)
-        np.testing.assert_allclose(hist, hist_ref, rtol=0.0, atol=1e-13)
+        if p == 2.0:
+            # the linear flux map must round exactly as the general formula
+            np.testing.assert_array_equal(t, t_ref)
+            np.testing.assert_array_equal(hist, hist_ref)
+        else:
+            np.testing.assert_allclose(t, t_ref, rtol=0.0, atol=1e-13)
+            np.testing.assert_allclose(hist, hist_ref, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("e", [0.5, 2 / 3, 1.0, 1.5, 2.0, 3.0])
+    def test_signed_power(self, e):
+        z = np.array([-3.0, -0.25, -0.0, 0.0, 1e-30, 0.7, 2.0])
+        with np.errstate(all="raise"):
+            got = oracle1d._signed_power(z, e)
+        np.testing.assert_allclose(got, np.sign(z) * np.abs(z) ** e, rtol=1e-15, atol=0.0)
+        assert got[2] == got[3] == 0.0
+        if e == 1.0:
+            assert got is z
+
+    def test_sub_quadratic_march_is_finite_at_zero(self):
+        # p < 2: |u|^(p-2) u is read as sign(u)|u|^(p-1), which is 0 at u = 0
+        t, d = shoot(np.array([0.0, 1.0]), UNIT, ONE, 1.5, 0.0, 0.0)
+        assert t[0] == 0.0
+        assert not d.any()
+        assert math.isfinite(t[1]) and t[1] > 1.0
 
     def test_batched_trajectories_match_single_marches(self):
         batch = shoot(np.array(SHIPPED_SIGMAS), UNIT, ONE, 2.0, 18.0, 0.0,
@@ -258,6 +281,26 @@ class TestEnumerate:
     def test_rejects_planar_domain(self):
         with pytest.raises(UnsupportedDomainError):
             enumerate_solutions(Domain.box(0, 1, 0, 1), ONE, 2.0, 0.0, 0.0)
+
+    def test_sub_quadratic_shipped_instance(self):
+        # p = 1.5 on the shipped f, g and lambda: the trivial root and one
+        # nontrivial root, which the FE Newton polish confirms on the CLI's
+        # mesh (minimize/solve_cell alone find only u = 0 here)
+        f, g = shipped_f(), shipped_g()
+        prof = enumerate_solutions(UNIT, ONE, 1.5, 18.0, 0.0, f=f, g=g)
+        assert not prof.diverged.any() and prof.unconverged == []
+        sigmas = [r.sigma for r in prof.roots]
+        assert sigmas[0] == 0.0
+        assert sigmas[1:] == [pytest.approx(1.811144, abs=1e-5)]
+        root = prof.roots[1]
+        assert abs(root.terminal) <= 1e-8
+        mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
+        asm = EnergyAssembler(mesh, ONE, 1.5, 18.0, 0.0, f, g)
+        v0 = profile_on_mesh(root, mesh, UNIT).values
+        v = _polish(asm, v0, SolverConfig())
+        assert v is not None
+        assert np.max(np.abs(v - v0)) <= 1e-4
+        assert np.max(np.abs(v)) > 0.5
 
 
 class TestProfileOnMesh:
