@@ -68,13 +68,8 @@ def _interval(domain: Domain):
 
 def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
     """sign(z) |z|^e for e > 0, and 0 at z = 0.  z itself at e = 1, where
-    |z|^1 sign(z) rounds to z; z |z|^(e-1) above 1, so that e = 1.5 and
-    e = 2 take numpy's sqrt and identity fast paths for |z|^(e-1)."""
-    if e == 1.0:
-        return z
-    if e > 1.0:
-        return z * np.abs(z) ** (e - 1.0)
-    return np.copysign(np.abs(z) ** e, z)
+    |z|^1 sign(z) rounds to z."""
+    return z if e == 1.0 else np.copysign(np.abs(z) ** e, z)
 
 
 def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,

@@ -148,6 +148,35 @@ class TestShoot:
         assert not d.any()
         assert math.isfinite(t[1]) and t[1] > 1.0
 
+    @pytest.mark.parametrize("w, p, lam, f, sigmas", [
+        # u'' = u: u(x) = sigma sinh(x) passes 1e8 near x = 0.1 at |sigma| = 1e9
+        (ONE, 2.0, 0.0, None, [-1e9, -1.0, 0.0, 1.0, 1e9]),
+        # u'' = u + 1000 u^3 blows up in finite x for the large slopes
+        (ONE, 2.0, 1000.0, "-t^3", [-100.0, -0.01, 0.0, 0.01, 100.0]),
+        (WeightSpec.distance_power(0.5), 2.5, 1000.0, "-t^3",
+         [-100.0, -0.01, 0.0, 0.01, 100.0]),
+    ])
+    def test_blowup_clamps_only_the_diverging_slopes(self, w, p, lam, f, sigmas):
+        sigmas = np.array(sigmas)
+        f = make_nonlinearity(f) if f else None
+        # the clamp at 1e8 must come before any overflow
+        with np.errstate(all="raise"):
+            t, d = shoot(sigmas, UNIT, w, p, lam, 0.0, f=f)
+        np.testing.assert_array_equal(d, [True, False, False, False, True])
+        np.testing.assert_array_equal(t[d], [-1e8, 1e8])
+        assert t[2] == 0.0
+        assert np.all(np.abs(t[~d]) < 2.0) and t[1] == -t[3] < 0.0
+
+    def test_non_finite_slope_diverges_alone(self):
+        # NaN fails the max(|u|) <= 1e8 comparison, so the guard takes the
+        # clamp path; the finite slopes in the batch march on untouched
+        with np.errstate(all="raise"):
+            t, d = shoot(np.array([np.nan, 0.0, 1.0]), UNIT, ONE, 2.0, 0.0, 0.0)
+        ref, _ = shoot(np.array([0.0, 1.0]), UNIT, ONE, 2.0, 0.0, 0.0)
+        np.testing.assert_array_equal(d, [True, False, False])
+        assert t[0] == 1e8
+        np.testing.assert_array_equal(t[1:], ref)
+
     def test_batched_trajectories_match_single_marches(self):
         batch = shoot(np.array(SHIPPED_SIGMAS), UNIT, ONE, 2.0, 18.0, 0.0,
                       f=shipped_f(), g=shipped_g(), keep_trajectory=True)
