@@ -7,7 +7,11 @@ points, Newton-polished from the energy peak on the segment joining them.
 phi' is uniformly monotone for p >= 2, which makes invert_phi_prime
 single-valued; that inverse is the same energy descent on phi with a linear
 load.  Every Newton step (_solve_tangent) solves for the interior vertices
-only, on the tangent's free block; the Dirichlet values stay 0.
+only, on the tangent's free block; the Dirichlet values stay 0.  For p > 2
+phi'' degenerates at u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v)
+for the p-homogeneous phi makes the full Newton step only contract v by
+(p-2)/(p-1) where phi dominates; after a full step the descent also tries
+the Euler-exact step (p-1) dv.
 """
 from __future__ import annotations
 
@@ -133,7 +137,11 @@ def _solve_tangent(asm: EnergyAssembler, v: np.ndarray, res: np.ndarray,
 def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
              level: float | None = None):
     """Monotone energy descent: damped Newton direction when it helps,
-    backtracking gradient step otherwise.  With a level, every iterate is
+    backtracking gradient step otherwise.  At p > 2, when the full step
+    (alpha = 1) passes Armijo, the step (p-1) dv is tried too and kept if
+    its energy is strictly lower: for phi alone dv = -v/(p-1) by Euler's
+    identity, so that step lands on the minimizer u = 0, which the full
+    step only approaches geometrically.  With a level, every iterate is
     rescaled radially onto {phi <= level} (phi is p-homogeneous, so
     u -> (level/phi(u))^(1/p) u lands exactly on the level set), and
     converged also requires the constraint to be inactive.  Returns
@@ -175,6 +183,11 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
                 # a step that leaves E bitwise unchanged sits at the energy's
                 # rounding floor, where taking it would repeat until max_iter
                 accepted = Ec < E
+                if accepted and alpha == 1.0 and asm.p > 2.0:
+                    ext = onto_level(v + (asm.p - 1.0) * dv)
+                    Ee = asm.energy(ext)
+                    if Ee < Ec:
+                        cand, Ec = ext, Ee
                 if accepted:
                     v, E = cand, Ec
                 break

@@ -43,13 +43,15 @@ def test_observed_parameters_are_bound_by_name():
     assert "config" in inspect.signature(solve_cell).parameters
 
 
-@pytest.mark.parametrize("domain,h", [(Domain.interval(0.0, 1.0), 1 / 16),
-                                      (Domain.box(0.0, 1.0, 0.0, 1.0), 0.25)],
-                         ids=["1d", "2d"])
-def test_descent_calls_the_traced_solve_and_tangent(monkeypatch, domain, h):
+@pytest.mark.parametrize("domain,h,p", [(Domain.interval(0.0, 1.0), 1 / 16, 2.0),
+                                        (Domain.box(0.0, 1.0, 0.0, 1.0), 0.25, 2.0),
+                                        (Domain.box(0.0, 1.0, 0.0, 1.0), 0.25, 3.0)],
+                         ids=["1d", "2d", "2d-p3"])
+def test_descent_calls_the_traced_solve_and_tangent(monkeypatch, domain, h, p):
     """The traced run counts numpy.linalg.solve inside solver spans and
     EnergyAssembler.tangent on the class, both looked up at call time; a
-    Newton step that reached neither would empty those spans."""
+    Newton step that reached neither would empty those spans.  At p = 3 the
+    descent also tries the step (p - 1) dv, which must not bypass them."""
     calls = Counter()
 
     def count(owner, name):
@@ -63,7 +65,7 @@ def test_descent_calls_the_traced_solve_and_tangent(monkeypatch, domain, h):
     count(np.linalg, "solve")
     count(EnergyAssembler, "tangent")
     mesh = build_mesh(domain, h)
-    asm = EnergyAssembler(mesh, WeightSpec.constant(1.0), 2.0, lam=0.5,
+    asm = EnergyAssembler(mesh, WeightSpec.constant(1.0), p, lam=0.5,
                           f=make_nonlinearity("t", primitive="0.5*t^2"))
     start = np.sin(np.pi * mesh.vertices).prod(axis=1)
     v, rn, ok = solver._descend(asm, start, solver.SolverConfig())

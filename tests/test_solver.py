@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wplap import solver
-from wplap.certificate import build_ustar
+from wplap.certificate import build_ustar, compute_r
 from wplap.energy import EnergyAssembler, make_nonlinearity, weak_form_gap
 from wplap.geometry import BallSpec, Domain, build_mesh
 from wplap.solver import (
@@ -21,7 +21,7 @@ from wplap.solver import (
     solve_cell,
     sublevel_minimize,
 )
-from wplap.space import DiscreteFunction, sup_norm
+from wplap.space import DiscreteFunction, k_upper_bound, sup_norm
 from wplap.weight import WeightSpec
 
 UNIT = Domain.interval(0.0, 1.0)
@@ -60,6 +60,31 @@ def shipped_cell():
     asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, f, g)
     records, notes = solve_cell(asm, r=0.08, ustar=ustar)
     return asm, ustar, records, notes, f, g
+
+
+@pytest.fixture(scope="module")
+def box2d():
+    """The shipped instance lifted to the unit square (p = s = 3, h = 0.1,
+    lambda = 2000): (asm, u*, r), r from the closed-form k_upper as in
+    `solve`."""
+    square = Domain.box(0.0, 1.0, 0.0, 1.0)
+    mesh = build_mesh(square, 0.1)
+    ustar = build_ustar(1.0, BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2), mesh)
+    asm = EnergyAssembler(mesh, ONE, 3.0, 2000.0, 0.0, shipped_f(), shipped_g())
+    k_upper, _ = k_upper_bound(square, ONE, 3.0, 3.0, mesh)
+    return asm, ustar, compute_r(0.2, k_upper, 3.0)
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap owner.name so that every call appends to the returned list."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 class TestSimonInequality:
@@ -228,16 +253,14 @@ class TestMinimizeEnergy:
         with pytest.raises(SolverFailure, match="no multistart run converged"):
             minimize_energy(asm)
 
-    def test_stall_at_energy_rounding_floor_ends_descent(self, monkeypatch):
-        # the shipped instance on the unit square (p = s = 3, h = 0.1,
-        # lambda = 2000): multistart seed 206's random start reaches
-        # E = -3116.6000541843937 with scaled residual 2.02e-8 and then finds
-        # only steps that leave E bitwise unchanged
-        mesh = build_mesh(Domain.box(0.0, 1.0, 0.0, 1.0), 0.1)
-        ustar = build_ustar(1.0, BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2), mesh)
-        asm = EnergyAssembler(mesh, ONE, 3.0, 2000.0, 0.0, shipped_f(), shipped_g())
-        config = SolverConfig(seed=206)
-        start = solver._multistart_seeds(mesh, ustar, config)[-1]
+    def test_stall_at_energy_rounding_floor_ends_descent(self, monkeypatch, box2d):
+        # on box2d, multistart seed 4's random start reaches
+        # E = -3116.6000541843937 with scaled residual 1.34e-7 and then finds
+        # only steps that leave E bitwise unchanged; taking them runs to
+        # max_iter (5000) without converging
+        asm, ustar, _ = box2d
+        config = SolverConfig(seed=4)
+        start = solver._multistart_seeds(asm.mesh, ustar, config)[-1]
         iterations = 0
         tangent = asm.tangent
 
@@ -252,6 +275,59 @@ class TestMinimizeEnergy:
         v, rn, ok = solver._descend(asm, start, config)
         assert not ok and rn > config.residual_tol
         assert asm.energy(v) == pytest.approx(-3116.6000541843937, rel=1e-12)
+
+
+class TestEulerStep:
+    """At p > 2 a full Newton step is followed by the trial v + (p-1) dv.
+    phi is p-homogeneous, so Euler's identity phi''(v) v = (p-1) phi'(v)
+    makes the Newton step of phi alone dv = -v/(p-1): the full step only
+    contracts v by (p-2)/(p-1), while the trial lands on u = 0."""
+
+    def test_pure_phi_reaches_zero_in_one_step(self, monkeypatch):
+        mesh = build_mesh(Domain.box(0.0, 1.0, 0.0, 1.0), 0.1)
+        asm = EnergyAssembler(mesh, ONE, 3.0)
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        start = np.sin(PI * mesh.vertices).prod(axis=1)
+        v, rn, ok = solver._descend(asm, start, SolverConfig())
+        assert ok and sup_norm(DiscreteFunction(mesh, v)) < 1e-12
+        assert len(solves) <= 2      # 12 with the full step alone
+
+    def test_box2d_descents_take_few_solves(self, monkeypatch, box2d):
+        # minimize_energy starts from 0, u*, -u*, random; sublevel_minimize
+        # from 0, u*, random.  The full step alone takes 15 solves from -u*,
+        # and 10 from u* and from the random start under the level.
+        asm, ustar, r = box2d
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        per_descent = []
+        descend = solver._descend
+
+        def counted(asm_, v0, config, level=None):
+            before = len(solves)
+            out = descend(asm_, v0, config, level)
+            per_descent.append((level, len(solves) - before))
+            return out
+
+        monkeypatch.setattr(solver, "_descend", counted)
+        solve_cell(asm, r, ustar=ustar)
+        assert len(per_descent) == 7
+        assert per_descent[2][1] <= 3
+        assert all(level == r and n <= 2 for level, n in per_descent[4:])
+
+    @pytest.mark.parametrize("seed", [200, 203, 206, 211, 217])
+    def test_box2d_cell_keeps_three_solutions(self, box2d, seed):
+        asm, ustar, r = box2d
+        records, notes = solve_cell(asm, r, config=SolverConfig(seed=seed), ustar=ustar)
+        found = SolutionSet(records, SolverConfig().delta_dist)
+        assert (found.count, found.count_nontrivial) == (3, 2)
+        assert notes == []
+
+    @pytest.mark.parametrize("level, energies", [(None, 4), (0.08, 2)])
+    def test_no_extra_energy_at_p2(self, monkeypatch, shipped_cell, level, energies):
+        # the counts of the descent without the trial, which p = 2 never runs
+        asm, ustar, *_ = shipped_cell
+        calls = count_calls(monkeypatch, asm, "energy")
+        v, rn, ok = solver._descend(asm, ustar.values, SolverConfig(), level)
+        assert ok and len(calls) == energies
 
 
 class TestSublevelMinimize:
