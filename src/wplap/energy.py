@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _GL20 = np.polynomial.legendre.leggauss(20)
+_MAX_PANELS = 128
 
 
 def _as_expr(e) -> Expression | None:
@@ -125,30 +126,52 @@ def _check_primitive(nl: Nonlinearity, x: np.ndarray):
         raise ValueError("primitive must vanish at t = 0")
 
 
+def _gauss_panels(fn, lo: float, hi: float, tol: float = 1e-11,
+                  max_panels: int = _MAX_PANELS):
+    """Composite 20-point Gauss on [lo, hi] with panel doubling to a relative
+    tolerance.
+
+    fn maps the nodes (n,) to values (..., n); each value along the leading
+    axes is one integral, a Python float when there are none.  Returns
+    (value, converged); converged once every value changes by at most
+    tol * max(1, |value|) from the previous level, and False (with the last
+    value) when max_panels panels still miss that."""
+    xg, wg = _GL20
+    prev = None
+    panels = 1
+    while panels <= max_panels:
+        edges = np.linspace(lo, hi, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * np.diff(edges)
+        pts = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
+        wts = (half[:, None] * wg[None, :]).ravel()
+        val = fn(pts) @ wts
+        val = float(val) if np.ndim(val) == 0 else val
+        if prev is not None and np.all(np.abs(val - prev)
+                                       <= tol * np.maximum(1.0, np.abs(val))):
+            return val, True
+        prev = val
+        panels *= 2
+    return val, False
+
+
 def primitive_F(nl: Nonlinearity, x, t) -> np.ndarray:
     """F(x, t) = int_0^t f(x, s) ds at m points x (m, N), values t (m,).
 
-    Closed form when nl has one; otherwise composite Gauss on [0, t] with
-    panel doubling until every value changes by at most 1e-10 * max(1, |F|)
-    (the map s = t * node keeps the orientation right for t < 0).  When 64
+    Closed form when nl has one; otherwise F = int_0^1 t f(x, t tau) dtau by
+    _gauss_panels, until every value changes by at most 1e-10 * max(1, |F|)
+    (the map s = t tau keeps the orientation right for t < 0).  When 64
     panels still miss that, the last values come back with a RuntimeWarning."""
     t = np.asarray(t, dtype=float)
     if nl.primitive is not None:
         return _eval_expr(nl.primitive, _point_env(x, t))
-    xi, wq = _GL20
-    prev = None
-    for panels in (1, 2, 4, 8, 16, 32, 64):
-        nodes = ((np.arange(panels)[:, None] + 0.5 * (xi[None, :] + 1.0)) / panels).reshape(-1)
-        wts = np.tile(0.5 * wq / panels, panels)
-        s = t[:, None] * nodes              # (m, panels*20) points along [0, t]
-        fx = _eval_expr(nl.f, _point_env(x, s, extra_axis=True))
-        val = t * (fx @ wts)
-        if prev is not None and np.all(np.abs(val - prev)
-                                       <= 1e-10 * np.maximum(1.0, np.abs(val))):
-            return val
-        prev = val
-    warnings.warn("primitive_F: Gauss panel doubling unconverged at 64 panels",
-                  RuntimeWarning, stacklevel=2)
+    col = t[:, None]
+    val, converged = _gauss_panels(
+        lambda tau: col * _eval_expr(nl.f, _point_env(x, col * tau, extra_axis=True)),
+        0.0, 1.0, tol=1e-10, max_panels=64)
+    if not converged:
+        warnings.warn("primitive_F: Gauss panel doubling unconverged at 64 panels",
+                      RuntimeWarning, stacklevel=2)
     return val
 
 
@@ -181,17 +204,14 @@ class EnergyAssembler:
         sg = mesh.shape_gradients
         self._gram = np.einsum("cbk,cdk->cbd", sg, sg)
         # flat cell-matrix entries joining two interior vertices, with their
-        # flat index in the free (ni x ni) and the full (nv x nv) tangent
-        nv, ni = mesh.num_vertices, self.interior.size
-        free = np.full(nv, -1)
+        # flat index in the free (ni x ni) tangent
+        ni = self.interior.size
+        free = np.full(mesh.num_vertices, -1)
         free[self.interior] = np.arange(ni)
         fc = free[mesh.cells]
         self._entries = np.flatnonzero(
             ((fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)).reshape(-1))
         self._free_pairs = (fc[:, :, None] * ni + fc[:, None, :]).reshape(-1)[self._entries]
-        self._full_pairs = (mesh.cells[:, :, None] * nv
-                            + mesh.cells[:, None, :]).reshape(-1)[self._entries]
-        self._boundary_diagonal = np.flatnonzero(mesh.boundary_vertices) * (nv + 1)
 
     # -- pointwise helpers ------------------------------------------------
     def _gpow(self, gnorm: np.ndarray, expo: float) -> np.ndarray:
@@ -286,9 +306,7 @@ class EnergyAssembler:
         part).  free=True returns the (ni x ni) block on the interior
         vertices asm.interior, the unknowns of the Dirichlet problem;
         otherwise the (nv x nv) matrix bordered by identity rows and columns
-        on the boundary vertices.  Both come from the same cell matrices
-        summed in the same order, so the free block equals the bordered
-        matrix's interior block bit for bit.
+        on the boundary vertices: that block placed inside np.eye(nv).
 
         include_sources=False drops the f/g linearizations, leaving the
         monotone (positive definite) part; solvers use it as a descent
@@ -316,15 +334,14 @@ class EnergyAssembler:
         if np.any(coef):
             wcoef = self.wq * coef.reshape(self.wq.shape)
             M += np.einsum("cq,qb,qd->cbd", wcoef, self.bary, self.bary)
-        weights = M.reshape(-1)[self._entries]
+        ni = self.interior.size
+        block = np.bincount(self._free_pairs, weights=M.reshape(-1)[self._entries],
+                            minlength=ni * ni).reshape(ni, ni)
         if free:
-            ni = self.interior.size
-            return np.bincount(self._free_pairs, weights=weights,
-                               minlength=ni * ni).reshape(ni, ni)
-        nv = v.size
-        A = np.bincount(self._full_pairs, weights=weights, minlength=nv * nv)
-        A[self._boundary_diagonal] = 1.0
-        return A.reshape(nv, nv)
+            return block
+        A = np.eye(v.size)
+        A[np.ix_(self.interior, self.interior)] = block
+        return A
 
 
 def weak_form_gap(asm: EnergyAssembler, u: DiscreteFunction, v: DiscreteFunction) -> float:

@@ -58,12 +58,19 @@ class Domain:
             raise ValueError(f"bad {self.kind} bounds {self.bounds}")
 
     @staticmethod
+    def of_kind(kind: str, bounds) -> "Domain":
+        """The domain a config names by its kind string and flat bounds list;
+        an unknown kind raises UnsupportedDomainError, a wrong bounds count
+        ValueError."""
+        return Domain(kind, tuple(float(b) for b in bounds), _KIND_DIM.get(kind, 0))
+
+    @staticmethod
     def interval(a: float, b: float) -> "Domain":
-        return Domain("interval", (float(a), float(b)), 1)
+        return Domain.of_kind("interval", (a, b))
 
     @staticmethod
     def box(x1min: float, x1max: float, x2min: float, x2max: float) -> "Domain":
-        return Domain("box", (float(x1min), float(x1max), float(x2min), float(x2max)), 2)
+        return Domain.of_kind("box", (x1min, x1max, x2min, x2max))
 
     @property
     def axes(self) -> np.ndarray:

@@ -4,7 +4,7 @@ Norms are (int |u|^p + int a |grad u|^p)^(1/p) for piecewise-linear u, with
 per-cell Gauss quadrature of order >= 5.  The module also estimates the
 sup-norm embedding constant k = sup max|u| / ||u|| from below (hat sweep plus
 gradient ascent) and from above (Talenti's constant combined with a Hoelder
-bound through int a^(-s))."""
+bound through int a^(-s), rigorous for every weight a > 0)."""
 from __future__ import annotations
 
 import math
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Domain, Mesh, distance_to_boundary, domain_measure
-from .weight import WeightSpec, compute_ps, eval_weight, weight_lower_bound
+from .weight import WeightSpec, compute_ps, eval_weight
 
 __all__ = [
     "DiscreteFunction",
@@ -141,7 +141,6 @@ def talenti_bound(n: int, p_s: float, measure: float) -> float:
 class EmbeddingEstimate:
     k_lower: float
     k_upper: float
-    k_upper_mode: str          # 'certified' | 'heuristic'
     witness: DiscreteFunction  # maximizer found for the lower bound
 
     @property
@@ -194,18 +193,19 @@ def _star_fd_gradient(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray,
 
 
 def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
-                  mesh: Mesh) -> tuple[float, str]:
-    """(k_upper, mode): Talenti's constant for p_s = p*s/(s+1) times
-    (int a^(-s))^(1/((s+1) p_s)), the integral taken with the mesh
-    quadrature; mode is 'certified' when a >= 1 a.e., 'heuristic' otherwise."""
+                  mesh: Mesh) -> float:
+    """Talenti's constant for p_s = p*s/(s+1) times
+    (int a^(-s))^(1/((s+1) p_s)), the integral taken with the mesh quadrature.
+
+    Rigorous for every weight a > 0: Hoelder with exponents p/p_s and s+1
+    gives ||grad u||_{p_s} <= (int a^(-s))^(1/((s+1) p_s)) (int a |grad u|^p)^(1/p),
+    and Talenti bounds max|u| by ||grad u||_{p_s}."""
     p_s = compute_ps(p, s)
     pts, wq, _ = mesh.quadrature()
     aq = np.atleast_1d(eval_weight(w, mesh.domain, pts))
     int_a_ms = float(wq.ravel() @ aq ** (-s))
-    k_upper = talenti_bound(domain.dim, p_s, domain_measure(domain)) \
-        * int_a_ms ** (1.0 / ((s + 1.0) * p_s))
-    mode = "certified" if weight_lower_bound(w, domain) >= 1.0 - 1e-12 else "heuristic"
-    return float(k_upper), mode
+    return float(talenti_bound(domain.dim, p_s, domain_measure(domain))
+                 * int_a_ms ** (1.0 / ((s + 1.0) * p_s)))
 
 
 _ASCENT_STEPS = 50      # gradient-ascent steps of the lower bound
@@ -222,7 +222,7 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
     ratio in each interior nodal value, step _FD_STEP_REL * ||v||_2; each
     difference is evaluated on the node's star (the cells touching it), so
     one step costs O(nc).  Upper bound: k_upper_bound."""
-    k_upper, mode = k_upper_bound(domain, w, p, s, mesh)
+    k_upper = k_upper_bound(domain, w, p, s, mesh)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
         raise ValueError("mesh has no interior vertices")
@@ -261,5 +261,5 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
             break
 
     return EmbeddingEstimate(k_lower=k_lower, k_upper=k_upper,
-                             k_upper_mode=mode, witness=DiscreteFunction(mesh, v))
+                             witness=DiscreteFunction(mesh, v))
 

@@ -1,7 +1,9 @@
 """The benchmark's tracer (bench/tracer.py) patches package functions by name
-and binds some of their parameters by name.  A rename in the package has to
-fail here, in the package's own suite, and not only in bench/test_bench.py.
-The tracer module is loaded read-only; nothing is patched."""
+and binds some of their parameters by name, and its mesh-size sweep
+(bench/sweep.py) calls package entry points directly.  A rename or a changed
+signature in the package has to fail here, in the package's own suite, and
+not only in bench/test_bench.py.  The bench modules are loaded read-only;
+nothing is patched."""
 import importlib
 import importlib.util
 import inspect
@@ -18,16 +20,23 @@ from wplap.energy import EnergyAssembler, make_nonlinearity
 from wplap.geometry import Domain, build_mesh
 from wplap.weight import WeightSpec
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _package_modules() -> dict:
+    return {info.name: importlib.import_module(f"wplap.{info.name}")
+            for info in pkgutil.iter_modules(wplap.__path__)}
 
 
 def _span_table():
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    modules = {info.name: importlib.import_module(f"wplap.{info.name}")
-               for info in pkgutil.iter_modules(wplap.__path__)}
-    return tracer.span_table(modules)
+    return _bench_module("tracer").span_table(_package_modules())
 
 
 def test_every_traced_attribute_exists():
@@ -71,3 +80,18 @@ def test_descent_calls_the_traced_solve_and_tangent(monkeypatch, domain, h, p):
     v, rn, ok = solver._descend(asm, start, solver.SolverConfig())
     assert ok
     assert calls["solve"] >= 1 and calls["tangent"] >= 1
+
+
+def test_tiny_sweep_runs_on_the_package(tmp_path):
+    """The sweep times mesh build, assembler setup, energy, residual, the
+    bordered tangent(v), a dense solve with it and estimate_k, in 1D and 2D;
+    every layer must run and give a finite time."""
+    sweep, workloads = _bench_module("sweep"), _bench_module("workloads")
+    configs = workloads.write_configs(tmp_path, tiny=True)
+    out = sweep.run_sweep(_package_modules(), workloads.SHIPPED_CONFIG, configs["box2d"],
+                          tiny=True)
+    layers = {key.rsplit(".", 1)[0] for key in out if key.endswith(".exponent")}
+    assert layers == {f"sweep.1d.{name}" for name in (
+        "geometry.build_mesh", "energy.assembler_init", "energy.energy", "energy.residual",
+        "energy.tangent", "linalg.solve", "space.estimate_k")} | {
+        "sweep.2d.geometry.build_mesh", "sweep.2d.space.estimate_k"}

@@ -172,20 +172,18 @@ class TestCheck:
         assert cert["variants"]["k_upper"]["r"] == pytest.approx(consts["r"], rel=1e-12)
         assert consts["k[k_lower]"] <= consts["k[k_upper]"]
 
-    def test_heuristic_k_marks_k_built_checks(self, tmp_path):
-        # a = 0.5 < 1 leaves k heuristic; d^p xi^p > c^p, the level separation
-        # and bona1 are built from k, so they pass only heuristically
+    def test_sub_unit_weight_k_is_certified(self, tmp_path):
+        # k_upper is rigorous for every weight a > 0, so at a = 0.5 the checks
+        # built from k (d^p xi^p > c^p, the level separation and bona1) pass
         cfg = variant(tmp_path, "half_weight.cfg", ("value = 1.0", "value = 0.5"))
         code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
         cert = read_certificate(tmp_path / "out" / "certificate.txt")
-        assert cert["constants"]["k_mode"] == "heuristic"
-        k = cert["constants"]["k"]
+        assert cert["constants"]["k_mode"] == "certified"
         for name in ("dxi_gt_c", "level_separation", "bona1"):
             entry = cert["checks"][name]
-            assert entry["verdict"] == "heuristic-pass", name
-            assert entry["note"].endswith(f"; k = {k:.9g} is heuristic"), name
-        assert cert["checks"]["sandwich"]["verdict"] == "pass"
-        # overall and the exit code still treat heuristic-pass as pass
+            assert entry["verdict"] == "pass", name
+            assert "is heuristic" not in entry["note"], name
+        assert "k mode: certified; xi/eta/r per k variant recorded" in cert["notes"]
         assert cert["meta"]["overall"] == "pass"
         assert code == 0
 
@@ -376,12 +374,33 @@ class TestConfigDiagnostics:
         assert code == 64
         assert "unknown section [bogus]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["solve", "scan"])
+    def test_f_without_t_derivative_is_config_error(self, tmp_path, capsys, command):
+        # 2^t has no t-derivative in the expression language, and the Newton
+        # tangent needs one; F overflows at H3's |t| = 1e4, so its panel
+        # doubling warns first (numpy's overflow warnings are silenced)
+        cfg = variant(tmp_path, "pow_f.cfg",
+                      ("expr = min(max(t - 0.25, 0), 1)", "expr = 0.1*2^t"),
+                      ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)\n", ""))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="^primitive_F: "):
+            code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        err = capsys.readouterr().err
+        assert "config error: t-dependent exponents are not differentiable here" in err
+
     def test_ball_domain_rejected(self, tmp_path, capsys):
         cfg = variant(tmp_path, "ball.cfg", ("kind = interval\nbounds = 0.0 1.0",
                                              "kind = ball\nbounds = 0.5 0.5"))
         code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
         assert code == 64
         assert "unknown domain kind 'ball'" in capsys.readouterr().err
+
+    def test_wrong_bounds_count_rejected(self, tmp_path, capsys):
+        cfg = variant(tmp_path, "bounds.cfg", ("bounds = 0.0 1.0", "bounds = 0.0 1.0 2.0"))
+        code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        assert "[domain]: bad interval bounds (0.0, 1.0, 2.0)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["check", "solve"])
     @pytest.mark.parametrize("old, new, message", [

@@ -158,6 +158,15 @@ def test_unsupported_dimensions():
         Domain("box", (0, 1, 0, 1, 0, 1), 3)  # N=3 rejected at construction
 
 
+def test_domain_of_kind_reads_a_config_kind_string():
+    assert Domain.of_kind("interval", [0, 1]) == Domain.interval(0.0, 1.0)
+    assert Domain.of_kind("box", [0, 1, 0, 2]) == Domain.box(0.0, 1.0, 0.0, 2.0)
+    with pytest.raises(UnsupportedDomainError, match="^unknown domain kind 'ball'$"):
+        Domain.of_kind("ball", [0.5, 0.5])
+    with pytest.raises(ValueError, match=r"^bad interval bounds \(0.0, 1.0, 2.0\)$"):
+        Domain.of_kind("interval", [0.0, 1.0, 2.0])
+
+
 def test_quadrature_weights_sum_to_measure():
     mesh = build_mesh(Domain.interval(0, 1), 0.2, breakpoints=(0.37,))
     _, wq, _ = mesh.quadrature()

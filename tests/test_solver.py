@@ -71,7 +71,7 @@ def box2d():
     mesh = build_mesh(square, 0.1)
     ustar = build_ustar(1.0, BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2), mesh)
     asm = EnergyAssembler(mesh, ONE, 3.0, 2000.0, 0.0, shipped_f(), shipped_g())
-    k_upper, _ = k_upper_bound(square, ONE, 3.0, 3.0, mesh)
+    k_upper = k_upper_bound(square, ONE, 3.0, 3.0, mesh)
     return asm, ustar, compute_r(0.2, k_upper, 3.0)
 
 

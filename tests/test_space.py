@@ -163,7 +163,6 @@ class TestEstimateK:
         assert est.k_lower >= math.sqrt(3 / 13) - 1e-12
         assert est.k_upper == pytest.approx(0.5, abs=1e-12)
         assert est.k_lower <= est.k_upper
-        assert est.k_upper_mode == "certified"
         assert est.k == est.k_upper
 
     def test_witness_achieves_lower(self):
@@ -187,15 +186,26 @@ class TestEstimateK:
         assert k4.k_lower <= k1.k_lower
         assert k4.k_lower <= k4.k_upper
 
-    def test_heuristic_mode_below_one(self):
-        est = estimate_k(UNIT, WeightSpec.constant(0.25), 2.0, 2.0, interval_mesh(1 / 64))
-        assert est.k_upper_mode == "heuristic"
+    def test_sub_unit_weights_keep_k_lower_below_k_upper(self):
+        # Hoelder through int a^(-s) makes k_upper rigorous for every a > 0,
+        # so the ascent's k_lower stays below it where a < 1 too
+        cases = [(UNIT, WeightSpec.constant(0.5), 2.0, 1 / 128, 0.65549, 1 / math.sqrt(2)),
+                 (UNIT, WeightSpec.constant(0.25), 2.0, 1 / 128, 0.86983, 1.0),
+                 (Domain.box(0.0, 3.0, 0.0, 3.0), WeightSpec.distance_power(0.5), 3.0, 0.3,
+                  0.82339, 1.32790),
+                 (Domain.box(0.0, 1.0, 0.0, 1.0), WeightSpec.constant(0.25), 3.0, 0.1,
+                  0.98053, 1.60930)]
+        for domain, w, p, h, k_lower, k_upper in cases:
+            est = estimate_k(domain, w, p, p, build_mesh(domain, h))
+            assert est.k_lower <= est.k_upper
+            assert est.k_lower == pytest.approx(k_lower, abs=1e-5)
+            assert est.k_upper == pytest.approx(k_upper, abs=1e-5)
 
     def test_sup_dominated_by_upper_bound(self):
-        # sup |u| <= k_upper ||u|| whenever a >= 1 pointwise
+        # sup |u| <= k_upper ||u|| for every weight a > 0
         mesh = interval_mesh(1 / 64)
         rng = np.random.default_rng(19)
-        for w in (ONE, WeightSpec.constant(4.0)):
+        for w in (ONE, WeightSpec.constant(4.0), WeightSpec.constant(0.25)):
             est = estimate_k(UNIT, w, 2.0, 2.0, mesh)
             for _ in range(25):
                 u = random_interior(mesh, rng)
@@ -210,7 +220,7 @@ class TestEstimateK:
 def test_k_upper_bound_is_estimate_k_upper(domain, h, p, s, w):
     mesh = build_mesh(domain, h)
     est = estimate_k(domain, w, p, s, mesh)
-    assert k_upper_bound(domain, w, p, s, mesh) == (est.k_upper, est.k_upper_mode)
+    assert k_upper_bound(domain, w, p, s, mesh) == est.k_upper
 
 
 def norm_ratios(family, w, p):
