@@ -23,7 +23,7 @@ import numpy as np
 
 from .certificate import (CertificateReport, ProblemSpec, RefinementRequiredError,
                           build_certificate, build_ustar, check_H3, compute_r)
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, _line_of, load_config
 from .energy import EnergyAssembler
 from .expressions import ParseError
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
@@ -265,11 +265,24 @@ def cmd_check(cfg: RunConfig, args, out: Path) -> int:
     return report.exit_code
 
 
-def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
-    """The problem mesh's assembler at (lam, mu) and the theorem's pieces for
-    the solvers: (asm, spec, r, ustar), the last three None without a
-    problem spec.  The level r = (1/p)(c/k)^p takes only the closed-form
-    k_upper.  Warns when H3 is not established."""
+def _solver_inputs(cfg: RunConfig, lams, mus):
+    """The problem mesh's assembler at (lams[0], mus[0]) and the theorem's
+    pieces for the solvers: (asm, spec, r, ustar), the last three None
+    without a problem spec.  The level r = (1/p)(c/k)^p takes only the
+    closed-form k_upper.  Warns when H3 is not established.
+
+    The Newton tangent needs the t-derivative of f when a lambda in lams is
+    nonzero, and of g when a mu in mus is; one the expression language
+    cannot form is a config error naming the section, raised before any
+    check runs."""
+    for nl, coefs, section in ((cfg.nl_f, lams, "nonlinearity_f"),
+                               (cfg.nl_g, mus, "nonlinearity_g")):
+        if nl is not None and any(coefs):
+            try:
+                nl.f_t
+            except ParseError as exc:
+                raise ConfigError(f"{cfg.path} [{section}]: {exc}"
+                                  + _line_of(cfg.path, section, "expr")) from exc
     mesh = build_problem_mesh(cfg)
     r = ustar = None
     spec = _problem_spec(cfg)
@@ -280,14 +293,14 @@ def _solver_inputs(cfg: RunConfig, lam: float = 0.0, mu: float = 0.0):
         if check_H3(spec.nl_f, spec.gamma, spec.domain).verdict not in ("pass", "heuristic-pass"):
             print("warning: H3 growth bound not established; coercivity unknown, "
                   "proceeding anyway", file=sys.stderr)
-    asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lam, mu, cfg.nl_f, cfg.nl_g,
+    asm = EnergyAssembler(mesh, cfg.weight, cfg.p, lams[0], mus[0], cfg.nl_f, cfg.nl_g,
                           cfg.zero_order_term, cfg.solver.eps_reg)
     return asm, spec, r, ustar
 
 
 def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
     lam, mu = cfg.run_lambda, cfg.run_mu
-    asm, _, r, ustar = _solver_inputs(cfg, lam, mu)
+    asm, _, r, ustar = _solver_inputs(cfg, [lam], [mu])
     try:
         records, notes = solve_cell(asm, r, config=cfg.solver, ustar=ustar)
     except (SolverFailure, CoercivityError) as exc:
@@ -329,7 +342,7 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
 def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.lambda_grid:
         raise ConfigError(f"{cfg.path}: scan requires a non-empty [lambda_grid]")
-    asm, spec, r, ustar = _solver_inputs(cfg)
+    asm, spec, r, ustar = _solver_inputs(cfg, cfg.lambda_grid, cfg.mu_values)
     report = None if spec is None else build_certificate(spec, asm.mesh)
     result = scan(asm, cfg.lambda_grid, cfg.mu_values, r, config=cfg.solver, ustar=ustar)
     write_scan_summary(out / "scan_summary.csv", result.cells)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,10 +82,14 @@ class Nonlinearity:
         """f at m points x (m, N) with values t (m,)."""
         return _eval_expr(self.f, _point_env(x, t))
 
+    @cached_property
+    def f_t(self) -> Expression:
+        """The t-derivative of f, formed on first use; raises ParseError
+        when f lies outside the expression language's differentiable subset."""
+        return self.f.diff_t()
+
     def eval_dt(self, x, t) -> np.ndarray:
-        if "_dft" not in self.__dict__:
-            object.__setattr__(self, "_dft", self.f.diff_t())
-        return _eval_expr(self.__dict__["_dft"], _point_env(x, t))
+        return _eval_expr(self.f_t, _point_env(x, t))
 
 
 def make_nonlinearity(f, primitive=None, growth_h=None,
@@ -204,14 +209,28 @@ class EnergyAssembler:
         sg = mesh.shape_gradients
         self._gram = np.einsum("cbk,cdk->cbd", sg, sg)
         # flat cell-matrix entries joining two interior vertices, with their
-        # flat index in the free (ni x ni) tangent
+        # flat index in the block-tridiagonal storage of the free (ni x ni)
+        # block: vertices are numbered lexicographically on a tensor grid, so
+        # the block has a small half-bandwidth, and a block row of m >= that
+        # width couples only to the block rows next to it; m >= sqrt(ni)
+        # keeps the block count, the solve's sequential steps, <= sqrt(ni)
         ni = self.interior.size
         free = np.full(mesh.num_vertices, -1)
         free[self.interior] = np.arange(ni)
         fc = free[mesh.cells]
-        self._entries = np.flatnonzero(
-            ((fc[:, :, None] >= 0) & (fc[:, None, :] >= 0)).reshape(-1))
-        self._free_pairs = (fc[:, :, None] * ni + fc[:, None, :]).reshape(-1)[self._entries]
+        rows = np.broadcast_to(fc[:, :, None], self._gram.shape).reshape(-1)
+        cols = np.broadcast_to(fc[:, None, :], self._gram.shape).reshape(-1)
+        self._entries = np.flatnonzero((rows >= 0) & (cols >= 0))
+        rows, cols = rows[self._entries], cols[self._entries]
+        band = int(np.max(np.abs(rows - cols), initial=0))
+        m = max(band, math.ceil(math.sqrt(ni)), 1)
+        nb = -(-ni // m)
+        self._block_shape = (3, nb, m, m)
+        self._block_index = ((((cols // m - rows // m + 1) * nb + rows // m) * m
+                              + rows % m) * m + cols % m)
+        # identity on the diagonal slots past ni that pad the last block
+        pad = np.arange(ni - (nb - 1) * m, m)
+        self._block_pad = ((2 * nb - 1) * m + pad) * m + pad
 
     # -- pointwise helpers ------------------------------------------------
     def _gpow(self, gnorm: np.ndarray, expo: float) -> np.ndarray:
@@ -302,11 +321,16 @@ class EnergyAssembler:
 
     def tangent(self, v: np.ndarray, include_sources: bool = True,
                 free: bool = False) -> np.ndarray:
-        """Dense Jacobian of the residual (regularized for the p-Laplacian
-        part).  free=True returns the (ni x ni) block on the interior
-        vertices asm.interior, the unknowns of the Dirichlet problem;
-        otherwise the (nv x nv) matrix bordered by identity rows and columns
-        on the boundary vertices: that block placed inside np.eye(nv).
+        """Jacobian of the residual (regularized for the p-Laplacian part).
+
+        free=True returns the block on the interior vertices asm.interior,
+        the unknowns of the Dirichlet problem, in block-tridiagonal storage
+        (3, nb, m, m): blocks[0, k], blocks[1, k] and blocks[2, k] are the
+        sub-, diagonal and super-diagonal blocks of block row k, m is at
+        least the block's half-bandwidth, and the nb m - ni slots past ni
+        carry the identity (see _densify).  Otherwise the dense (nv x nv)
+        matrix bordered by identity rows and columns on the boundary
+        vertices: that block placed inside np.eye(nv).
 
         include_sources=False drops the f/g linearizations, leaving the
         monotone (positive definite) part; solvers use it as a descent
@@ -334,14 +358,27 @@ class EnergyAssembler:
         if np.any(coef):
             wcoef = self.wq * coef.reshape(self.wq.shape)
             M += np.einsum("cq,qb,qd->cbd", wcoef, self.bary, self.bary)
-        ni = self.interior.size
-        block = np.bincount(self._free_pairs, weights=M.reshape(-1)[self._entries],
-                            minlength=ni * ni).reshape(ni, ni)
+        blocks = np.bincount(self._block_index, weights=M.reshape(-1)[self._entries],
+                             minlength=math.prod(self._block_shape))
+        blocks[self._block_pad] = 1.0
+        blocks = blocks.reshape(self._block_shape)
         if free:
-            return block
+            return blocks
         A = np.eye(v.size)
-        A[np.ix_(self.interior, self.interior)] = block
+        A[np.ix_(self.interior, self.interior)] = _densify(blocks, self.interior.size)
         return A
+
+
+def _densify(blocks: np.ndarray, n: int) -> np.ndarray:
+    """The dense (n x n) matrix held in the block-tridiagonal storage blocks
+    (3, nb, m, m) of EnergyAssembler.tangent, without the padding past n."""
+    _, nb, m, _ = blocks.shape
+    A = np.zeros((nb, m, nb, m))
+    k = np.arange(nb)
+    A[k, :, k, :] = blocks[1]
+    A[k[1:], :, k[:-1], :] = blocks[0, 1:]
+    A[k[:-1], :, k[1:], :] = blocks[2, :-1]
+    return A.reshape(nb * m, nb * m)[:n, :n]
 
 
 def weak_form_gap(asm: EnergyAssembler, u: DiscreteFunction, v: DiscreteFunction) -> float:

@@ -7,7 +7,11 @@ points, Newton-polished from the energy peak on the segment joining them.
 phi' is uniformly monotone for p >= 2, which makes invert_phi_prime
 single-valued; that inverse is the same energy descent on phi with a linear
 load.  Every Newton step (_solve_tangent) solves for the interior vertices
-only, on the tangent's free block; the Dirichlet values stay 0.  For p > 2
+only, on the tangent's free block; the Dirichlet values stay 0.  That block
+comes in block-tridiagonal storage (the mesh numbers its vertices
+lexicographically, so the block is banded), and a block Thomas solve
+(_block_solve) runs on it with numpy alone, never forming the dense block;
+it costs O(ni m^2) for blocks of size m against O(ni^3) dense.  For p > 2
 phi'' degenerates at u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v)
 for the p-homogeneous phi makes the full Newton step only contract v by
 (p-2)/(p-1) where phi dominates; after a full step the descent also tries
@@ -118,15 +122,45 @@ class SolutionSet:
         return [self.records[i] for i in self.kept]
 
 
+def _block_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the system held in the block-tridiagonal storage blocks
+    (3, nb, m, m) of EnergyAssembler.tangent(free=True) against rhs (n,),
+    n <= nb m, by block LU without pivoting between blocks (the block
+    Thomas algorithm; Golub & Van Loan, Matrix Computations, 4.5).
+
+    The forward pass forms S_k = D_k - L_k S_{k-1}^{-1} U_{k-1} and solves
+    S_k [X_k | y_k] = [U_k | z_k - L_k y_{k-1}] in one np.linalg.solve call,
+    looked up at call time; back substitution takes x_k = y_k - X_k x_{k+1}.
+    A singular S_k raises np.linalg.LinAlgError."""
+    sub, diag, sup = blocks
+    nb, m = diag.shape[:2]
+    rhs_k = np.empty((nb, m, m + 1))
+    rhs_k[:, :, :m] = sup
+    rhs_k[:, :, m] = np.pad(rhs, (0, nb * m - rhs.size)).reshape(nb, m)
+    xy = np.empty_like(rhs_k)           # [X_k | y_k]
+    for k in range(nb):
+        S = diag[k]
+        if k:
+            lxy = sub[k] @ xy[k - 1]
+            S = S - lxy[:, :m]
+            rhs_k[k, :, m] -= lxy[:, m]
+        xy[k] = np.linalg.solve(S, rhs_k[k])
+    x = np.zeros((nb + 1, m))           # x[nb] = 0 starts the recursion
+    for k in range(nb - 1, -1, -1):
+        x[k] = xy[k, :, m] - xy[k, :, :m] @ x[k + 1]
+    return x.reshape(-1)[:rhs.size]
+
+
 def _solve_tangent(asm: EnergyAssembler, v: np.ndarray, res: np.ndarray,
                    include_sources: bool = True) -> np.ndarray | None:
-    """Newton direction at v: the tangent's free block solved against -res
-    on the interior vertices, 0 on the boundary (the Dirichlet values stay
-    fixed).  None when the solve is singular or not finite."""
+    """Newton direction at v: the tangent's free block, in its
+    block-tridiagonal storage, solved by _block_solve against -res on the
+    interior vertices, 0 on the boundary (the Dirichlet values stay fixed).
+    None when a block solve is singular or the result is not finite."""
     dv = np.zeros(v.size)
     try:
-        dv[asm.interior] = np.linalg.solve(asm.tangent(v, include_sources, free=True),
-                                           -res[asm.interior])
+        dv[asm.interior] = _block_solve(asm.tangent(v, include_sources, free=True),
+                                        -res[asm.interior])
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(dv)):

@@ -7,6 +7,7 @@ tests/golden/<name>/ from the current code."""
 import csv
 import math
 import re
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -374,20 +375,43 @@ class TestConfigDiagnostics:
         assert code == 64
         assert "unknown section [bogus]" in capsys.readouterr().err
 
+    # 2^t has no t-derivative in the expression language, and the Newton
+    # tangent needs one
+    POW_F = (("expr = min(max(t - 0.25, 0), 1)", "expr = 0.1*2^t"),
+             ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)\n", ""))
+
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_f_without_t_derivative_is_config_error(self, tmp_path, capsys, command):
-        # 2^t has no t-derivative in the expression language, and the Newton
-        # tangent needs one; F overflows at H3's |t| = 1e4, so its panel
-        # doubling warns first (numpy's overflow warnings are silenced)
-        cfg = variant(tmp_path, "pow_f.cfg",
-                      ("expr = min(max(t - 0.25, 0), 1)", "expr = 0.1*2^t"),
-                      ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)\n", ""))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.warns(RuntimeWarning, match="^primitive_F: "):
+        # rejected before the H3 check, whose panel doubling of F would warn
+        # (F overflows at |t| = 1e4), and before scan's certificate
+        cfg = variant(tmp_path, "pow_f.cfg", *self.POW_F)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
         assert code == 64
         err = capsys.readouterr().err
-        assert "config error: t-dependent exponents are not differentiable here" in err
+        assert ("config error: " + str(cfg) + " [nonlinearity_f]: t-dependent exponents"
+                " are not differentiable here (line 34, column 1)") in err
+        assert not (tmp_path / "out" / "certificate.txt").exists()
+
+    def test_g_without_t_derivative_is_config_error_where_mu_is_nonzero(self, tmp_path,
+                                                                        capsys):
+        # the shipped [run] has mu = 0, so solve needs no g_t; scan's mu
+        # values include 0.05
+        cfg = variant(tmp_path, "pow_g.cfg", ("expr = sin(t)", "expr = 0.1*2^t"))
+        assert run_cli("scan", "--config", cfg, "--out", tmp_path / "scan") == 64
+        assert " [nonlinearity_g]: t-dependent exponents" in capsys.readouterr().err
+        assert run_cli("solve", "--config", cfg, "--out", tmp_path / "solve") == 0
+
+    @pytest.mark.parametrize("command", ["check", "oracle"])
+    def test_f_without_t_derivative_runs_where_no_tangent_is_built(self, tmp_path, capsys,
+                                                                    command):
+        cfg = variant(tmp_path, "pow_f.cfg", *self.POW_F, FAST_ORACLE)
+        with np.errstate(over="ignore", invalid="ignore"), warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "^primitive_F: ", RuntimeWarning)
+            code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        assert code != 64
+        assert "config error" not in capsys.readouterr().err
 
     def test_ball_domain_rejected(self, tmp_path, capsys):
         cfg = variant(tmp_path, "ball.cfg", ("kind = interval\nbounds = 0.0 1.0",

@@ -7,7 +7,7 @@ import pytest
 
 from wplap import solver
 from wplap.certificate import build_ustar, compute_r
-from wplap.energy import EnergyAssembler, make_nonlinearity, weak_form_gap
+from wplap.energy import EnergyAssembler, _densify, make_nonlinearity, weak_form_gap
 from wplap.geometry import BallSpec, Domain, build_mesh
 from wplap.solver import (
     SolutionRecord,
@@ -163,7 +163,6 @@ class TestSolveTangent:
         assert mesh.num_vertices == 2 and not mesh.interior_vertices.any()
         asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=shipped_f())
         zero = np.zeros(2)
-        assert asm.tangent(zero, free=True).shape == (0, 0)
         assert np.array_equal(solver._solve_tangent(asm, zero, zero), zero)
         v, rn, ok = solver._descend(asm, zero, SolverConfig())
         assert ok and rn == 0.0 and np.array_equal(v, zero)
@@ -173,10 +172,34 @@ class TestSolveTangent:
         asm = EnergyAssembler(mesh, ONE, 2.0)
         v = np.zeros(mesh.num_vertices)
         res = np.ones(mesh.num_vertices)
-        ni = asm.interior.size
-        for block in (np.zeros((ni, ni)), np.full((ni, ni), np.nan)):
-            monkeypatch.setattr(asm, "tangent", lambda *a, block=block, **kw: block)
+        shape = asm.tangent(v, free=True).shape
+        for blocks in (np.zeros(shape), np.full(shape, np.nan)):
+            monkeypatch.setattr(asm, "tangent", lambda *a, blocks=blocks, **kw: blocks)
             assert solver._solve_tangent(asm, v, res) is None
+
+    @pytest.mark.parametrize("case", ["1d-indefinite", "2d-p3", "2d-graded"])
+    def test_block_solve_matches_dense_solve(self, case):
+        # the graded mesh has ni = 324 and m = 19, so the last block is padded
+        if case == "1d-indefinite":
+            mesh, p, lam = build_mesh(UNIT, 1 / 256), 2.0, 60.0
+            v = 0.75 * np.sin(PI * mesh.vertices[:, 0])
+        else:
+            mesh = build_mesh(Domain.box(0.0, 1.0, 0.0, 1.0), 0.1,
+                              grading_depth=2 if case == "2d-graded" else 0)
+            p, lam = 3.0, 2000.0
+            v = np.random.default_rng(5).uniform(-1.5, 1.5, mesh.num_vertices)
+            v[mesh.boundary_vertices] = 0.0
+        asm = EnergyAssembler(mesh, ONE, p, lam, 0.5, shipped_f(), shipped_g())
+        blocks = asm.tangent(v, free=True)
+        ni = asm.interior.size
+        dense = _densify(blocks, ni)
+        if case == "1d-indefinite":
+            assert np.sum(np.linalg.eigvalsh(dense) < 0) >= 1
+        if case == "2d-graded":
+            assert ni % blocks.shape[2] != 0
+        rhs = -asm.residual(v)[asm.interior]
+        got, want = solver._block_solve(blocks, rhs), np.linalg.solve(dense, rhs)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestMinimizeEnergy:
@@ -286,7 +309,7 @@ class TestEulerStep:
     def test_pure_phi_reaches_zero_in_one_step(self, monkeypatch):
         mesh = build_mesh(Domain.box(0.0, 1.0, 0.0, 1.0), 0.1)
         asm = EnergyAssembler(mesh, ONE, 3.0)
-        solves = count_calls(monkeypatch, np.linalg, "solve")
+        solves = count_calls(monkeypatch, solver, "_solve_tangent")
         start = np.sin(PI * mesh.vertices).prod(axis=1)
         v, rn, ok = solver._descend(asm, start, SolverConfig())
         assert ok and sup_norm(DiscreteFunction(mesh, v)) < 1e-12
@@ -297,7 +320,7 @@ class TestEulerStep:
         # from 0, u*, random.  The full step alone takes 15 solves from -u*,
         # and 10 from u* and from the random start under the level.
         asm, ustar, r = box2d
-        solves = count_calls(monkeypatch, np.linalg, "solve")
+        solves = count_calls(monkeypatch, solver, "_solve_tangent")
         per_descent = []
         descend = solver._descend
 
