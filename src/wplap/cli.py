@@ -16,14 +16,14 @@ import argparse
 import configparser
 import csv
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .certificate import (CertificateReport, ProblemSpec, RefinementRequiredError,
+from .certificate import (CertificateReport, Constants, ProblemSpec, RefinementRequiredError,
                           build_certificate, build_ustar, check_H3, compute_r)
-from .config import ConfigError, RunConfig, _line_of, load_config
+from .config import ConfigError, RunConfig, config_errors, load_config
 from .energy import EnergyAssembler
 from .expressions import ParseError
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
@@ -73,12 +73,23 @@ def _problem_spec(cfg: RunConfig) -> ProblemSpec | None:
 # -- writers / readers ----------------------------------------------------
 
 def _write_table(path, header, rows):
-    """One numeric CSV file in a single write: the header, then rows of
-    Python floats and ints (as from ndarray.tolist()), each value written
-    with repr as _fmt does, and CRLF line ends as csv.writer writes them."""
-    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    """One CSV file in a single write: the header, then rows of labels and
+    Python floats and ints (as from ndarray.tolist()), each written with str
+    (for a float its repr, as _fmt writes it), and CRLF line ends as
+    csv.writer writes them."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
+
+
+def _read_table(path, what: str, header_ok) -> list:
+    """The rows after the header of a CSV file; a header failing header_ok
+    raises ValueError saying the file is not what."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not header_ok(rows[0]):
+        raise ValueError(f"{path}: not {what}")
+    return rows[1:]
 
 
 def write_solution_csv(path, u: DiscreteFunction):
@@ -89,43 +100,29 @@ def write_solution_csv(path, u: DiscreteFunction):
 
 def read_solution_csv(path):
     """Returns (coords (n, N), values (n,))."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    if not header or header[-1] != "u":
-        raise ValueError(f"{path}: not a solution file")
+    body = _read_table(path, "a solution file", lambda header: header[-1:] == ["u"])
     data = np.array([[float(tok) for tok in row] for row in body])
     return data[:, :-1], data[:, -1]
 
 
+# the certificate's scalar constants, in the order constants.csv and
+# certificate.txt list them
+_CONSTANTS = [f.name for f in fields(Constants) if f.name != "k_variants"]
+
+
 def write_constants_csv(path, report: CertificateReport):
     c = report.constants
-    rows = [("w_N", c.w_N), ("a_L1_annulus", c.a_L1_annulus),
-            ("k", c.k), ("k_lower", c.k_lower),
-            ("xi", c.xi), ("eta", c.eta), ("r", c.r),
-            ("ustar_norm_p", c.ustar_norm_p),
-            ("ustar_norm_formula", c.ustar_norm_formula),
-            ("ustar_norm_formula_corrected", c.ustar_norm_formula_corrected),
-            ("sandwich_lower", c.sandwich_lower),
-            ("sandwich_upper", c.sandwich_upper),
-            ("sandwich_margin_lower", c.ustar_norm_p - c.sandwich_lower),
-            ("sandwich_margin_upper", c.sandwich_upper - c.ustar_norm_p)]
-    for label, var in c.k_variants.items():
-        for key in ("k", "xi", "eta", "r"):
-            rows.append((f"{key}[{label}]", var[key]))
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["name", "value"])
-        for name, val in rows:
-            wr.writerow([name, _fmt(val)])
+    rows = [(key, float(getattr(c, key))) for key in _CONSTANTS]
+    rows += [("sandwich_margin_lower", float(c.ustar_norm_p - c.sandwich_lower)),
+             ("sandwich_margin_upper", float(c.sandwich_upper - c.ustar_norm_p))]
+    rows += [(f"{key}[{label}]", float(val))
+             for label, var in c.k_variants.items() for key, val in var.items()]
+    _write_table(path, ["name", "value"], rows)
 
 
 def read_constants_csv(path) -> dict:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["name", "value"]:
-        raise ValueError(f"{path}: not a constants file")
-    return {name: float(val) for name, val in rows[1:]}
+    body = _read_table(path, "a constants file", lambda header: header == ["name", "value"])
+    return {name: float(val) for name, val in body}
 
 
 def write_certificate_txt(path, report: CertificateReport, meta: dict):
@@ -135,15 +132,11 @@ def write_certificate_txt(path, report: CertificateReport, meta: dict):
         lines.append(f"{key} = {val}")
     lines += [f"overall = {report.overall}", f"exit_code = {report.exit_code}", ""]
     lines.append("[constants]")
-    for key in ("w_N", "a_L1_annulus", "k", "k_lower", "xi", "eta", "r",
-                "ustar_norm_p", "ustar_norm_formula",
-                "ustar_norm_formula_corrected", "sandwich_lower", "sandwich_upper"):
-        lines.append(f"{key} = {_fmt(getattr(c, key))}")
+    lines += [f"{key} = {_fmt(getattr(c, key))}" for key in _CONSTANTS]
     lines += ["k_mode = certified", ""]
     for label, var in c.k_variants.items():
         lines.append(f"[variant:{label}]")
-        for key in ("k", "xi", "eta", "r"):
-            lines.append(f"{key} = {_fmt(var[key])}")
+        lines += [f"{key} = {_fmt(val)}" for key, val in var.items()]
         lines.append("")
     for e in report.entries:
         lines += [f"[check:{e.name}]", f"verdict = {e.verdict}",
@@ -186,22 +179,17 @@ _SCAN_COLUMNS = ["lambda", "mu", "count", "count_nontrivial", "rho_observed",
 
 
 def write_scan_summary(path, cells):
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(_SCAN_COLUMNS)
-        for cell in cells:
-            wr.writerow([_fmt(cell.lam), _fmt(cell.mu), cell.count,
-                         cell.count_nontrivial, _fmt(cell.rho),
-                         _fmt(cell.min_distance), _fmt(cell.max_residual)])
+    rows = []
+    for cell in cells:
+        sol = cell.solutions
+        rows.append([float(cell.lam), float(cell.mu), sol.count, sol.count_nontrivial,
+                     float(sol.rho_observed), sol.min_distance, float(sol.max_residual)])
+    _write_table(path, _SCAN_COLUMNS, rows)
 
 
 def read_scan_summary(path) -> list:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != _SCAN_COLUMNS:
-        raise ValueError(f"{path}: not a scan summary")
     out = []
-    for row in rows[1:]:
+    for row in _read_table(path, "a scan summary", lambda header: header == _SCAN_COLUMNS):
         rec = dict(zip(_SCAN_COLUMNS, row))
         for key in ("lambda", "mu", "rho_observed", "min_pairwise_distance",
                     "max_residual"):
@@ -220,11 +208,8 @@ def write_oracle_profile(path, profile: ShootingProfile):
 
 
 def read_oracle_profile(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows[0] != ["sigma", "terminal", "diverged"]:
-        raise ValueError(f"{path}: not an oracle profile")
-    data = rows[1:]
+    data = _read_table(path, "an oracle profile",
+                       lambda header: header == ["sigma", "terminal", "diverged"])
     sigma = np.array([float(r[0]) for r in data])
     terminal = np.array([float(r[1]) for r in data])
     diverged = np.array([bool(int(r[2])) for r in data])
@@ -278,11 +263,8 @@ def _solver_inputs(cfg: RunConfig, lams, mus):
     for nl, coefs, section in ((cfg.nl_f, lams, "nonlinearity_f"),
                                (cfg.nl_g, mus, "nonlinearity_g")):
         if nl is not None and any(coefs):
-            try:
+            with config_errors(cfg.path, section, "expr"):
                 nl.f_t
-            except ParseError as exc:
-                raise ConfigError(f"{cfg.path} [{section}]: {exc}"
-                                  + _line_of(cfg.path, section, "expr")) from exc
     mesh = build_problem_mesh(cfg)
     r = ustar = None
     spec = _problem_spec(cfg)
@@ -354,13 +336,14 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
         f"({lam:g}, {mu:g})" for lam, mu in result.lambda_window))
     lines.append("")
     for ci, cell in enumerate(result.cells):
+        sol = cell.solutions
         lines += [f"[cell_{ci:03d}]", f"lambda = {_fmt(cell.lam)}",
-                  f"mu = {_fmt(cell.mu)}", f"count = {cell.count}",
-                  f"count_nontrivial = {cell.count_nontrivial}",
-                  f"rho_observed = {_fmt(cell.rho)}",
-                  f"min_pairwise_distance = {_fmt(cell.min_distance)}",
-                  f"max_residual = {_fmt(cell.max_residual)}"]
-        for si, rec in enumerate(cell.records):
+                  f"mu = {_fmt(cell.mu)}", f"count = {sol.count}",
+                  f"count_nontrivial = {sol.count_nontrivial}",
+                  f"rho_observed = {_fmt(sol.rho_observed)}",
+                  f"min_pairwise_distance = {_fmt(sol.min_distance)}",
+                  f"max_residual = {_fmt(sol.max_residual)}"]
+        for si, rec in enumerate(sol.distinct_records()):
             name = f"scan_c{ci:03d}_s{si}.csv"
             write_solution_csv(out / name, rec.u)
             lines.append(f"solution_{si} = {name} "
@@ -371,8 +354,8 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
         lines.append("")
     (out / "scan_report.txt").write_text("\n".join(lines) + "\n")
 
-    succeeded = sum(1 for cell in result.cells if cell.count >= 1)
-    best = max((cell.count for cell in result.cells), default=0)
+    succeeded = sum(1 for cell in result.cells if cell.solutions.count >= 1)
+    best = max((cell.solutions.count for cell in result.cells), default=0)
     print(f"scan: {succeeded}/{len(result.cells)} cells succeeded, "
           f"max distinct count {best}; window cells: {len(result.lambda_window)}")
     print(f"wrote {out / 'scan_summary.csv'}")

@@ -8,14 +8,15 @@ from __future__ import annotations
 
 import configparser
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .energy import Nonlinearity, _check_primitive, make_nonlinearity
-from .expressions import ParseError
 from .geometry import BallSpec, Domain
+from .oracle1d import N_SCAN, SIGMA_MAX, SIGMA_MIN, STEPS_PER_UNIT
 from .solver import SolverConfig
 from .weight import WeightSpec
 
@@ -74,9 +75,9 @@ class RunConfig:
     solver: SolverConfig
     run_lambda: float
     run_mu: float
-    sigma_range: tuple = (-50.0, 50.0)
-    n_scan: int = 2001
-    steps_per_unit: int = 1024
+    sigma_range: tuple
+    n_scan: int
+    steps_per_unit: int
 
 
 def _line_of(path: str, section: str, key: str | None = None) -> str:
@@ -97,6 +98,22 @@ def _line_of(path: str, section: str, key: str | None = None) -> str:
             if name == key:
                 return f" (line {i}, column {raw.index(name[0]) + 1})"
     return ""
+
+
+def _located(path: str, section: str, message: str, key: str | None = None) -> ConfigError:
+    """The ConfigError '<path> [<section>]: <message> (line i, column j)',
+    located at key, or at the section header without one."""
+    return ConfigError(f"{path} [{section}]: {message}" + _line_of(path, section, key))
+
+
+@contextmanager
+def config_errors(path: str, section: str, key: str | None = None, suffix: str = ""):
+    """Re-raise a ValueError of the body (a ParseError is one) as _located's
+    ConfigError, its message the error's followed by suffix."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _located(path, section, f"{exc}{suffix}", key) from exc
 
 
 def _parse_typed(raw: str, kind: str, where: str):
@@ -158,92 +175,65 @@ def load_config(path: str) -> RunConfig:
     def get(section, key, default=None):
         return vals.get((section, key), default)
 
-    # domain
-    try:
+    with config_errors(path, "domain"):
         domain = Domain.of_kind(get("domain", "kind"), get("domain", "bounds"))
-    except ValueError as exc:
-        raise ConfigError(f"{path} [domain]: {exc}" + _line_of(path, "domain")) from exc
 
-    # weight
     form = get("weight", "form")
-    try:
+    with config_errors(path, "weight"):
         if form == "constant":
             weight = WeightSpec.constant(get("weight", "value", 1.0))
         elif form == "distance_power":
             weight = WeightSpec.distance_power(get("weight", "exponent", 0.0))
         else:
             raise ValueError(f"unknown weight form {form!r} (constant | distance_power)")
-    except ValueError as exc:
-        raise ConfigError(f"{path} [weight]: {exc}" + _line_of(path, "weight")) from exc
 
     p = get("space", "p")
     s = get("space", "s")
     gamma = get("constants", "gamma", 1.0)
-    try:
+    with config_errors(path, "nonlinearity_f"):
         nl_f = make_nonlinearity(get("nonlinearity_f", "expr"),
                                  primitive=get("nonlinearity_f", "primitive"),
                                  growth_h=get("nonlinearity_f", "growth_h"))
-    except (ParseError, ValueError) as exc:
-        raise ConfigError(f"{path} [nonlinearity_f]: {exc}"
-                          + _line_of(path, "nonlinearity_f")) from exc
     if get("nonlinearity_f", "primitive") is not None:
         # make_nonlinearity checked the unit square; check the configured domain too
         lo, hi = domain.axes.T
         xs = lo + (hi - lo) * np.random.default_rng(42).uniform(size=(1000, domain.dim))
-        try:
+        with config_errors(path, "nonlinearity_f", "primitive", " on the configured domain"):
             _check_primitive(nl_f, xs)
-        except (ParseError, ValueError) as exc:
-            raise ConfigError(f"{path} [nonlinearity_f]: {exc} on the configured domain"
-                              + _line_of(path, "nonlinearity_f", "primitive")) from exc
     nl_g = None
     if "nonlinearity_g" in cp.sections():
-        try:
+        with config_errors(path, "nonlinearity_g"):
             nl_g = make_nonlinearity(get("nonlinearity_g", "expr"),
                                      caratheodory_w=get("nonlinearity_g", "w_tau"))
-        except (ParseError, ValueError) as exc:
-            raise ConfigError(f"{path} [nonlinearity_g]: {exc}"
-                              + _line_of(path, "nonlinearity_g")) from exc
 
     ball = None
     if "ball" in cp.sections():
-        try:
+        with config_errors(path, "ball"):
             ball = BallSpec.create(get("ball", "x0"), get("ball", "r1"),
                                    get("ball", "r2"), domain)
-        except ValueError as exc:
-            raise ConfigError(f"{path} [ball]: {exc}" + _line_of(path, "ball")) from exc
 
     lam_grid: list = []
     if "lambda_grid" in cp.sections():
         lo, hi = get("lambda_grid", "min"), get("lambda_grid", "max")
         count = get("lambda_grid", "count")
         if count < 1 or hi < lo:
-            raise ConfigError(f"{path} [lambda_grid]: empty or inverted grid"
-                              + _line_of(path, "lambda_grid"))
+            raise _located(path, "lambda_grid", "empty or inverted grid")
         lam_grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
 
-    try:
-        solver = SolverConfig(
-            residual_tol=get("solver", "residual_tol", 1e-8),
-            max_iter=get("solver", "max_iter", 5000),
-            eps_reg=get("solver", "eps_reg", 1e-8),
-            delta_dist=get("solver", "delta_dist", 1e-3),
-            seed=get("run", "seed", 42),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path} [solver]: {exc}" + _line_of(path, "solver")) from exc
+    with config_errors(path, "solver"):
+        solver = SolverConfig(**{key: val for (section, key), val in vals.items()
+                                 if section == "solver" or (section, key) == ("run", "seed")})
 
     h = get("mesh", "h")
-    if h <= 0:
-        raise ConfigError(f"{path} [mesh]: h must be positive" + _line_of(path, "mesh", "h"))
-
     mu_values = get("mu", "values", [0.0])
-    sigma_range = (get("oracle", "sigma_min", -50.0), get("oracle", "sigma_max", 50.0))
-    n_scan = get("oracle", "n_scan", 2001)
-    steps_per_unit = get("oracle", "steps_per_unit", 1024)
+    sigma_range = (get("oracle", "sigma_min", SIGMA_MIN), get("oracle", "sigma_max", SIGMA_MAX))
+    n_scan = get("oracle", "n_scan", N_SCAN)
+    steps_per_unit = get("oracle", "steps_per_unit", STEPS_PER_UNIT)
     grading_depth = get("mesh", "grading_depth", 0)
     # p <= 1 is outside p > N for every N, and the flux system divides by
     # p - 1; a 1 < p <= N without [ball] still solves, so ProblemSpec checks that
     for bad, section, key, message in (
+            (h <= 0, "mesh", "h", "h must be positive"),
             (not p > 1, "space", "p", f"need p > N, got p={p}, N={domain.dim}"),
             (solver.max_iter < 1, "solver", "max_iter", "need max_iter >= 1"),
             (grading_depth < 0, "mesh", "grading_depth", "need grading_depth >= 0"),
@@ -252,7 +242,7 @@ def load_config(path: str) -> RunConfig:
             (n_scan < 2, "oracle", "n_scan", "need n_scan >= 2"),
             (steps_per_unit < 1, "oracle", "steps_per_unit", "need steps_per_unit >= 1")):
         if bad:
-            raise ConfigError(f"{path} [{section}]: {message}" + _line_of(path, section, key))
+            raise _located(path, section, message, key)
 
     return RunConfig(
         path=path, domain=domain, weight=weight, p=p, s=s,

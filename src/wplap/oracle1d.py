@@ -38,6 +38,9 @@ _MAX_LEVELS = 16   # 65 halvings' worth of shrinkage at the least
 # estimate and at +-w 4^-k, k = 1..7, around it
 _EVEN = np.arange(1, _SECTIONS // 2 + 2) / (_SECTIONS // 2 + 2)
 _OFFSETS = 4.0 ** -np.arange(1, _SECTIONS // 4 + 1)
+SIGMA_MIN, SIGMA_MAX = -50.0, 50.0   # the defaults of enumerate_solutions' slope
+N_SCAN = 2001                        # scan and of the march's steps per unit
+STEPS_PER_UNIT = 1024                # length; a config's [oracle] overrides each
 
 
 @dataclass
@@ -109,7 +112,7 @@ def _ode_grid(domain: Domain, w: WeightSpec, steps_per_unit: int):
 def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
           lam: float, mu: float, f: Nonlinearity | None = None,
           g: Nonlinearity | None = None, zero_order: bool = True,
-          steps_per_unit: int = 1024, keep_trajectory: bool = False):
+          steps_per_unit: int = STEPS_PER_UNIT, keep_trajectory: bool = False):
     """March the flux system for a batch of slopes sigma.
 
     Returns (terminal values of u at x_b, diverged flags) and, when
@@ -251,9 +254,9 @@ def _refine_all(brackets, t_lo, shooter_batch, known=None):
 def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
                         mu: float, f: Nonlinearity | None = None,
                         g: Nonlinearity | None = None, zero_order: bool = True,
-                        sigma_range: tuple[float, float] = (-50.0, 50.0),
-                        n_scan: int = 2001,
-                        steps_per_unit: int = 1024) -> ShootingProfile:
+                        sigma_range: tuple[float, float] = (SIGMA_MIN, SIGMA_MAX),
+                        n_scan: int = N_SCAN,
+                        steps_per_unit: int = STEPS_PER_UNIT) -> ShootingProfile:
     """Scan the terminal map over the slope range, bracket its sign changes
     and refine each bracket by interpolation-centred multi-section
     (`_refine_all`) to |u(x_b)| <= 1e-8.  Brackets that stop short of the

@@ -89,6 +89,17 @@ class SolutionRecord:
     inconclusive: bool = False
 
 
+def _sup(v: np.ndarray) -> float:
+    return float(np.max(np.abs(v)))
+
+
+def _apart(delta_dist: float, values):
+    """The distinctness rule, as a test of a sup-distance dist: dist >
+    delta_dist * max(S, 1e-30), S the largest sup-norm among values."""
+    thresh = delta_dist * max(max(map(_sup, values), default=0.0), 1e-30)
+    return lambda dist: dist > thresh
+
+
 @dataclass
 class SolutionSet:
     records: list
@@ -100,23 +111,28 @@ class SolutionSet:
     rho_observed: float = field(init=False)
 
     def __post_init__(self):
-        n = len(self.records)
-        D = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                D[i, j] = D[j, i] = sup_norm(self.records[i].u.copy_with(
-                    self.records[i].u.values - self.records[j].u.values))
+        vals = [r.u.values for r in self.records]
+        n = len(vals)
+        D = np.array([[_sup(a - b) for b in vals] for a in vals]).reshape(n, n)
         self.distance_matrix = D
-        scale = max([sup_norm(r.u) for r in self.records], default=0.0)
-        thresh = self.delta_dist * max(scale, 1e-30)
-        keep: list[int] = []
+        apart = _apart(self.delta_dist, vals)
+        self.kept = []
         for i in range(n):
-            if all(D[i, j] > thresh for j in keep):
-                keep.append(i)
-        self.kept = keep
-        self.count = len(keep)
-        self.count_nontrivial = sum(1 for i in keep if sup_norm(self.records[i].u) > thresh)
+            if all(apart(D[i, j]) for j in self.kept):
+                self.kept.append(i)
+        self.count = len(self.kept)
+        self.count_nontrivial = sum(1 for i in self.kept if apart(_sup(vals[i])))
         self.rho_observed = max([r.norm for r in self.records], default=0.0)
+
+    @property
+    def min_distance(self) -> float:
+        """Smallest sup-distance between two records; 0 with fewer than two."""
+        return min(self.distance_matrix[np.triu_indices(len(self.records), 1)].tolist(),
+                   default=0.0)
+
+    @property
+    def max_residual(self) -> float:
+        return max([r.residual_norm for r in self.records], default=0.0)
 
     def distinct_records(self) -> list:
         return [self.records[i] for i in self.kept]
@@ -289,14 +305,14 @@ def _best_descent(asm: EnergyAssembler, seeds, config: SolverConfig,
                   level: float | None = None):
     """Descend from every seed and keep the best result: converged before
     unconverged, then strictly lower energy, so the first seed wins a tie.
-    Returns (v, converged)."""
+    Returns (v, scaled residual, converged)."""
     best = None
     for seed in seeds:
-        v, _, ok = _descend(asm, seed, config, level)
+        v, rn, ok = _descend(asm, seed, config, level)
         rank = (not ok, asm.energy(v))
         if best is None or rank < best[0]:
-            best = (rank, v, ok)
-    return best[1], best[2]
+            best = (rank, v, rn, ok)
+    return best[1:]
 
 
 def minimize_energy(asm: EnergyAssembler, config: SolverConfig = SolverConfig(),
@@ -306,9 +322,10 @@ def minimize_energy(asm: EnergyAssembler, config: SolverConfig = SolverConfig(),
     seeds = _multistart_seeds(asm.mesh, ustar, config)
     if ustar is not None:
         seeds.insert(2, -ustar.values)
-    v, ok = _best_descent(asm, seeds, config)
+    v, rn, ok = _best_descent(asm, seeds, config)
     if not ok:
-        raise SolverFailure("no multistart run converged")
+        raise SolverFailure("no multistart run converged",
+                            best=DiscreteFunction(asm.mesh, v), residual_norm=rn)
     return _record(asm, v, "global-min-candidate")
 
 
@@ -320,7 +337,7 @@ def sublevel_minimize(asm: EnergyAssembler, r: float,
     boundary point is returned with converged=False."""
     if r <= 0:
         raise ValueError("sublevel radius must be positive")
-    v, ok = _best_descent(asm, _multistart_seeds(asm.mesh, ustar, config), config, r)
+    v, _, ok = _best_descent(asm, _multistart_seeds(asm.mesh, ustar, config), config, r)
     return _record(asm, v, "sublevel-min", converged=ok)
 
 
@@ -356,9 +373,9 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
     polished to residual tolerance.  A result below the higher endpoint
     energy, or within delta_dist of an endpoint, is rejected; the segment
     peak then comes back with converged=False, inconclusive=True."""
-    dist = sup_norm(u_a.copy_with(u_a.values - u_b.values))
-    scale = max(sup_norm(u_a), sup_norm(u_b), 1e-30)
-    if dist <= config.delta_dist * scale:
+    ends = (u_a.values, u_b.values)
+    apart = _apart(config.delta_dist, ends)
+    if not apart(_sup(u_a.values - u_b.values)):
         raise ValueError("mountain pass endpoints must be distinct")
 
     E_end = max(asm.energy(u_a.values), asm.energy(u_b.values))
@@ -366,10 +383,7 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
     def _acceptable(v: np.ndarray) -> bool:
         if asm.energy(v) < E_end - 1e-9 * (1.0 + abs(E_end)):
             return False
-        for end in (u_a.values, u_b.values):
-            if sup_norm(DiscreteFunction(asm.mesh, v - end)) <= config.delta_dist * scale:
-                return False
-        return True
+        return all(apart(_sup(v - end)) for end in ends)
 
     samples = [(1 - t) * u_a.values + t * u_b.values
                for t in np.linspace(0, 1, _SEGMENT_SAMPLES)]
@@ -384,19 +398,18 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
 class ScanCell:
     lam: float
     mu: float
-    count: int
-    count_nontrivial: int
-    rho: float
-    min_distance: float
-    max_residual: float
+    solutions: SolutionSet   # of every record solve_cell returned (none if it failed)
     notes: list
-    records: list         # the cell's distinct records, in solve order
 
 
 @dataclass
 class ScanResult:
     cells: list
-    lambda_window: list   # (lam, mu) cells with count >= 3
+
+    @property
+    def lambda_window(self) -> list:
+        """The (lam, mu) cells with count >= 3."""
+        return [(c.lam, c.mu) for c in self.cells if c.solutions.count >= 3]
 
 
 def solve_cell(asm: EnergyAssembler, r: float | None = None,
@@ -415,9 +428,7 @@ def solve_cell(asm: EnergyAssembler, r: float | None = None,
         notes.append("sublevel minimizer stuck on the constraint boundary")
         return records, notes
     records.append(sub)
-    scale = max(sup_norm(gmin.u), sup_norm(sub.u), 1e-30)
-    dist = sup_norm(gmin.u.copy_with(gmin.u.values - sub.u.values))
-    if dist > config.delta_dist * scale:
+    if SolutionSet(records, config.delta_dist).count == 2:
         mp = mountain_pass(asm, sub.u, gmin.u, config=config)
         if mp.converged:
             records.append(mp)
@@ -431,28 +442,16 @@ def scan(asm: EnergyAssembler, lam_grid, mu_list, r: float,
          ustar: DiscreteFunction | None = None) -> ScanResult:
     """Sweep the (lambda, mu) grid on the one assembler asm, setting asm.lam
     and asm.mu per cell (asm is left at the last cell); per cell run
-    minimize_energy, sublevel_minimize and, when the two are distinct,
-    mountain_pass.  Cells that error are recorded and the scan continues."""
+    solve_cell and keep the SolutionSet of its records.  A cell that errors
+    keeps an empty set and the error as a note, and the scan continues."""
     cells = []
-    window = []
     for lam in lam_grid:
         for mu in mu_list:
             asm.lam, asm.mu = float(lam), float(mu)
-            notes = []
-            records = []
+            records, notes = [], []
             try:
                 records, notes = solve_cell(asm, r, config=config, ustar=ustar)
             except (SolverFailure, CoercivityError) as exc:
                 notes.append(f"cell failed: {exc}")
-            cell_set = SolutionSet(records, config.delta_dist)
-            D = cell_set.distance_matrix
-            mind = float(np.min(D[np.triu_indices(len(records), 1)])) if len(records) > 1 else 0.0
-            cells.append(ScanCell(
-                lam=lam, mu=mu, count=cell_set.count,
-                count_nontrivial=cell_set.count_nontrivial, rho=cell_set.rho_observed,
-                min_distance=mind,
-                max_residual=max([r_.residual_norm for r_ in records], default=0.0),
-                notes=notes, records=cell_set.distinct_records()))
-            if cell_set.count >= 3:
-                window.append((lam, mu))
-    return ScanResult(cells=cells, lambda_window=window)
+            cells.append(ScanCell(lam, mu, SolutionSet(records, config.delta_dist), notes))
+    return ScanResult(cells=cells)

@@ -5,6 +5,7 @@ lifted to the unit square, also compare every file they write with the
 golden outputs under tests/golden/; `python3 tests/regen_golden.py <name>` rewrites
 tests/golden/<name>/ from the current code."""
 import csv
+import inspect
 import math
 import re
 import warnings
@@ -24,6 +25,7 @@ from wplap.cli import (
     read_solution_csv,
 )
 from wplap.config import _SCHEMA, load_config
+from wplap.oracle1d import enumerate_solutions
 from wplap.solver import SolverConfig
 
 REPO = Path(__file__).resolve().parents[1]
@@ -277,6 +279,12 @@ class TestSolve:
         assert "solver failure" in capsys.readouterr().err
         report = (tmp_path / "out" / "solve_report.txt").read_text()
         assert "status = failed" in report
+        # the best unconverged multistart iterate is dumped with its residual
+        assert "best_iterate = best_iterate.csv\n" in report
+        residual = float(re.search(r"^best_residual = (.*)$", report, re.M).group(1))
+        assert 0.0 < residual < math.inf
+        coords, vals = read_solution_csv(tmp_path / "out" / "best_iterate.csv")
+        assert coords.shape == (257, 1) and np.any(vals != 0.0)
 
     def test_missing_growth_warns_but_solves(self, tmp_path, capsys):
         cfg = variant(tmp_path, "no_growth.cfg", ("growth_h = 1\n", ""))
@@ -325,6 +333,26 @@ class TestScan:
         assert run_cli("scan", "--config", cfg, "--out", tmp_path / "out") == 0
         assert built == [1]
         assert "certificate_overall = pass" in (tmp_path / "out" / "scan_report.txt").read_text()
+
+    def test_tables_keep_csv_writer_format(self, tmp_path):
+        # CRLF line ends, nothing quoted, and every value field is repr of the
+        # number its reader returns (an int for the counts)
+        assert run_cli("check", "--config", SHIPPED, "--out", tmp_path) == 0
+        assert run_cli("scan", "--config", SHIPPED, "--out", tmp_path) == 0
+        tables = {"constants.csv": [[name, val] for name, val in
+                                    read_constants_csv(tmp_path / "constants.csv").items()],
+                  "scan_summary.csv": [list(row.values()) for row in
+                                       read_scan_summary(tmp_path / "scan_summary.csv")]}
+        for name, rows in tables.items():
+            raw = (tmp_path / name).read_bytes()
+            assert raw.endswith(b"\r\n") and raw.count(b"\n") == raw.count(b"\r\n"), name
+            assert b'"' not in raw and b"'" not in raw, name
+            lines = raw.decode().split("\r\n")[1:-1]
+            assert [line.split(",") for line in lines] == \
+                [[cell if isinstance(cell, str) else repr(cell) for cell in row]
+                 for row in rows], name
+        counts = [row[2:4] for row in tables["scan_summary.csv"]]
+        assert all(type(n) is int for pair in counts for n in pair)
 
     def test_missing_grid_is_config_error(self, tmp_path, capsys):
         code = run_cli("scan", "--config", LINEAR, "--out", tmp_path)
@@ -512,6 +540,14 @@ class TestConfigDiagnostics:
         assert all(getattr(want, f.name) != getattr(default, f.name)
                    for f in fields(SolverConfig))
         assert (run.sigma_range, run.n_scan, run.steps_per_unit) == ((-3.0, 4.0), 11, 64)
+
+    def test_unset_solver_and_oracle_keys_take_the_library_defaults(self, tmp_path):
+        # the shipped config has no [solver] or [oracle]; drop its seed too
+        run = load_config(str(variant(tmp_path, "no_seed.cfg", ("seed = 42\n", ""))))
+        assert run.solver == SolverConfig()
+        defaults = inspect.signature(enumerate_solutions).parameters
+        assert (run.sigma_range, run.n_scan, run.steps_per_unit) == tuple(
+            defaults[key].default for key in ("sigma_range", "n_scan", "steps_per_unit"))
 
     def test_reader_header_validation(self, tmp_path):
         junk = tmp_path / "junk.csv"

@@ -1,0 +1,65 @@
+"""The solution distinctness rule and each setting default are written once
+in the package.
+
+The rule sup|a - b| > delta_dist * max(sup-norms, 1e-30) lives in
+solver._apart, so src multiplies by delta_dist (an attribute such as
+config.delta_dist, or a plain name) exactly once.  The solver and oracle
+defaults live in SolverConfig and in oracle1d's SIGMA_MIN, SIGMA_MAX,
+N_SCAN and STEPS_PER_UNIT, so each of their literals appears once."""
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wplap"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+
+
+def _is_delta_dist(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "delta_dist") or \
+        (isinstance(node, ast.Name) and node.id == "delta_dist")
+
+
+def delta_dist_products(source: str) -> list:
+    """Lines of every product with a factor named delta_dist, an attribute
+    (config.delta_dist) or a plain name."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                  and (_is_delta_dist(node.left) or _is_delta_dist(node.right)))
+
+
+def numeric_literals(source: str) -> list:
+    """(type, value) of every int and float literal, the value negated
+    under a unary minus."""
+    tree = ast.parse(source)
+    negated = {id(node.operand) for node in ast.walk(tree)
+               if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)}
+    return [(type(node.value), -node.value if id(node) in negated else node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and type(node.value) in (int, float)]
+
+
+def test_detectors():
+    src = ("def f(config, cfg, d, delta_dist):\n"
+           "    a = config.delta_dist * 2.0\n"
+           "    b = d * cfg.solver.delta_dist\n"
+           "    c = config.delta_dist + 1.0\n"
+           "    e = delta_dist * max(d, 1e-30)\n"
+           "    return (-50.0, 50.0), 2001, d * 1024, 50\n")
+    assert delta_dist_products(src) == [2, 3, 5]
+    assert sorted(value for kind, value in numeric_literals(src) if kind is float) == \
+        [-50.0, 1e-30, 1.0, 2.0, 50.0]
+    assert sorted(value for kind, value in numeric_literals(src) if kind is int) == \
+        [50, 1024, 2001]
+
+
+def test_distinctness_rule_is_written_once():
+    lines = {path.name: delta_dist_products(path.read_text()) for path in SOURCES}
+    assert sum(map(len, lines.values())) == 1, lines
+
+
+@pytest.mark.parametrize("literal", [2001, 1024, 5000, 50.0, -50.0])
+def test_default_is_written_once(literal):
+    found = {path.name: numeric_literals(path.read_text()).count((type(literal), literal))
+             for path in SOURCES}
+    assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}

@@ -266,7 +266,7 @@ class TestMinimizeEnergy:
                             lambda asm_, v0, config_, level=None: (v0, 0.0, starts[int(v0[1])][1]))
         asm = SimpleNamespace(energy=lambda v: v[0])
         seeds = [np.array([E, i]) for i, (E, _) in enumerate(starts)]
-        v, ok = solver._best_descent(asm, seeds, SolverConfig())
+        v, _, ok = solver._best_descent(asm, seeds, SolverConfig())
         assert v[1] == winner and ok == starts[winner][1]
 
     def test_no_converged_start_raises(self, monkeypatch):
@@ -523,8 +523,8 @@ class TestScan:
         asm = EnergyAssembler(mesh, ONE, 2.0, f=shipped_f(), g=shipped_g())
         result = scan(asm, [0.0], [0.0], r=0.08, ustar=ustar)
         cell = result.cells[0]
-        assert cell.count == 1
-        assert cell.count_nontrivial == 0
+        assert cell.solutions.count == 1
+        assert cell.solutions.count_nontrivial == 0
         assert result.lambda_window == []
 
     def test_failed_cell_recorded_and_scan_continues(self):
@@ -584,6 +584,29 @@ class TestSolutionSet:
         assert sset.count == 2
         assert sset.count_nontrivial == 1
         assert sset.rho_observed == 2.0
+
+    def test_sup_distance_at_the_threshold_is_not_distinct(self):
+        # delta_dist 0.5 and sup-norm 1.0 put the threshold at 0.5; heights
+        # 1.0 and 0.5 sit exactly that far apart, 1.0 and 0.25 beyond it
+        mesh = self._mesh()
+        bump = np.zeros(mesh.num_vertices)
+        bump[mesh.num_vertices // 2] = 1.0
+        for second, count in ((0.5, 1), (0.25, 2)):
+            pair = [self._record(mesh, bump), self._record(mesh, second * bump)]
+            assert SolutionSet(pair, delta_dist=0.5).count == count, second
+        asm = EnergyAssembler(mesh, ONE, 2.0)
+        with pytest.raises(ValueError, match="distinct"):
+            mountain_pass(asm, DiscreteFunction(mesh, bump), DiscreteFunction(mesh, 0.5 * bump),
+                          config=SolverConfig(delta_dist=0.5))
+
+    def test_sup_norm_at_the_threshold_is_trivial(self):
+        mesh = self._mesh()
+        bump = np.zeros(mesh.num_vertices)
+        bump[mesh.num_vertices // 2] = 1.0
+        sset = SolutionSet([self._record(mesh, bump), self._record(mesh, -0.5 * bump)],
+                           delta_dist=0.5)
+        assert sset.count == 2
+        assert sset.count_nontrivial == 1
 
     def test_distinct_records_consistent_with_count(self):
         mesh = self._mesh()
