@@ -116,7 +116,9 @@ def config_errors(path: str, section: str, key: str | None = None, suffix: str =
         raise _located(path, section, f"{exc}{suffix}", key) from exc
 
 
-def _parse_typed(raw: str, kind: str, where: str):
+def _parse_typed(raw: str, kind: str, path: str, section: str, key: str):
+    """raw as the schema type kind; a bad value raises a ConfigError located
+    at key, whose line is looked up only then."""
     try:
         if kind == "float":
             v = float(raw)
@@ -136,7 +138,8 @@ def _parse_typed(raw: str, kind: str, where: str):
             return [float(tok) for tok in raw.replace(",", " ").split()]
         return raw.strip()
     except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        raise ConfigError(f"{path} [{section}] {key}"
+                          f"{_line_of(path, section, key)}: {exc}") from exc
 
 
 def load_config(path: str) -> RunConfig:
@@ -160,9 +163,7 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"unknown key '{key}' in [{section}] of {path}"
                                   + _line_of(path, section, key))
             kind, _ = _SCHEMA[section][key]
-            vals[(section, key)] = _parse_typed(
-                cp[section][key], kind,
-                f"{path} [{section}] {key}{_line_of(path, section, key)}")
+            vals[(section, key)] = _parse_typed(cp[section][key], kind, path, section, key)
     for section in _REQUIRED_SECTIONS:
         if section not in cp.sections():
             raise ConfigError(f"missing required section [{section}] in {path}")

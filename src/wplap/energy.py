@@ -222,8 +222,8 @@ class EnergyAssembler:
         cols = np.broadcast_to(fc[:, None, :], self._gram.shape).reshape(-1)
         self._entries = np.flatnonzero((rows >= 0) & (cols >= 0))
         rows, cols = rows[self._entries], cols[self._entries]
-        band = int(np.max(np.abs(rows - cols), initial=0))
-        m = max(band, math.ceil(math.sqrt(ni)), 1)
+        self.band = int(np.max(np.abs(rows - cols), initial=0))   # _block_solve reads it
+        m = max(self.band, math.ceil(math.sqrt(ni)), 1)
         nb = -(-ni // m)
         self._block_shape = (3, nb, m, m)
         self._block_index = ((((cols // m - rows // m + 1) * nb + rows // m) * m

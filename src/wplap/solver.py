@@ -11,9 +11,11 @@ only, on the tangent's free block; the Dirichlet values stay 0.  That block
 comes in block-tridiagonal storage (the mesh numbers its vertices
 lexicographically, so the block is banded), and a block Thomas solve
 (_block_solve) runs on it with numpy alone, never forming the dense block;
-it costs O(ni m^2) for blocks of size m against O(ni^3) dense.  For p > 2
-phi'' degenerates at u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v)
-for the p-homogeneous phi makes the full Newton step only contract v by
+it carries only the band columns through which neighbouring block rows
+couple, so it costs O(ni m (m + band)) for blocks of size m >= band (the
+half-bandwidth) against O(ni^3) dense.  For p > 2 phi'' degenerates at
+u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v) for the
+p-homogeneous phi makes the full Newton step only contract v by
 (p-2)/(p-1) where phi dominates; after a full step the descent also tries
 the Euler-exact step (p-1) dv.
 """
@@ -138,7 +140,7 @@ class SolutionSet:
         return [self.records[i] for i in self.kept]
 
 
-def _block_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _block_solve(blocks: np.ndarray, rhs: np.ndarray, band: int) -> np.ndarray:
     """Solve the system held in the block-tridiagonal storage blocks
     (3, nb, m, m) of EnergyAssembler.tangent(free=True) against rhs (n,),
     n <= nb m, by block LU without pivoting between blocks (the block
@@ -147,23 +149,28 @@ def _block_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     The forward pass forms S_k = D_k - L_k S_{k-1}^{-1} U_{k-1} and solves
     S_k [X_k | y_k] = [U_k | z_k - L_k y_{k-1}] in one np.linalg.solve call,
     looked up at call time; back substitution takes x_k = y_k - X_k x_{k+1}.
+    With half-bandwidth band <= m, U_k is zero outside its first band
+    columns and L_k outside its last band columns, so only those are carried:
+    each solve has band + 1 right-hand sides, and L_k X_{k-1} touches only
+    S_k's first band columns, for O(nb m^2 (m + band)) work in all.
     A singular S_k raises np.linalg.LinAlgError."""
     sub, diag, sup = blocks
     nb, m = diag.shape[:2]
-    rhs_k = np.empty((nb, m, m + 1))
-    rhs_k[:, :, :m] = sup
-    rhs_k[:, :, m] = np.pad(rhs, (0, nb * m - rhs.size)).reshape(nb, m)
-    xy = np.empty_like(rhs_k)           # [X_k | y_k]
+    lo = m - band                       # first column of L_k that can be nonzero
+    rhs_k = np.empty((nb, m, band + 1))
+    rhs_k[:, :, :band] = sup[:, :, :band]
+    rhs_k[:, :, band] = np.pad(rhs, (0, nb * m - rhs.size)).reshape(nb, m)
+    xy = np.empty_like(rhs_k)           # [X_k | y_k], X_k's first band columns
     for k in range(nb):
-        S = diag[k]
+        S = diag[k].copy()
         if k:
-            lxy = sub[k] @ xy[k - 1]
-            S = S - lxy[:, :m]
-            rhs_k[k, :, m] -= lxy[:, m]
+            lxy = sub[k, :, lo:] @ xy[k - 1, lo:]
+            S[:, :band] -= lxy[:, :band]
+            rhs_k[k, :, band] -= lxy[:, band]
         xy[k] = np.linalg.solve(S, rhs_k[k])
     x = np.zeros((nb + 1, m))           # x[nb] = 0 starts the recursion
     for k in range(nb - 1, -1, -1):
-        x[k] = xy[k, :, m] - xy[k, :, :m] @ x[k + 1]
+        x[k] = xy[k, :, band] - xy[k, :, :band] @ x[k + 1, :band]
     return x.reshape(-1)[:rhs.size]
 
 
@@ -176,7 +183,7 @@ def _solve_tangent(asm: EnergyAssembler, v: np.ndarray, res: np.ndarray,
     dv = np.zeros(v.size)
     try:
         dv[asm.interior] = _block_solve(asm.tangent(v, include_sources, free=True),
-                                        -res[asm.interior])
+                                        -res[asm.interior], asm.band)
     except np.linalg.LinAlgError:
         return None
     if not np.all(np.isfinite(dv)):

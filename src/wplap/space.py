@@ -2,9 +2,10 @@
 
 Norms are (int |u|^p + int a |grad u|^p)^(1/p) for piecewise-linear u, with
 per-cell Gauss quadrature of order >= 5.  The module also estimates the
-sup-norm embedding constant k = sup max|u| / ||u|| from below (hat sweep plus
-gradient ascent) and from above (Talenti's constant combined with a Hoelder
-bound through int a^(-s), rigorous for every weight a > 0)."""
+sup-norm embedding constant k = sup max|u| / ||u|| from below (cone hats at
+the few nodes deepest inside the domain, then gradient ascent, in O(nv)
+memory) and from above (Talenti's constant combined with a Hoelder bound
+through int a^(-s), rigorous for every weight a > 0)."""
 from __future__ import annotations
 
 import math
@@ -53,9 +54,6 @@ class DiscreteFunction:
     @staticmethod
     def zero(mesh: Mesh) -> "DiscreteFunction":
         return DiscreteFunction(mesh, np.zeros(mesh.num_vertices))
-
-    def copy_with(self, values) -> "DiscreteFunction":
-        return DiscreteFunction(self.mesh, values)
 
 
 @dataclass(frozen=True)
@@ -208,6 +206,7 @@ def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
                  * int_a_ms ** (1.0 / ((s + 1.0) * p_s)))
 
 
+_HATS = 8               # cone hats tried, at the nodes deepest inside the domain
 _ASCENT_STEPS = 50      # gradient-ascent steps of the lower bound
 _FD_STEP_REL = 1e-3     # finite-difference step relative to ||v||_2
 
@@ -217,11 +216,15 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
     """Two-sided estimate of k = sup max|u| / ||u||.
 
     Lower bound: cone hats (apex 1 at a node, radius = its boundary distance)
-    at every interior node, then up to _ASCENT_STEPS steps of gradient ascent
-    on the best one.  The ascent direction is the central difference of the
-    ratio in each interior nodal value, step _FD_STEP_REL * ||v||_2; each
-    difference is evaluated on the node's star (the cells touching it), so
-    one step costs O(nc).  Upper bound: k_upper_bound."""
+    at the _HATS interior nodes farthest from the boundary (ties to the lower
+    index), then up to _ASCENT_STEPS steps of gradient ascent on the best one.
+    Every admissible function's ratio is a lower bound on k, so the hats
+    tried only choose the ascent's start; the deepest nodes carry the widest
+    hats, and only (nv, _HATS) hat values are ever held, so memory is O(nv).
+    The ascent direction is the central difference of the ratio in each
+    interior nodal value, step _FD_STEP_REL * ||v||_2; each difference is
+    evaluated on the node's star (the cells touching it), so one step costs
+    O(nc).  Upper bound: k_upper_bound."""
     k_upper = k_upper_bound(domain, w, p, s, mesh)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
@@ -230,9 +233,10 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
 
     verts = mesh.vertices
     rho = np.atleast_1d(distance_to_boundary(domain, verts))
-    # cone hats, one column per interior node
-    dists = np.linalg.norm(verts[:, None, :] - verts[None, interior, :], axis=2)
-    hats = np.maximum(0.0, 1.0 - dists / rho[interior][None, :])
+    # cone hats, one column per deepest interior node, in index order
+    far = np.sort(interior[np.argsort(-rho[interior], kind="stable")[:_HATS]])
+    dists = np.linalg.norm(verts[:, None, :] - verts[None, far, :], axis=2)
+    hats = np.maximum(0.0, 1.0 - dists / rho[far][None, :])
     hats[mesh.boundary_vertices, :] = 0.0
     ratios = _ratio_batch(mesh, cellA, p, hats)
     best = int(np.argmax(ratios))

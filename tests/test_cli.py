@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wplap import certificate, cli, space
+from wplap import certificate, cli, config, space
 from wplap.cli import (
     main,
     read_certificate,
@@ -517,6 +517,22 @@ class TestConfigDiagnostics:
         assert err.startswith("config error:")
         assert "primitive does not differentiate to f" in err
         assert "on the configured domain" in err and f"(line {line}, column 1)" in err
+
+    def test_bad_typed_value_names_key_and_line(self, tmp_path):
+        cfg = variant(tmp_path, "typed.cfg", ("[run]", "[solver]\nresidual_tol = abc\n\n[run]"))
+        line = cfg.read_text().splitlines().index("residual_tol = abc") + 1
+        with pytest.raises(config.ConfigError) as exc:
+            load_config(str(cfg))
+        assert str(exc.value) == (f"{cfg} [solver] residual_tol (line {line}, column 1): "
+                                  "could not convert string to float: 'abc'")
+
+    def test_valid_config_looks_up_no_line(self, monkeypatch):
+        # a location is built only for a value that fails, so a valid file is read once
+        calls = []
+        line_of = config._line_of
+        monkeypatch.setattr(config, "_line_of", lambda *a: calls.append(a) or line_of(*a))
+        load_config(str(SHIPPED))
+        assert calls == []
 
     def test_every_solver_and_oracle_key_reaches_run_config(self, tmp_path):
         solver = {"residual_tol": "1e-9", "max_iter": "77", "eps_reg": "1e-6",

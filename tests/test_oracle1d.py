@@ -10,7 +10,7 @@ from wplap.geometry import BallSpec, Domain, UnsupportedDomainError, build_mesh
 from wplap import oracle1d
 from wplap.oracle1d import enumerate_solutions, profile_on_mesh, shoot
 from wplap.solver import SolverConfig, _polish, solve_cell
-from wplap.space import sup_norm
+from wplap.space import DiscreteFunction, sup_norm
 from wplap.weight import WeightSpec, eval_weight
 
 UNIT = Domain.interval(0.0, 1.0)
@@ -363,8 +363,8 @@ class TestProfileOnMesh:
         assert len(records) >= 3
         for rec in records:
             best = min(
-                sup_norm(rec.u.copy_with(
-                    rec.u.values - profile_on_mesh(root, mesh, UNIT).values))
+                sup_norm(DiscreteFunction(
+                    rec.u.mesh, rec.u.values - profile_on_mesh(root, mesh, UNIT).values))
                 for root in prof.roots)
             assert best <= 5e-3
 

@@ -123,7 +123,7 @@ class TestInvertPhiPrime:
         for _ in range(2):
             start = DiscreteFunction(mesh, rng.uniform(-1, 1, mesh.num_vertices))
             outs.append(invert_phi_prime(rhs, ONE, 3.0, mesh, u_init=start))
-        diff = sup_norm(outs[0].copy_with(outs[0].values - outs[1].values))
+        diff = sup_norm(DiscreteFunction(outs[0].mesh, outs[0].values - outs[1].values))
         assert diff <= 10 * SolverConfig().residual_tol
 
     def test_failure_carries_best_iterate(self):
@@ -177,14 +177,16 @@ class TestSolveTangent:
             monkeypatch.setattr(asm, "tangent", lambda *a, blocks=blocks, **kw: blocks)
             assert solver._solve_tangent(asm, v, res) is None
 
-    @pytest.mark.parametrize("case", ["1d-indefinite", "2d-p3", "2d-graded"])
+    @pytest.mark.parametrize("case", ["1d-indefinite", "2d-p3", "2d-graded", "2d-long"])
     def test_block_solve_matches_dense_solve(self, case):
-        # the graded mesh has ni = 324 and m = 19, so the last block is padded
+        # the graded mesh has ni = 324 and m = 19, so the last block is padded;
+        # the long box has band 5 < m = 13, so only part of each block couples
         if case == "1d-indefinite":
             mesh, p, lam = build_mesh(UNIT, 1 / 256), 2.0, 60.0
             v = 0.75 * np.sin(PI * mesh.vertices[:, 0])
         else:
-            mesh = build_mesh(Domain.box(0.0, 1.0, 0.0, 1.0), 0.1,
+            box = (0.0, 3.0, 0.0, 0.3) if case == "2d-long" else (0.0, 1.0, 0.0, 1.0)
+            mesh = build_mesh(Domain.box(*box), 0.1,
                               grading_depth=2 if case == "2d-graded" else 0)
             p, lam = 3.0, 2000.0
             v = np.random.default_rng(5).uniform(-1.5, 1.5, mesh.num_vertices)
@@ -197,8 +199,11 @@ class TestSolveTangent:
             assert np.sum(np.linalg.eigvalsh(dense) < 0) >= 1
         if case == "2d-graded":
             assert ni % blocks.shape[2] != 0
+        if case in ("1d-indefinite", "2d-long"):
+            assert asm.band < blocks.shape[2]
         rhs = -asm.residual(v)[asm.interior]
-        got, want = solver._block_solve(blocks, rhs), np.linalg.solve(dense, rhs)
+        got = solver._block_solve(blocks, rhs, asm.band)
+        want = np.linalg.solve(dense, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -366,7 +371,7 @@ class TestSublevelMinimize:
         asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=linear_f())
         free = minimize_energy(asm)
         capped = sublevel_minimize(asm, r=1e12)
-        diff = sup_norm(free.u.copy_with(free.u.values - capped.u.values))
+        diff = sup_norm(DiscreteFunction(free.u.mesh, free.u.values - capped.u.values))
         assert diff <= 10 * SolverConfig().residual_tol
 
     def test_sup_bound_from_radius(self, shipped_cell):

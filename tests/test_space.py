@@ -1,5 +1,6 @@
 """Discrete functions, weighted norms, and the embedding constant."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,7 +103,7 @@ class TestWeightedNorm:
         for p in (2.0, 2.5, 3.0):
             base = weighted_norm(u, ONE, p)
             for c in (-2.0, 0.5, 3.0):
-                scaled = weighted_norm(u.copy_with(c * u.values), ONE, p)
+                scaled = weighted_norm(DiscreteFunction(u.mesh, c * u.values), ONE, p)
                 assert scaled.lp_term == pytest.approx(abs(c) ** p * base.lp_term, rel=1e-12)
                 assert scaled.grad_term == pytest.approx(abs(c) ** p * base.grad_term, rel=1e-12)
                 assert scaled.full_norm == pytest.approx(abs(c) * base.full_norm, rel=1e-12)
@@ -114,7 +115,7 @@ class TestWeightedNorm:
             for _ in range(20):
                 u = random_interior(mesh, rng)
                 v = random_interior(mesh, rng)
-                s = weighted_norm(u.copy_with(u.values + v.values), ONE, p).full_norm
+                s = weighted_norm(DiscreteFunction(u.mesh, u.values + v.values), ONE, p).full_norm
                 assert s <= (weighted_norm(u, ONE, p).full_norm
                              + weighted_norm(v, ONE, p).full_norm + 1e-10)
 
@@ -175,7 +176,7 @@ class TestEstimateK:
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(2))
         r1 = sup_norm(u) / weighted_norm(u, ONE, 2.0).full_norm
-        v = u.copy_with(-7.5 * u.values)
+        v = DiscreteFunction(u.mesh, -7.5 * u.values)
         r2 = sup_norm(v) / weighted_norm(v, ONE, 2.0).full_norm
         assert r1 == pytest.approx(r2, rel=1e-13)
 
@@ -200,6 +201,29 @@ class TestEstimateK:
             assert est.k_lower <= est.k_upper
             assert est.k_lower == pytest.approx(k_lower, abs=1e-5)
             assert est.k_upper == pytest.approx(k_upper, abs=1e-5)
+
+    def test_memory_is_linear_in_nv(self):
+        # cone hats at the deepest nodes only (2.5 MB traced); one hat per
+        # interior node, (nv, ni) hats and their quadrature temporaries,
+        # peaks at 242 MB here
+        domain = Domain.box(0.0, 1.0, 0.0, 1.0)
+        mesh = build_mesh(domain, 0.05)
+        assert mesh.num_vertices == 900
+        tracemalloc.start()
+        try:
+            est = estimate_k(domain, ONE, 3.0, 3.0, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+        assert est.k_lower <= est.k_upper
+
+    def test_hats_that_start_off_the_best_sweep_stay_a_lower_bound(self):
+        # with a distance_power weight at h = 1/512 the best hat of the full
+        # sweep (k_lower 0.3744713) is not among the deepest nodes; the ascent
+        # from theirs ends 1.5e-5 (relative) below it, and still below k_upper
+        est = estimate_k(UNIT, WeightSpec.distance_power(0.3), 2.0, 2.0, interval_mesh(1 / 512))
+        assert 0.37446 <= est.k_lower <= est.k_upper
 
     def test_sup_dominated_by_upper_bound(self):
         # sup |u| <= k_upper ||u|| for every weight a > 0
@@ -240,5 +264,6 @@ class TestNormEquivalenceProbe:
     def test_constant_multiples_identical(self):
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(4))
-        ratios = norm_ratios([u.copy_with(c * u.values) for c in (1.0, -3.0, 0.1)], ONE, 2.0)
+        ratios = norm_ratios([DiscreteFunction(u.mesh, c * u.values)
+                              for c in (1.0, -3.0, 0.1)], ONE, 2.0)
         assert min(ratios) == pytest.approx(max(ratios), rel=1e-13)
