@@ -13,8 +13,12 @@ lexicographically, so the block is banded), and a block Thomas solve
 (_block_solve) runs on it with numpy alone, never forming the dense block;
 it carries only the band columns through which neighbouring block rows
 couple, so it costs O(ni m (m + band)) for blocks of size m >= band (the
-half-bandwidth) against O(ni^3) dense.  For p > 2 phi'' degenerates at
-u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v) for the
+half-bandwidth) against O(ni^3) dense.  A tridiagonal block (band == 1,
+every 1D mesh) is solved by the SPIKE partition instead (_spike_solve;
+Polizzi & Sameh, Parallel Computing 32 (2006) 177-194): one LAPACK call
+for all nb diagonal blocks at once and O(nb) Python steps on the block-end
+values, in place of nb sequential block solves.  For p > 2 phi''
+degenerates at u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v) for the
 p-homogeneous phi makes the full Newton step only contract v by
 (p-2)/(p-1) where phi dominates; after a full step the descent also tries
 the Euler-exact step (p-1) dv.
@@ -153,7 +157,15 @@ def _block_solve(blocks: np.ndarray, rhs: np.ndarray, band: int) -> np.ndarray:
     columns and L_k outside its last band columns, so only those are carried:
     each solve has band + 1 right-hand sides, and L_k X_{k-1} touches only
     S_k's first band columns, for O(nb m^2 (m + band)) work in all.
-    A singular S_k raises np.linalg.LinAlgError."""
+    A singular S_k raises np.linalg.LinAlgError.
+
+    With band == 1 (every 1D mesh) the system is tridiagonal and goes to
+    _spike_solve (the SPIKE partition; Polizzi & Sameh, Parallel Computing
+    32 (2006) 177-194): one LAPACK call over all nb diagonal blocks and
+    O(nb) Python steps, in place of nb sequential np.linalg.solve calls.
+    The LAPACK work stays O(nb m^3) = O(ni^2) for m = sqrt(ni)."""
+    if band == 1:
+        return _spike_solve(blocks, rhs)
     sub, diag, sup = blocks
     nb, m = diag.shape[:2]
     lo = m - band                       # first column of L_k that can be nonzero
@@ -174,17 +186,62 @@ def _block_solve(blocks: np.ndarray, rhs: np.ndarray, band: int) -> np.ndarray:
     return x.reshape(-1)[:rhs.size]
 
 
+def _spike_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """_block_solve for a tridiagonal system (band == 1) by the SPIKE
+    partition.
+
+    Block row k couples to its neighbours only through a_k = L_k[0, m-1] and
+    c_k = U_k[m-1, 0], so D_k x_k = z_k - a_k s_{k-1} e_0 - c_k t_{k+1} e_{m-1}
+    with t_k = x_k[0] and s_k = x_k[m-1].  One np.linalg.solve call, looked
+    up at call time, gives D_k^{-1} [e_0 | e_{m-1} | z_k] for every k at
+    once (LAPACK pivots inside each block); a forward and a backward scalar
+    recurrence on the 2 nb block-end values, s_{k-1} = alpha + beta t_k and
+    t_k = gamma_k + delta_k t_{k+1}, then fix the couplings, and one
+    broadcast forms every x_k: one LAPACK call and O(nb) Python steps.
+    A singular D_k raises np.linalg.LinAlgError, an exactly zero interface
+    pivot ZeroDivisionError."""
+    sub, diag, sup = blocks
+    nb, m = diag.shape[:2]
+    r = np.zeros((nb, m, 3))
+    r[:, 0, 0] = 1.0
+    r[:, m - 1, 1] = 1.0
+    r[:, :, 2] = np.pad(rhs, (0, nb * m - rhs.size)).reshape(nb, m)
+    y = np.linalg.solve(diag, r)        # [D_k^-1 e_0 | D_k^-1 e_{m-1} | D_k^-1 z_k]
+    a = sub[:, 0, m - 1].tolist()       # a_0 meets s_{-1} = 0
+    c = sup[:, m - 1, 0].tolist()       # c_{nb-1} meets t_nb = 0
+    (p0, q0, w0), (pm, qm, wm) = y[:, 0].T.tolist(), y[:, m - 1].T.tolist()
+    ends, alpha, beta = [], 0.0, 0.0    # s_{k-1} = alpha + beta t_k; s_{-1} = 0
+    for k in range(nb):
+        # put s_{k-1} into the equations for t_k and s_k
+        ap0, apm = a[k] * p0[k], a[k] * pm[k]
+        piv = 1.0 + ap0 * beta
+        gamma, delta = (w0[k] - ap0 * alpha) / piv, -c[k] * q0[k] / piv
+        ends.append((alpha, beta, gamma, delta))
+        alpha, beta = (wm[k] - apm * (alpha + beta * gamma),
+                       -(apm * beta * delta + c[k] * qm[k]))
+    s_prev, t_next, t = [0.0] * nb, [0.0] * nb, 0.0    # t = t_{k+1}; t_nb = 0
+    for k in range(nb - 1, -1, -1):
+        alpha, beta, gamma, delta = ends[k]
+        t_next[k] = t
+        t = gamma + delta * t
+        s_prev[k] = alpha + beta * t
+    x = (y[:, :, 2] - (np.array(a) * s_prev)[:, None] * y[:, :, 0]
+         - (np.array(c) * t_next)[:, None] * y[:, :, 1])
+    return x.reshape(-1)[:rhs.size]
+
+
 def _solve_tangent(asm: EnergyAssembler, v: np.ndarray, res: np.ndarray,
                    include_sources: bool = True) -> np.ndarray | None:
     """Newton direction at v: the tangent's free block, in its
     block-tridiagonal storage, solved by _block_solve against -res on the
     interior vertices, 0 on the boundary (the Dirichlet values stay fixed).
-    None when a block solve is singular or the result is not finite."""
+    None when a block solve or an interface pivot is singular or the result
+    is not finite."""
     dv = np.zeros(v.size)
     try:
         dv[asm.interior] = _block_solve(asm.tangent(v, include_sources, free=True),
                                         -res[asm.interior], asm.band)
-    except np.linalg.LinAlgError:
+    except (np.linalg.LinAlgError, ZeroDivisionError):
         return None
     if not np.all(np.isfinite(dv)):
         return None
@@ -202,7 +259,7 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
     rescaled radially onto {phi <= level} (phi is p-homogeneous, so
     u -> (level/phi(u))^(1/p) u lands exactly on the level set), and
     converged also requires the constraint to be inactive.  Returns
-    (v, scaled residual, converged flag)."""
+    (v, scaled residual, converged flag, energy at v)."""
 
     def onto_level(u):
         if level is not None:
@@ -223,7 +280,7 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
         res = asm.residual(v)
         rn = asm.residual_norm(res)
         if converged(v, rn):
-            return v, rn, True
+            return v, rn, True, E
         dv = _solve_tangent(asm, v, res)
         if dv is None or float(res @ dv) >= 0.0:
             # full Jacobian indefinite: precondition the gradient with the
@@ -251,10 +308,10 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
             alpha *= _BACKTRACK
         if not accepted:
             # stationary for this line search (possibly constrained) or stalled
-            return v, rn, converged(v, rn)
+            return v, rn, converged(v, rn), E
     res = asm.residual(v)
     rn = asm.residual_norm(res)
-    return v, rn, converged(v, rn)
+    return v, rn, converged(v, rn), E
 
 
 def _record(asm: EnergyAssembler, v: np.ndarray, classification: str,
@@ -285,7 +342,7 @@ def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
     asm = EnergyAssembler(mesh, w, p, zero_order=zero_order, eps_reg=config.eps_reg,
                           load=rhs)
     v0 = np.zeros(mesh.num_vertices) if u_init is None else u_init.values
-    v, rn, ok = _descend(asm, v0, config)
+    v, rn, ok, _ = _descend(asm, v0, config)
     if ok:
         return DiscreteFunction(mesh, v)
     raise SolverFailure(f"invert_phi_prime stalled at residual {rn:.3e}",
@@ -315,8 +372,8 @@ def _best_descent(asm: EnergyAssembler, seeds, config: SolverConfig,
     Returns (v, scaled residual, converged)."""
     best = None
     for seed in seeds:
-        v, rn, ok = _descend(asm, seed, config, level)
-        rank = (not ok, asm.energy(v))
+        v, rn, ok, E = _descend(asm, seed, config, level)
+        rank = (not ok, E)
         if best is None or rank < best[0]:
             best = (rank, v, rn, ok)
     return best[1:]

@@ -77,7 +77,7 @@ def test_descent_calls_the_traced_solve_and_tangent(monkeypatch, domain, h, p):
     asm = EnergyAssembler(mesh, WeightSpec.constant(1.0), p, lam=0.5,
                           f=make_nonlinearity("t", primitive="0.5*t^2"))
     start = np.sin(np.pi * mesh.vertices).prod(axis=1)
-    v, rn, ok = solver._descend(asm, start, solver.SolverConfig())
+    v, rn, ok, _ = solver._descend(asm, start, solver.SolverConfig())
     assert ok
     assert calls["solve"] >= 1 and calls["tangent"] >= 1
 

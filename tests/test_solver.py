@@ -1,6 +1,5 @@
 """Critical-point search: inversion, minimization, mountain pass, and scan."""
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -164,7 +163,7 @@ class TestSolveTangent:
         asm = EnergyAssembler(mesh, ONE, 2.0, lam=1.0, f=shipped_f())
         zero = np.zeros(2)
         assert np.array_equal(solver._solve_tangent(asm, zero, zero), zero)
-        v, rn, ok = solver._descend(asm, zero, SolverConfig())
+        v, rn, ok, _ = solver._descend(asm, zero, SolverConfig())
         assert ok and rn == 0.0 and np.array_equal(v, zero)
 
     def test_singular_or_non_finite_solve_is_none(self, monkeypatch):
@@ -177,12 +176,42 @@ class TestSolveTangent:
             monkeypatch.setattr(asm, "tangent", lambda *a, blocks=blocks, **kw: blocks)
             assert solver._solve_tangent(asm, v, res) is None
 
-    @pytest.mark.parametrize("case", ["1d-indefinite", "2d-p3", "2d-graded", "2d-long"])
+    def test_1d_step_is_one_lapack_call(self, monkeypatch):
+        # the scan1d mesh: ni = 515 in nb = 23 blocks of m = 23; the block
+        # Thomas sweep made one np.linalg.solve call per block
+        mesh = build_mesh(UNIT, 1 / 512, breakpoints=(0.3, 0.4, 0.6, 0.7))
+        asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, shipped_f(), shipped_g())
+        v = 0.75 * np.sin(PI * mesh.vertices[:, 0])
+        res = asm.residual(v)
+        solves = count_calls(monkeypatch, np.linalg, "solve")
+        dv = solver._solve_tangent(asm, v, res)
+        assert asm.tangent(v, free=True).shape[1] == 23 and len(solves) == 1
+        np.testing.assert_allclose(asm.tangent(v) @ dv, -res, rtol=0,
+                                   atol=1e-10 * np.max(np.abs(res)))
+
+    def test_zero_interface_pivot_is_none(self, monkeypatch):
+        # ni = 4 in nb = 2 blocks of m = 2, each block invertible; the
+        # interface pivot 1 - a_1 (D_1^-1)_00 c_0 (D_0^-1)_11 = 1 - 4 * 0.5 * 0.5
+        # is exactly 0, so the whole block is singular
+        mesh = build_mesh(UNIT, 1 / 5)
+        asm = EnergyAssembler(mesh, ONE, 2.0)
+        blocks = np.zeros(asm.tangent(np.zeros(mesh.num_vertices), free=True).shape)
+        assert blocks.shape == (3, 2, 2, 2) and asm.band == 1
+        blocks[1] = [[[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]]]
+        blocks[0, 1, 0, 1] = blocks[2, 0, 1, 0] = 0.5
+        monkeypatch.setattr(asm, "tangent", lambda *a, **kw: blocks)
+        v = np.zeros(mesh.num_vertices)
+        assert solver._solve_tangent(asm, v, np.ones(mesh.num_vertices)) is None
+
+    @pytest.mark.parametrize("case", ["1d-indefinite", "1d-one-block", "2d-p3", "2d-graded",
+                                      "2d-long"])
     def test_block_solve_matches_dense_solve(self, case):
         # the graded mesh has ni = 324 and m = 19, so the last block is padded;
-        # the long box has band 5 < m = 13, so only part of each block couples
-        if case == "1d-indefinite":
-            mesh, p, lam = build_mesh(UNIT, 1 / 256), 2.0, 60.0
+        # the long box has band 5 < m = 13, so only part of each block couples;
+        # h = 1/3 gives ni = 2 in one block, with no interface to solve
+        if case.startswith("1d"):
+            h = 1 / 256 if case == "1d-indefinite" else 1 / 3
+            mesh, p, lam = build_mesh(UNIT, h), 2.0, 60.0
             v = 0.75 * np.sin(PI * mesh.vertices[:, 0])
         else:
             box = (0.0, 3.0, 0.0, 0.3) if case == "2d-long" else (0.0, 1.0, 0.0, 1.0)
@@ -199,6 +228,8 @@ class TestSolveTangent:
             assert np.sum(np.linalg.eigvalsh(dense) < 0) >= 1
         if case == "2d-graded":
             assert ni % blocks.shape[2] != 0
+        if case == "1d-one-block":
+            assert blocks.shape[1] == 1 and ni == 2
         if case in ("1d-indefinite", "2d-long"):
             assert asm.band < blocks.shape[2]
         rhs = -asm.residual(v)[asm.interior]
@@ -245,7 +276,7 @@ class TestMinimizeEnergy:
 
         def recorded(asm_, v0, config_, level=None):
             starts.append(v0.copy())
-            return v0, 0.0, True
+            return v0, 0.0, True, 0.0
 
         monkeypatch.setattr(solver, "_descend", recorded)
         zero = np.zeros(mesh.num_vertices)
@@ -267,16 +298,17 @@ class TestMinimizeEnergy:
         ([(2.0, True), (0.5, True), (1.0, True)], 1),
     ])
     def test_best_descent_ranks_converged_then_energy(self, monkeypatch, starts, winner):
+        # the ranking reads the energy the descent returns, not the assembler
         monkeypatch.setattr(solver, "_descend",
-                            lambda asm_, v0, config_, level=None: (v0, 0.0, starts[int(v0[1])][1]))
-        asm = SimpleNamespace(energy=lambda v: v[0])
+                            lambda asm_, v0, config_, level=None:
+                            (v0, 0.0, starts[int(v0[1])][1], v0[0]))
         seeds = [np.array([E, i]) for i, (E, _) in enumerate(starts)]
-        v, _, ok = solver._best_descent(asm, seeds, SolverConfig())
+        v, _, ok = solver._best_descent(None, seeds, SolverConfig())
         assert v[1] == winner and ok == starts[winner][1]
 
     def test_no_converged_start_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "_descend",
-                            lambda asm_, v0, config_, level=None: (v0, 1.0, False))
+                            lambda asm_, v0, config_, level=None: (v0, 1.0, False, 0.0))
         asm = EnergyAssembler(build_mesh(UNIT, 1 / 16), ONE, 2.0)
         with pytest.raises(SolverFailure, match="no multistart run converged"):
             minimize_energy(asm)
@@ -300,7 +332,7 @@ class TestMinimizeEnergy:
             return tangent(v, include_sources=include_sources, **kw)
 
         monkeypatch.setattr(asm, "tangent", counted)
-        v, rn, ok = solver._descend(asm, start, config)
+        v, rn, ok, _ = solver._descend(asm, start, config)
         assert not ok and rn > config.residual_tol
         assert asm.energy(v) == pytest.approx(-3116.6000541843937, rel=1e-12)
 
@@ -316,7 +348,7 @@ class TestEulerStep:
         asm = EnergyAssembler(mesh, ONE, 3.0)
         solves = count_calls(monkeypatch, solver, "_solve_tangent")
         start = np.sin(PI * mesh.vertices).prod(axis=1)
-        v, rn, ok = solver._descend(asm, start, SolverConfig())
+        v, rn, ok, _ = solver._descend(asm, start, SolverConfig())
         assert ok and sup_norm(DiscreteFunction(mesh, v)) < 1e-12
         assert len(solves) <= 2      # 12 with the full step alone
 
@@ -354,7 +386,7 @@ class TestEulerStep:
         # the counts of the descent without the trial, which p = 2 never runs
         asm, ustar, *_ = shipped_cell
         calls = count_calls(monkeypatch, asm, "energy")
-        v, rn, ok = solver._descend(asm, ustar.values, SolverConfig(), level)
+        v, rn, ok, _ = solver._descend(asm, ustar.values, SolverConfig(), level)
         assert ok and len(calls) == energies
 
 
@@ -382,7 +414,7 @@ class TestSublevelMinimize:
 
     def test_no_converged_start_returns_unconverged(self, monkeypatch):
         monkeypatch.setattr(solver, "_descend",
-                            lambda asm_, v0, config_, level=None: (v0, 1.0, False))
+                            lambda asm_, v0, config_, level=None: (v0, 1.0, False, 0.0))
         asm = EnergyAssembler(build_mesh(UNIT, 1 / 16), ONE, 2.0)
         assert not sublevel_minimize(asm, r=0.08).converged
 
