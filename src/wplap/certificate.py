@@ -22,12 +22,11 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .energy import (_GL20, _MAX_PANELS, Nonlinearity, _eval_expr, _gauss_panels,
-                     _point_env, primitive_F)
+from .energy import (_F_PANELS, _GL20, _MAX_PANELS, Nonlinearity, _eval_expr,
+                     _gauss_panels, _point_env, primitive_F)
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
 from .space import DiscreteFunction, EmbeddingEstimate, NormReport, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
@@ -55,6 +54,7 @@ __all__ = [
 ]
 
 _GUARD = 1e-9       # strictness guard band: smaller margins are inconclusive
+_CHUNK = 2 ** 15    # (x, t) points per values call in _sample_over_t
 
 
 class RefinementRequiredError(ValueError):
@@ -329,15 +329,35 @@ def _x_samples(domain: Domain, exclude_ball: BallSpec | None = None,
     return xs
 
 
-def _sample_over_t(values, xs: np.ndarray, ts, reduce, post=None) -> np.ndarray:
-    """Pointwise reduce (np.minimum or np.maximum) over t in ts of
-    post(values(xs, t), t): one values call per t on all of xs, with t as one
-    value per point.  NaN samples propagate into the result."""
+def _sample_over_t(values, nl: Nonlinearity, xs: np.ndarray, ts, reduce,
+                   post=None) -> np.ndarray:
+    """Pointwise reduce (np.minimum or np.maximum) over t in ts, in order, of
+    post(values(nl, xs, t), t); NaN samples propagate into the result.
+
+    values (primitive_F or Nonlinearity.eval) is called on the (x, t) grid
+    np.tile(xs) by np.repeat(ts) in blocks of whole t rows: at most _CHUNK
+    points per call, or one row when xs alone has more.  Without a
+    closed-form primitive, a point counts as the 20 x _F_PANELS Gauss nodes
+    primitive_F may evaluate for it.  When nl reads no x (Nonlinearity.reads_x),
+    xs shrinks to its first point, and the one-entry result broadcasts in
+    post and in the caller's final min or max over xs.  post, when given,
+    maps each t row with its own element of ts.  reduce.accumulate folds a
+    block's rows in the order of a per-t loop, so the result is bitwise that
+    loop's, down to the sign of a zero extremum.  (F by quadrature shares one
+    panel count per call, so its last bits can depend on the blocks.)"""
+    if not nl.reads_x:
+        xs = xs[:1]
+    ts = list(ts)
+    nodes = 1 if nl.primitive is not None else _GL20[0].size * _F_PANELS
+    rows = max(1, _CHUNK // (nodes * xs.shape[0]))
     out = None
-    for t in ts:
-        v = values(xs, np.full(xs.shape[0], t))
+    for i in range(0, len(ts), rows):
+        tb = ts[i:i + rows]
+        v = values(nl, np.tile(xs, (len(tb), 1)), np.repeat(tb, xs.shape[0]))
+        v = v.reshape(len(tb), xs.shape[0])
         if post is not None:
-            v = post(v, t)
+            v = [post(row, t) for row, t in zip(v, tb)]
+        v = reduce.accumulate(v, axis=0)[-1]
         out = v if out is None else reduce(out, v)
     return out
 
@@ -345,10 +365,11 @@ def _sample_over_t(values, xs: np.ndarray, ts, reduce, post=None) -> np.ndarray:
 def check_H1(nl_f: Nonlinearity, domain: Domain, ball: BallSpec, d: float) -> CheckEntry:
     """F(x,t) >= 0 on (closure(Omega) minus B(x0,r1)) x [0,d], sampled at
     200 values of t times the x grid of _x_samples(n=200): 200 points on an
-    interval, 14 x 14 on a box, minus those in the inner ball."""
+    interval, 14 x 14 on a box, minus those in the inner ball; one
+    _sample_over_t grid, on t alone when f reads no x."""
     xs = _x_samples(domain, exclude_ball=ball, n=200)
-    worst = float(np.min(_sample_over_t(partial(primitive_F, nl_f), xs,
-                                        np.linspace(0.0, d, 200), np.minimum)))
+    worst = float(np.min(_sample_over_t(primitive_F, nl_f, xs, np.linspace(0.0, d, 200),
+                                        np.minimum)))
     if worst < -1e-9:
         verdict = "fail"
     elif worst >= -1e-12:
@@ -362,10 +383,11 @@ def check_H1(nl_f: Nonlinearity, domain: Domain, ball: BallSpec, d: float) -> Ch
 def _sup_F_box(nl_f: Nonlinearity, domain: Domain, c: float,
                xs: np.ndarray) -> float:
     """max F over the points xs (the domain corners appended) x 400 values of
-    t in [-c, c]."""
+    t in [-c, c]: one _sample_over_t grid, on t alone when f reads no x,
+    else in blocks of at most _CHUNK points."""
     xs = np.vstack([xs, _corner_points(domain)])
-    return float(np.max(_sample_over_t(partial(primitive_F, nl_f), xs,
-                                       np.linspace(-c, c, 400), np.maximum)))
+    return float(np.max(_sample_over_t(primitive_F, nl_f, xs, np.linspace(-c, c, 400),
+                                       np.maximum)))
 
 
 def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
@@ -415,7 +437,7 @@ def check_H3(nl_f: Nonlinearity, gamma: float, domain: Domain) -> CheckEntry:
     xs = _x_samples(domain, n=200)
     hv = _eval_x_expr(nl_f.growth_h, xs)
     worst = float(np.min(_sample_over_t(
-        partial(primitive_F, nl_f), xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
+        primitive_F, nl_f, xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
         post=lambda Fv, t: hv * (1.0 + abs(t) ** gamma) - Fv)))
     verdict = "heuristic-pass" if worst > 0 else "fail"
     return CheckEntry(name="H3", verdict=verdict, margin=worst, mode="sampled",
@@ -426,13 +448,15 @@ def check_H3(nl_f: Nonlinearity, gamma: float, domain: Domain) -> CheckEntry:
 def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
                    domain: Domain, c: float, d: float) -> list:
     """H3 (check_H3); H4: F(x,0) = 0;  H5: sup_{|t|<=tau} |g| <= w_tau for
-    tau in {1, c, d, 10}."""
+    tau in {1, c, d, 10}.  Each samples the x grid of _x_samples(n=200) by
+    _sample_over_t, H5 over 101 values of t per tau; a check whose
+    nonlinearity reads no x samples t alone, and h(x) and w_tau(x) are still
+    evaluated on the whole grid."""
     xs = _x_samples(domain, n=200)
-    F = partial(primitive_F, nl_f)
     out = [check_H3(nl_f, gamma, domain)]
 
     # H4: the primitive-integral construction gives F(x,0)=0 identically
-    m = float(np.max(_sample_over_t(F, xs, (0.0,), np.maximum,
+    m = float(np.max(_sample_over_t(primitive_F, nl_f, xs, (0.0,), np.maximum,
                                     post=lambda Fv, t: np.abs(Fv))))
     out.append(CheckEntry(name="H4", verdict="pass" if m <= 1e-12 else "fail",
                           margin=-m, mode="closed-form",
@@ -451,8 +475,8 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
         return out
     margins = []
     for tau in taus:
-        sup_g = _sample_over_t(nl_g.eval, xs, np.linspace(-tau, tau, 101), np.maximum,
-                               post=lambda gv, t: np.abs(gv))
+        sup_g = _sample_over_t(Nonlinearity.eval, nl_g, xs, np.linspace(-tau, tau, 101),
+                               np.maximum, post=lambda gv, t: np.abs(gv))
         margins.append(np.min(_eval_x_expr(nl_g.caratheodory_w, xs, tau=tau) - sup_g))
     worst = float(np.min(margins))
     verdict = "pass" if worst >= -1e-12 else "fail"

@@ -37,6 +37,7 @@ __all__ = [
 
 _GL20 = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 128
+_F_PANELS = 64      # primitive_F's panel cap when F is left to quadrature
 
 
 def _as_expr(e) -> Expression | None:
@@ -90,6 +91,13 @@ class Nonlinearity:
 
     def eval_dt(self, x, t) -> np.ndarray:
         return _eval_expr(self.f_t, _point_env(x, t))
+
+    @property
+    def reads_x(self) -> bool:
+        """Whether f or its closed-form primitive names an x variable; when
+        neither does, f(x, t) and F(x, t) are the same at every x."""
+        return any(v.startswith("x") for e in (self.f, self.primitive)
+                   if e is not None for v in e.variables)
 
 
 def make_nonlinearity(f, primitive=None, growth_h=None,
@@ -173,9 +181,9 @@ def primitive_F(nl: Nonlinearity, x, t) -> np.ndarray:
     col = t[:, None]
     val, converged = _gauss_panels(
         lambda tau: col * _eval_expr(nl.f, _point_env(x, col * tau, extra_axis=True)),
-        0.0, 1.0, tol=1e-10, max_panels=64)
+        0.0, 1.0, tol=1e-10, max_panels=_F_PANELS)
     if not converged:
-        warnings.warn("primitive_F: Gauss panel doubling unconverged at 64 panels",
+        warnings.warn(f"primitive_F: Gauss panel doubling unconverged at {_F_PANELS} panels",
                       RuntimeWarning, stacklevel=2)
     return val
 
@@ -273,16 +281,6 @@ class EnergyAssembler:
         if not math.isfinite(out):
             raise QuadratureError("non-finite nonlinearity integral")
         return out
-
-    def capital_phi(self, v: np.ndarray) -> float:
-        if self.f is None:
-            return 0.0
-        return -self._int_F(self.f, _gather(self.mesh, v)[0].reshape(-1))
-
-    def capital_upsilon(self, v: np.ndarray) -> float:
-        if self.g is None:
-            return 0.0
-        return -self._int_F(self.g, _gather(self.mesh, v)[0].reshape(-1))
 
     def energy(self, v: np.ndarray) -> float:
         """phi + lambda Phi + mu Upsilon (- load.v) from one gather of v."""

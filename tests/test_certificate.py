@@ -1,5 +1,7 @@
 """Constants, the witness bump u*, the norm sandwich, and hypothesis checks."""
+import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,12 +26,13 @@ from wplap.certificate import (
     sandwich_check,
     ustar_norm_p,
 )
-from wplap.energy import _gauss_panels, make_nonlinearity
+from wplap.energy import Nonlinearity, _gauss_panels, make_nonlinearity, primitive_F
 from wplap.geometry import BallSpec, Domain, build_mesh
 from wplap.space import estimate_k
 from wplap.weight import WeightSpec
 
 UNIT = Domain.interval(0.0, 1.0)
+SQUARE = Domain.box(0.0, 1.0, 0.0, 1.0)
 ONE = WeightSpec.constant(1.0)
 BALL = BallSpec(x0=(0.5,), r1=0.1, r2=0.2)
 BALL_BREAKS = (0.3, 0.4, 0.6, 0.7)
@@ -287,6 +290,121 @@ class TestSampleLayout:
                                       [[0.0, 0.0], [0.0, 3.0], [2.0, 0.0], [2.0, 3.0]])
 
 
+def per_t_loop(values, nl, xs, ts, reduce, post=None):
+    """Reference sampler: one values call per t on all of xs."""
+    out = None
+    for t in ts:
+        v = values(nl, xs, np.full(xs.shape[0], t))
+        if post is not None:
+            v = post(v, t)
+        out = v if out is None else reduce(out, v)
+    return out
+
+
+def same_bits(got, want):
+    got = np.ascontiguousarray(np.broadcast_to(got, want.shape))
+    want = np.ascontiguousarray(want)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+SAMPLED_F = {
+    "x-free": shipped_f,
+    "x1*t": lambda: make_nonlinearity("x1*t"),
+    "quadrature": lambda: make_nonlinearity("sin(t)*cos(t)"),
+    "nan": lambda: make_nonlinearity("(x1 - 0.25)^0.5 * t",
+                                     primitive="(x1 - 0.25)^0.5 * t^2/2"),
+    # F is -0.0 below t = 0.999 and +0.0 from there: every extremum is a
+    # tie of zeros, which the per-t loop resolves to the last one
+    "signed-zero": lambda: make_nonlinearity("0", primitive="0*(t - 0.999)"),
+}
+
+
+class TestSampleOverT:
+    """_sample_over_t against one call per t, and the work it does."""
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_F))
+    @pytest.mark.parametrize("domain", [UNIT, SQUARE], ids=["1d", "2d"])
+    def test_bitwise_equal_to_per_t_loop(self, name, domain, monkeypatch):
+        with np.errstate(invalid="ignore"):
+            nl = SAMPLED_F[name]()
+            assert nl.reads_x == (name in ("x1*t", "nan"))
+            xs = certificate._x_samples(domain, n=200)
+            hv = 1.0 + xs[:, 0]
+            # (values, ts, reduce, post) as H1, sup F, H3, H4 and H5 sample;
+            # 201 = 8k + 1 rows, where numpy's one-column min.reduce breaks
+            # the signed-zero tie another way than the loop
+            checks = [
+                (primitive_F, np.linspace(0.0, 1.0, 201), np.minimum, None),
+                (primitive_F, np.linspace(-1.0, 1.0, 400), np.maximum, None),
+                (primitive_F, (1.0, 2.0, -1.0, -2.0), np.minimum,
+                 lambda Fv, t: hv * (1.0 + abs(t) ** 1.5) - Fv),
+                (primitive_F, (0.0,), np.maximum, lambda Fv, t: np.abs(Fv)),
+                (Nonlinearity.eval, np.linspace(-10.0, 10.0, 101), np.maximum,
+                 lambda gv, t: np.abs(gv)),
+            ]
+            # the default chunk (F by quadrature: 25 t per call when x-free),
+            # and one that splits every t list above; not for F by quadrature,
+            # whose Gauss sums round differently in calls of under 4 points
+            for chunk in (certificate._CHUNK, 64)[:1 if nl.primitive is None else 2]:
+                monkeypatch.setattr(certificate, "_CHUNK", chunk)
+                for values, ts, reduce, post in checks:
+                    want = per_t_loop(values, nl, xs, ts, reduce, post)
+                    got = certificate._sample_over_t(values, nl, xs, ts, reduce, post)
+                    assert got.shape == want.shape or not nl.reads_x and got.shape == (1,)
+                    assert same_bits(got, want), (chunk, values.__name__, len(ts))
+        if name == "nan":
+            assert np.isnan(want).any()
+
+    def test_shipped_spec_samples_t_alone(self, monkeypatch):
+        # the shipped f and g read no x: one call per check (per tau for
+        # H5), where one call per t made 910
+        F, g_eval = certificate.primitive_F, Nonlinearity.eval
+        points = {"F": [], "g": []}
+
+        def counted_F(nl, x, t):
+            points["F"].append(np.size(t))
+            return F(nl, x, t)
+
+        def counted_g(nl, x, t):
+            points["g"].append(np.size(t))
+            return g_eval(nl, x, t)
+
+        monkeypatch.setattr(certificate, "primitive_F", counted_F)
+        monkeypatch.setattr(Nonlinearity, "eval", counted_g)
+        spec = shipped_spec()
+        check_H1(spec.nl_f, UNIT, BALL, spec.d)
+        certificate._sup_F_box(spec.nl_f, UNIT, spec.c, ball_mesh().quadrature()[0])
+        check_H3_H4_H5(spec.nl_f, spec.nl_g, spec.gamma, UNIT, spec.c, spec.d)
+        assert points["F"] == [200, 400, 6, 1]       # H1, sup F, H3, H4
+        assert points["g"] == [101, 101, 101]        # H5 at tau = c, 1 = d, 10
+        assert len(points["F"]) + len(points["g"]) <= 8
+
+    def test_x_reading_box_stays_in_chunks(self, monkeypatch):
+        # sup F on the box2d mesh (3150 quadrature points) for an f that
+        # reads x: every call within the chunk, a small peak
+        nl = make_nonlinearity("x1*t")
+        xs = build_mesh(SQUARE, 0.1).quadrature()[0]
+        F = certificate.primitive_F
+        sizes = []
+
+        def counted(nl, x, t):
+            sizes.append(np.size(t))
+            return F(nl, x, t)
+
+        monkeypatch.setattr(certificate, "primitive_F", counted)
+        tracemalloc.start()
+        try:
+            sup = certificate._sup_F_box(nl, SQUARE, 1.0, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sup == 0.5                             # x1 = 1, t = +-1
+        assert sum(sizes) == 400 * (xs.shape[0] + 4)
+        assert max(sizes) <= certificate._CHUNK
+        assert len(sizes) < 400
+        assert peak < 4 * 2 ** 20
+
+
 class TestHypothesisH1:
     def test_cubic_passes(self):
         nl = make_nonlinearity("t^3", primitive="t^4/4")
@@ -490,6 +608,17 @@ class TestBuildCertificate:
         assert all(e.verdict == "inconclusive" for e in rep.entries
                    if not math.isfinite(e.margin))
         assert rep.overall == "inconclusive"
+
+    @pytest.mark.parametrize("c", [0.2, 1.5])
+    def test_no_verdict_reads_k_lower(self, c):
+        mesh = ball_mesh(1 / 256)
+        emb = estimate_k(UNIT, ONE, 2.0, 2.0, mesh)
+        reps = [build_certificate(shipped_spec(c=c), mesh,
+                                  embedding=dataclasses.replace(emb, k_lower=k_lower))
+                for k_lower in (emb.k_lower, 1e-3 * emb.k_lower)]
+        assert reps[0].constants.k_lower != reps[1].constants.k_lower
+        assert [vars(e) for e in reps[0].entries] == [vars(e) for e in reps[1].entries]
+        assert reps[0].overall == reps[1].overall == ("pass" if c == 0.2 else "fail")
 
     def test_k_variants_recorded(self):
         rep = build_certificate(shipped_spec(), ball_mesh(1 / 256))

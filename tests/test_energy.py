@@ -18,7 +18,7 @@ from wplap.energy import (
 )
 from wplap.expressions import Expression
 from wplap.geometry import BallSpec, Domain, build_mesh
-from wplap.space import DiscreteFunction, weighted_norm
+from wplap.space import DiscreteFunction, _gather, weighted_norm
 from wplap.weight import WeightSpec
 
 UNIT = Domain.interval(0.0, 1.0)
@@ -38,6 +38,14 @@ def random_interior(mesh, rng):
 def hat_function(mesh, center, half_width):
     vals = np.maximum(0.0, 1.0 - np.abs(mesh.vertices[:, 0] - center) / half_width)
     return DiscreteFunction(mesh, vals)
+
+
+def minus_int_F(asm, nl, v):
+    """-int F(x, v(x)) dx on asm's quadrature: Phi(v) for nl = asm.f,
+    Upsilon(v) for nl = asm.g, and 0 without a nonlinearity."""
+    if nl is None:
+        return 0.0
+    return -asm._int_F(nl, _gather(asm.mesh, v)[0].reshape(-1))
 
 
 class TestPrimitiveF:
@@ -149,7 +157,7 @@ class TestShippedPrimitives:
             return call(self, **env)
 
         monkeypatch.setattr(Expression, "__call__", counted)
-        assert asm.capital_upsilon(u) < 0.0
+        assert minus_int_F(asm, asm.g, u) < 0.0
         assert calls == ["int_0^t(sin(t))"]
 
 
@@ -184,14 +192,14 @@ class TestCapitalPhi:
         nl = make_nonlinearity("t", primitive="0.5*t^2")
         mesh = interval_mesh(0.25)
         asm = EnergyAssembler(mesh, ONE, 2.0, f=nl)
-        assert asm.capital_phi(np.zeros(mesh.num_vertices)) == 0.0
+        assert minus_int_F(asm, asm.f, np.zeros(mesh.num_vertices)) == 0.0
 
     def test_constant_f(self):
         # f = 1 so F = t; Phi = -int u = -1/6 for u = x(1-x)
         nl = make_nonlinearity("1", primitive="t")
         mesh = interval_mesh(1 / 8192)
         u = DiscreteFunction.from_callable(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
-        assert EnergyAssembler(mesh, ONE, 2.0, f=nl).capital_phi(u.values) == \
+        assert minus_int_F(EnergyAssembler(mesh, ONE, 2.0, f=nl), nl, u.values) == \
             pytest.approx(-1 / 6, abs=1e-8)
 
     def test_linear_f_on_hats(self):
@@ -200,9 +208,9 @@ class TestCapitalPhi:
         nl = make_nonlinearity("t", primitive="0.5*t^2")
         mesh = interval_mesh(1 / 8)
         asm = EnergyAssembler(mesh, ONE, 2.0, f=nl)
-        assert asm.capital_phi(hat_function(mesh, 0.5, 0.5).values) == \
+        assert minus_int_F(asm, asm.f, hat_function(mesh, 0.5, 0.5).values) == \
             pytest.approx(-1 / 6, abs=1e-8)
-        assert asm.capital_phi(hat_function(mesh, 0.5, 0.25).values) == \
+        assert minus_int_F(asm, asm.f, hat_function(mesh, 0.5, 0.25).values) == \
             pytest.approx(-1 / 12, abs=1e-8)
 
     def test_upsilon_quadrature_matches_closed_form(self):
@@ -212,9 +220,9 @@ class TestCapitalPhi:
         quad = make_nonlinearity("sin(t)*cos(t)")
         assert quad.primitive is None
         closed = make_nonlinearity("sin(t)*cos(t)", primitive="0.5*sin(t)^2")
-        assert EnergyAssembler(mesh, ONE, 2.0, g=quad).capital_upsilon(u.values) == \
-            pytest.approx(EnergyAssembler(mesh, ONE, 2.0, g=closed).capital_upsilon(u.values),
-                          abs=1e-10)
+        assert minus_int_F(EnergyAssembler(mesh, ONE, 2.0, g=quad), quad, u.values) == \
+            pytest.approx(minus_int_F(EnergyAssembler(mesh, ONE, 2.0, g=closed), closed,
+                                      u.values), abs=1e-10)
 
 
 class TestWeakResidual:
@@ -251,8 +259,8 @@ class TestWeakResidual:
         res = asm.residual(u.values)
         assert res.shape == (mesh.num_vertices,)
         assert np.all(res[mesh.boundary_vertices] == 0.0)
-        recon = asm.phi(u.values) + 1.2 * asm.capital_phi(u.values) \
-            + 0.0 * asm.capital_upsilon(u.values)
+        recon = asm.phi(u.values) + 1.2 * minus_int_F(asm, asm.f, u.values) \
+            + 0.0 * minus_int_F(asm, asm.g, u.values)
         assert asm.energy(u.values) == pytest.approx(recon, abs=1e-12)
 
     def test_load_is_a_linear_term(self):
@@ -377,3 +385,11 @@ class TestNonlinearityEval:
                   "0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)")]
         for f_expr, F_expr in pairs:
             make_nonlinearity(f_expr, primitive=F_expr)  # raises on mismatch
+
+    def test_reads_x_from_f_or_its_primitive(self):
+        assert not make_nonlinearity("min(max(t - 0.25, 0), 1)").reads_x
+        assert not make_nonlinearity("sin(t)*cos(t)").reads_x      # F by quadrature
+        assert make_nonlinearity("x2*sin(t)*cos(t)").reads_x
+        assert make_nonlinearity("x1*t").reads_x
+        # a supplied primitive may name x where f does not
+        assert make_nonlinearity("1", primitive="t + 0*x1").reads_x
