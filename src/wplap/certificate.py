@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .energy import (_F_PANELS, _GL20, _MAX_PANELS, Nonlinearity, _eval_expr,
-                     _gauss_panels, _point_env, primitive_F)
+                     _gauss_panels, _point_env, _primitive_F, primitive_F)
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
 from .space import DiscreteFunction, EmbeddingEstimate, NormReport, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
@@ -429,20 +429,29 @@ def _domain_integral(fn, domain: Domain) -> tuple[float, bool]:
 
 def check_H3(nl_f: Nonlinearity, gamma: float, domain: Domain) -> CheckEntry:
     """H3 (coercivity growth): F(x,t) < h(x)(1+|t|^gamma) sampled at |t| in
-    {1e2, 1e3, 1e4}.  The range of t is unbounded, so at best heuristic."""
+    {1e2, 1e3, 1e4}.  The range of t is unbounded, so at best heuristic.  F
+    by quadrature that stops unconverged is named in the note, not warned."""
     if nl_f.growth_h is None:
         return CheckEntry(name="H3", verdict="inconclusive", margin=math.nan,
                           mode="sampled",
                           note="no growth envelope h(x) supplied; coercivity unknown")
     xs = _x_samples(domain, n=200)
     hv = _eval_x_expr(nl_f.growth_h, xs)
+    converged = []
+
+    def F(nl, x, t):
+        val, ok = _primitive_F(nl, x, t)
+        converged.append(ok)
+        return val
     worst = float(np.min(_sample_over_t(
-        primitive_F, nl_f, xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
+        F, nl_f, xs, (1e2, 1e3, 1e4, -1e2, -1e3, -1e4), np.minimum,
         post=lambda Fv, t: hv * (1.0 + abs(t) ** gamma) - Fv)))
     verdict = "heuristic-pass" if worst > 0 else "fail"
     return CheckEntry(name="H3", verdict=verdict, margin=worst, mode="sampled",
                       note="sampled at |t| in {1e2,1e3,1e4}; growth beyond the"
-                           " sampled range is not certified")
+                           " sampled range is not certified"
+                           + ("" if all(converged) else
+                              f"; quadrature unconverged at {_F_PANELS} panels"))
 
 
 def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,

@@ -23,9 +23,8 @@ import numpy as np
 
 from .certificate import (CertificateReport, Constants, ProblemSpec, RefinementRequiredError,
                           build_certificate, build_ustar, check_H3, compute_r)
-from .config import ConfigError, RunConfig, config_errors, load_config
+from .config import ConfigError, RunConfig, _located, config_errors, load_config
 from .energy import EnergyAssembler
-from .expressions import ParseError
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
 from .oracle1d import ShootingProfile, enumerate_solutions
 from .solver import CoercivityError, SolutionSet, SolverFailure, scan, solve_cell
@@ -61,14 +60,11 @@ def _problem_spec(cfg: RunConfig) -> ProblemSpec | None:
     a spec outside the theorem's regime is a config error."""
     if cfg.ball is None or cfg.c is None or cfg.d is None:
         return None
-    try:
+    with config_errors(cfg.path):
         return ProblemSpec(domain=cfg.domain, weight=cfg.weight, p=cfg.p, s=cfg.s,
                            ball=cfg.ball, c=cfg.c, d=cfg.d, gamma=cfg.gamma,
                            nl_f=cfg.nl_f, nl_g=cfg.nl_g,
                            zero_order_term=cfg.zero_order_term)
-    except ValueError as exc:
-        raise ConfigError(f"{cfg.path}: {exc}") from exc
-
 
 # -- writers / readers ----------------------------------------------------
 
@@ -234,9 +230,10 @@ def _report_lines(report: CertificateReport):
 def cmd_check(cfg: RunConfig, args, out: Path) -> int:
     spec = _problem_spec(cfg)
     if spec is None:
-        raise ConfigError(f"{cfg.path}: check requires [ball] and [constants] sections")
+        raise _located(cfg.path, "check requires [ball] and [constants] sections")
     mesh = build_problem_mesh(cfg)
-    report = build_certificate(spec, mesh)
+    with config_errors(cfg.path, "mesh", "h", errors=RefinementRequiredError):
+        report = build_certificate(spec, mesh)
     meta = {"config": cfg.path, "lambda": _fmt(cfg.run_lambda), "mu": _fmt(cfg.run_mu),
             "h": _fmt(cfg.h), "p": _fmt(cfg.p), "seed": cfg.solver.seed}
     write_certificate_txt(out / "certificate.txt", report, meta)
@@ -269,7 +266,8 @@ def _solver_inputs(cfg: RunConfig, lams, mus):
     r = ustar = None
     spec = _problem_spec(cfg)
     if spec is not None:
-        ustar = build_ustar(cfg.d, cfg.ball, mesh)
+        with config_errors(cfg.path, "mesh", "h", errors=RefinementRequiredError):
+            ustar = build_ustar(cfg.d, cfg.ball, mesh)
         k_upper = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
         r = compute_r(spec.c, k_upper, spec.p)
         if check_H3(spec.nl_f, spec.gamma, spec.domain).verdict not in ("pass", "heuristic-pass"):
@@ -323,7 +321,7 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
 
 def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     if not cfg.lambda_grid:
-        raise ConfigError(f"{cfg.path}: scan requires a non-empty [lambda_grid]")
+        raise _located(cfg.path, "scan requires a non-empty [lambda_grid]")
     asm, spec, r, ustar = _solver_inputs(cfg, cfg.lambda_grid, cfg.mu_values)
     report = None if spec is None else build_certificate(spec, asm.mesh)
     result = scan(asm, cfg.lambda_grid, cfg.mu_values, r, config=cfg.solver, ustar=ustar)
@@ -426,7 +424,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, args, out)
-    except (ConfigError, RefinementRequiredError, ParseError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
     except UnsupportedDomainError as exc:

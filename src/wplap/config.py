@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .energy import Nonlinearity, _check_primitive, make_nonlinearity
+from .expressions import Expression, parse_expression
 from .geometry import BallSpec, Domain
 from .oracle1d import N_SCAN, SIGMA_MAX, SIGMA_MIN, STEPS_PER_UNIT
 from .solver import SolverConfig
@@ -38,9 +39,9 @@ _SCHEMA = {
     "ball": {"x0": ("floats", True), "r1": ("float", True), "r2": ("float", True)},
     "constants": {"c": ("float", True), "d": ("float", True),
                   "gamma": ("float", False)},
-    "nonlinearity_f": {"expr": ("str", True), "primitive": ("str", False),
-                       "growth_h": ("str", False)},
-    "nonlinearity_g": {"expr": ("str", True), "w_tau": ("str", False)},
+    "nonlinearity_f": {"expr": ("f(x,t)", True), "primitive": ("f(x,t)", False),
+                       "growth_h": ("h(x)", False)},
+    "nonlinearity_g": {"expr": ("f(x,t)", True), "w_tau": ("w(x,tau)", False)},
     "lambda_grid": {"min": ("float", True), "max": ("float", True),
                     "count": ("int", True)},
     "mu": {"values": ("floats", True)},
@@ -51,6 +52,8 @@ _SCHEMA = {
     "run": {"lambda": ("float", False), "mu": ("float", False),
             "seed": ("int", False)},
 }
+# expression type tags: the variables each may name besides x1 .. xN
+_EXPRESSION_VARIABLES = {"f(x,t)": {"t"}, "h(x)": set(), "w(x,tau)": {"tau"}}
 _REQUIRED_SECTIONS = ("domain", "weight", "space", "mesh", "nonlinearity_f")
 
 
@@ -80,66 +83,67 @@ class RunConfig:
     steps_per_unit: int
 
 
-def _line_of(path: str, section: str, key: str | None = None) -> str:
-    """Best-effort line/column diagnostics for schema errors."""
+def _line_of(path: str, section: str, key: str | None = None) -> tuple | None:
+    """(line, column) of key in section, or of its header without key, or None."""
     try:
         lines = Path(path).read_text().splitlines()
     except OSError:
-        return ""
+        return None
     in_section = False
     for i, raw in enumerate(lines, start=1):
         stripped = raw.strip()
         if stripped.startswith("[") and stripped.endswith("]"):
             in_section = stripped[1:-1].strip() == section
             if in_section and key is None:
-                return f" (line {i}, column {raw.index('[') + 1})"
+                return i, raw.index("[") + 1
         elif in_section and key is not None:
             name = stripped.split("=", 1)[0].split(":", 1)[0].strip()
             if name == key:
-                return f" (line {i}, column {raw.index(name[0]) + 1})"
-    return ""
+                return i, raw.index(name[0]) + 1
+    return None
 
 
-def _located(path: str, section: str, message: str, key: str | None = None) -> ConfigError:
-    """The ConfigError '<path> [<section>]: <message> (line i, column j)',
-    located at key, or at the section header without one."""
-    return ConfigError(f"{path} [{section}]: {message}" + _line_of(path, section, key))
+def _located(path: str, message: str, section: str | None = None, key: str | None = None,
+             at: tuple | None = None) -> ConfigError:
+    """The one config error, '<path>[ [<section>]]: <message>[ (line i, column j)]',
+    at `at` (line, column), else at key in section or at its header; the
+    file is searched only here, so only on error."""
+    at = at or (section and _line_of(path, section, key))
+    where = f" [{section}]" if section else ""
+    line = f" (line {at[0]}, column {at[1]})" if at else ""
+    return ConfigError(f"{path}{where}: {message}{line}")
 
 
 @contextmanager
-def config_errors(path: str, section: str, key: str | None = None, suffix: str = ""):
-    """Re-raise a ValueError of the body (a ParseError is one) as _located's
-    ConfigError, its message the error's followed by suffix."""
+def config_errors(path: str, section: str | None = None, key: str | None = None,
+                  template: str = "{}", errors: type = ValueError):
+    """Re-raise an exception of type errors from the body (a ParseError is a
+    ValueError) as _located's ConfigError, template filled with its message."""
     try:
         yield
-    except ValueError as exc:
-        raise _located(path, section, f"{exc}{suffix}", key) from exc
+    except errors as exc:
+        raise _located(path, template.format(exc), section, key) from exc
 
 
-def _parse_typed(raw: str, kind: str, path: str, section: str, key: str):
-    """raw as the schema type kind; a bad value raises a ConfigError located
-    at key, whose line is looked up only then."""
-    try:
-        if kind == "float":
-            v = float(raw)
-            if math.isnan(v):
-                raise ValueError("nan not allowed")
-            return v
-        if kind == "int":
-            return int(raw)
-        if kind == "bool":
-            low = raw.strip().lower()
-            if low in ("1", "true", "yes", "on"):
-                return True
-            if low in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "floats":
-            return [float(tok) for tok in raw.replace(",", " ").split()]
-        return raw.strip()
-    except ValueError as exc:
-        raise ConfigError(f"{path} [{section}] {key}"
-                          f"{_line_of(path, section, key)}: {exc}") from exc
+def _parse_typed(raw: str, kind: str):
+    """raw as the schema type kind; a bad value raises ValueError."""
+    if kind == "float":
+        v = float(raw)
+        if math.isnan(v):
+            raise ValueError("nan not allowed")
+        return v
+    if kind == "int":
+        return int(raw)
+    if kind == "bool":
+        try:
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
+        except KeyError:
+            raise ValueError(f"not a boolean: {raw!r}") from None
+    if kind == "floats":
+        return [float(tok) for tok in raw.replace(",", " ").split()]
+    if kind in _EXPRESSION_VARIABLES:
+        return parse_expression(raw)
+    return raw.strip()
 
 
 def load_config(path: str) -> RunConfig:
@@ -148,36 +152,41 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path) as fh:
             cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _located(path, f"cannot read: {getattr(exc, 'strerror', None) or exc}") from exc
     except configparser.Error as exc:
-        raise ConfigError(f"config parse error in {path}: {exc}") from exc
+        # a ParsingError lists (line, text) pairs; the other errors carry lineno
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise _located(path, f"not valid INI ({type(exc).__name__})", at=(line, 1)) from exc
 
     vals: dict = {}
     for section in cp.sections():
         if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}] in {path}"
-                              + _line_of(path, section))
+            raise _located(path, "unknown section", section)
         for key in cp[section]:
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in [{section}] of {path}"
-                                  + _line_of(path, section, key))
-            kind, _ = _SCHEMA[section][key]
-            vals[(section, key)] = _parse_typed(cp[section][key], kind, path, section, key)
+                raise _located(path, f"unknown key '{key}'", section, key)
+            with config_errors(path, section, key, f"{key}: {{}}"):
+                vals[(section, key)] = _parse_typed(cp[section][key], _SCHEMA[section][key][0])
     for section in _REQUIRED_SECTIONS:
         if section not in cp.sections():
-            raise ConfigError(f"missing required section [{section}] in {path}")
+            raise _located(path, "missing required section", section)
     for section in cp.sections():
         for key, (kind, required) in _SCHEMA[section].items():
             if required and (section, key) not in vals:
-                raise ConfigError(f"missing required key '{key}' in [{section}] of {path}"
-                                  + _line_of(path, section))
+                raise _located(path, f"missing required key '{key}'", section)
 
     def get(section, key, default=None):
         return vals.get((section, key), default)
 
     with config_errors(path, "domain"):
         domain = Domain.of_kind(get("domain", "kind"), get("domain", "bounds"))
+    coords = {f"x{i + 1}" for i in range(domain.dim)}
+    for (section, key), val in vals.items():
+        allowed = _EXPRESSION_VARIABLES.get(_SCHEMA[section][key][0], set()) | coords
+        if isinstance(val, Expression) and not val.variables <= allowed:
+            raise _located(path, f"variable {min(val.variables - allowed)!r} not available here;"
+                                 f" {key} may use {', '.join(sorted(allowed))}", section, key)
 
     form = get("weight", "form")
     with config_errors(path, "weight"):
@@ -191,7 +200,7 @@ def load_config(path: str) -> RunConfig:
     p = get("space", "p")
     s = get("space", "s")
     gamma = get("constants", "gamma", 1.0)
-    with config_errors(path, "nonlinearity_f"):
+    with config_errors(path, "nonlinearity_f", "primitive"):
         nl_f = make_nonlinearity(get("nonlinearity_f", "expr"),
                                  primitive=get("nonlinearity_f", "primitive"),
                                  growth_h=get("nonlinearity_f", "growth_h"))
@@ -199,13 +208,12 @@ def load_config(path: str) -> RunConfig:
         # make_nonlinearity checked the unit square; check the configured domain too
         lo, hi = domain.axes.T
         xs = lo + (hi - lo) * np.random.default_rng(42).uniform(size=(1000, domain.dim))
-        with config_errors(path, "nonlinearity_f", "primitive", " on the configured domain"):
+        with config_errors(path, "nonlinearity_f", "primitive", "{} on the configured domain"):
             _check_primitive(nl_f, xs)
     nl_g = None
     if "nonlinearity_g" in cp.sections():
-        with config_errors(path, "nonlinearity_g"):
-            nl_g = make_nonlinearity(get("nonlinearity_g", "expr"),
-                                     caratheodory_w=get("nonlinearity_g", "w_tau"))
+        nl_g = make_nonlinearity(get("nonlinearity_g", "expr"),
+                                 caratheodory_w=get("nonlinearity_g", "w_tau"))
 
     ball = None
     if "ball" in cp.sections():
@@ -213,13 +221,8 @@ def load_config(path: str) -> RunConfig:
             ball = BallSpec.create(get("ball", "x0"), get("ball", "r1"),
                                    get("ball", "r2"), domain)
 
-    lam_grid: list = []
-    if "lambda_grid" in cp.sections():
-        lo, hi = get("lambda_grid", "min"), get("lambda_grid", "max")
-        count = get("lambda_grid", "count")
-        if count < 1 or hi < lo:
-            raise _located(path, "lambda_grid", "empty or inverted grid")
-        lam_grid = [lo + (hi - lo) * i / max(count - 1, 1) for i in range(count)]
+    lam_min, lam_max, count = (get("lambda_grid", key, 0) for key in ("min", "max", "count"))
+    lam_grid = [lam_min + (lam_max - lam_min) * i / max(count - 1, 1) for i in range(count)]
 
     with config_errors(path, "solver"):
         solver = SolverConfig(**{key: val for (section, key), val in vals.items()
@@ -234,6 +237,8 @@ def load_config(path: str) -> RunConfig:
     # p <= 1 is outside p > N for every N, and the flux system divides by
     # p - 1; a 1 < p <= N without [ball] still solves, so ProblemSpec checks that
     for bad, section, key, message in (
+            ("lambda_grid" in cp.sections() and (count < 1 or lam_max < lam_min),
+             "lambda_grid", None, "empty or inverted grid"),
             (h <= 0, "mesh", "h", "h must be positive"),
             (not p > 1, "space", "p", f"need p > N, got p={p}, N={domain.dim}"),
             (solver.max_iter < 1, "solver", "max_iter", "need max_iter >= 1"),
@@ -243,7 +248,7 @@ def load_config(path: str) -> RunConfig:
             (n_scan < 2, "oracle", "n_scan", "need n_scan >= 2"),
             (steps_per_unit < 1, "oracle", "steps_per_unit", "need steps_per_unit >= 1")):
         if bad:
-            raise _located(path, section, message, key)
+            raise _located(path, message, section, key)
 
     return RunConfig(
         path=path, domain=domain, weight=weight, p=p, s=s,

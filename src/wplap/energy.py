@@ -175,17 +175,22 @@ def primitive_F(nl: Nonlinearity, x, t) -> np.ndarray:
     _gauss_panels, until every value changes by at most 1e-10 * max(1, |F|)
     (the map s = t tau keeps the orientation right for t < 0).  When 64
     panels still miss that, the last values come back with a RuntimeWarning."""
-    t = np.asarray(t, dtype=float)
-    if nl.primitive is not None:
-        return _eval_expr(nl.primitive, _point_env(x, t))
-    col = t[:, None]
-    val, converged = _gauss_panels(
-        lambda tau: col * _eval_expr(nl.f, _point_env(x, col * tau, extra_axis=True)),
-        0.0, 1.0, tol=1e-10, max_panels=_F_PANELS)
+    val, converged = _primitive_F(nl, x, t)
     if not converged:
         warnings.warn(f"primitive_F: Gauss panel doubling unconverged at {_F_PANELS} panels",
                       RuntimeWarning, stacklevel=2)
     return val
+
+
+def _primitive_F(nl: Nonlinearity, x, t) -> tuple:
+    """primitive_F's (values, converged), without its warning."""
+    t = np.asarray(t, dtype=float)
+    if nl.primitive is not None:
+        return _eval_expr(nl.primitive, _point_env(x, t)), True
+    col = t[:, None]
+    return _gauss_panels(
+        lambda tau: col * _eval_expr(nl.f, _point_env(x, col * tau, extra_axis=True)),
+        0.0, 1.0, tol=1e-10, max_panels=_F_PANELS)
 
 
 class EnergyAssembler:

@@ -277,26 +277,15 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
         & ~diverged
     degenerate = bool(near_zero.sum() > max(3, n_scan // 100))
 
-    root_sigmas: list[float] = []
-    # representative of each exact-zero run
-    i = 0
-    while i < n_scan:
-        if near_zero[i]:
-            j = i
-            while j + 1 < n_scan and near_zero[j + 1]:
-                j += 1
-            root_sigmas.append(float(sigma_grid[(i + j) // 2]))
-            i = j + 1
-        else:
-            i += 1
+    # representative of each exact-zero run [first, last]: its middle
+    edges = np.diff(near_zero.astype(np.int8), prepend=0, append=0)
+    first, last = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
+    root_sigmas: list[float] = sigma_grid[(first + last) // 2].tolist()
     # sign-change brackets between usable neighbours
-    brackets, t_lo = [], []
-    for i in range(n_scan - 1):
-        if diverged[i] or diverged[i + 1] or near_zero[i] or near_zero[i + 1]:
-            continue
-        if (terminal[i] < 0) != (terminal[i + 1] < 0):
-            brackets.append((float(sigma_grid[i]), float(sigma_grid[i + 1])))
-            t_lo.append(float(terminal[i]))
+    usable = ~(diverged | near_zero)
+    i = np.flatnonzero(usable[:-1] & usable[1:] & ((terminal[:-1] < 0) != (terminal[1:] < 0)))
+    brackets = list(zip(sigma_grid[i].tolist(), sigma_grid[i + 1].tolist()))
+    t_lo = terminal[i].tolist()
 
     # profiles of the slopes that end within tolerance, by sigma; the
     # near-zero scan roots ride along in the next march

@@ -47,14 +47,6 @@ class DiscreteFunction:
             raise ValueError("need one value per vertex")
         self.values[self.mesh.boundary_vertices] = 0.0
 
-    @staticmethod
-    def from_callable(mesh: Mesh, fn) -> "DiscreteFunction":
-        return DiscreteFunction(mesh, np.asarray(fn(mesh.vertices)).reshape(-1))
-
-    @staticmethod
-    def zero(mesh: Mesh) -> "DiscreteFunction":
-        return DiscreteFunction(mesh, np.zeros(mesh.num_vertices))
-
 
 @dataclass(frozen=True)
 class NormReport:

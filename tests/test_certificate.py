@@ -18,6 +18,7 @@ from wplap.certificate import (
     build_ustar,
     check_H1,
     check_H2,
+    check_H3,
     check_H3_H4_H5,
     check_theorem_conditions,
     compute_eta,
@@ -358,19 +359,18 @@ class TestSampleOverT:
     def test_shipped_spec_samples_t_alone(self, monkeypatch):
         # the shipped f and g read no x: one call per check (per tau for
         # H5), where one call per t made 910
-        F, g_eval = certificate.primitive_F, Nonlinearity.eval
         points = {"F": [], "g": []}
 
-        def counted_F(nl, x, t):
-            points["F"].append(np.size(t))
-            return F(nl, x, t)
+        def counted(values, key):
+            def wrapped(nl, x, t):
+                points[key].append(np.size(t))
+                return values(nl, x, t)
+            return wrapped
 
-        def counted_g(nl, x, t):
-            points["g"].append(np.size(t))
-            return g_eval(nl, x, t)
-
-        monkeypatch.setattr(certificate, "primitive_F", counted_F)
-        monkeypatch.setattr(Nonlinearity, "eval", counted_g)
+        # H3 reads F through _primitive_F, which also says whether it converged
+        for name in ("primitive_F", "_primitive_F"):
+            monkeypatch.setattr(certificate, name, counted(getattr(certificate, name), "F"))
+        monkeypatch.setattr(Nonlinearity, "eval", counted(Nonlinearity.eval, "g"))
         spec = shipped_spec()
         check_H1(spec.nl_f, UNIT, BALL, spec.d)
         certificate._sup_F_box(spec.nl_f, UNIT, spec.c, ball_mesh().quadrature()[0])
@@ -452,6 +452,17 @@ class TestHypothesesH3H4H5:
         assert entries["H3"].margin == pytest.approx(5001.0, rel=1e-12)
         assert entries["H4"].verdict == "pass"
         assert entries["H5"].verdict == "pass"  # no g present
+
+    def test_unconverged_F_is_named_in_the_note(self):
+        # F by quadrature of an oscillating f at |t| = 1e4 stops at 64 panels;
+        # the note says so, and no primitive_F warning escapes (tier-1 makes
+        # one an error)
+        entry = check_H3(make_nonlinearity("sin(t)*cos(t)", growth_h="1"), 1.0,
+                         Domain.interval(0, 1))
+        assert entry.verdict == "heuristic-pass"
+        assert entry.note.endswith("; quadrature unconverged at 64 panels")
+        linear = make_nonlinearity("t", primitive="0.5*t^2", growth_h="1")
+        assert "unconverged" not in check_H3(linear, 2.0, Domain.interval(0, 1)).note
 
     def test_missing_growth_is_inconclusive(self):
         nl = make_nonlinearity("t", primitive="0.5*t^2")

@@ -399,14 +399,65 @@ class TestConfigDiagnostics:
 
     def test_unknown_section_rejected(self, tmp_path, capsys):
         cfg = variant(tmp_path, "bogus.cfg", ("[run]", "[bogus]\nz = 1\n\n[run]"))
+        line = cfg.read_text().splitlines().index("[bogus]") + 1
         code = run_cli("check", "--config", cfg, "--out", tmp_path / "out")
         assert code == 64
-        assert "unknown section [bogus]" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"config error: {cfg} [bogus]: unknown section (line {line}, column 1)\n"
 
     # 2^t has no t-derivative in the expression language, and the Newton
     # tangent needs one
     POW_F = (("expr = min(max(t - 0.25, 0), 1)", "expr = 0.1*2^t"),
              ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)\n", ""))
+
+    # every config error names the file, then the section and the line where
+    # there is one; (command, replacements, start of the line at fault or None)
+    ERROR_PATHS = {
+        "bad typed value": ("check", [("[run]", "[solver]\nresidual_tol = abc\n\n[run]")],
+                            "residual_tol"),
+        "unknown section": ("check", [("[run]", "[bogus]\nz = 1\n\n[run]")], "[bogus]"),
+        "unknown key": ("check", [("[run]", "[solver]\nstring_images = 33\n\n[run]")],
+                        "string_images"),
+        "missing section": ("check", [("[domain]\nkind = interval\nbounds = 0.0 1.0\n", "")],
+                            None),
+        "missing key": ("check", [("p = 2.0\n", "")], "[space]"),
+        "unreadable file": ("check", None, None),
+        "file not UTF-8": ("check", b"[domain]\nkind = \xff\n", None),
+        "INI syntax error": ("check", [("[run]", "not a key line\n\n[run]")], "not a key"),
+        "bad value": ("solve", [("h = 0.00390625", "h = -1.0")], "h ="),
+        "spec outside the regime": ("check", [("s = 2.0", "s = 0.5")], None),
+        "check without [ball]": ("check", [("[ball]\nx0 = 0.5\nr1 = 0.1\nr2 = 0.2\n", "")],
+                                 None),
+        "scan without a grid": ("scan", [("[lambda_grid]\nmin = 12.0\nmax = 20.0\n"
+                                          "count = 5\n", "")], None),
+        "f without a t-derivative": ("solve", list(POW_F), "expr = 0.1*2^t"),
+        "unavailable variable": ("oracle", [("expr = min(max(t - 0.25, 0), 1)",
+                                             "expr = x2*t")], "expr = x2*t"),
+        "mesh too coarse for the ball": ("check", [("h = 0.00390625", "h = 0.1")], "h ="),
+    }
+
+    @pytest.mark.parametrize("name", list(ERROR_PATHS))
+    def test_every_config_error_has_one_format(self, tmp_path, capsys, name):
+        command, replacements, start = self.ERROR_PATHS[name]
+        if replacements is None:
+            cfg = tmp_path / "absent.cfg"
+        elif isinstance(replacements, bytes):
+            cfg = tmp_path / "binary.cfg"
+            cfg.write_bytes(replacements)
+        else:
+            cfg = variant(tmp_path, "error.cfg", *replacements)
+        code = run_cli(command, "--config", cfg, "--out", tmp_path / "out")
+        assert code == 64
+        err = capsys.readouterr().err
+        m = re.fullmatch(rf"config error: {re.escape(str(cfg))}( \[\w+\])?: .+?"
+                         r"( \(line \d+, column \d+\))?\n", err)
+        assert m is not None, err
+        if start is None:
+            assert m.group(2) is None, err
+        else:
+            lines = cfg.read_text().splitlines()
+            line = next(i for i, text in enumerate(lines, start=1) if text.startswith(start))
+            assert m.group(2) == f" (line {line}, column 1)", err
 
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_f_without_t_derivative_is_config_error(self, tmp_path, capsys, command):
@@ -476,8 +527,8 @@ class TestConfigDiagnostics:
         code = run_cli("solve", "--config", cfg, "--out", tmp_path / "out")
         assert code == 64
         err = capsys.readouterr().err
-        assert "unknown key 'string_images' in [solver]" in err
-        assert f"(line {line}, column 1)" in err
+        assert err == (f"config error: {cfg} [solver]: unknown key 'string_images'"
+                       f" (line {line}, column 1)\n")
 
     @pytest.mark.parametrize("command, old, new, message, key", [
         ("oracle", "[run]", "[oracle]\nn_scan = 1\n\n[run]", "need n_scan >= 2", "n_scan"),
@@ -490,6 +541,8 @@ class TestConfigDiagnostics:
         ("solve", "[run]", "[solver]\nmax_iter = 0\n\n[run]", "need max_iter >= 1", "max_iter"),
         ("check", "h = 0.00390625\n", "h = 0.00390625\ngrading_depth = -1\n",
          "need grading_depth >= 0", "grading_depth"),
+        ("scan", "max = 20.0", "max = 10.0", "empty or inverted grid", "[lambda_grid]"),
+        ("scan", "count = 5", "count = 0", "empty or inverted grid", "[lambda_grid]"),
     ])
     def test_malformed_oracle_and_mu_values_rejected(self, tmp_path, capsys, command,
                                                      old, new, message, key):
@@ -523,8 +576,8 @@ class TestConfigDiagnostics:
         line = cfg.read_text().splitlines().index("residual_tol = abc") + 1
         with pytest.raises(config.ConfigError) as exc:
             load_config(str(cfg))
-        assert str(exc.value) == (f"{cfg} [solver] residual_tol (line {line}, column 1): "
-                                  "could not convert string to float: 'abc'")
+        assert str(exc.value) == (f"{cfg} [solver]: residual_tol: could not convert string"
+                                  f" to float: 'abc' (line {line}, column 1)")
 
     def test_valid_config_looks_up_no_line(self, monkeypatch):
         # a location is built only for a value that fails, so a valid file is read once

@@ -298,6 +298,40 @@ class TestEnumerate:
         assert sigma == pytest.approx(1 / 3, abs=1e-13)
         assert abs(terminal) == 1.0
 
+    def test_scan_bookkeeping_matches_per_index_loops(self, monkeypatch):
+        # a synthetic terminal map: zero runs at both ends of the scan, in the
+        # middle and across a sign change, and a diverged band around another
+        def fake_shoot(sigmas, *args, keep_trajectory=False, **kwargs):
+            s = np.asarray(sigmas, dtype=float)
+            zero = (np.abs(s) < 0.3) | (np.abs(s) >= 49.5) | (np.abs(s - 14.1) < 0.1)
+            term, div = np.where(zero, 0.0, np.cos(s / 3.0)), (30.0 < s) & (s < 36.0)
+            if keep_trajectory:
+                return term, div, np.zeros(1), np.zeros((1, s.size))
+            return term, div
+
+        monkeypatch.setattr(oracle1d, "shoot", fake_shoot)
+        prof = enumerate_solutions(UNIT, ONE, 2.0, 0.0, 0.0)
+        grid, terminal, diverged = prof.sigma_grid, prof.terminal_values, prof.diverged
+        near_zero = (np.abs(terminal) <= oracle1d._TERMINAL_TOL
+                     * np.maximum(1.0, np.abs(grid))) & ~diverged
+        # the loops enumerate_solutions ran before its array form
+        mids, i, n = [], 0, grid.size
+        while i < n:
+            if near_zero[i]:
+                j = i
+                while j + 1 < n and near_zero[j + 1]:
+                    j += 1
+                mids.append(float(grid[(i + j) // 2]))
+                i = j + 1
+            else:
+                i += 1
+        brackets = [(float(grid[i]), float(grid[i + 1])) for i in range(n - 1)
+                    if not (diverged[i] or diverged[i + 1] or near_zero[i] or near_zero[i + 1])
+                    and (terminal[i] < 0) != (terminal[i + 1] < 0)]
+        assert len(mids) == 4 and len(brackets) == 8
+        assert prof.brackets == brackets
+        assert set(mids) <= {root.sigma for root in prof.roots}
+
     def test_brackets_disjoint_and_ordered(self):
         prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0,
                                    f=shipped_f(), g=shipped_g(),

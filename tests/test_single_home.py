@@ -1,11 +1,12 @@
-"""The solution distinctness rule and each setting default are written once
-in the package.
+"""The solution distinctness rule, each setting default and the config
+error format are written once in the package.
 
 The rule sup|a - b| > delta_dist * max(sup-norms, 1e-30) lives in
 solver._apart, so src multiplies by delta_dist (an attribute such as
 config.delta_dist, or a plain name) exactly once.  The solver and oracle
 defaults live in SolverConfig and in oracle1d's SIGMA_MIN, SIGMA_MAX,
-N_SCAN and STEPS_PER_UNIT, so each of their literals appears once."""
+N_SCAN and STEPS_PER_UNIT, so each of their literals appears once.  Every
+ConfigError is built by config._located, so src calls ConfigError once."""
 import ast
 from pathlib import Path
 
@@ -63,3 +64,25 @@ def test_default_is_written_once(literal):
     found = {path.name: numeric_literals(path.read_text()).count((type(literal), literal))
              for path in SOURCES}
     assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}
+
+
+def config_error_calls(source: str) -> list:
+    """Lines of every call of ConfigError, by name or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and (getattr(node.func, "id", None) == "ConfigError"
+                       or getattr(node.func, "attr", None) == "ConfigError"))
+
+
+def test_config_error_detector():
+    src = ("def f(path, exc):\n"
+           "    e = ConfigError(f'{path}: bad')\n"
+           "    raise config.ConfigError(str(exc)) from exc\n"
+           "class ConfigError(ValueError):\n"
+           "    pass\n")
+    assert config_error_calls(src) == [2, 3]
+
+
+def test_config_error_is_built_in_one_place():
+    lines = {path.name: config_error_calls(path.read_text()) for path in SOURCES}
+    assert sum(map(len, lines.values())) == 1, lines

@@ -47,23 +47,18 @@ class TestDiscreteFunction:
         with pytest.raises(ValueError):
             DiscreteFunction(mesh, np.ones(mesh.num_vertices + 1))
 
-    def test_from_callable(self):
-        mesh = interval_mesh(1 / 8)
-        u = DiscreteFunction.from_callable(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
-        i = np.argmin(np.abs(mesh.vertices[:, 0] - 0.5))
-        assert u.values[i] == pytest.approx(0.25)
-
 
 class TestWeightedNorm:
     def test_zero_function(self):
-        u = DiscreteFunction.zero(interval_mesh(0.25))
+        mesh = interval_mesh(0.25)
+        u = DiscreteFunction(mesh, np.zeros(mesh.num_vertices))
         assert weighted_norm(u, ONE, 2.0).full_norm == 0.0
 
     def test_parabola_closed_form(self):
         # int u^2 = 1/30, int (u')^2 = 1/3 for u = x(1-x); the h = 1/512
         # interpolant carries an h^2/3 gradient defect, hence 1.5e-6 not 1e-6
         mesh = interval_mesh(1 / 512)
-        u = DiscreteFunction.from_callable(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
+        u = DiscreteFunction(mesh, mesh.vertices[:, 0] * (1 - mesh.vertices[:, 0]))
         rep = weighted_norm(u, ONE, 2.0)
         assert rep.lp_term == pytest.approx(1 / 30, abs=1.5e-6)
         assert rep.grad_term == pytest.approx(1 / 3, abs=1.5e-6)
@@ -129,7 +124,8 @@ class TestWeightedNorm:
 
 class TestSupNorm:
     def test_zero(self):
-        assert sup_norm(DiscreteFunction.zero(interval_mesh(0.25))) == 0.0
+        mesh = interval_mesh(0.25)
+        assert sup_norm(DiscreteFunction(mesh, np.zeros(mesh.num_vertices))) == 0.0
 
     def test_hat(self):
         mesh = interval_mesh(0.25)
@@ -139,7 +135,7 @@ class TestSupNorm:
 
     def test_parabola_vertex(self):
         mesh = interval_mesh(0.125)  # node at 0.5
-        u = DiscreteFunction.from_callable(mesh, lambda x: x[:, 0] * (1 - x[:, 0]))
+        u = DiscreteFunction(mesh, mesh.vertices[:, 0] * (1 - mesh.vertices[:, 0]))
         assert sup_norm(u) == pytest.approx(0.25)
 
 
