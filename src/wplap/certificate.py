@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,7 @@ __all__ = [
     "CheckEntry",
     "CertificateReport",
     "RefinementRequiredError",
+    "RegimeError",
     "annulus_weight_mass",
     "compute_xi",
     "compute_eta",
@@ -61,6 +61,14 @@ class RefinementRequiredError(ValueError):
     """Mesh too coarse to resolve the ball pair."""
 
 
+class RegimeError(ValueError):
+    """A ProblemSpec outside the theorem's regime; key names the field at fault."""
+
+    def __init__(self, message: str, key: str):
+        super().__init__(message)
+        self.key = key
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     domain: Domain
@@ -78,11 +86,12 @@ class ProblemSpec:
     def __post_init__(self):
         N = self.domain.dim
         if not self.p > N:
-            raise ValueError(f"need p > N, got p={self.p}, N={N}")
-        if self.p - N > 0 and not self.s > N / (self.p - N):
-            raise ValueError(f"need s > N/(p-N) = {N / (self.p - N):.6g}, got s={self.s}")
-        if self.c <= 0 or self.d <= 0 or self.gamma <= 0:
-            raise ValueError("c, d, gamma must be positive")
+            raise RegimeError(f"need p > N, got p={self.p}, N={N}", "p")
+        if not self.s > N / (self.p - N):
+            raise RegimeError(f"need s > N/(p-N) = {N / (self.p - N):.6g}, got s={self.s}", "s")
+        for key in ("c", "d", "gamma"):
+            if getattr(self, key) <= 0:
+                raise RegimeError("c, d, gamma must be positive", key)
         # ball containment re-checked (BallSpec.create validates at build time)
         BallSpec.create(self.ball.x0, self.ball.r1, self.ball.r2, self.domain)
 
@@ -131,12 +140,6 @@ class CertificateReport:
     overall: str
     notes: list = field(default_factory=list)
 
-    def entry(self, name: str) -> CheckEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     @property
     def exit_code(self) -> int:
         if self.overall == "pass":
@@ -163,15 +166,6 @@ def _overall(entries) -> str:
 
 
 _UNCONVERGED = f"; quadrature unconverged at {_MAX_PANELS} panels"
-
-
-def _gauss_value(fn, lo: float, hi: float) -> float:
-    """_gauss_panels for integrals that carry no note: warn when unconverged."""
-    val, converged = _gauss_panels(fn, lo, hi)
-    if not converged:
-        warnings.warn(f"Gauss panel doubling on [{lo:.6g}, {hi:.6g}] unconverged at "
-                      f"{_MAX_PANELS} panels", RuntimeWarning, stacklevel=2)
-    return val
 
 
 def _annulus_integral(fn_radial, domain: Domain, ball: BallSpec) -> tuple[float, bool]:
@@ -216,7 +210,7 @@ def annulus_weight_mass(w: WeightSpec, ball: BallSpec,
                         domain: Domain) -> tuple[float, bool]:
     """||a||_{L^1} over B(x0, r2) \\ B(x0, r1), as (value, converged)."""
     val, converged = _annulus_integral(
-        lambda pts: np.asarray(eval_weight(w, domain, pts)), domain, ball)
+        lambda pts: eval_weight(w, domain, pts), domain, ball)
     if not (math.isfinite(val) and val > 0):
         raise ValueError(f"annulus weight mass not finite/positive: {val}")
     return val, converged
@@ -243,7 +237,7 @@ def compute_r(c: float, k: float, p: float) -> float:
 
 def _ustar_values(pts: np.ndarray, d: float, ball: BallSpec) -> np.ndarray:
     x0 = np.asarray(ball.x0)
-    rr = np.linalg.norm(np.atleast_2d(pts) - x0[None, :], axis=1)
+    rr = np.linalg.norm(pts - x0[None, :], axis=1)
     r1sq, r2sq = ball.r1 ** 2, ball.r2 ** 2
     vals = d * (r2sq - rr ** 2) / (r2sq - r1sq)
     vals = np.where(rr <= ball.r1, d, vals)
@@ -267,7 +261,7 @@ class UstarNorm:
     direct: float               # weighted_norm(interpolated u*)^p
     formula: float              # surface factor w_N as printed
     formula_corrected: float    # surface factor N*w_N
-    converged: bool             # the formula's annulus quadrature
+    converged: bool             # the formula's annulus and radial quadratures
 
 
 def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
@@ -284,12 +278,14 @@ def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
     w_N = unit_ball_volume(N)
     denom = (r2 ** 2 - r1 ** 2) ** p
     grad_int, converged = _annulus_integral(
-        lambda pts: np.asarray(eval_weight(w, domain, pts))
-        * np.linalg.norm(np.atleast_2d(pts) - np.asarray(ball.x0)[None, :], axis=1) ** p,
+        lambda pts: eval_weight(w, domain, pts)
+        * np.linalg.norm(pts - np.asarray(ball.x0)[None, :], axis=1) ** p,
         domain, ball)
     grad = 2.0 ** p * d ** p / denom * grad_int
     if zero_order_term:
-        radial = _gauss_value(lambda rr: (r2 ** 2 - rr ** 2) ** p * rr ** (N - 1), r1, r2)
+        radial, radial_converged = _gauss_panels(
+            lambda rr: (r2 ** 2 - rr ** 2) ** p * rr ** (N - 1), r1, r2)
+        converged &= radial_converged
         annulus_mass = d ** p / denom * radial
         inner_mass = d ** p * w_N * r1 ** N
         formula = grad + w_N * annulus_mass + inner_mass
@@ -547,14 +543,15 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     N = spec.domain.dim
     p, c, d = spec.p, spec.c, spec.d
     w_N = unit_ball_volume(N)
+    # u* first: a mesh too coarse for the ball pair fails before estimate_k
+    norm3 = ustar_norm_p(d, spec.ball, spec.weight, p, mesh,
+                         zero_order_term=spec.zero_order_term)
     a_mass, a_converged = annulus_weight_mass(spec.weight, spec.ball, spec.domain)
     if embedding is None:
         embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh)
     k = embedding.k
     notes = []
 
-    norm3 = ustar_norm_p(d, spec.ball, spec.weight, p, mesh,
-                         zero_order_term=spec.zero_order_term)
     r1, r2 = spec.ball.r1, spec.ball.r2
     lower_kfree = (2.0 * r1 / (r2 ** 2 - r1 ** 2)) ** p * a_mass * d ** p
     eta_over_k_p = (2.0 ** p * r2 ** p / (r2 ** 2 - r1 ** 2) ** p * a_mass

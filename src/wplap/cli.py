@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import (CertificateReport, Constants, ProblemSpec, RefinementRequiredError,
-                          build_certificate, build_ustar, check_H3, compute_r)
+                          RegimeError, build_certificate, build_ustar, check_H3, compute_r)
 from .config import ConfigError, RunConfig, _located, config_errors, load_config
 from .energy import EnergyAssembler
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
@@ -57,14 +57,18 @@ def build_problem_mesh(cfg: RunConfig) -> Mesh:
 
 def _problem_spec(cfg: RunConfig) -> ProblemSpec | None:
     """The certificate's instance, or None without [ball] and [constants];
-    a spec outside the theorem's regime is a config error."""
+    a spec outside the theorem's regime is a config error at the key at
+    fault (p, s in [space]; c, d, gamma in [constants])."""
     if cfg.ball is None or cfg.c is None or cfg.d is None:
         return None
-    with config_errors(cfg.path):
+    try:
         return ProblemSpec(domain=cfg.domain, weight=cfg.weight, p=cfg.p, s=cfg.s,
                            ball=cfg.ball, c=cfg.c, d=cfg.d, gamma=cfg.gamma,
                            nl_f=cfg.nl_f, nl_g=cfg.nl_g,
                            zero_order_term=cfg.zero_order_term)
+    except RegimeError as exc:
+        section = "space" if exc.key in ("p", "s") else "constants"
+        raise _located(cfg.path, str(exc), section, exc.key) from exc
 
 # -- writers / readers ----------------------------------------------------
 

@@ -1,28 +1,41 @@
 """Tiny expression language for nonlinearities given in config files.
 
-Grammar (EBNF):
+Grammar (EBNF), read by Python's parser with "^" as "**" (the same
+precedence and right-associativity, and a unary minus may follow it):
 
     expr    = term { ("+" | "-") term } ;
     term    = unary { ("*" | "/") unary } ;
     unary   = "-" unary | power ;
     power   = atom [ "^" unary ] ;
     atom    = NUMBER | VAR | FUNC "(" expr { "," expr } ")" | "(" expr ")" ;
+    NUMBER  = ( digits [ "." [ digits ] ] | "." digits ) [ exponent ] ;
+    exponent = ( "e" | "E" ) [ "+" | "-" ] digits ;
     VAR     = "t" | "x1" | "x2" | "tau" ;
     FUNC    = "sin" | "cos" | "exp" | "min" | "max" | "clamp" ;
 
-sin/cos/exp take one argument, min/max two, clamp(e, lo, hi) three and is
-expanded to min(max(e, lo), hi).  "^" is right-associative and binds tighter
-than unary minus.  Each Expression compiles its AST once into a tree of
-closures; evaluation is vectorized over numpy arrays.  t-derivatives
-are formed symbolically (min/max differentiate branch-wise, which is enough
-for the almost-everywhere derivatives the solver needs).  t-primitives
-int_0^t are formed symbolically too, for the subset _antidiff_t names; any
-other expression has none, and its primitive is left to quadrature.
+A NUMBER has no sign, underscore, base prefix or "j".  sin/cos/exp take one
+argument, min/max two, clamp(e, lo, hi) three and is expanded to
+min(max(e, lo), hi).  "^" binds tighter than unary minus.  _parse turns
+Python's tree into tuples and rejects every other node.  Guards keep the
+accepted text the grammar's: only ASCII letters, digits, "_", ".",
+"+-*/^()," and whitespace, and no "**"; whitespace is collapsed, so a value
+may span lines; leading zeros of an integer part are dropped (Python
+rejects 05); a number's text must match NUMBER; a call takes no trailing
+comma; a warning while parsing is an error.  Non-ASCII text is rejected
+(Python reads a fullwidth t as t), and so is an integer of over 4300 digits.
+
+Each Expression compiles its AST once into a tree of closures; evaluation
+is vectorized over numpy arrays.  t-derivatives are formed symbolically
+(min/max differentiate branch-wise, enough for the almost-everywhere
+derivatives the solver needs), and so are t-primitives int_0^t for the
+subset _antidiff_t names; any other primitive is left to quadrature.
 """
 from __future__ import annotations
 
+import ast
 import operator
 import re
+import warnings
 
 import numpy as np
 
@@ -33,109 +46,51 @@ class ParseError(ValueError):
     pass
 
 
-_TOKEN = re.compile(r"\s*(?:(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-                    r"|([A-Za-z_][A-Za-z_0-9]*)|(.))")
 _FUNCS = {"sin": 1, "cos": 1, "exp": 1, "min": 2, "max": 2, "clamp": 3}
 _VARS = ("t", "x1", "x2", "tau")
+# outside the alphabet (ASCII whitespace is \t-\r, \x1c-\x1f and space), or "**"
+_REJECTED = re.compile(r"[^A-Za-z0-9_.+\-*/^(),\t-\r\x1c-\x1f ]|\*\*")
+_NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?", re.ASCII)
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)", re.ASCII)
+_BINOPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
-def _tokenize(src: str):
-    tokens, pos = [], 0
-    while pos < len(src):
-        m = _TOKEN.match(src, pos)
-        if m is None:
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", float(num)))
-        elif name is not None:
-            tokens.append(("name", name))
-        elif op.strip():
-            if op not in "+-*/^(),":
-                raise ParseError(f"unexpected character {op!r} at position {m.start(3)} in {src!r}")
-            tokens.append(("op", op))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+def _parse(src: str):
+    """The AST of src, read by Python's parser with "^" as "**"."""
+    if bad := _REJECTED.search(src):
+        raise ParseError(f"unexpected {bad.group()!r} in {src!r}")
+    # Python rejects the integer 05; an exponent (1e05) or fraction (0.05) keeps its zeros
+    text = _LEADING_ZEROS.sub("", " ".join(src.split())).replace("^", "**")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            body = ast.parse(text, mode="eval").body
+    except (SyntaxError, Warning) as exc:
+        raise ParseError(f"cannot parse {src!r}: {getattr(exc, 'msg', exc)}") from None
 
-
-class _Parser:
-    def __init__(self, src: str):
-        self.src = src
-        self.toks = _tokenize(src)
-        self.i = 0
-
-    def peek(self):
-        return self.toks[self.i]
-
-    def next(self):
-        tok = self.toks[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r} in {self.src!r}, got {val!r}")
-
-    def parse(self):
-        node = self.expr()
-        if self.peek() != ("end", None):
-            raise ParseError(f"trailing input in {self.src!r}")
-        return node
-
-    def expr(self):
-        node = self.term()
-        while self.peek() == ("op", "+") or self.peek() == ("op", "-"):
-            _, op = self.next()
-            node = (op, node, self.term())
-        return node
-
-    def term(self):
-        node = self.unary()
-        while self.peek() == ("op", "*") or self.peek() == ("op", "/"):
-            _, op = self.next()
-            node = (op, node, self.unary())
-        return node
-
-    def unary(self):
-        if self.peek() == ("op", "-"):
-            self.next()
-            return ("neg", self.unary())
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.next()
-            return ("^", base, self.unary())
-        return base
-
-    def atom(self):
-        kind, val = self.next()
-        if kind == "num":
-            return ("num", val)
-        if kind == "name":
-            if val in _VARS:
-                return ("var", val)
-            if val in _FUNCS:
-                self.expect_op("(")
-                args = [self.expr()]
-                while self.peek() == ("op", ","):
-                    self.next()
-                    args.append(self.expr())
-                self.expect_op(")")
-                if len(args) != _FUNCS[val]:
-                    raise ParseError(f"{val} takes {_FUNCS[val]} argument(s) in {self.src!r}")
-                if val == "clamp":
-                    return ("min", ("max", args[0], args[1]), args[2])
-                return (val, *args)
-            raise ParseError(f"unknown name {val!r} in {self.src!r}")
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {val!r} in {self.src!r}")
+    def node(n):
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINOPS:
+            return (_BINOPS[type(n.op)], node(n.left), node(n.right))
+        if isinstance(n, ast.UnaryOp) and isinstance(n.op, ast.USub):
+            return ("neg", node(n.operand))
+        segment = text[n.col_offset:n.end_col_offset]
+        if isinstance(n, ast.Constant) and _NUMBER.fullmatch(segment):
+            return ("num", float(segment))
+        if isinstance(n, ast.Name) and n.id in _VARS:
+            return ("var", n.id)
+        # a call of a bare name with positional arguments and no trailing comma
+        if (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id in _FUNCS and n.func.col_offset == n.col_offset
+                and n.args and not n.keywords
+                and "," not in text[n.args[-1].end_col_offset:n.end_col_offset]):
+            name, args = n.func.id, [node(a) for a in n.args]
+            if len(args) != _FUNCS[name]:
+                raise ParseError(f"{name} takes {_FUNCS[name]} argument(s) in {src!r}")
+            if name == "clamp":
+                return ("min", ("max", args[0], args[1]), args[2])
+            return (name, *args)
+        raise ParseError(f"unexpected {segment!r} in {src!r}")
+    return node(body)
 
 
 # expm1 is internal: no source text parses to it (see _antidiff_t)
@@ -389,7 +344,7 @@ class Expression:
 
     def __init__(self, source: str, node=None):
         self.source = source
-        self.node = _Parser(source).parse() if node is None else node
+        self.node = _parse(source) if node is None else node
         self.variables = frozenset(_vars_of(self.node, set()))
         self._fn = _compile(self.node)
 

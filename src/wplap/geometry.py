@@ -101,18 +101,11 @@ def domain_measure(domain: Domain) -> float:
     return float(np.prod(hi - lo))
 
 
-def distance_to_boundary(domain: Domain, x) -> np.ndarray:
-    """dist(x, boundary of Omega); vectorized over trailing point axis.
-
-    Accepts a scalar (N=1), an (N,) point or an (m, N) array.  Negative
-    values mean x lies outside the closure.
-    """
-    pts = np.atleast_2d(np.asarray(x, dtype=float).reshape(-1, domain.dim))
+def distance_to_boundary(domain: Domain, x: np.ndarray) -> np.ndarray:
+    """dist(x, boundary of Omega) at the points x, an (m, N) array, as an
+    (m,) array.  Negative values mean x lies outside the closure."""
     lo, hi = domain.axes.T
-    d = np.minimum(pts - lo, hi - pts).min(axis=1)
-    if np.isscalar(x) or np.asarray(x).ndim <= 1:
-        return d[0] if d.size == 1 else d
-    return d
+    return np.minimum(x - lo, hi - x).min(axis=1)
 
 
 @dataclass(frozen=True)
@@ -133,7 +126,7 @@ class BallSpec:
         x0 = tuple(float(c) for c in np.atleast_1d(x0))
         if len(x0) != domain.dim:
             raise ValueError(f"ball center dimension {len(x0)} != domain dimension {domain.dim}")
-        margin = float(distance_to_boundary(domain, np.asarray(x0)))
+        margin = float(distance_to_boundary(domain, np.array([x0]))[0])
         if not r2 + 1e-9 < margin:
             raise ValueError(
                 f"ball B(x0, r2) not compactly contained: r2={r2}, dist(x0, boundary)={margin:.6g}")
@@ -204,7 +197,7 @@ class Mesh:
         edges = np.roll(v, -1, axis=1) - v
         self.max_cell_size = float(np.max(np.linalg.norm(edges, axis=2)))
         tol = 1e-12 * max(1.0, domain.diameter)
-        self.boundary_vertices = np.asarray(distance_to_boundary(domain, self.vertices)) <= tol
+        self.boundary_vertices = distance_to_boundary(domain, self.vertices) <= tol
         self.interior_vertices = ~self.boundary_vertices
 
     @property

@@ -192,7 +192,7 @@ def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
     and Talenti bounds max|u| by ||grad u||_{p_s}."""
     p_s = compute_ps(p, s)
     pts, wq, _ = mesh.quadrature()
-    aq = np.atleast_1d(eval_weight(w, mesh.domain, pts))
+    aq = eval_weight(w, mesh.domain, pts)
     int_a_ms = float(wq.ravel() @ aq ** (-s))
     return float(talenti_bound(domain.dim, p_s, domain_measure(domain))
                  * int_a_ms ** (1.0 / ((s + 1.0) * p_s)))
@@ -224,7 +224,7 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
     cellA = _cell_weight_integrals(mesh, w)
 
     verts = mesh.vertices
-    rho = np.atleast_1d(distance_to_boundary(domain, verts))
+    rho = distance_to_boundary(domain, verts)
     # cone hats, one column per deepest interior node, in index order
     far = np.sort(interior[np.argsort(-rho[interior], kind="stable")[:_HATS]])
     dists = np.linalg.norm(verts[:, None, :] - verts[None, far, :], axis=2)

@@ -46,19 +46,14 @@ class WeightSpec:
         return WeightSpec("distance_power", exponent=float(l))
 
 
-def eval_weight(w: WeightSpec, domain: Domain, x) -> np.ndarray:
-    """Evaluate a(x) at points x ((m, N) array, (N,) point or scalar)."""
+def eval_weight(w: WeightSpec, domain: Domain, x: np.ndarray) -> np.ndarray:
+    """a(x) at the points x, an (m, N) array, as an (m,) array."""
     if w.form == "constant":
-        shape = np.asarray(x, dtype=float).reshape(-1, domain.dim).shape[0]
-        out = np.full(shape, w.value)
-    else:
-        d = np.atleast_1d(distance_to_boundary(domain, x))
-        if w.exponent > 0 and np.any(d <= 0):
-            raise ValueError("distance_power weight is singular on the boundary")
-        out = d ** (-w.exponent) if w.exponent > 0 else np.ones(d.shape)
-    if np.isscalar(x) or np.asarray(x).ndim <= 1 and out.size == 1:
-        return float(out[0])
-    return out
+        return np.full(x.shape[0], w.value)
+    d = distance_to_boundary(domain, x)
+    if w.exponent > 0 and np.any(d <= 0):
+        raise ValueError("distance_power weight is singular on the boundary")
+    return d ** (-w.exponent) if w.exponent > 0 else np.ones(d.shape)
 
 
 def weight_lower_bound(w: WeightSpec, domain: Domain) -> float:

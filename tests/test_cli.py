@@ -217,6 +217,23 @@ class TestCheck:
         assert code == 64
         assert "config error:" in capsys.readouterr().err
 
+    def test_mesh_too_coarse_for_the_ball_fails_before_estimate_k(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # the box2d lift at h = 0.025 puts too few cells inside r1 = 0.012;
+        # u* is built first, so check stops before the embedding estimate
+        def forbidden(*args, **kwargs):
+            raise AssertionError("check ran estimate_k")
+
+        monkeypatch.setattr(space, "estimate_k", forbidden)
+        monkeypatch.setattr(certificate, "estimate_k", forbidden)
+        cfg = variant(tmp_path, "coarse2d.cfg", *BOX2D[:3], *BOX2D[4:],
+                      ("h = 0.00390625\n", "h = 0.025\n"), ("r1 = 0.1\n", "r1 = 0.012\n"))
+        assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 64
+        line = cfg.read_text().splitlines().index("h = 0.025") + 1
+        assert re.fullmatch(rf"config error: {re.escape(str(cfg))} \[mesh\]: only \d+ cells "
+                            rf"inside B\(x0, r1\); need at least 8 - refine the mesh "
+                            rf"\(line {line}, column 1\)\n", capsys.readouterr().err)
+
     def test_seed_override_recorded(self, tmp_path):
         run_cli("check", "--config", SHIPPED, "--out", tmp_path, "--seed", "7")
         cert = read_certificate(tmp_path / "certificate.txt")
@@ -425,7 +442,7 @@ class TestConfigDiagnostics:
         "file not UTF-8": ("check", b"[domain]\nkind = \xff\n", None),
         "INI syntax error": ("check", [("[run]", "not a key line\n\n[run]")], "not a key"),
         "bad value": ("solve", [("h = 0.00390625", "h = -1.0")], "h ="),
-        "spec outside the regime": ("check", [("s = 2.0", "s = 0.5")], None),
+        "spec outside the regime": ("check", [("s = 2.0", "s = 0.5")], "s = 0.5"),
         "check without [ball]": ("check", [("[ball]\nx0 = 0.5\nr1 = 0.1\nr2 = 0.2\n", "")],
                                  None),
         "scan without a grid": ("scan", [("[lambda_grid]\nmin = 12.0\nmax = 20.0\n"
@@ -458,6 +475,8 @@ class TestConfigDiagnostics:
             lines = cfg.read_text().splitlines()
             line = next(i for i, text in enumerate(lines, start=1) if text.startswith(start))
             assert m.group(2) == f" (line {line}, column 1)", err
+            # a key or a header at fault names its section; an INI syntax error has none
+            assert (m.group(1) is None) == (name == "INI syntax error"), err
 
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_f_without_t_derivative_is_config_error(self, tmp_path, capsys, command):
@@ -519,6 +538,23 @@ class TestConfigDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert message in err
+
+    @pytest.mark.parametrize("replacements, section, start, message", [
+        ([*BOX2D, ("p = 3.0", "p = 1.5")], "space", "p = 1.5", "need p > N, got p=1.5, N=2"),
+        ([("s = 2.0", "s = 0.5")], "space", "s = 0.5", "need s > N/(p-N) = 1, got s=0.5"),
+        ([("c = 0.2", "c = -0.2")], "constants", "c = -0.2", "c, d, gamma must be positive"),
+        ([("\nd = 1.0\n", "\nd = 0.0\n")], "constants", "d = 0.0",
+         "c, d, gamma must be positive"),
+        ([("gamma = 1.0", "gamma = -1.0")], "constants", "gamma = -1.0",
+         "c, d, gamma must be positive"),
+    ], ids=["p", "s", "c", "d", "gamma"])
+    def test_regime_error_names_its_key(self, tmp_path, capsys, replacements, section,
+                                        start, message):
+        cfg = variant(tmp_path, "regime.cfg", *replacements)
+        assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 64
+        line = cfg.read_text().splitlines().index(start) + 1
+        assert capsys.readouterr().err == \
+            f"config error: {cfg} [{section}]: {message} (line {line}, column 1)\n"
 
     def test_removed_solver_key_names_its_line(self, tmp_path, capsys):
         cfg = variant(tmp_path, "old_key.cfg",

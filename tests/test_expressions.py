@@ -1,11 +1,12 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplap.expressions import Expression, ParseError, parse_expression
+from wplap.expressions import Expression, ParseError, _parse, parse_expression
 
 
 def test_numbers_and_precedence():
@@ -168,6 +169,78 @@ def test_compiled_missing_variable_raises(node):
     e = Expression("generated", node=("+", ("var", "x2"), node))
     with pytest.raises(ParseError, match="variable 'x2' not available here"):
         e(t=np.zeros(3), x1=np.zeros(3))
+
+
+# -- Python's parser reads the grammar ----------------------------------------
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def _render(node, prec=0):
+    """Source text of an AST, parenthesized only where the grammar needs it."""
+    op = node[0]
+    if op == "num":
+        text, own = repr(node[1]), 5
+    elif op == "var":
+        text, own = node[1], 5
+    elif op in ("sin", "cos", "exp", "min", "max"):
+        text, own = f"{op}({', '.join(_render(c) for c in node[1:])})", 5
+    elif op == "neg":
+        text, own = "-" + _render(node[1], 3), 3
+    elif op == "^":
+        text, own = f"{_render(node[1], 5)}^{_render(node[2], 3)}", 4
+    else:
+        own = _PRECEDENCE[op]
+        text = f"{_render(node[1], own)} {op} {_render(node[2], own + 1)}"
+    return f"({text})" if own < prec else text
+
+
+def _nonnegative(node):
+    if node[0] == "num":
+        return ("num", abs(node[1]))
+    return (node[0], *(_nonnegative(c) if isinstance(c, tuple) else c for c in node[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(node=_asts.map(_nonnegative))
+def test_rendered_ast_parses_back(node):
+    assert _parse(_render(node)) == node
+
+
+_N, _t = (lambda v: ("num", v)), ("var", "t")
+
+
+@pytest.mark.parametrize("src, node", [
+    ("05", _N(5.0)), ("1e05", _N(1e5)), (".5", _N(0.5)), ("3.", _N(3.0)),
+    ("0.05", _N(0.05)), ("t\t*\t2", ("*", _t, _N(2.0))),
+    ("min(t,\n    1)", ("min", _t, _N(1.0))), (" t +\n  1 ", ("+", _t, _N(1.0))),
+    ("-2^2", ("neg", ("^", _N(2.0), _N(2.0)))),
+    ("2^-t", ("^", _N(2.0), ("neg", _t))),
+    ("2^3^2", ("^", _N(2.0), ("^", _N(3.0), _N(2.0)))),
+    ("clamp(t, 0, 1)", ("min", ("max", _t, _N(0.0)), _N(1.0))),
+])
+def test_accepted_text(src, node):
+    assert _parse(src) == node
+
+
+@pytest.mark.parametrize("src", [
+    "t**2", "t#x", "+t", "~t", "min(t, 1,)", "min(t, x=1)", "t % 2", "t // 2",
+    "t < 1", "t if t else 1", "(t, 1)", "t.real", "1_0", "0x1f", "1j", "e", "x3", "",
+    "(sin)(t)", "min(*t, 1)", "not t", "True", "...",
+    "\u0663", "\uff54", "t\u00a0+ 1",  # non-ASCII: an Arabic-Indic 3, a fullwidth t, NBSP
+])
+def test_rejected_text(src):
+    with pytest.raises(ParseError):
+        _parse(src)
+
+
+def test_parser_warning_is_a_parse_error():
+    # Python warns on a number run into a keyword ("1and"), then parses on
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ParseError, match="invalid decimal literal"):
+            _parse("1and t")
+    assert caught == []
 
 
 # -- closed-form t-primitives ------------------------------------------------

@@ -34,15 +34,13 @@ def test_domain_measure():
 
 def test_distance_to_boundary_interval():
     d = Domain.interval(0, 1)
-    assert distance_to_boundary(d, 0.3) == pytest.approx(0.3)
-    assert distance_to_boundary(d, 0.5) == pytest.approx(0.5)
-    assert distance_to_boundary(d, 1.0) == pytest.approx(0.0)
+    np.testing.assert_allclose(distance_to_boundary(d, np.array([[0.3], [0.5], [1.0]])),
+                               [0.3, 0.5, 0.0], atol=1e-12)
 
 
 def test_distance_to_boundary_box():
     d = Domain.box(0, 1, 0, 1)
-    assert distance_to_boundary(d, [0.2, 0.9]) == pytest.approx(0.1)
-    # vectorized form
+    assert distance_to_boundary(d, np.array([[0.2, 0.9]]))[0] == pytest.approx(0.1)
     pts = np.array([[0.5, 0.5], [0.1, 0.5]])
     np.testing.assert_allclose(distance_to_boundary(d, pts), [0.5, 0.1])
 

@@ -1,9 +1,11 @@
 """Every public function and method in src/wplap is referenced by some
 module of the package, or is on the allow-list below with its reason.
 
-A reference is any name or attribute access spelled like the function
-(`ast.Name` or `ast.Attribute`); an import or an `__all__` entry is not
-one.  Code that only tests reach is deleted rather than kept."""
+A function is referenced by any name or attribute access spelled like it
+(`ast.Name` or `ast.Attribute`), a method only by an attribute access, so a
+local variable spelled like a method does not count; an import or an
+`__all__` entry is not a reference.  Code that only tests reach is deleted
+rather than kept."""
 import ast
 from pathlib import Path
 
@@ -42,26 +44,35 @@ def public_functions(source: str, module: str) -> list:
     return out
 
 
-def referenced_names(source: str) -> set:
-    return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.Name, ast.Attribute))}
+def referenced_names(source: str) -> tuple:
+    """(plain names, attribute names) that source reads."""
+    nodes = list(ast.walk(ast.parse(source)))
+    return ({node.id for node in nodes if isinstance(node, ast.Name)},
+            {node.attr for node in nodes if isinstance(node, ast.Attribute)})
 
 
 def unreferenced(sources: dict) -> list:
-    """The public functions of sources ({module: text}) that no module names."""
-    refs = set().union(*map(referenced_names, sources.values()))
-    return [name for module, text in sources.items()
-            for name in public_functions(text, module) if name.rsplit(".", 1)[1] not in refs]
+    """The public functions and methods of sources ({module: text}) that no
+    module names; a method only through an attribute access."""
+    refs = [referenced_names(text) for text in sources.values()]
+    names = set().union(*(n for n, _ in refs))
+    attrs = set().union(*(a for _, a in refs))
+    return [qualified for module, text in sources.items()
+            for qualified in public_functions(text, module)
+            if qualified.rsplit(".", 1)[1] not in
+            (attrs if qualified.count(".") == 2 else names | attrs)]
 
 
 def test_detector():
+    # b's local variable entry does not reach the method C.entry
     sources = {"a": "from b import used\n__all__ = ['kept']\n"
                     "def kept():\n    return used()\n"
                     "class C:\n    def m(self):\n        pass\n"
+                    "    def entry(self):\n        pass\n"
                     "    def _private(self):\n        pass\n",
-               "b": "def used():\n    return C().m\n\ndef orphan():\n    pass\n"}
-    assert unreferenced(sources) == ["a.kept", "b.orphan"]
+               "b": "def used():\n    entry = C().m\n    return entry\n\n"
+                    "def orphan():\n    pass\n"}
+    assert unreferenced(sources) == ["a.kept", "a.C.entry", "b.orphan"]
 
 
 def test_every_public_function_is_reached_or_allowed():

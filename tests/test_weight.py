@@ -21,22 +21,23 @@ def test_weightspec_validation():
 def test_eval_constant():
     w = WeightSpec.constant(1.0)
     dom = Domain.interval(0, 1)
-    assert eval_weight(w, dom, 0.37) == 1.0
+    np.testing.assert_array_equal(eval_weight(w, dom, np.array([[0.37]])), [1.0])
     np.testing.assert_allclose(eval_weight(w, dom, np.array([[0.1], [0.9]])), [1.0, 1.0])
 
 
 def test_eval_distance_power():
     dom = Domain.interval(0, 1)
-    assert eval_weight(WeightSpec.distance_power(1.0), dom, 0.25) == pytest.approx(4.0)
-    assert eval_weight(WeightSpec.distance_power(0.5), dom, 0.5) == pytest.approx(
-        1.0 / math.sqrt(0.5))
+    quarter = eval_weight(WeightSpec.distance_power(1.0), dom, np.array([[0.25]]))
+    assert quarter.shape == (1,) and quarter[0] == pytest.approx(4.0)
+    assert eval_weight(WeightSpec.distance_power(0.5), dom, np.array([[0.5]]))[0] == \
+        pytest.approx(1.0 / math.sqrt(0.5))
 
 
 def test_eval_at_boundary_singularity():
     dom = Domain.interval(0, 1)
     w = WeightSpec.distance_power(0.5)
     with pytest.raises(ValueError):
-        eval_weight(w, dom, 0.0)
+        eval_weight(w, dom, np.array([[0.0]]))
 
 
 def test_positive_everywhere():
