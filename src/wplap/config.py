@@ -200,7 +200,9 @@ def load_config(path: str) -> RunConfig:
     p = get("space", "p")
     s = get("space", "s")
     gamma = get("constants", "gamma", 1.0)
-    with config_errors(path, "nonlinearity_f", "primitive"):
+    # without a primitive, make_nonlinearity integrates f, and an error is f's
+    primitive_key = "expr" if get("nonlinearity_f", "primitive") is None else "primitive"
+    with config_errors(path, "nonlinearity_f", primitive_key):
         nl_f = make_nonlinearity(get("nonlinearity_f", "expr"),
                                  primitive=get("nonlinearity_f", "primitive"),
                                  growth_h=get("nonlinearity_f", "growth_h"))
@@ -212,8 +214,9 @@ def load_config(path: str) -> RunConfig:
             _check_primitive(nl_f, xs)
     nl_g = None
     if "nonlinearity_g" in cp.sections():
-        nl_g = make_nonlinearity(get("nonlinearity_g", "expr"),
-                                 caratheodory_w=get("nonlinearity_g", "w_tau"))
+        with config_errors(path, "nonlinearity_g", "expr"):
+            nl_g = make_nonlinearity(get("nonlinearity_g", "expr"),
+                                     caratheodory_w=get("nonlinearity_g", "w_tau"))
 
     ball = None
     if "ball" in cp.sections():

@@ -29,6 +29,9 @@ is vectorized over numpy arrays.  t-derivatives are formed symbolically
 (min/max differentiate branch-wise, enough for the almost-everywhere
 derivatives the solver needs), and so are t-primitives int_0^t for the
 subset _antidiff_t names; any other primitive is left to quadrature.
+These tree walks recurse once per level, so there is no depth limit but
+Python's recursion limit; a RecursionError while parsing, compiling,
+differentiating or integrating is a ParseError that says which.
 """
 from __future__ import annotations
 
@@ -36,6 +39,7 @@ import ast
 import operator
 import re
 import warnings
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -339,14 +343,24 @@ def _antidiff_t(node):
     return None
 
 
+@contextmanager
+def _nesting(action: str):
+    """Report a RecursionError of the recursive tree walks as a ParseError."""
+    try:
+        yield
+    except RecursionError:
+        raise ParseError(f"expression nested too deeply to {action}") from None
+
+
 class Expression:
     """Parsed expression; call with keyword arrays, e.g. e(t=tt, x1=xx)."""
 
     def __init__(self, source: str, node=None):
         self.source = source
-        self.node = _parse(source) if node is None else node
-        self.variables = frozenset(_vars_of(self.node, set()))
-        self._fn = _compile(self.node)
+        with _nesting("parse" if node is None else "compile"):
+            self.node = _parse(source) if node is None else node
+            self.variables = frozenset(_vars_of(self.node, set()))
+            self._fn = _compile(self.node)
 
     def __call__(self, **env):
         return self._fn(env)
@@ -356,12 +370,14 @@ class Expression:
         return Expression, (self.source, self.node)
 
     def diff_t(self) -> "Expression":
-        return Expression(f"d/dt({self.source})", node=_diff(self.node))
+        with _nesting("differentiate"):
+            return Expression(f"d/dt({self.source})", node=_diff(self.node))
 
     def antidiff_t(self) -> "Expression | None":
         """int_0^t of the expression in closed form, None outside the subset
         that _antidiff_t covers."""
-        node = _antidiff_t(self.node)
+        with _nesting("integrate"):
+            node = _antidiff_t(self.node)
         return None if node is None else Expression(f"int_0^t({self.source})", node=node)
 
     def __repr__(self):

@@ -15,9 +15,17 @@ zero-order term and the terminal slope) goes through one map,
 _signed_power(z, e) = sign(z)|z|^e.  At p = 2 both exponents are 1, and the
 march runs the linear flux u' = q/a, q' = u - ... directly.  The zero-order
 term is sign(u)|u|^(p-1), which is 0 at u = 0, so p in (1, 2) marches too.
+
+A march holds its state as one (2, n) array y = (u, q) for a batch of n
+slopes, with one stage-input buffer and four stage buffers of the same
+shape, all allocated once per march.  Each stage input y + c k_i, the
+update y + (h/6)(k1 + 2 k2 + 2 k3 + k4) and the blow-up guard run over both
+rows at once, in place, with the operands and order of the two-array
+formulas, so the results are bitwise those of marching u and q apart.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,9 +46,11 @@ _MAX_LEVELS = 16   # 65 halvings' worth of shrinkage at the least
 # estimate and at +-w 4^-k, k = 1..7, around it
 _EVEN = np.arange(1, _SECTIONS // 2 + 2) / (_SECTIONS // 2 + 2)
 _OFFSETS = 4.0 ** -np.arange(1, _SECTIONS // 4 + 1)
-SIGMA_MIN, SIGMA_MAX = -50.0, 50.0   # the defaults of enumerate_solutions' slope
-N_SCAN = 2001                        # scan and of the march's steps per unit
-STEPS_PER_UNIT = 1024                # length; a config's [oracle] overrides each
+# the defaults of enumerate_solutions' slope scan and of the march's steps
+# per unit length; a config's [oracle] overrides each
+SIGMA_MIN, SIGMA_MAX = -50.0, 50.0
+N_SCAN = 2001
+STEPS_PER_UNIT = 1024
 
 
 @dataclass
@@ -69,28 +79,31 @@ def _interval(domain: Domain):
     return x_a, x_b
 
 
-def _signed_power(z: np.ndarray, e: float) -> np.ndarray:
-    """sign(z) |z|^e for e > 0, and 0 at z = 0.  z itself at e = 1, where
-    |z|^1 sign(z) rounds to z."""
-    return z if e == 1.0 else np.copysign(np.abs(z) ** e, z)
+def _signed_power(z: np.ndarray, e: float, out: np.ndarray | None = None) -> np.ndarray:
+    """sign(z) |z|^e for e > 0, and 0 at z = 0, written into out when given
+    (out may be z).  z itself at e = 1, where |z|^1 sign(z) rounds to z; out
+    is then left alone."""
+    return z if e == 1.0 else np.copysign(np.abs(z) ** e, z, out=out)
 
 
 def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
                  g: Nonlinearity | None, zero_order: bool):
-    """Right-hand side at one abscissa x with the weight value a = a(x)."""
+    """Right-hand side at one abscissa x with the weight value a = a(x): reads
+    the rows u and q of a stage input and writes du and dq into the rows of
+    a stage buffer."""
     inv_pm1 = 1.0 / (p - 1.0)
-    use_f = f is not None and lam != 0.0
-    use_g = g is not None and mu != 0.0
+    sources = [(coef, nl) for coef, nl in ((lam, f), (mu, g))
+               if nl is not None and coef != 0.0]
 
-    def rhs(x: float, a: float, u: np.ndarray, q: np.ndarray):
-        du = _signed_power(q / a, inv_pm1)
+    def rhs(x: float, a: float, u: np.ndarray, q: np.ndarray, du: np.ndarray,
+            dq: np.ndarray):
+        _signed_power(np.divide(q, a, out=du), inv_pm1, out=du)
         # |u|^(p-2) u written so that it is 0, not inf * 0, at u = 0 for p < 2
-        dq = _signed_power(u, p - 1.0) if zero_order else np.zeros_like(u)
-        if use_f:
-            dq = dq - lam * f.f(t=u, x1=x)
-        if use_g:
-            dq = dq - mu * g.f(t=u, x1=x)
-        return du, dq
+        acc = _signed_power(u, p - 1.0, out=dq) if zero_order else 0.0
+        for coef, nl in sources:
+            acc = np.subtract(acc, coef * nl.f(t=u, x1=x), out=dq)
+        if acc is not dq:
+            dq[...] = acc
 
     return rhs
 
@@ -115,6 +128,12 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
           steps_per_unit: int = STEPS_PER_UNIT, keep_trajectory: bool = False):
     """March the flux system for a batch of slopes sigma.
 
+    The state is one (2, n) array y = (u, q); the right-hand side writes
+    each RK4 stage into the rows of one of four (2, n) stage buffers, and
+    the stage inputs go to one (2, n) buffer.  A step clamps the slopes
+    whose |u| passes 1e8 or whose u or q is not finite, and flags them
+    diverged.
+
     Returns (terminal values of u at x_b, diverged flags) and, when
     keep_trajectory is set, the grid and the full u history."""
     x_a, x_b = _interval(domain)
@@ -129,12 +148,15 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
     a_node, a_mid, a_end = (eval_weight(w, domain, xs[:, None]).tolist()
                             for xs in (grid, x_mid, x_end))
 
+    y, y_in, k1, k2, k3, k4 = np.empty((6, 2, sigmas.size))
+    (u, q), (u_in, q_in) = y, y_in
+    (k1u, k1q), (k2u, k2q), (k3u, k3q), (k4u, k4q) = k1, k2, k3, k4
     if grid[0] > x_a:
         # start just inside; u grows linearly with slope sigma over the layer
-        u = sigmas * (grid[0] - x_a)
+        np.multiply(sigmas, grid[0] - x_a, out=u)
     else:
-        u = np.zeros_like(sigmas)
-    q = a_node[0] * _signed_power(sigmas, p - 1.0)
+        u.fill(0.0)
+    np.multiply(a_node[0], _signed_power(sigmas, p - 1.0), out=q)
 
     diverged = np.zeros(sigmas.shape, dtype=bool)
     history = np.empty((grid.size, sigmas.size)) if keep_trajectory else None
@@ -142,18 +164,32 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
         history[0] = u
     for i, (x, xm, xe, hs) in enumerate(zip(grid[:-1].tolist(), x_mid.tolist(),
                                             x_end.tolist(), step.tolist())):
-        k1u, k1q = rhs(x, a_node[i], u, q)
-        k2u, k2q = rhs(xm, a_mid[i], u + 0.5 * hs * k1u, q + 0.5 * hs * k1q)
-        k3u, k3q = rhs(xm, a_mid[i], u + 0.5 * hs * k2u, q + 0.5 * hs * k2q)
-        k4u, k4q = rhs(xe, a_end[i], u + hs * k3u, q + hs * k3q)
-        u = u + (hs / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        q = q + (hs / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        # NaN fails the comparison, so the max also catches a non-finite u
-        if not (np.abs(u).max(initial=0.0) <= _BLOWUP and np.isfinite(q).all()):
+        rhs(x, a_node[i], u, q, k1u, k1q)
+        np.multiply(k1, 0.5 * hs, out=y_in)
+        y_in += y
+        rhs(xm, a_mid[i], u_in, q_in, k2u, k2q)
+        np.multiply(k2, 0.5 * hs, out=y_in)
+        y_in += y
+        rhs(xm, a_mid[i], u_in, q_in, k3u, k3q)
+        np.multiply(k3, hs, out=y_in)
+        y_in += y
+        rhs(xe, a_end[i], u_in, q_in, k4u, k4q)
+        # y + (hs/6)(k1 + 2 k2 + 2 k3 + k4), in the order of the formula
+        k2 *= 2
+        k1 += k2
+        k3 *= 2
+        k1 += k3
+        k1 += k4
+        k1 *= hs / 6.0
+        y += k1
+        # NaN fails the comparison, so max_u also catches a non-finite u;
+        # max_q is finite exactly when every q is
+        max_u, max_q = np.abs(y, out=y_in).max(axis=1, initial=0.0).tolist()
+        if not (max_u <= _BLOWUP and math.isfinite(max_q)):
             bad = ~np.isfinite(u) | ~np.isfinite(q) | (np.abs(u) > _BLOWUP)
             diverged |= bad
-            u = np.where(bad, np.sign(np.where(np.isfinite(u), u, 1.0)) * _BLOWUP, u)
-            q = np.where(bad, 0.0, q)
+            u[...] = np.where(bad, np.sign(np.where(np.isfinite(u), u, 1.0)) * _BLOWUP, u)
+            q[bad] = 0.0
         if keep_trajectory:
             history[i + 1] = u
     if grid[-1] < x_b:

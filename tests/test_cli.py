@@ -451,6 +451,16 @@ class TestConfigDiagnostics:
         "unavailable variable": ("oracle", [("expr = min(max(t - 0.25, 0), 1)",
                                              "expr = x2*t")], "expr = x2*t"),
         "mesh too coarse for the ball": ("check", [("h = 0.00390625", "h = 0.1")], "h ="),
+        "expression nested too deeply": ("check", [("growth_h = 1",
+                                                    "growth_h = " + "-" * 2000 + "1")],
+                                         "growth_h"),
+        # without a supplied primitive, f and g are integrated at load time
+        "f too deep to integrate": ("check", [
+            ("expr = min(max(t - 0.25, 0), 1)", "expr = t" + " + 0*t" * 600),
+            ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)\n", "")],
+            "expr = t + 0*t"),
+        "g too deep to integrate": ("check", [("expr = sin(t)", "expr = sin(t)" + " + 0*t" * 600)],
+                                    "expr = sin(t) + 0*t"),
     }
 
     @pytest.mark.parametrize("name", list(ERROR_PATHS))
@@ -477,6 +487,13 @@ class TestConfigDiagnostics:
             assert m.group(2) == f" (line {line}, column 1)", err
             # a key or a header at fault names its section; an INI syntax error has none
             assert (m.group(1) is None) == (name == "INI syntax error"), err
+
+    def test_long_flat_expression_still_checks(self, tmp_path):
+        # 600 terms nest 600 levels deep: every tree walk check makes stays
+        # inside Python's recursion limit, so the text is accepted
+        cfg = variant(tmp_path, "flat.cfg", ("expr = min(max(t - 0.25, 0), 1)",
+                                             "expr = min(max(t - 0.25, 0), 1)" + " + 0*t" * 600))
+        assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
 
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_f_without_t_derivative_is_config_error(self, tmp_path, capsys, command):

@@ -234,6 +234,21 @@ def test_rejected_text(src):
         _parse(src)
 
 
+def test_nesting_too_deep_is_a_parse_error():
+    # each tree walk recurses per level; a RecursionError in parsing,
+    # compiling, differentiating or integrating reads as a ParseError
+    with pytest.raises(ParseError, match="nested too deeply to parse"):
+        Expression("-" * 2000 + "1")
+    # 600 levels parse, but the derivative of a product doubles the depth
+    product = Expression("t" + "*t" * 600)
+    with pytest.raises(ParseError, match="nested too deeply to compile"):
+        product.diff_t()
+    flat = Expression("t" + " + 0*t" * 600)
+    assert flat.variables == {"t"}
+    with pytest.raises(ParseError, match="nested too deeply to integrate"):
+        flat.antidiff_t()
+
+
 def test_parser_warning_is_a_parse_error():
     # Python warns on a number run into a keyword ("1and"), then parses on
     with warnings.catch_warnings(record=True) as caught:

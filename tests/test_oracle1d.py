@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wplap.certificate import build_ustar
-from wplap.energy import EnergyAssembler, make_nonlinearity
+from wplap.energy import EnergyAssembler, Nonlinearity, make_nonlinearity
 from wplap.geometry import BallSpec, Domain, UnsupportedDomainError, build_mesh
 from wplap import oracle1d
 from wplap.oracle1d import enumerate_solutions, profile_on_mesh, shoot
@@ -72,6 +72,65 @@ def reference_shoot(sigmas, w, p, lam, mu, f, g, steps_per_unit):
     return terminal, np.array(history)
 
 
+def two_array_shoot(sigmas, domain, w, p, lam, mu, f=None, g=None, zero_order=True,
+                    steps_per_unit=oracle1d.STEPS_PER_UNIT, keep_trajectory=False):
+    """The RK4 march with u and q as two arrays, every stage input, update
+    and guard formed anew, as shoot ran it before its (2, n) state; the
+    operations and their order are shoot's, so the results must agree
+    bitwise."""
+    def signed_power(z, e):
+        return z if e == 1.0 else np.copysign(np.abs(z) ** e, z)
+
+    def rhs(x, a, u, q):
+        du = signed_power(q / a, 1.0 / (p - 1.0))
+        dq = signed_power(u, p - 1.0) if zero_order else np.zeros_like(u)
+        if f is not None and lam != 0.0:
+            dq = dq - lam * f.f(t=u, x1=x)
+        if g is not None and mu != 0.0:
+            dq = dq - mu * g.f(t=u, x1=x)
+        return du, dq
+
+    (x_a, x_b), = domain.axes.tolist()
+    sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
+    grid, _ = oracle1d._ode_grid(domain, w, steps_per_unit)
+    step = grid[1:] - grid[:-1]
+    x_mid = grid[:-1] + 0.5 * step
+    x_end = grid[:-1] + step
+    a_node, a_mid, a_end = (eval_weight(w, domain, xs[:, None]).tolist()
+                            for xs in (grid, x_mid, x_end))
+    u = sigmas * (grid[0] - x_a) if grid[0] > x_a else np.zeros_like(sigmas)
+    q = a_node[0] * signed_power(sigmas, p - 1.0)
+    diverged = np.zeros(sigmas.shape, dtype=bool)
+    history = [u]
+    for i, (x, xm, xe, hs) in enumerate(zip(grid[:-1].tolist(), x_mid.tolist(),
+                                            x_end.tolist(), step.tolist())):
+        k1u, k1q = rhs(x, a_node[i], u, q)
+        k2u, k2q = rhs(xm, a_mid[i], u + 0.5 * hs * k1u, q + 0.5 * hs * k1q)
+        k3u, k3q = rhs(xm, a_mid[i], u + 0.5 * hs * k2u, q + 0.5 * hs * k2q)
+        k4u, k4q = rhs(xe, a_end[i], u + hs * k3u, q + hs * k3q)
+        u = u + (hs / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        q = q + (hs / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        if not (np.abs(u).max(initial=0.0) <= 1e8 and np.isfinite(q).all()):
+            bad = ~np.isfinite(u) | ~np.isfinite(q) | (np.abs(u) > 1e8)
+            diverged |= bad
+            u = np.where(bad, np.sign(np.where(np.isfinite(u), u, 1.0)) * 1e8, u)
+            q = np.where(bad, 0.0, q)
+        history.append(u)
+    if grid[-1] < x_b:
+        terminal = u + signed_power(q / a_node[-1], 1.0 / (p - 1.0)) * (x_b - grid[-1])
+    else:
+        terminal = u
+    terminal = np.where(diverged, np.sign(terminal) * 1e8, terminal)
+    if keep_trajectory:
+        return terminal, diverged, grid, np.array(history).reshape(grid.size, sigmas.size)
+    return terminal, diverged
+
+
+def bits(a):
+    """The bit patterns of a float array (NaN payloads and zero signs kept)."""
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
 class TestShoot:
     def test_zero_slope_stays_zero(self):
         t, d = shoot(np.array([0.0]), UNIT, ONE, 2.0, 18.0, 0.0, f=shipped_f())
@@ -136,10 +195,56 @@ class TestShoot:
         z = np.array([-3.0, -0.25, -0.0, 0.0, 1e-30, 0.7, 2.0])
         with np.errstate(all="raise"):
             got = oracle1d._signed_power(z, e)
+            out = np.full_like(z, np.nan)
+            into = oracle1d._signed_power(z, e, out=out)
+            alias = z.copy()
+            in_place = oracle1d._signed_power(alias, e, out=alias)
         np.testing.assert_allclose(got, np.sign(z) * np.abs(z) ** e, rtol=1e-15, atol=0.0)
         assert got[2] == got[3] == 0.0
+        # the in-place form writes the returning form's bits, also over z itself
+        np.testing.assert_array_equal(bits(into), bits(got))
+        np.testing.assert_array_equal(bits(in_place), bits(got))
+        assert in_place is alias
         if e == 1.0:
-            assert got is z
+            assert got is z and into is z
+            assert np.isnan(out).all()
+        else:
+            assert into is out
+
+    # (domain, weight, p, lambda, mu, f, g): the shipped instance; mu != 0
+    # with f and g both active; x-dependent f and g under a singular weight;
+    # p < 2; and the three blow-up instances of the test above
+    TWO_ARRAY_CASES = {
+        "shipped": (UNIT, ONE, 2.0, 18.0, 0.0, "shipped", "shipped"),
+        "f and g": (UNIT, ONE, 2.0, 18.0, 0.05, "shipped", "shipped"),
+        "p = 3, distance power": (UNIT, WeightSpec.distance_power(0.5), 3.0, 3.0, 0.7,
+                                  "x1*t", "sin(t) + x1"),
+        "p = 1.5": (UNIT, WeightSpec.constant(2.0), 1.5, 18.0, 0.05, "shipped", "shipped"),
+        "blow-up, linear": (UNIT, ONE, 2.0, 0.0, 0.0, None, None),
+        "blow-up, cubic": (UNIT, ONE, 2.0, 1000.0, 0.0, "-t^3", None),
+        "blow-up, cubic, p = 2.5": (UNIT, WeightSpec.distance_power(0.5), 2.5, 1000.0,
+                                    0.0, "-t^3", None),
+    }
+
+    @pytest.mark.parametrize("keep_trajectory", [False, True])
+    @pytest.mark.parametrize("case", list(TWO_ARRAY_CASES))
+    def test_state_march_is_bitwise_the_two_array_march(self, case, keep_trajectory):
+        domain, w, p, lam, mu, f, g = self.TWO_ARRAY_CASES[case]
+        f = shipped_f() if f == "shipped" else (make_nonlinearity(f) if f else None)
+        g = shipped_g() if g == "shipped" else (make_nonlinearity(g) if g else None)
+        slopes = np.concatenate([np.linspace(-100.0, 100.0, 21), [1e9, -1e9, 0.01, -0.0],
+                                 list(SHIPPED_SIGMAS), [np.nan, np.inf, -np.inf]])
+        for sigmas in (slopes, np.empty(0)):
+            with np.errstate(all="ignore"):
+                got = shoot(sigmas, domain, w, p, lam, mu, f=f, g=g, steps_per_unit=256,
+                            keep_trajectory=keep_trajectory)
+                want = two_array_shoot(sigmas, domain, w, p, lam, mu, f=f, g=g,
+                                       steps_per_unit=256, keep_trajectory=keep_trajectory)
+            assert len(got) == len(want) == (4 if keep_trajectory else 2)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                np.testing.assert_array_equal(bits(a) if a.dtype == float else a,
+                                              bits(b) if b.dtype == float else b)
 
     def test_sub_quadratic_march_is_finite_at_zero(self):
         # p < 2: |u|^(p-2) u is read as sign(u)|u|^(p-1), which is 0 at u = 0
@@ -238,6 +343,26 @@ class TestEnumerate:
         assert prof.unconverged == []
         sigmas = sorted(r.sigma for r in prof.roots)
         assert sigmas == pytest.approx(SHIPPED_SIGMAS, abs=1e-9)
+
+    def test_shipped_instance_evaluates_f_once_per_stage(self):
+        # the scan and two refinement levels, 1024 steps of four stages each
+        class Counting:
+            def __init__(self, expr):
+                self.expr, self.calls = expr, 0
+
+            def __call__(self, **env):
+                self.calls += 1
+                return self.expr(**env)
+
+        f, g = shipped_f(), shipped_g()
+        f_calls, g_calls = Counting(f.f), Counting(g.f)
+        prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0,
+                                   f=Nonlinearity(f_calls, f.primitive, f.growth_h),
+                                   g=Nonlinearity(g_calls, g.primitive,
+                                                  caratheodory_w=g.caratheodory_w))
+        assert len(prof.roots) == 3
+        assert f_calls.calls == 3 * 1024 * 4 == 12_288
+        assert g_calls.calls == 0
 
     def test_root_profiles_match_fresh_marches(self):
         f, g = shipped_f(), shipped_g()
