@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import (_F_PANELS, _GL20, _MAX_PANELS, Nonlinearity, _eval_expr,
-                     _gauss_panels, _point_env, _primitive_F, primitive_F)
+from .energy import (_F_PANELS, _GL20, _MAX_PANELS, Nonlinearity, _gauss_panels,
+                     _primitive_F, primitive_F)
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
 from .space import DiscreteFunction, EmbeddingEstimate, NormReport, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
@@ -432,7 +432,7 @@ def check_H3(nl_f: Nonlinearity, gamma: float, domain: Domain) -> CheckEntry:
                           mode="sampled",
                           note="no growth envelope h(x) supplied; coercivity unknown")
     xs = _x_samples(domain, n=200)
-    hv = _eval_x_expr(nl_f.growth_h, xs)
+    hv = nl_f.growth_h.at(xs, tau=np.full(xs.shape[0], math.nan))
     converged = []
 
     def F(nl, x, t):
@@ -482,19 +482,13 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
     for tau in taus:
         sup_g = _sample_over_t(Nonlinearity.eval, nl_g, xs, np.linspace(-tau, tau, 101),
                                np.maximum, post=lambda gv, t: np.abs(gv))
-        margins.append(np.min(_eval_x_expr(nl_g.caratheodory_w, xs, tau=tau) - sup_g))
+        w_tau = nl_g.caratheodory_w.at(xs, tau=np.full(xs.shape[0], tau))
+        margins.append(np.min(w_tau - sup_g))
     worst = float(np.min(margins))
     verdict = "pass" if worst >= -1e-12 else "fail"
     out.append(CheckEntry(name="H5", verdict=verdict, margin=worst, mode="sampled",
                           note=f"tau list {taus}"))
     return out
-
-
-def _eval_x_expr(expr, xs: np.ndarray, tau: float | None = None) -> np.ndarray:
-    """An expression in x (and tau, NaN when not given) at the points xs."""
-    env = _point_env(xs, np.full(xs.shape[0], math.nan if tau is None else tau))
-    env["tau"] = env.pop("t")
-    return _eval_expr(expr, env)
 
 
 def check_theorem_conditions(spec: ProblemSpec, constants: Constants,

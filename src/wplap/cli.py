@@ -178,13 +178,15 @@ _SCAN_COLUMNS = ["lambda", "mu", "count", "count_nontrivial", "rho_observed",
                  "min_pairwise_distance", "max_residual"]
 
 
+def _scan_row(cell) -> list:
+    """A scan cell's _SCAN_COLUMNS values, for the summary table and the report."""
+    sol = cell.solutions
+    return [float(cell.lam), float(cell.mu), sol.count, sol.count_nontrivial,
+            float(sol.rho_observed), float(sol.min_distance), float(sol.max_residual)]
+
+
 def write_scan_summary(path, cells):
-    rows = []
-    for cell in cells:
-        sol = cell.solutions
-        rows.append([float(cell.lam), float(cell.mu), sol.count, sol.count_nontrivial,
-                     float(sol.rho_observed), sol.min_distance, float(sol.max_residual)])
-    _write_table(path, _SCAN_COLUMNS, rows)
+    _write_table(path, _SCAN_COLUMNS, [_scan_row(cell) for cell in cells])
 
 
 def read_scan_summary(path) -> list:
@@ -338,14 +340,10 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
         f"({lam:g}, {mu:g})" for lam, mu in result.lambda_window))
     lines.append("")
     for ci, cell in enumerate(result.cells):
-        sol = cell.solutions
-        lines += [f"[cell_{ci:03d}]", f"lambda = {_fmt(cell.lam)}",
-                  f"mu = {_fmt(cell.mu)}", f"count = {sol.count}",
-                  f"count_nontrivial = {sol.count_nontrivial}",
-                  f"rho_observed = {_fmt(sol.rho_observed)}",
-                  f"min_pairwise_distance = {_fmt(sol.min_distance)}",
-                  f"max_residual = {_fmt(sol.max_residual)}"]
-        for si, rec in enumerate(sol.distinct_records()):
+        # str of a float is its repr, as _fmt writes it
+        lines += [f"[cell_{ci:03d}]"] + [f"{key} = {value}" for key, value
+                                          in zip(_SCAN_COLUMNS, _scan_row(cell))]
+        for si, rec in enumerate(cell.solutions.distinct_records()):
             name = f"scan_c{ci:03d}_s{si}.csv"
             write_solution_csv(out / name, rec.u)
             lines.append(f"solution_{si} = {name} "

@@ -46,23 +46,6 @@ def _as_expr(e) -> Expression | None:
     return parse_expression(e)
 
 
-def _point_env(x, t, extra_axis: bool = False):
-    """Evaluation environment for m points x (m, N) and values t (m, ...)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    env = {"t": np.asarray(t, dtype=float)}
-    for i in range(x.shape[1]):
-        env[f"x{i + 1}"] = x[:, i, None] if extra_axis else x[:, i]
-    return env
-
-
-def _eval_expr(expr: Expression, env) -> np.ndarray:
-    out = np.asarray(expr(**env), dtype=float)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
-    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-
-
 @dataclass(frozen=True)
 class Nonlinearity:
     """Carathéodory nonlinearity f(x, t) with optional metadata.
@@ -81,7 +64,7 @@ class Nonlinearity:
 
     def eval(self, x, t) -> np.ndarray:
         """f at m points x (m, N) with values t (m,)."""
-        return _eval_expr(self.f, _point_env(x, t))
+        return self.f.at(x, t=t)
 
     @cached_property
     def f_t(self) -> Expression:
@@ -90,7 +73,7 @@ class Nonlinearity:
         return self.f.diff_t()
 
     def eval_dt(self, x, t) -> np.ndarray:
-        return _eval_expr(self.f_t, _point_env(x, t))
+        return self.f_t.at(x, t=t)
 
     @property
     def reads_x(self) -> bool:
@@ -124,17 +107,16 @@ def _check_primitive(nl: Nonlinearity, x: np.ndarray):
     <= 1e-6) wherever f is finite; at the first 100 points F(x, 0) = 0 is
     required wherever f(x, 0) is finite."""
     t = np.random.default_rng(1).uniform(-5.0, 5.0, size=x.shape[0])
-    env = _point_env(x, t)
-    fv = _eval_expr(nl.f, env)
+    fv = nl.f.at(x, t=t)
     finite = np.isfinite(fv)
     if not finite.any():
         raise ValueError("f is not finite at any sample (x, t); cannot check the primitive")
-    dF = _eval_expr(nl.primitive.diff_t(), env)[finite]
+    dF = nl.primitive.diff_t().at(x, t=t)[finite]
     err = np.max(np.abs(dF - fv[finite]) / (1.0 + np.abs(fv[finite])))
     if not err <= 1e-6:
         raise ValueError(f"primitive does not differentiate to f (max rel err {err:.3e})")
-    env0 = _point_env(x[:100], np.zeros(min(100, x.shape[0])))
-    F0 = _eval_expr(nl.primitive, env0)[np.isfinite(_eval_expr(nl.f, env0))]
+    x0, t0 = x[:100], np.zeros(min(100, x.shape[0]))
+    F0 = nl.primitive.at(x0, t=t0)[np.isfinite(nl.f.at(x0, t=t0))]
     if not np.all(np.abs(F0) <= 1e-12):
         raise ValueError("primitive must vanish at t = 0")
 
@@ -186,10 +168,10 @@ def _primitive_F(nl: Nonlinearity, x, t) -> tuple:
     """primitive_F's (values, converged), without its warning."""
     t = np.asarray(t, dtype=float)
     if nl.primitive is not None:
-        return _eval_expr(nl.primitive, _point_env(x, t)), True
+        return nl.primitive.at(x, t=t), True
     col = t[:, None]
     return _gauss_panels(
-        lambda tau: col * _eval_expr(nl.f, _point_env(x, col * tau, extra_axis=True)),
+        lambda tau: col * nl.f.at(x[:, None], t=col * tau),
         0.0, 1.0, tol=1e-10, max_panels=_F_PANELS)
 
 
@@ -268,17 +250,12 @@ class EnergyAssembler:
         return source
 
     # -- energies ----------------------------------------------------------
-    def norm_terms(self, v: np.ndarray):
-        lp, grad = _norm_terms(self.mesh, self.cellA, self.p, v)
-        return float(lp.sum()), float(grad.sum())
-
     def phi(self, v: np.ndarray) -> float:
-        lp, grad = self.norm_terms(v)
-        return (grad + (lp if self.zero_order else 0.0)) / self.p
+        return self.norm_p(v) / self.p
 
     def norm_p(self, v: np.ndarray) -> float:
-        lp, grad = self.norm_terms(v)
-        return grad + (lp if self.zero_order else 0.0)
+        lp, grad = _norm_terms(self.mesh, self.cellA, self.p, v)
+        return float(grad.sum()) + (float(lp.sum()) if self.zero_order else 0.0)
 
     def _int_F(self, nl: Nonlinearity, uq: np.ndarray) -> float:
         """int F(x, u) from the flat quadrature-point values uq of u."""

@@ -24,19 +24,22 @@ rejects 05); a number's text must match NUMBER; a call takes no trailing
 comma; a warning while parsing is an error.  Non-ASCII text is rejected
 (Python reads a fullwidth t as t), and so is an integer of over 4300 digits.
 
-Each Expression compiles its AST once into a tree of closures; evaluation
-is vectorized over numpy arrays.  t-derivatives are formed symbolically
-(min/max differentiate branch-wise, enough for the almost-everywhere
-derivatives the solver needs), and so are t-primitives int_0^t for the
-subset _antidiff_t names; any other primitive is left to quadrature.
-These tree walks recurse once per level, so there is no depth limit but
-Python's recursion limit; a RecursionError while parsing, compiling,
-differentiating or integrating is a ParseError that says which.
+Each Expression has Python's compiler turn its AST, once and at
+construction, into one code object; a call is one eval of that code against
+a fixed table of numpy functions, with no builtins, vectorized over numpy
+arrays, and Expression.at evaluates at points x.  t-derivatives are formed
+symbolically (min/max differentiate branch-wise, enough for the
+almost-everywhere derivatives the solver needs), and so are t-primitives
+int_0^t for the subset _antidiff_t names; any other primitive is left to
+quadrature.  Parsing, compiling, differentiating and integrating walk the
+tree once per level, so there is no depth limit but Python's recursion
+limit; a RecursionError in one of them is a ParseError that says which.
+Evaluating does not recurse per level, so an expression that compiled
+evaluates at any call depth.
 """
 from __future__ import annotations
 
 import ast
-import operator
 import re
 import warnings
 from contextlib import contextmanager
@@ -97,41 +100,48 @@ def _parse(src: str):
     return node(body)
 
 
-# expm1 is internal: no source text parses to it (see _antidiff_t)
-_UNARY = {"neg": operator.neg, "sin": np.sin, "cos": np.cos, "exp": np.exp,
-          "expm1": np.expm1}
-# np.power, not operator.pow: a negative constant to a fractional power is
-# nan as it is for arrays, where operator.pow on two floats returns a complex
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": operator.truediv, "^": np.power,
-           "min": np.minimum, "max": np.maximum}
+# the names compiled code reads besides the variables: numpy functions and no
+# builtins.  np.power for "^", not Python's **: a negative constant to a
+# fractional power is nan as it is for arrays, where ** on two floats
+# returns a complex.  expm1 is internal: no source text parses to it (see
+# _antidiff_t), nor to where_le, the branch derivative of min/max.
+_NAMES = {"__builtins__": {}, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+          "expm1": np.expm1, "power": np.power, "minimum": np.minimum,
+          "maximum": np.maximum, "where": np.where}
+_CALLS = {"sin": "sin", "cos": "cos", "exp": "exp", "expm1": "expm1", "^": "power",
+          "min": "minimum", "max": "maximum", "where_le": "where"}
+_PY_BINOPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div}
+# every node gets a position here: ast.fix_missing_locations would recurse again
+_AT = {"lineno": 1, "col_offset": 0, "end_lineno": 1, "end_col_offset": 0}
 
 
-def _compile(node):
-    """Closure tree evaluating the AST on an environment dict."""
+def _python(node):
+    """Python's AST of the tuple AST node."""
     op = node[0]
     if op == "num":
-        value = node[1]
-        return lambda env: value
+        # compile rejects a numpy float64 constant
+        return ast.Constant(float(node[1]), **_AT)
     if op == "var":
-        name = node[1]
-
-        def var(env):
-            try:
-                return env[name]
-            except KeyError:
-                raise ParseError(f"variable {name!r} not available here") from None
-        return var
-    if op in _UNARY:
-        fn, a = _UNARY[op], _compile(node[1])
-        return lambda env: fn(a(env))
-    if op in _BINARY:
-        fn, a, b = _BINARY[op], _compile(node[1]), _compile(node[2])
-        return lambda env: fn(a(env), b(env))
-    if op == "where_le":  # internal: branch derivative of min/max
-        a, b, c, d = (_compile(n) for n in node[1:])
-        return lambda env: np.where(a(env) <= b(env), c(env), d(env))
+        if node[1] not in _VARS:
+            raise ParseError(f"bad variable {node[1]!r}")
+        return ast.Name(node[1], ast.Load(), **_AT)
+    # map, not a comprehension: one frame per level (a comprehension adds one
+    # more before Python 3.12)
+    args = list(map(_python, node[1:]))
+    if op == "neg":
+        return ast.UnaryOp(ast.USub(), *args, **_AT)
+    if op in _PY_BINOPS:
+        return ast.BinOp(args[0], _PY_BINOPS[op](), args[1], **_AT)
+    if op == "where_le":
+        args[:2] = [ast.Compare(args[0], [ast.LtE()], [args[1]], **_AT)]
+    if op in _CALLS:
+        return ast.Call(ast.Name(_CALLS[op], ast.Load(), **_AT), args, [], **_AT)
     raise ParseError(f"bad node {op!r}")
+
+
+def _compiled(node):
+    """One code object evaluating node with eval against _NAMES."""
+    return compile(ast.Expression(_python(node)), "<expression>", "eval")
 
 
 def _vars_of(node, acc):
@@ -204,7 +214,7 @@ def _number(node) -> float | None:
         return None
     try:
         with np.errstate(all="ignore"):
-            value = float(_compile(node)({}))
+            value = float(eval(_compiled(node), _NAMES))
     except (ArithmeticError, TypeError, ValueError):
         return None
     return value if np.isfinite(value) else None
@@ -359,14 +369,32 @@ class Expression:
         self.source = source
         with _nesting("parse" if node is None else "compile"):
             self.node = _parse(source) if node is None else node
-            self.variables = frozenset(_vars_of(self.node, set()))
-            self._fn = _compile(self.node)
+            self._code = _compiled(self.node)
+        # the variables in the order the code first reads them
+        self._reads = tuple(name for name in self._code.co_names if name in _VARS)
+        self.variables = frozenset(self._reads)
 
-    def __call__(self, **env):
-        return self._fn(env)
+    def __call__(self, **values):
+        # only the variables read: another keyword would shadow a name of _NAMES
+        try:
+            env = {name: values[name] for name in self._reads}
+        except KeyError as exc:
+            raise ParseError(f"variable {exc.args[0]!r} not available here") from None
+        return eval(self._code, _NAMES, env)
+
+    def at(self, x, **values) -> np.ndarray:
+        """The expression at points x (..., N), x1..xN read from the last
+        axis, and the other variables given as arrays (t=..., tau=...): a
+        float array of the broadcast shape of all of them."""
+        x = np.asarray(x, dtype=float)
+        env = {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
+        env.update((name, np.asarray(v, dtype=float)) for name, v in values.items())
+        out = np.asarray(self(**env), dtype=float)
+        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def __reduce__(self):
-        # closures do not pickle; rebuild from the AST instead
+        # code objects do not pickle; rebuild from the AST instead
         return Expression, (self.source, self.node)
 
     def diff_t(self) -> "Expression":

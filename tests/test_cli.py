@@ -7,7 +7,10 @@ tests/golden/<name>/ from the current code."""
 import csv
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -494,6 +497,19 @@ class TestConfigDiagnostics:
         cfg = variant(tmp_path, "flat.cfg", ("expr = min(max(t - 0.25, 0), 1)",
                                              "expr = min(max(t - 0.25, 0), 1)" + " + 0*t" * 600))
         assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
+
+    @pytest.mark.parametrize("depth", [*range(983, 990), 2000])
+    def test_expression_near_the_recursion_limit_checks_or_is_rejected(self, tmp_path,
+                                                                       depth):
+        # growth_h = -...-1 with depth minuses: a tree at about Python's
+        # recursion limit either loads and checks, or is a config error;
+        # a fresh interpreter, so the call depth is the command line's
+        cfg = variant(tmp_path, "deep.cfg", ("growth_h = 1", "growth_h = " + "-" * depth + "1"))
+        run = subprocess.run([sys.executable, "-m", "wplap.cli", "check", "--config", str(cfg),
+                              "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                             timeout=120, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert run.returncode in (0, 2, 64), run.stderr
+        assert "Traceback" not in run.stderr
 
     @pytest.mark.parametrize("command", ["solve", "scan"])
     def test_f_without_t_derivative_is_config_error(self, tmp_path, capsys, command):

@@ -1,4 +1,5 @@
 import pickle
+import sys
 import warnings
 
 import numpy as np
@@ -96,7 +97,8 @@ def test_t_dependent_exponent_rejected():
 _WALK_BINARY = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
                 "*": lambda a, b: a * b, "/": lambda a, b: a / b,
                 "^": np.power, "min": np.minimum, "max": np.maximum}
-_WALK_UNARY = {"neg": lambda a: -a, "sin": np.sin, "cos": np.cos, "exp": np.exp}
+_WALK_UNARY = {"neg": lambda a: -a, "sin": np.sin, "cos": np.cos, "exp": np.exp,
+               "expm1": np.expm1}
 
 
 def walk(node, env):
@@ -144,8 +146,37 @@ def test_compiled_matches_tree_walk(node, t, x1, x2):
         exprs.append(exprs[0].diff_t())
     except ParseError:
         pass  # t-dependent exponent
-    for e in exprs:
-        assert outcome(lambda: e(**env)) == outcome(lambda: walk(e.node, env))
+    exprs.append(exprs[0].antidiff_t())
+    for e in filter(None, exprs):
+        want = outcome(lambda: walk(e.node, env))
+        assert outcome(lambda: e(**env)) == want
+        # a keyword naming no variable is not read, whatever its name
+        extra = {"sin": np.cos, "power": np.add, "where": None, "tau": np.array(t) + 1.0}
+        assert outcome(lambda: e(**env, **extra)) == want
+
+
+@pytest.mark.parametrize("node", [("var", "sin"), ("var", "__import__"), ("var", "x3"),
+                                  ("sin", ("var", "__builtins__")), ("abs", ("var", "t"))])
+def test_unknown_names_are_rejected(node):
+    with pytest.raises(ParseError):
+        Expression("generated", node=("+", ("var", "t"), node))
+
+
+def test_evaluation_does_not_recurse_per_level():
+    # about 900 levels compile at the default recursion limit; evaluating
+    # them needs no frame per level
+    node = ("var", "t")
+    for i in range(900):
+        node = ("neg", node) if i % 2 else ("+", node, ("num", 1.0))
+    e = Expression("generated", node=node)
+    t = np.linspace(-1.0, 1.0, 5)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        got = e(t=t)
+    finally:
+        sys.setrecursionlimit(limit)
+    np.testing.assert_array_equal(got, walk(node, {"t": t}))
 
 
 def test_constant_power_is_nan_not_complex():

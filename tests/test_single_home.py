@@ -6,11 +6,15 @@ solver._apart, so src multiplies by delta_dist (an attribute such as
 config.delta_dist, or a plain name) exactly once.  The solver and oracle
 defaults live in SolverConfig and in oracle1d's SIGMA_MIN, SIGMA_MAX,
 N_SCAN and STEPS_PER_UNIT, so each of their literals appears once.  Every
-ConfigError is built by config._located, so src calls ConfigError once."""
+ConfigError is built by config._located, so src calls ConfigError once.
+Only expressions.py runs code it builds, with the builtins eval and
+compile, against a name table without builtins."""
 import ast
 from pathlib import Path
 
 import pytest
+
+from wplap.expressions import _NAMES
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wplap"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -86,3 +90,25 @@ def test_config_error_detector():
 def test_config_error_is_built_in_one_place():
     lines = {path.name: config_error_calls(path.read_text()) for path in SOURCES}
     assert sum(map(len, lines.values())) == 1, lines
+
+
+def builtin_eval_calls(source: str) -> list:
+    """Lines of every call of the bare names eval, exec or compile."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("eval", "exec", "compile"))
+
+
+def test_builtin_eval_detector():
+    src = ("import re\n"
+           "def f(code, names, text):\n"
+           "    pattern = re.compile(text)\n"
+           "    return eval(code, names), compile(text, '<e>', 'eval')\n")
+    assert builtin_eval_calls(src) == [4, 4]
+
+
+def test_only_expressions_evaluates_code():
+    lines = {path.name: builtin_eval_calls(path.read_text()) for path in SOURCES}
+    assert lines.pop("expressions.py")
+    assert not any(lines.values()), lines
+    assert _NAMES["__builtins__"] == {}
