@@ -55,6 +55,7 @@ class ParseError(ValueError):
 
 _FUNCS = {"sin": 1, "cos": 1, "exp": 1, "min": 2, "max": 2, "clamp": 3}
 _VARS = ("t", "x1", "x2", "tau")
+_VAR_SET = frozenset(_VARS)
 # outside the alphabet (ASCII whitespace is \t-\r, \x1c-\x1f and space), or "**"
 _REJECTED = re.compile(r"[^A-Za-z0-9_.+\-*/^(),\t-\r\x1c-\x1f ]|\*\*")
 _NUMBER = re.compile(r"\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?", re.ASCII)
@@ -367,20 +368,24 @@ class Expression:
 
     def __init__(self, source: str, node=None):
         self.source = source
-        with _nesting("parse" if node is None else "compile"):
-            self.node = _parse(source) if node is None else node
-            self._code = _compiled(self.node)
+        if node is None:
+            with _nesting("parse"):
+                node = _parse(source)
+        self.node = node
+        with _nesting("compile"):
+            self._code = _compiled(node)
         # the variables in the order the code first reads them
         self._reads = tuple(name for name in self._code.co_names if name in _VARS)
         self.variables = frozenset(self._reads)
 
     def __call__(self, **values):
-        # only the variables read: another keyword would shadow a name of _NAMES
+        if not values.keys() <= _VAR_SET:
+            # another keyword would shadow a name of _NAMES: keep the variables read
+            values = {name: values[name] for name in self._reads if name in values}
         try:
-            env = {name: values[name] for name in self._reads}
-        except KeyError as exc:
-            raise ParseError(f"variable {exc.args[0]!r} not available here") from None
-        return eval(self._code, _NAMES, env)
+            return eval(self._code, _NAMES, values)
+        except NameError as exc:
+            raise ParseError(f"variable {exc.name!r} not available here") from None
 
     def at(self, x, **values) -> np.ndarray:
         """The expression at points x (..., N), x1..xN read from the last

@@ -2,10 +2,10 @@
 
 Norms are (int |u|^p + int a |grad u|^p)^(1/p) for piecewise-linear u, with
 per-cell Gauss quadrature of order >= 5.  The module also estimates the
-sup-norm embedding constant k = sup max|u| / ||u|| from below (cone hats at
-the few nodes deepest inside the domain, then gradient ascent, in O(nv)
-memory) and from above (Talenti's constant combined with a Hoelder bound
-through int a^(-s), rigorous for every weight a > 0)."""
+sup-norm embedding constant k = sup max|u| / ||u|| from below (the ratio of
+the discrete p-Green function of the node nearest the centre, from one
+point-load solve) and from above (Talenti's constant combined with a
+Hoelder bound through int a^(-s), rigorous for every weight a > 0)."""
 from __future__ import annotations
 
 import math
@@ -63,29 +63,26 @@ class NormReport:
         return self.grad_term ** (1.0 / self.p)
 
 
-def _gather(mesh: Mesh, V: np.ndarray):
-    """Quadrature-point values (nc, nqc[, m]) and cell gradients (nc, N[, m])
-    of nodal values V (nv,) or (nv, m), read from each cell's own vertices."""
+def _gather(mesh: Mesh, v: np.ndarray):
+    """Quadrature-point values (nc, nqc) and cell gradients (nc, N) of nodal
+    values v (nv,), read from each cell's own vertices."""
     bary = mesh.quadrature()[2]
-    Vc = V[mesh.cells]                                         # (nc, N+1[, m])
-    sg = mesh.shape_gradients                                  # (nc, N+1, N)
-    if V.ndim == 1:     # one vector: plain products beat nc tiny matmuls
-        return Vc @ bary.T, np.einsum("cbk,cb->ck", sg, Vc)
-    return bary @ Vc, sg.swapaxes(1, 2) @ Vc
+    vc = v[mesh.cells]                                         # (nc, N+1)
+    # plain products beat nc tiny matmuls
+    return vc @ bary.T, np.einsum("cbk,cb->ck", mesh.shape_gradients, vc)
 
 
 def _cell_terms(wq: np.ndarray, cellA: np.ndarray, p: float, uq: np.ndarray,
                 g: np.ndarray):
-    """Per-cell int |u|^p and int a |grad u|^p from gathered values; trailing
-    axes of uq (nc, nqc, ...) and g (nc, N, ...) are batch axes."""
-    lp = np.einsum("cq,cq...->c...", wq, np.abs(uq) ** p)
-    gnorm = np.linalg.norm(g, axis=1)
-    return lp, cellA.reshape(cellA.shape + (1,) * (gnorm.ndim - 1)) * gnorm ** p
+    """Per-cell int |u|^p and int a |grad u|^p from gathered values uq
+    (nc, nqc) and g (nc, N)."""
+    lp = np.einsum("cq,cq->c", wq, np.abs(uq) ** p)
+    return lp, cellA * np.linalg.norm(g, axis=1) ** p
 
 
-def _norm_terms(mesh: Mesh, cellA: np.ndarray, p: float, V: np.ndarray):
-    """Per-cell (lp, grad) contributions, (nc,) or (nc, m), for V (nv,) or (nv, m)."""
-    return _cell_terms(mesh.quadrature()[1], cellA, p, *_gather(mesh, V))
+def _norm_terms(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray):
+    """Per-cell (lp, grad) contributions (nc,) for v (nv,)."""
+    return _cell_terms(mesh.quadrature()[1], cellA, p, *_gather(mesh, v))
 
 
 def _cell_weight_integrals(mesh: Mesh, w: WeightSpec) -> np.ndarray:
@@ -131,55 +128,12 @@ def talenti_bound(n: int, p_s: float, measure: float) -> float:
 class EmbeddingEstimate:
     k_lower: float
     k_upper: float
-    witness: DiscreteFunction  # maximizer found for the lower bound
+    witness: DiscreteFunction  # point-load solution whose ratio is k_lower
 
     @property
     def k(self) -> float:
         """Value used by certificates: the upper bound (conservative)."""
         return self.k_upper
-
-
-def _ratio_batch(mesh: Mesh, cellA: np.ndarray, p: float, V: np.ndarray) -> np.ndarray:
-    lp, grad = _norm_terms(mesh, cellA, p, V)
-    sup = np.max(np.abs(V), axis=0)
-    denom = (lp.sum(axis=0) + grad.sum(axis=0)) ** (1.0 / p)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(denom > 0, sup / denom, 0.0)
-
-
-def _star_fd_gradient(mesh: Mesh, cellA: np.ndarray, p: float, v: np.ndarray,
-                      eps: float) -> np.ndarray:
-    """Central differences (r(v + eps e_i) - r(v - eps e_i)) / (2 eps) of the
-    ratio r = sup|v| / ||v|| at every node i.
-
-    Moving node i changes only the cells of its star, so the norm terms of
-    the nc (N+1) single-vertex moves each way are evaluated cell by cell and
-    their changes summed into the nodes; the sup of a moved vector comes from
-    the two largest |v_j|."""
-    _, wq, bary = mesh.quadrature()
-    uq, g = _gather(mesh, v)
-    lp, grad = _cell_terms(wq, cellA, p, uq, g)
-    base = lp + grad                                            # (nc,)
-    signs = np.array([eps, -eps])
-    # value and gradient of v +- eps e_b on each cell, for each local vertex b
-    uq_moved = uq[:, :, None, None] + bary[None, :, :, None] * signs
-    g_moved = (g[:, :, None, None]
-               + mesh.shape_gradients.swapaxes(1, 2)[:, :, :, None] * signs)
-    lp_m, grad_m = _cell_terms(wq, cellA, p, uq_moved, g_moved)  # (nc, N+1, 2)
-    change = (lp_m + grad_m) - base[:, None, None]
-    nv = v.size
-    node = mesh.cells.ravel()
-    denom = (float(base.sum()) + np.stack(
-        [np.bincount(node, change[:, :, j].ravel(), minlength=nv) for j in (0, 1)])) ** (1.0 / p)
-
-    av = np.abs(v)
-    top = np.argsort(av)[-2:]
-    others = np.full(nv, av[top[-1]])          # max_{j != i} |v_j|
-    others[top[-1]] = av[top[0]]
-    sup = np.maximum(np.abs(v[None, :] + signs[:, None]), others)      # (2, nv)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom > 0, sup / denom, 0.0)
-    return (r[0] - r[1]) / (2.0 * eps)
 
 
 def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
@@ -198,64 +152,41 @@ def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
                  * int_a_ms ** (1.0 / ((s + 1.0) * p_s)))
 
 
-_HATS = 8               # cone hats tried, at the nodes deepest inside the domain
-_ASCENT_STEPS = 50      # gradient-ascent steps of the lower bound
-_FD_STEP_REL = 1e-3     # finite-difference step relative to ||v||_2
-
-
 def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
                mesh: Mesh) -> EmbeddingEstimate:
     """Two-sided estimate of k = sup max|u| / ||u||.
 
-    Lower bound: cone hats (apex 1 at a node, radius = its boundary distance)
-    at the _HATS interior nodes farthest from the boundary (ties to the lower
-    index), then up to _ASCENT_STEPS steps of gradient ascent on the best one.
-    Every admissible function's ratio is a lower bound on k, so the hats
-    tried only choose the ascent's start; the deepest nodes carry the widest
-    hats, and only (nv, _HATS) hat values are ever held, so memory is O(nv).
-    The ascent direction is the central difference of the ratio in each
-    interior nodal value, step _FD_STEP_REL * ||v||_2; each difference is
-    evaluated on the node's star (the cells touching it), so one step costs
-    O(nc).  Upper bound: k_upper_bound."""
+    Lower bound: the ratio of the discrete p-Green function of the interior
+    node x_i nearest the centre of the domain, i.e. the minimizer u of
+    phi(u) - u(x_i), found by one invert_phi_prime solve with a unit load
+    at x_i.  That minimizer attains max v(x_i) / ||v|| over all v (the point
+    p-capacity of x_i), and u(x_i)^((p-1)/p) equals that maximum.  The solve
+    starts from the cone hat at x_i (apex 1, radius = its boundary distance)
+    scaled by ||cone||^(-p/(p-1)), the minimizer of the merit along that
+    ray since phi is p-homogeneous; a zero start stalls at large p, where
+    the tangent at 0 vanishes like eps^(p-2).  It runs at most 50
+    iterations; should it stop unconverged, its best iterate is used, as
+    the ratio of any admissible function is a lower bound on k.
+    Upper bound: k_upper_bound."""
+    # solver imports this module, so it is imported here, at call time
+    from .solver import SolverConfig, SolverFailure, invert_phi_prime
+
     k_upper = k_upper_bound(domain, w, p, s, mesh)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
         raise ValueError("mesh has no interior vertices")
-    cellA = _cell_weight_integrals(mesh, w)
-
     verts = mesh.vertices
-    rho = distance_to_boundary(domain, verts)
-    # cone hats, one column per deepest interior node, in index order
-    far = np.sort(interior[np.argsort(-rho[interior], kind="stable")[:_HATS]])
-    dists = np.linalg.norm(verts[:, None, :] - verts[None, far, :], axis=2)
-    hats = np.maximum(0.0, 1.0 - dists / rho[far][None, :])
-    hats[mesh.boundary_vertices, :] = 0.0
-    ratios = _ratio_batch(mesh, cellA, p, hats)
-    best = int(np.argmax(ratios))
-    k_lower = float(ratios[best])
-    v = hats[:, best].copy()
-
-    # gradient ascent on the ratio, free interior nodes only
-    step = 0.1
-    for _ in range(_ASCENT_STEPS):
-        eps = _FD_STEP_REL * float(np.linalg.norm(v))
-        g = np.zeros_like(v)
-        g[interior] = _star_fd_gradient(mesh, cellA, p, v, eps)[interior]
-        gn = float(np.linalg.norm(g))
-        if gn == 0.0:
-            break
-        improved = False
-        while step > 1e-12:
-            cand = v + step * float(np.linalg.norm(v)) * g / gn
-            rc = float(_ratio_batch(mesh, cellA, p, cand[:, None])[0])
-            if rc > k_lower:
-                v, k_lower, improved = cand, rc, True
-                step *= 1.3
-                break
-            step *= 0.5
-        if not improved:
-            break
-
-    return EmbeddingEstimate(k_lower=k_lower, k_upper=k_upper,
-                             witness=DiscreteFunction(mesh, v))
-
+    centre = domain.axes.mean(axis=1)
+    node = interior[np.argmin(np.linalg.norm(verts[interior] - centre, axis=1))]
+    radius = distance_to_boundary(domain, verts[node:node + 1])[0]
+    cone = DiscreteFunction(
+        mesh, np.maximum(0.0, 1.0 - np.linalg.norm(verts - verts[node], axis=1) / radius))
+    cone.values *= weighted_norm(cone, w, p).full_norm ** (-p / (p - 1.0))
+    load = np.zeros(mesh.num_vertices)
+    load[node] = 1.0
+    try:
+        u = invert_phi_prime(load, w, p, mesh, SolverConfig(max_iter=50), u_init=cone)
+    except SolverFailure as exc:
+        u = exc.best
+    return EmbeddingEstimate(k_lower=sup_norm(u) / weighted_norm(u, w, p).full_norm,
+                             k_upper=k_upper, witness=u)

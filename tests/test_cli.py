@@ -140,7 +140,7 @@ class TestCheck:
 
     def test_box2d_lift_matches_golden(self, tmp_path):
         # the 2D certificate path: box rule for H2, polar annulus integrals
-        # and the star-local k_lower ascent
+        # and the point-load k_lower solve
         cfg = variant(tmp_path, "box2d.cfg", *BOX2D)
         assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
         assert_matches_golden(tmp_path / "out", "check2d")

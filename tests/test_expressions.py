@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wplap import expressions
 from wplap.expressions import Expression, ParseError, _parse, parse_expression
 
 
@@ -200,6 +201,9 @@ def test_compiled_missing_variable_raises(node):
     e = Expression("generated", node=("+", ("var", "x2"), node))
     with pytest.raises(ParseError, match="variable 'x2' not available here"):
         e(t=np.zeros(3), x1=np.zeros(3))
+    # the same message when an extra keyword sends the call through the filter
+    with pytest.raises(ParseError, match="variable 'x2' not available here"):
+        e(t=np.zeros(3), x1=np.zeros(3), sin=np.zeros(3))
 
 
 # -- Python's parser reads the grammar ----------------------------------------
@@ -265,7 +269,7 @@ def test_rejected_text(src):
         _parse(src)
 
 
-def test_nesting_too_deep_is_a_parse_error():
+def test_nesting_too_deep_is_a_parse_error(monkeypatch):
     # each tree walk recurses per level; a RecursionError in parsing,
     # compiling, differentiating or integrating reads as a ParseError
     with pytest.raises(ParseError, match="nested too deeply to parse"):
@@ -278,6 +282,12 @@ def test_nesting_too_deep_is_a_parse_error():
     assert flat.variables == {"t"}
     with pytest.raises(ParseError, match="nested too deeply to integrate"):
         flat.antidiff_t()
+    # a source that parses but does not compile is labelled by the compile
+    def deep(node):
+        raise RecursionError
+    monkeypatch.setattr(expressions, "_compiled", deep)
+    with pytest.raises(ParseError, match="nested too deeply to compile"):
+        Expression("t + 1")
 
 
 def test_parser_warning_is_a_parse_error():

@@ -1,5 +1,5 @@
-"""The per-cell gather kernel against dense reference maps, and the
-star-local finite differences of estimate_k against a tiled batch."""
+"""The per-cell gather kernel and the Newton system against dense
+reference maps."""
 import tracemalloc
 
 import numpy as np
@@ -7,8 +7,7 @@ import pytest
 
 from wplap.energy import EnergyAssembler, _densify, make_nonlinearity, primitive_F
 from wplap.geometry import Domain, build_mesh
-from wplap.space import (DiscreteFunction, _cell_weight_integrals, _gather, _ratio_batch,
-                         _star_fd_gradient, estimate_k, weighted_norm)
+from wplap.space import DiscreteFunction, _cell_weight_integrals, _gather, weighted_norm
 from wplap.weight import WeightSpec
 
 UNIT = Domain.interval(0.0, 1.0)
@@ -150,16 +149,6 @@ class TestGatherKernel:
         close(asm.residual(v), ref_residual(asm, v))
         close(asm.tangent(v), ref_tangent(asm, v))
 
-    @pytest.mark.parametrize("dim", sorted(MESHES))
-    def test_batch_columns_match_single(self, dim):
-        domain, h = MESHES[dim]
-        mesh = build_mesh(domain, h)
-        cellA = _cell_weight_integrals(mesh, WEIGHTS["dist^0.5"])
-        V = np.column_stack([random_vector(mesh, s) for s in range(4)])
-        lp, grad = ref_norm_terms(mesh, cellA, 3.0, V)
-        sup = np.max(np.abs(V), axis=0)
-        close(_ratio_batch(mesh, cellA, 3.0, V), sup / (lp + grad) ** (1 / 3.0))
-
 
 # -- the Newton system on the interior vertices --------------------------------
 
@@ -239,58 +228,6 @@ class TestCondensedTangent:
                 if asm.load is not None:
                     want -= float(load @ v)
                 assert asm.energy(v) == want, (p, kw)
-
-
-# -- estimate_k: star-local central differences --------------------------------
-
-def tiled_fd_gradient(mesh, cellA, p, v, eps):
-    """Reference: central differences from one full (nv,) column per +-eps move."""
-    interior = np.flatnonzero(mesh.interior_vertices)
-    cols = np.arange(interior.size)
-    P = np.tile(v[:, None], (1, 2 * interior.size))
-    P[interior, 2 * cols] += eps
-    P[interior, 2 * cols + 1] -= eps
-    lp, grad = ref_norm_terms(mesh, cellA, p, P)
-    r = np.max(np.abs(P), axis=0) / (lp + grad) ** (1.0 / p)
-    return (r[2 * cols] - r[2 * cols + 1]) / (2.0 * eps)
-
-
-class TestStarLocalAscent:
-    @pytest.mark.parametrize("dim,p,wname", [("1d", 2.0, "constant"), ("1d", 1.5, "dist^0.5"),
-                                             ("2d", 3.0, "constant"), ("2d", 2.5, "dist^0.5")])
-    def test_gradient_matches_tiled_batch(self, dim, p, wname):
-        domain, h = MESHES[dim]
-        mesh = build_mesh(domain, h)
-        cellA = _cell_weight_integrals(mesh, WEIGHTS[wname])
-        interior = np.flatnonzero(mesh.interior_vertices)
-        hat = np.maximum(0.0, 1.0 - 3.0 * np.linalg.norm(mesh.vertices - 0.5, axis=1))
-        for v in (random_vector(mesh, 5), hat):
-            eps = 1e-3 * float(np.linalg.norm(v))
-            ref = tiled_fd_gradient(mesh, cellA, p, v, eps)
-            got = _star_fd_gradient(mesh, cellA, p, v, eps)[interior]
-            close(got, ref, rtol=1e-10)
-
-    def test_tied_sup_nodes(self):
-        # two nodes share max|v|: moving either one down leaves the sup in place
-        mesh = build_mesh(UNIT, 1 / 16)
-        cellA = _cell_weight_integrals(mesh, WEIGHTS["constant"])
-        v = np.zeros(mesh.num_vertices)
-        v[[5, 11]] = [1.0, -1.0]
-        v[8] = 0.4
-        ref = tiled_fd_gradient(mesh, cellA, 2.0, v, 1e-3)
-        got = _star_fd_gradient(mesh, cellA, 2.0, v, 1e-3)[mesh.interior_vertices]
-        close(got, ref, rtol=1e-10)
-
-    def test_k_lower_pinned_1d_shipped(self):
-        # the shipped instance (a = 1, p = s = 2) on its mesh at h = 1/512
-        mesh = build_mesh(UNIT, 1 / 512, breakpoints=(0.3, 0.4, 0.6, 0.7))
-        est = estimate_k(UNIT, WEIGHTS["constant"], 2.0, 2.0, mesh)
-        assert est.k_lower == pytest.approx(0.4803844614152614, rel=1e-12, abs=0)
-
-    def test_k_lower_pinned_unit_square(self):
-        mesh = build_mesh(SQUARE, 0.1)
-        est = estimate_k(SQUARE, WEIGHTS["constant"], 3.0, 3.0, mesh)
-        assert est.k_lower == pytest.approx(0.623534274762794, rel=1e-12, abs=0)
 
 
 def test_assembler_memory_is_linear():

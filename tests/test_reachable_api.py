@@ -25,7 +25,6 @@ ALLOWED = {
     # references that the acceptance gate and the tests check the core against
     "energy.gradient_check": "acceptance gate: residual against finite differences",
     "energy.weak_form_gap": "tests: the residual as a weak form tested against v",
-    "solver.invert_phi_prime": "acceptance gate: uniqueness of the monotone inversion",
     # ROADMAP item 4, bound (a): Talenti at p times a_min^(-1/p)
     "weight.weight_lower_bound": "ROADMAP item 4: the a_min of bound (a)",
 }

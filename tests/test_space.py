@@ -18,6 +18,7 @@ from wplap.space import (
 from wplap.weight import WeightSpec
 
 UNIT = Domain.interval(0.0, 1.0)
+SQUARE = Domain.box(0.0, 1.0, 0.0, 1.0)
 ONE = WeightSpec.constant(1.0)
 
 
@@ -185,13 +186,13 @@ class TestEstimateK:
 
     def test_sub_unit_weights_keep_k_lower_below_k_upper(self):
         # Hoelder through int a^(-s) makes k_upper rigorous for every a > 0,
-        # so the ascent's k_lower stays below it where a < 1 too
-        cases = [(UNIT, WeightSpec.constant(0.5), 2.0, 1 / 128, 0.65549, 1 / math.sqrt(2)),
-                 (UNIT, WeightSpec.constant(0.25), 2.0, 1 / 128, 0.86983, 1.0),
+        # so the point-load k_lower stays below it where a < 1 too
+        cases = [(UNIT, WeightSpec.constant(0.5), 2.0, 1 / 128, 0.65615, 1 / math.sqrt(2)),
+                 (UNIT, WeightSpec.constant(0.25), 2.0, 1 / 128, 0.87269, 1.0),
                  (Domain.box(0.0, 3.0, 0.0, 3.0), WeightSpec.distance_power(0.5), 3.0, 0.3,
-                  0.82339, 1.32790),
-                 (Domain.box(0.0, 1.0, 0.0, 1.0), WeightSpec.constant(0.25), 3.0, 0.1,
-                  0.98053, 1.60930)]
+                  0.82356, 1.32790),
+                 (SQUARE, WeightSpec.constant(0.25), 3.0, 0.1,
+                  0.98175, 1.60930)]
         for domain, w, p, h, k_lower, k_upper in cases:
             est = estimate_k(domain, w, p, p, build_mesh(domain, h))
             assert est.k_lower <= est.k_upper
@@ -199,10 +200,10 @@ class TestEstimateK:
             assert est.k_upper == pytest.approx(k_upper, abs=1e-5)
 
     def test_memory_is_linear_in_nv(self):
-        # cone hats at the deepest nodes only (2.5 MB traced); one hat per
-        # interior node, (nv, ni) hats and their quadrature temporaries,
-        # peaks at 242 MB here
-        domain = Domain.box(0.0, 1.0, 0.0, 1.0)
+        # one point-load solve holds O(nv) vectors and the tangent's
+        # block-tridiagonal storage; one cone hat per interior node, (nv, ni)
+        # hats and their quadrature temporaries, would peak at 242 MB here
+        domain = SQUARE
         mesh = build_mesh(domain, 0.05)
         assert mesh.num_vertices == 900
         tracemalloc.start()
@@ -214,12 +215,66 @@ class TestEstimateK:
         assert peak < 20 * 2 ** 20
         assert est.k_lower <= est.k_upper
 
-    def test_hats_that_start_off_the_best_sweep_stay_a_lower_bound(self):
-        # with a distance_power weight at h = 1/512 the best hat of the full
-        # sweep (k_lower 0.3744713) is not among the deepest nodes; the ascent
-        # from theirs ends 1.5e-5 (relative) below it, and still below k_upper
+    def test_point_load_beats_every_cone_hat(self):
+        # with a distance_power weight at h = 1/512 the best cone hat over
+        # every interior node reaches 0.3744713; the point-load solution
+        # reaches 0.38698, still below k_upper
         est = estimate_k(UNIT, WeightSpec.distance_power(0.3), 2.0, 2.0, interval_mesh(1 / 512))
-        assert 0.37446 <= est.k_lower <= est.k_upper
+        assert 0.38698 <= est.k_lower <= est.k_upper
+
+    def test_k_lower_pinned_1d_shipped(self):
+        # the shipped instance (a = 1, p = s = 2) on its mesh at h = 1/256
+        mesh = interval_mesh(1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
+        est = estimate_k(UNIT, ONE, 2.0, 2.0, mesh)
+        assert est.k_lower == pytest.approx(0.4806855074305207, rel=1e-12, abs=0)
+
+    def test_k_lower_pinned_unit_square(self):
+        est = estimate_k(SQUARE, ONE, 3.0, 3.0, build_mesh(SQUARE, 0.1))
+        assert est.k_lower == pytest.approx(0.6243873620328089, rel=1e-12, abs=0)
+
+    def test_p2_constant_weight_is_the_green_function_value(self):
+        # at p = 2, a = 1 the maximizer is the Green function of -u'' + u on
+        # (0, 1) with pole 1/2, and k^2 = G(1/2, 1/2) = sinh(1/2)^2 / sinh(1)
+        est = estimate_k(UNIT, ONE, 2.0, 2.0, interval_mesh(1 / 512))
+        exact = math.sqrt(math.sinh(0.5) ** 2 / math.sinh(1.0))
+        assert est.k_lower == pytest.approx(exact, abs=1e-7)
+
+    def test_large_p_starts_from_the_scaled_cone(self):
+        # the tangent at u = 0 scales like eps^(p-2): a descent started there
+        # stalls at once at p = 10 (k_lower 0.0117)
+        est = estimate_k(UNIT, ONE, 10.0, 10.0, interval_mesh(1 / 256))
+        assert 0.4999 <= est.k_lower <= est.k_upper
+
+    def test_load_at_the_node_nearest_the_centre(self):
+        # 1.2 x 1 box: the centre node gives 0.57285, the lowest-index node
+        # farthest from the boundary 0.57123
+        domain = Domain.box(0.0, 1.2, 0.0, 1.0)
+        est = estimate_k(domain, WeightSpec.distance_power(0.3), 3.0, 3.0,
+                         build_mesh(domain, 0.08))
+        assert 0.5728 <= est.k_lower <= est.k_upper
+
+    def test_unconverged_solve_still_gives_a_lower_bound(self):
+        # at p = 1.5 with a = dist the solve stops at its 50-iteration cap
+        # (scaled residual 2.4); its best iterate is admissible, so its ratio
+        # bounds k from below all the same
+        est = estimate_k(UNIT, WeightSpec.distance_power(1.0), 1.5, 4.0, interval_mesh(1 / 256))
+        assert 0.2134 <= est.k_lower <= est.k_upper
+
+    def test_refinement_raises_k_lower(self):
+        # p = N + 1 on the unit square: the finer mesh resolves the pole better
+        coarse, fine = (estimate_k(SQUARE, ONE, 3.0, 3.0, build_mesh(SQUARE, h)).k_lower
+                        for h in (1 / 16, 1 / 32))
+        assert fine > coarse
+
+    @pytest.mark.parametrize("domain,p,h,breakpoints", [
+        (UNIT, 2.0, 1 / 256, (0.3, 0.4, 0.6, 0.7)), (SQUARE, 3.0, 0.1, ())],
+        ids=["shipped_1d", "box2d"])
+    def test_witness_attains_the_point_capacity(self, domain, p, h, breakpoints):
+        # the minimizer u of phi(u) - u(x_i) has ||u||^p = u(x_i), so its
+        # ratio u(x_i) / ||u|| is u(x_i)^((p-1)/p)
+        est = estimate_k(domain, ONE, p, p, build_mesh(domain, h, breakpoints=breakpoints))
+        assert est.witness.values.max() ** ((p - 1) / p) == pytest.approx(
+            est.k_lower, rel=0, abs=1e-8)
 
     def test_sup_dominated_by_upper_bound(self):
         # sup |u| <= k_upper ||u|| for every weight a > 0
@@ -235,7 +290,7 @@ class TestEstimateK:
 @pytest.mark.parametrize("w", [ONE, WeightSpec.distance_power(0.5)],
                          ids=["constant", "distance_power"])
 @pytest.mark.parametrize("domain,h,p,s", [(UNIT, 1 / 64, 2.0, 2.0),
-                                          (Domain.box(0.0, 1.0, 0.0, 1.0), 0.2, 3.0, 3.0)],
+                                          (SQUARE, 0.2, 3.0, 3.0)],
                          ids=["1d", "2d"])
 def test_k_upper_bound_is_estimate_k_upper(domain, h, p, s, w):
     mesh = build_mesh(domain, h)
