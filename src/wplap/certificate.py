@@ -108,9 +108,14 @@ class Constants:
     ustar_norm_p: float            # direct quadrature of the interpolated u*
     ustar_norm_formula: float      # three-term formula as printed (w_N factor)
     ustar_norm_formula_corrected: float  # with the N*w_N surface factor
-    sandwich_lower: float          # k-free: (2 r1 / (r2^2-r1^2))^p a_mass d^p
-    sandwich_upper: float
+    sandwich_lower: float          # k-free: (xi d / k)^p, xi at k = 1
+    sandwich_upper: float          # k-free: (eta d / k)^p, eta at k = 1
     k_variants: dict = field(default_factory=dict)  # k value -> (xi, eta, r)
+
+    @property
+    def sandwich_margins(self) -> tuple[float, float]:
+        """(||u*||^p - sandwich_lower, sandwich_upper - ||u*||^p), direct norm."""
+        return self.ustar_norm_p - self.sandwich_lower, self.sandwich_upper - self.ustar_norm_p
 
     def validate(self):
         vals = [self.w_N, self.a_L1_annulus, self.k, self.xi, self.eta, self.r,
@@ -301,13 +306,10 @@ def sandwich_check(constants: Constants) -> CheckEntry:
 
     Both bounds are k-free after substitution, so the verdict does not depend
     on the embedding estimate."""
-    lo, hi = constants.sandwich_lower, constants.sandwich_upper
-    direct = constants.ustar_norm_p
-    margin = min(direct - lo, hi - direct)
-    verdict = _strict_verdict(margin)
-    return CheckEntry(name="sandwich", verdict=verdict, margin=margin,
-                      mode="closed-form",
-                      note=f"lower={lo:.9g} direct={direct:.9g} upper={hi:.9g}")
+    margin = min(constants.sandwich_margins)
+    return CheckEntry(name="sandwich", verdict=_strict_verdict(margin), margin=margin,
+                      mode="closed-form", note=f"lower={constants.sandwich_lower:.9g} "
+                      f"direct={constants.ustar_norm_p:.9g} upper={constants.sandwich_upper:.9g}")
 
 
 def _x_samples(domain: Domain, exclude_ball: BallSpec | None = None,
@@ -492,24 +494,26 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
 
 
 def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
-                             phi_zero: float, phi_ustar: float, sup_F: float) -> list:
+                             sup_F: float) -> list:
     """The derived conditions: d^p xi^p > c^p, the level separation
-    phi(0) < r < phi(u*), and the sublevel inequality with u0 = 0, u1 = u*:
+    0 = phi(0) < r < phi(u*) = ||u*||^p / p, and the sublevel inequality
+    with u0 = 0, u1 = u*:
 
         |Omega| max_{[-c,c]} F <= (c/(k ||u*||))^p Int F(x, u*) dx,
 
     with sup_F the sup of F over the domain x [-c, c] (as in check_H2)."""
     out = []
     p, c, d = spec.p, spec.c, spec.d
+    phi_ustar = constants.ustar_norm_p / p
     m1 = d ** p * constants.xi ** p - c ** p
     out.append(CheckEntry(name="dxi_gt_c", verdict=_strict_verdict(m1), margin=m1,
                           mode="closed-form",
                           note=f"d^p xi^p = {d ** p * constants.xi ** p:.9g}, c^p = {c ** p:.9g}"))
 
-    m2 = min(constants.r - phi_zero, phi_ustar - constants.r)
+    m2 = min(constants.r, phi_ustar - constants.r)
     out.append(CheckEntry(name="level_separation", verdict=_strict_verdict(m2),
                           margin=m2, mode="closed-form",
-                          note=f"phi(0)={phi_zero:.9g} < r={constants.r:.9g} < "
+                          note=f"phi(0)=0 < r={constants.r:.9g} < "
                                f"phi(u*)={phi_ustar:.9g}"))
 
     omega = domain_measure(spec.domain)
@@ -543,14 +547,7 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     a_mass, a_converged = annulus_weight_mass(spec.weight, spec.ball, spec.domain)
     if embedding is None:
         embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh)
-    k = embedding.k
-    notes = []
-
     r1, r2 = spec.ball.r1, spec.ball.r2
-    lower_kfree = (2.0 * r1 / (r2 ** 2 - r1 ** 2)) ** p * a_mass * d ** p
-    eta_over_k_p = (2.0 ** p * r2 ** p / (r2 ** 2 - r1 ** 2) ** p * a_mass
-                    + d ** p * w_N * r2 ** N / N + w_N * r1 ** N)
-    upper_kfree = eta_over_k_p * d ** p
 
     def at_k(kv: float) -> dict:
         return {"k": kv, "xi": compute_xi(p, r1, r2, kv, a_mass),
@@ -560,33 +557,30 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     # the certificate's k is k_upper, so its xi, eta and r are that variant's
     variants = {"k_upper": at_k(embedding.k_upper), "k_lower": at_k(embedding.k_lower)}
     constants = Constants(
-        w_N=w_N, a_L1_annulus=a_mass, k=k, k_lower=embedding.k_lower,
-        xi=variants["k_upper"]["xi"],
-        eta=variants["k_upper"]["eta"],
-        r=variants["k_upper"]["r"],
+        w_N=w_N, a_L1_annulus=a_mass, k_lower=embedding.k_lower,
+        **variants["k_upper"],
         ustar_norm_p=norm3.direct,
         ustar_norm_formula=norm3.formula,
         ustar_norm_formula_corrected=norm3.formula_corrected,
-        sandwich_lower=lower_kfree,
-        sandwich_upper=upper_kfree,
+        # the bounds (xi d / k)^p and (eta d / k)^p do not depend on k
+        sandwich_lower=(compute_xi(p, r1, r2, 1.0, a_mass) * d) ** p,
+        sandwich_upper=(compute_eta(p, N, r1, r2, 1.0, d, a_mass, w_N) * d) ** p,
         k_variants=variants,
     )
     constants.validate()
-    notes.append("eta carries a d^p factor in its middle term, so it depends on d; "
-                 "formula implemented as printed")
-    notes.append("k mode: certified; xi/eta/r per k variant recorded")
     rel = abs(norm3.formula_corrected - norm3.direct) / norm3.direct
-    notes.append(f"||u*||^p formula (surface factor corrected) vs direct: rel diff {rel:.3e}; "
-                 "direct quadrature is authoritative"
-                 + ("" if norm3.converged else _UNCONVERGED))
+    notes = ["eta carries a d^p factor in its middle term, so it depends on d; "
+             "formula implemented as printed",
+             "k mode: certified; xi/eta/r per k variant recorded",
+             f"||u*||^p formula (surface factor corrected) vs direct: rel diff {rel:.3e}; "
+             "direct quadrature is authoritative" + ("" if norm3.converged else _UNCONVERGED)]
 
-    phi_ustar = norm3.direct / p
     sup_F = _sup_F_box(spec.nl_f, spec.domain, c, mesh.quadrature()[0])
     entries = [sandwich_check(constants),
                check_H1(spec.nl_f, spec.domain, spec.ball, d),
                check_H2(spec.nl_f, spec.domain, constants.eta, c, d, p, sup_F)]
     entries.extend(check_H3_H4_H5(spec.nl_f, spec.nl_g, spec.gamma, spec.domain, c, d))
-    entries.extend(check_theorem_conditions(spec, constants, 0.0, phi_ustar, sup_F))
+    entries.extend(check_theorem_conditions(spec, constants, sup_F))
     if not a_converged:
         # the sandwich bounds, eta (H2) and xi (dxi_gt_c) are built from a_mass
         for e in entries:

@@ -82,12 +82,12 @@ def _write_table(path, header, rows):
         fh.write("\r\n".join(lines) + "\r\n")
 
 
-def _read_table(path, what: str, header_ok) -> list:
-    """The rows after the header of a CSV file; a header failing header_ok
-    raises ValueError saying the file is not what."""
+def _read_table(path, what: str, header_ok, min_rows: int = 0) -> list:
+    """The rows after the header of a CSV file; ValueError saying the file is
+    not what when the header fails header_ok or fewer than min_rows follow."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not header_ok(rows[0]):
+    if len(rows) <= min_rows or not header_ok(rows[0]):
         raise ValueError(f"{path}: not {what}")
     return rows[1:]
 
@@ -100,7 +100,7 @@ def write_solution_csv(path, u: DiscreteFunction):
 
 def read_solution_csv(path):
     """Returns (coords (n, N), values (n,))."""
-    body = _read_table(path, "a solution file", lambda header: header[-1:] == ["u"])
+    body = _read_table(path, "a solution file", lambda header: header[-1:] == ["u"], 1)
     data = np.array([[float(tok) for tok in row] for row in body])
     return data[:, :-1], data[:, -1]
 
@@ -113,8 +113,8 @@ _CONSTANTS = [f.name for f in fields(Constants) if f.name != "k_variants"]
 def write_constants_csv(path, report: CertificateReport):
     c = report.constants
     rows = [(key, float(getattr(c, key))) for key in _CONSTANTS]
-    rows += [("sandwich_margin_lower", float(c.ustar_norm_p - c.sandwich_lower)),
-             ("sandwich_margin_upper", float(c.sandwich_upper - c.ustar_norm_p))]
+    lower, upper = c.sandwich_margins
+    rows += [("sandwich_margin_lower", float(lower)), ("sandwich_margin_upper", float(upper))]
     rows += [(f"{key}[{label}]", float(val))
              for label, var in c.k_variants.items() for key, val in var.items()]
     _write_table(path, ["name", "value"], rows)
@@ -152,14 +152,18 @@ def write_certificate_txt(path, report: CertificateReport, meta: dict):
 
 def read_certificate(path) -> dict:
     """Returns {'meta': {...}, 'constants': {...}, 'variants': {...},
-    'checks': {name: {...}}, 'notes': [...]}; floats parsed back."""
+    'checks': {name: {...}}, 'notes': [...]}; floats parsed back.  ValueError
+    when the file is no INI text with [certificate] and [constants] sections."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
-    with open(path) as fh:
-        cp.read_file(fh)
-    out = {"meta": dict(cp["certificate"]), "constants": {}, "variants": {},
-           "checks": {}, "notes": []}
-    for key, val in cp["constants"].items():
+    try:
+        with open(path) as fh:
+            cp.read_file(fh)
+        meta, constants = dict(cp["certificate"]), cp["constants"]
+    except (configparser.Error, KeyError) as exc:
+        raise ValueError(f"{path}: not a certificate") from exc
+    out = {"meta": meta, "constants": {}, "variants": {}, "checks": {}, "notes": []}
+    for key, val in constants.items():
         out["constants"][key] = val if key == "k_mode" else float(val)
     for section in cp.sections():
         if section.startswith("variant:"):
@@ -190,16 +194,11 @@ def write_scan_summary(path, cells):
 
 
 def read_scan_summary(path) -> list:
-    out = []
-    for row in _read_table(path, "a scan summary", lambda header: header == _SCAN_COLUMNS):
-        rec = dict(zip(_SCAN_COLUMNS, row))
-        for key in ("lambda", "mu", "rho_observed", "min_pairwise_distance",
-                    "max_residual"):
-            rec[key] = float(rec[key])
-        for key in ("count", "count_nontrivial"):
-            rec[key] = int(rec[key])
-        out.append(rec)
-    return out
+    """One dict per cell, keyed by _SCAN_COLUMNS: the two counts ints, the rest floats."""
+    return [{key: (int if key.startswith("count") else float)(tok)
+             for key, tok in zip(_SCAN_COLUMNS, row)}
+            for row in _read_table(path, "a scan summary",
+                                   lambda header: header == _SCAN_COLUMNS)]
 
 
 def write_oracle_profile(path, profile: ShootingProfile):
@@ -233,7 +232,7 @@ def _report_lines(report: CertificateReport):
     return lines
 
 
-def cmd_check(cfg: RunConfig, args, out: Path) -> int:
+def cmd_check(cfg: RunConfig, out: Path) -> int:
     spec = _problem_spec(cfg)
     if spec is None:
         raise _located(cfg.path, "check requires [ball] and [constants] sections")
@@ -284,7 +283,7 @@ def _solver_inputs(cfg: RunConfig, lams, mus):
     return asm, spec, r, ustar
 
 
-def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
+def cmd_solve(cfg: RunConfig, out: Path) -> int:
     lam, mu = cfg.run_lambda, cfg.run_mu
     asm, _, r, ustar = _solver_inputs(cfg, [lam], [mu])
     try:
@@ -325,7 +324,7 @@ def cmd_solve(cfg: RunConfig, args, out: Path) -> int:
     return 0
 
 
-def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
+def cmd_scan(cfg: RunConfig, out: Path) -> int:
     if not cfg.lambda_grid:
         raise _located(cfg.path, "scan requires a non-empty [lambda_grid]")
     asm, spec, r, ustar = _solver_inputs(cfg, cfg.lambda_grid, cfg.mu_values)
@@ -362,7 +361,7 @@ def cmd_scan(cfg: RunConfig, args, out: Path) -> int:
     return 0 if succeeded >= 1 else 4
 
 
-def cmd_oracle(cfg: RunConfig, args, out: Path) -> int:
+def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     lam, mu = cfg.run_lambda, cfg.run_mu
     profile = enumerate_solutions(cfg.domain, cfg.weight, cfg.p, lam, mu,
                                   f=cfg.nl_f, g=cfg.nl_g,
@@ -425,7 +424,7 @@ def main(argv=None) -> int:
             cfg.run_mu = args.mu
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return args.func(cfg, args, out)
+        return args.func(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64

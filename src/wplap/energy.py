@@ -38,6 +38,7 @@ __all__ = [
 _GL20 = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 128
 _F_PANELS = 64      # primitive_F's panel cap when F is left to quadrature
+EPS_REG = 1e-8      # default regularization of the p < 2 terms (SolverConfig's too)
 
 
 def _as_expr(e) -> Expression | None:
@@ -185,7 +186,7 @@ class EnergyAssembler:
     def __init__(self, mesh: Mesh, w: WeightSpec, p: float, lam: float = 0.0,
                  mu: float = 0.0, f: Nonlinearity | None = None,
                  g: Nonlinearity | None = None, zero_order: bool = True,
-                 eps_reg: float = 1e-8, load: np.ndarray | None = None):
+                 eps_reg: float = EPS_REG, load: np.ndarray | None = None):
         self.mesh = mesh
         self.w = w
         self.p = float(p)

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import EnergyAssembler
+from .energy import EPS_REG, EnergyAssembler
 from .geometry import Mesh
 from .space import DiscreteFunction, sup_norm
 from .weight import WeightSpec
@@ -73,7 +73,7 @@ _SEGMENT_SAMPLES = 33         # points on the mountain-pass segment searched for
 class SolverConfig:
     residual_tol: float = 1e-8        # on the h^(N/2)-scaled residual norm
     max_iter: int = 5000
-    eps_reg: float = 1e-8
+    eps_reg: float = EPS_REG
     delta_dist: float = 1e-3          # sup-norm, relative to max sup-norm
     seed: int = 42
 
@@ -258,8 +258,9 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
     step only approaches geometrically.  With a level, every iterate is
     rescaled radially onto {phi <= level} (phi is p-homogeneous, so
     u -> (level/phi(u))^(1/p) u lands exactly on the level set), and
-    converged also requires the constraint to be inactive.  Returns
-    (v, scaled residual, converged flag, energy at v)."""
+    converged also requires the constraint to be inactive; a stalled descent
+    (no step lowers E) ends with _polish, kept if converged at the same solution.
+    Returns (v, scaled residual, converged flag, energy at v)."""
 
     def onto_level(u):
         if level is not None:
@@ -308,7 +309,12 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
             alpha *= _BACKTRACK
         if not accepted:
             # stationary for this line search (possibly constrained) or stalled
-            return v, rn, converged(v, rn), E
+            vp = _polish(asm, v, config)
+            if vp is not None:
+                rp = asm.residual_norm(asm.residual(vp))
+                if converged(vp, rp) and not _apart(config.delta_dist, [v])(_sup(vp - v)):
+                    return vp, rp, True, asm.energy(vp)
+            return v, rn, False, E
     res = asm.residual(v)
     rn = asm.residual_norm(res)
     return v, rn, converged(v, rn), E
@@ -326,7 +332,7 @@ def _record(asm: EnergyAssembler, v: np.ndarray, classification: str,
 
 
 def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
-                     config: SolverConfig = SolverConfig(), zero_order: bool = True,
+                     config: SolverConfig = SolverConfig(),
                      u_init: DiscreteFunction | None = None) -> DiscreteFunction:
     """Solve phi'(u) = rhs (rhs in residual space, zero at boundary nodes).
 
@@ -339,8 +345,7 @@ def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
         raise ValueError("rhs must have one entry per mesh vertex")
     rhs = rhs.copy()
     rhs[mesh.boundary_vertices] = 0.0
-    asm = EnergyAssembler(mesh, w, p, zero_order=zero_order, eps_reg=config.eps_reg,
-                          load=rhs)
+    asm = EnergyAssembler(mesh, w, p, eps_reg=config.eps_reg, load=rhs)
     v0 = np.zeros(mesh.num_vertices) if u_init is None else u_init.values
     v, rn, ok, _ = _descend(asm, v0, config)
     if ok:

@@ -520,8 +520,7 @@ class TestTheoremConditions:
         consts = make_constants()
         # the shipped F vanishes on [-c, c] = [-0.2, 0.2], so sup_F = 0
         entries = {e.name: e for e in
-                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0,
-                                            sup_F=0.0)}
+                   check_theorem_conditions(spec, consts, sup_F=0.0)}
         assert entries["dxi_gt_c"].verdict == "pass"
         assert entries["dxi_gt_c"].margin == pytest.approx(XI_REF ** 2 - 0.04, rel=1e-9)
         assert entries["level_separation"].verdict == "pass"
@@ -537,8 +536,7 @@ class TestTheoremConditions:
         spec = shipped_spec()
         consts = make_constants()
         entries = {e.name: e for e in
-                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0,
-                                            sup_F=0.0)}
+                   check_theorem_conditions(spec, consts, sup_F=0.0)}
         assert entries["bona1"].note.endswith("; quadrature unconverged at 128 panels")
         assert entries["bona1"].verdict == "pass"
         assert "unconverged" not in entries["dxi_gt_c"].note
@@ -556,8 +554,7 @@ class TestTheoremConditions:
                            c=1.0, d=1.0, gamma=1.0, nl_f=f)
         consts = make_constants(c=1.0, d=1.0)
         entries = {e.name: e for e in
-                   check_theorem_conditions(spec, consts, 0.0, consts.ustar_norm_p / 2.0,
-                                            sup_F=0.5)}
+                   check_theorem_conditions(spec, consts, sup_F=0.5)}
         assert entries["bona1"].verdict == "fail"
         assert entries["bona1"].margin < 0
 
@@ -657,6 +654,27 @@ class TestBuildCertificate:
         for label in kv:
             k = kv[label]["k"]
             assert kv[label]["r"] == pytest.approx(compute_r(0.2, k, 2.0), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2], ids=["shipped_1d", "box2d"])
+    def test_constants_from_one_formula_at_one_k(self, dim):
+        # the sandwich bounds are (xi d / k)^p and (eta d / k)^p written
+        # through compute_xi and compute_eta at k = 1, and k, xi, eta, r are
+        # the k_upper variant's, bit for bit
+        if dim == 1:
+            spec, mesh = shipped_spec(), ball_mesh(1 / 256)
+        else:
+            spec = ProblemSpec(domain=SQUARE, weight=ONE, p=3.0, s=3.0,
+                               ball=BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2),
+                               c=0.2, d=1.0, gamma=1.0, nl_f=shipped_f(), nl_g=shipped_g())
+            mesh = build_mesh(SQUARE, 0.1)
+        consts = build_certificate(spec, mesh).constants
+        p, d, (r1, r2) = spec.p, spec.d, (spec.ball.r1, spec.ball.r2)
+        a_mass = consts.a_L1_annulus
+        assert consts.sandwich_lower == (compute_xi(p, r1, r2, 1.0, a_mass) * d) ** p
+        assert consts.sandwich_upper == \
+            (compute_eta(p, dim, r1, r2, 1.0, d, a_mass, consts.w_N) * d) ** p
+        assert {key: getattr(consts, key) for key in ("k", "xi", "eta", "r")} == \
+            consts.k_variants["k_upper"]
 
     def test_implication_chain_random_instances(self):
         # overall pass must imply every individual non-heuristic entry passed;

@@ -699,3 +699,18 @@ class TestConfigDiagnostics:
         with pytest.raises(ValueError):
             read_oracle_profile(junk)
 
+    @pytest.mark.parametrize("reader,text,what", [
+        (read_solution_csv, "", "a solution file"),
+        (read_solution_csv, "x1,u\r\n", "a solution file"),
+        (read_scan_summary, "", "a scan summary"),
+        (read_certificate, "name,value\r\nk,0.5\r\n", "a certificate"),
+        (read_certificate, "", "a certificate"),
+    ], ids=["solution_empty", "solution_header_only", "scan_empty",
+            "certificate_from_csv", "certificate_empty"])
+    def test_reader_rejects_empty_or_foreign_file(self, tmp_path, reader, text, what):
+        path = tmp_path / "file"
+        path.write_text(text, newline="")
+        with pytest.raises(ValueError) as exc:
+            reader(path)
+        assert str(exc.value) == f"{path}: not {what}"
+

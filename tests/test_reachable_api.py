@@ -5,7 +5,8 @@ A function is referenced by any name or attribute access spelled like it
 (`ast.Name` or `ast.Attribute`), a method only by an attribute access, so a
 local variable spelled like a method does not count; an import or an
 `__all__` entry is not a reference.  Code that only tests reach is deleted
-rather than kept."""
+rather than kept.  Likewise every parameter of a function or method (a
+lambda aside) is read in its body: a parameter nothing reads is deleted."""
 import ast
 from pathlib import Path
 
@@ -77,3 +78,36 @@ def test_detector():
 def test_every_public_function_is_reached_or_allowed():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert sorted(unreferenced(sources)) == sorted(ALLOWED)
+
+
+def unread_parameters(source: str, module: str) -> list:
+    """'<module>.<function>(<parameter>)' (a method under its own name) for
+    every parameter of every function and method, nested ones too, that its
+    body never reads as a plain name; lambdas are not checked."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None]
+        read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        out += [f"{module}.{node.name}({name})" for name in params if name not in read]
+    return out
+
+
+def test_unread_parameter_detector():
+    source = ("def f(a, b, *rest, c=1, **kw):\n"
+              "    def g(d, e):\n        return d + a\n"
+              "    b = 2\n    return g, lambda t, x: x, kw\n"
+              "class C:\n    def m(self, y):\n        return self\n")
+    # b is assigned but never read; the lambda's t is not checked
+    assert sorted(unread_parameters(source, "a")) == \
+        ["a.f(b)", "a.f(c)", "a.f(rest)", "a.g(e)", "a.m(y)"]
+
+
+def test_every_parameter_is_read():
+    unread = [name for path in sorted(PACKAGE.glob("*.py"))
+              for name in unread_parameters(path.read_text(), path.stem)]
+    assert unread == []

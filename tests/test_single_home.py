@@ -1,20 +1,26 @@
-"""The solution distinctness rule, each setting default and the config
-error format are written once in the package.
+"""The solution distinctness rule, each setting default, the config error
+format and the CSV table format are written once in the package.
 
 The rule sup|a - b| > delta_dist * max(sup-norms, 1e-30) lives in
 solver._apart, so src multiplies by delta_dist (an attribute such as
 config.delta_dist, or a plain name) exactly once.  The solver and oracle
 defaults live in SolverConfig and in oracle1d's SIGMA_MIN, SIGMA_MAX,
-N_SCAN and STEPS_PER_UNIT, so each of their literals appears once.  Every
+N_SCAN and STEPS_PER_UNIT, so each of their literals appears once; the
+eps_reg default is energy.EPS_REG, the one literal an eps_reg takes.  Every
 ConfigError is built by config._located, so src calls ConfigError once.
 Only expressions.py runs code it builds, with the builtins eval and
-compile, against a name table without builtins."""
+compile, against a name table without builtins.  Only cli._write_table
+and cli._read_table write or parse a CSV table."""
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+from wplap import energy
+from wplap.energy import EnergyAssembler
 from wplap.expressions import _NAMES
+from wplap.solver import SolverConfig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wplap"
 SOURCES = sorted(PACKAGE.glob("*.py"))
@@ -68,6 +74,92 @@ def test_default_is_written_once(literal):
     found = {path.name: numeric_literals(path.read_text()).count((type(literal), literal))
              for path in SOURCES}
     assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}
+
+
+def eps_reg_literals(source: str) -> list:
+    """Lines where a number literal becomes an eps_reg: the default of a
+    parameter, or the value assigned to a name, field or attribute, spelled
+    eps_reg in any case."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        pairs = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            pairs = list(zip([a.arg for a in positional[len(positional) - len(args.defaults):]],
+                             args.defaults))
+            pairs += [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value is not None:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            pairs = [(getattr(t, "id", getattr(t, "attr", None)), node.value)
+                     for t in targets]
+        out += [value.lineno for name, value in pairs
+                if str(name).lower() == "eps_reg" and isinstance(value, ast.Constant)]
+    return sorted(out)
+
+
+def test_eps_reg_detector():
+    src = ("EPS_REG = 1e-8\n"
+           "def f(x, eps_reg=1e-8, *, tol=1e-8):\n"
+           "    self.eps_reg = 1e-6\n"
+           "    return lambda eps_reg=EPS_REG: eps_reg\n"
+           "class C:\n"
+           "    eps_reg: float = 1e-8\n"
+           "    residual_tol: float = 1e-8\n")
+    assert eps_reg_literals(src) == [1, 2, 3, 6]
+
+
+def test_eps_reg_default_is_written_once():
+    found = {path.name: len(eps_reg_literals(path.read_text())) for path in SOURCES}
+    assert {name: n for name, n in found.items() if n} == {"energy.py": 1}
+    default = inspect.signature(EnergyAssembler).parameters["eps_reg"].default
+    assert default == SolverConfig().eps_reg == energy.EPS_REG
+
+
+def _writes_or_parses_csv(call: ast.Call) -> bool:
+    """A call into the csv module, of open (builtin or Path.open) for
+    writing, of Path.write_text or write_bytes on a path naming a .csv file,
+    or of numpy's savetxt, loadtxt or genfromtxt."""
+    func = call.func
+    name = getattr(func, "attr", getattr(func, "id", None))
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "csv":
+        return True
+    if name in ("savetxt", "loadtxt", "genfromtxt"):
+        return True
+    if name in ("write_text", "write_bytes"):
+        return any(isinstance(n, ast.Constant) and str(n.value).endswith(".csv")
+                   for n in ast.walk(func.value))
+    modes = (call.args[1:2] if isinstance(func, ast.Name) else call.args[:1]) + \
+        [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return name == "open" and any(isinstance(m, ast.Constant) and set(str(m.value)) & set("wax+")
+                                  for m in modes)
+
+
+def csv_format_sites(source: str) -> list:
+    """Names of the functions and methods (a nested one also names the
+    functions around it) that make a call _writes_or_parses_csv flags."""
+    return [node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(n, ast.Call) and _writes_or_parses_csv(n)
+                    for n in ast.walk(node))]
+
+
+def test_csv_format_detector():
+    src = ("import csv\n"
+           "def a(p):\n    with open(p, 'w') as fh:\n        fh.write('x')\n"
+           "def b(p):\n    with open(p) as fh:\n        return list(csv.reader(fh))\n"
+           "def c(p):\n    return p.open('a'), p.open(mode='r')\n"
+           "def d(p, x):\n    np.savetxt(p, x, delimiter=',')\n"
+           "def e(p):\n    return open(p).read(), p.open()\n"
+           "def f(out):\n    (out / 'x.csv').write_text('a,b')\n"
+           "def g(out):\n    (out / 'x.txt').write_text('a = 1')\n")
+    assert csv_format_sites(src) == ["a", "b", "c", "d", "f"]
+
+
+def test_csv_format_has_one_home():
+    sites = {path.name: csv_format_sites(path.read_text()) for path in SOURCES}
+    assert {name: found for name, found in sites.items() if found} == \
+        {"cli.py": ["_write_table", "_read_table"]}
 
 
 def config_error_calls(source: str) -> list:
