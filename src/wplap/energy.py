@@ -39,6 +39,7 @@ _GL20 = np.polynomial.legendre.leggauss(20)
 _MAX_PANELS = 128
 _F_PANELS = 64      # primitive_F's panel cap when F is left to quadrature
 EPS_REG = 1e-8      # default regularization of the p < 2 terms (SolverConfig's too)
+_SPIKE_BLOCK = 8    # block size of a tridiagonal free block (the SPIKE solve's)
 
 
 def _as_expr(e) -> Expression | None:
@@ -204,12 +205,18 @@ class EnergyAssembler:
         # the mesh-constant part of the gradient tangent: grad phi_b . grad phi_d
         sg = mesh.shape_gradients
         self._gram = np.einsum("cbk,cdk->cbd", sg, sg)
+        # the mass term's bary_b bary_d at each quadrature point, (nqc, (N+1)^2)
+        self._bary_outer = np.einsum("qb,qd->qbd", self.bary, self.bary).reshape(
+            self.bary.shape[0], -1)
         # flat cell-matrix entries joining two interior vertices, with their
         # flat index in the block-tridiagonal storage of the free (ni x ni)
         # block: vertices are numbered lexicographically on a tensor grid, so
         # the block has a small half-bandwidth, and a block row of m >= that
-        # width couples only to the block rows next to it; m >= sqrt(ni)
-        # keeps the block count, the solve's sequential steps, <= sqrt(ni)
+        # width couples only to the block rows next to it.  A tridiagonal
+        # block (band == 1, every 1D mesh) takes the fixed m = _SPIKE_BLOCK,
+        # so its SPIKE solve costs O(ni m^2) in LAPACK and O(ni/m) Python
+        # steps; a wider band takes m >= sqrt(ni), which keeps the block
+        # count, the block Thomas solve's sequential steps, <= sqrt(ni)
         ni = self.interior.size
         free = np.full(mesh.num_vertices, -1)
         free[self.interior] = np.arange(ni)
@@ -219,7 +226,10 @@ class EnergyAssembler:
         self._entries = np.flatnonzero((rows >= 0) & (cols >= 0))
         rows, cols = rows[self._entries], cols[self._entries]
         self.band = int(np.max(np.abs(rows - cols), initial=0))   # _block_solve reads it
-        m = max(self.band, math.ceil(math.sqrt(ni)), 1)
+        if self.band == 1:
+            m = min(ni, _SPIKE_BLOCK)
+        else:
+            m = max(self.band, math.ceil(math.sqrt(ni)), 1)
         nb = -(-ni // m)
         self._block_shape = (3, nb, m, m)
         self._block_index = ((((cols // m - rows // m + 1) * nb + rows // m) * m
@@ -338,7 +348,7 @@ class EnergyAssembler:
             coef -= self.mu * self.g.eval_dt(self.pts, uq)
         if np.any(coef):
             wcoef = self.wq * coef.reshape(self.wq.shape)
-            M += np.einsum("cq,qb,qd->cbd", wcoef, self.bary, self.bary)
+            M += (wcoef @ self._bary_outer).reshape(M.shape)
         blocks = np.bincount(self._block_index, weights=M.reshape(-1)[self._entries],
                              minlength=math.prod(self._block_shape))
         blocks[self._block_pad] = 1.0

@@ -14,14 +14,16 @@ lexicographically, so the block is banded), and a block Thomas solve
 it carries only the band columns through which neighbouring block rows
 couple, so it costs O(ni m (m + band)) for blocks of size m >= band (the
 half-bandwidth) against O(ni^3) dense.  A tridiagonal block (band == 1,
-every 1D mesh) is solved by the SPIKE partition instead (_spike_solve;
-Polizzi & Sameh, Parallel Computing 32 (2006) 177-194): one LAPACK call
-for all nb diagonal blocks at once and O(nb) Python steps on the block-end
-values, in place of nb sequential block solves.  For p > 2 phi''
-degenerates at u = 0, and Euler's identity phi''(v) v = (p-1) phi'(v) for the
-p-homogeneous phi makes the full Newton step only contract v by
-(p-2)/(p-1) where phi dominates; after a full step the descent also tries
-the Euler-exact step (p-1) dv.
+every 1D mesh) comes in blocks of the fixed size m = energy._SPIKE_BLOCK
+and is solved by the SPIKE partition instead (_spike_solve; Polizzi &
+Sameh, Parallel Computing 32 (2006) 177-194): one LAPACK call for all
+nb = ni/m diagonal blocks at once, O(ni m^2) work, and O(nb) Python steps
+on the block-end values, in place of nb sequential block solves, so the
+1D Newton solve is O(ni).  For p > 2 phi'' degenerates at u = 0, and
+Euler's identity phi''(v) v = (p-1) phi'(v) for the p-homogeneous phi
+makes the full Newton step only contract v by (p-2)/(p-1) where phi
+dominates; after a full step the descent also tries the Euler-exact step
+(p-1) dv.
 """
 from __future__ import annotations
 
@@ -163,15 +165,16 @@ def _block_solve(blocks: np.ndarray, rhs: np.ndarray, band: int) -> np.ndarray:
     _spike_solve (the SPIKE partition; Polizzi & Sameh, Parallel Computing
     32 (2006) 177-194): one LAPACK call over all nb diagonal blocks and
     O(nb) Python steps, in place of nb sequential np.linalg.solve calls.
-    The LAPACK work stays O(nb m^3) = O(ni^2) for m = sqrt(ni)."""
+    With the fixed 1D block size m = energy._SPIKE_BLOCK that is
+    O(nb m^3) = O(ni m^2) LAPACK work and O(ni/m) Python steps: O(ni)."""
     if band == 1:
         return _spike_solve(blocks, rhs)
     sub, diag, sup = blocks
     nb, m = diag.shape[:2]
     lo = m - band                       # first column of L_k that can be nonzero
-    rhs_k = np.empty((nb, m, band + 1))
+    rhs_k = np.zeros((nb, m, band + 1))
     rhs_k[:, :, :band] = sup[:, :, :band]
-    rhs_k[:, :, band] = np.pad(rhs, (0, nb * m - rhs.size)).reshape(nb, m)
+    rhs_k.reshape(nb * m, band + 1)[:rhs.size, band] = rhs
     xy = np.empty_like(rhs_k)           # [X_k | y_k], X_k's first band columns
     for k in range(nb):
         S = diag[k].copy()
@@ -197,7 +200,8 @@ def _spike_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     once (LAPACK pivots inside each block); a forward and a backward scalar
     recurrence on the 2 nb block-end values, s_{k-1} = alpha + beta t_k and
     t_k = gamma_k + delta_k t_{k+1}, then fix the couplings, and one
-    broadcast forms every x_k: one LAPACK call and O(nb) Python steps.
+    broadcast forms every x_k: one LAPACK call of O(nb m^3) work and O(nb)
+    Python steps, O(ni) in all for the fixed m of a 1D mesh.
     A singular D_k raises np.linalg.LinAlgError, an exactly zero interface
     pivot ZeroDivisionError."""
     sub, diag, sup = blocks
@@ -205,7 +209,7 @@ def _spike_solve(blocks: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     r = np.zeros((nb, m, 3))
     r[:, 0, 0] = 1.0
     r[:, m - 1, 1] = 1.0
-    r[:, :, 2] = np.pad(rhs, (0, nb * m - rhs.size)).reshape(nb, m)
+    r.reshape(nb * m, 3)[:rhs.size, 2] = rhs
     y = np.linalg.solve(diag, r)        # [D_k^-1 e_0 | D_k^-1 e_{m-1} | D_k^-1 z_k]
     a = sub[:, 0, m - 1].tolist()       # a_0 meets s_{-1} = 0
     c = sup[:, m - 1, 0].tolist()       # c_{nb-1} meets t_nb = 0

@@ -130,11 +130,6 @@ class EmbeddingEstimate:
     k_upper: float
     witness: DiscreteFunction  # point-load solution whose ratio is k_lower
 
-    @property
-    def k(self) -> float:
-        """Value used by certificates: the upper bound (conservative)."""
-        return self.k_upper
-
 
 def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
                   mesh: Mesh) -> float:

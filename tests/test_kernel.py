@@ -154,8 +154,10 @@ class TestGatherKernel:
 
 def bordered_reference(asm, v, include_sources):
     """The tangent as assembled before condensation: every cell-matrix entry
-    (Gram rebuilt per call, three-operand mass einsum) summed into nv x nv,
-    then the boundary rows and columns zeroed and 1 put on their diagonal."""
+    (Gram rebuilt per call; mass term one matmul of the weighted coefficients
+    against the bary_b bary_d table, the product EnergyAssembler.tangent
+    forms, so the bits agree) summed into nv x nv, then the boundary rows and
+    columns zeroed and 1 put on their diagonal."""
     mesh, p, eps, nv = asm.mesh, asm.p, asm.eps_reg, v.size
     uqc, g = _gather(mesh, v)
     uq = uqc.reshape(-1)
@@ -172,7 +174,8 @@ def bordered_reference(asm, v, include_sources):
         coef -= asm.lam * asm.f.eval_dt(asm.pts, uq)
         coef -= asm.mu * asm.g.eval_dt(asm.pts, uq)
     wcoef = asm.wq * coef.reshape(asm.wq.shape)
-    M += np.einsum("cq,qb,qd->cbd", wcoef, asm.bary, asm.bary)
+    outer = np.einsum("qb,qd->qbd", asm.bary, asm.bary).reshape(asm.bary.shape[0], -1)
+    M += (wcoef @ outer).reshape(M.shape)
     pairs = (mesh.cells[:, :, None] * nv + mesh.cells[:, None, :]).reshape(-1)
     A = np.bincount(pairs, weights=M.reshape(-1), minlength=nv * nv).reshape(nv, nv)
     bnd = np.flatnonzero(mesh.boundary_vertices)

@@ -6,7 +6,8 @@ import pytest
 
 from wplap import solver
 from wplap.certificate import build_ustar, compute_r
-from wplap.energy import EnergyAssembler, _densify, make_nonlinearity, weak_form_gap
+from wplap.energy import (_SPIKE_BLOCK, EnergyAssembler, _densify, make_nonlinearity,
+                          weak_form_gap)
 from wplap.geometry import BallSpec, Domain, build_mesh
 from wplap.solver import (
     SolutionRecord,
@@ -192,40 +193,45 @@ class TestSolveTangent:
             assert solver._solve_tangent(asm, v, res) is None
 
     def test_1d_step_is_one_lapack_call(self, monkeypatch):
-        # the scan1d mesh: ni = 515 in nb = 23 blocks of m = 23; the block
-        # Thomas sweep made one np.linalg.solve call per block
+        # the scan1d mesh: ni = 515 in nb = 65 blocks of m = 8, the last
+        # padded; the block Thomas sweep made one np.linalg.solve call per block
         mesh = build_mesh(UNIT, 1 / 512, breakpoints=(0.3, 0.4, 0.6, 0.7))
         asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, shipped_f(), shipped_g())
         v = 0.75 * np.sin(PI * mesh.vertices[:, 0])
         res = asm.residual(v)
         solves = count_calls(monkeypatch, np.linalg, "solve")
         dv = solver._solve_tangent(asm, v, res)
-        assert asm.tangent(v, free=True).shape[1] == 23 and len(solves) == 1
+        assert asm.tangent(v, free=True).shape[1:3] == (65, 8) and len(solves) == 1
         np.testing.assert_allclose(asm.tangent(v) @ dv, -res, rtol=0,
                                    atol=1e-10 * np.max(np.abs(res)))
 
     def test_zero_interface_pivot_is_none(self, monkeypatch):
-        # ni = 4 in nb = 2 blocks of m = 2, each block invertible; the
-        # interface pivot 1 - a_1 (D_1^-1)_00 c_0 (D_0^-1)_11 = 1 - 4 * 0.5 * 0.5
-        # is exactly 0, so the whole block is singular
-        mesh = build_mesh(UNIT, 1 / 5)
+        # ni = 16 in nb = 2 blocks of m = _SPIKE_BLOCK = 8, each invertible:
+        # D_1 = L L^T for L = I minus the subdiagonal has (D_1^-1)_00 = 8, and
+        # D_0, its flip, (D_0^-1)_77 = 8; the interface pivot
+        # 1 - a_1 (D_1^-1)_00 c_0 (D_0^-1)_77 = 1 - (1/8) 8 (1/8) 8 is
+        # exactly 0, so the whole block is singular
+        mesh = build_mesh(UNIT, 1 / 17)
         asm = EnergyAssembler(mesh, ONE, 2.0)
         blocks = np.zeros(asm.tangent(np.zeros(mesh.num_vertices), free=True).shape)
-        assert blocks.shape == (3, 2, 2, 2) and asm.band == 1
-        blocks[1] = [[[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]]]
-        blocks[0, 1, 0, 1] = blocks[2, 0, 1, 0] = 0.5
+        assert blocks.shape == (3, 2, _SPIKE_BLOCK, _SPIKE_BLOCK) and asm.band == 1
+        lower = np.eye(_SPIKE_BLOCK) - np.eye(_SPIKE_BLOCK, k=-1)
+        blocks[1, 1] = lower @ lower.T
+        blocks[1, 0] = blocks[1, 1, ::-1, ::-1]
+        blocks[0, 1, 0, -1] = blocks[2, 0, -1, 0] = 1 / 8
         monkeypatch.setattr(asm, "tangent", lambda *a, **kw: blocks)
         v = np.zeros(mesh.num_vertices)
         assert solver._solve_tangent(asm, v, np.ones(mesh.num_vertices)) is None
 
-    @pytest.mark.parametrize("case", ["1d-indefinite", "1d-one-block", "2d-p3", "2d-graded",
-                                      "2d-long"])
+    @pytest.mark.parametrize("case", ["1d-indefinite", "1d-one-block", "1d-padded", "2d-p3",
+                                      "2d-graded", "2d-long"])
     def test_block_solve_matches_dense_solve(self, case):
         # the graded mesh has ni = 324 and m = 19, so the last block is padded;
         # the long box has band 5 < m = 13, so only part of each block couples;
-        # h = 1/3 gives ni = 2 in one block, with no interface to solve
+        # h = 1/3 gives ni = 2 in one block, with no interface to solve, and
+        # h = 1/30 gives ni = 29 in 4 blocks of 8, the last padded
         if case.startswith("1d"):
-            h = 1 / 256 if case == "1d-indefinite" else 1 / 3
+            h = {"1d-indefinite": 1 / 256, "1d-one-block": 1 / 3, "1d-padded": 1 / 30}[case]
             mesh, p, lam = build_mesh(UNIT, h), 2.0, 60.0
             v = 0.75 * np.sin(PI * mesh.vertices[:, 0])
         else:
@@ -241,8 +247,8 @@ class TestSolveTangent:
         dense = _densify(blocks, ni)
         if case == "1d-indefinite":
             assert np.sum(np.linalg.eigvalsh(dense) < 0) >= 1
-        if case == "2d-graded":
-            assert ni % blocks.shape[2] != 0
+        if case in ("2d-graded", "1d-padded"):
+            assert ni % blocks.shape[2] != 0 and blocks.shape[1] > 2
         if case == "1d-one-block":
             assert blocks.shape[1] == 1 and ni == 2
         if case in ("1d-indefinite", "2d-long"):
@@ -251,6 +257,19 @@ class TestSolveTangent:
         got = solver._block_solve(blocks, rhs, asm.band)
         want = np.linalg.solve(dense, rhs)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_block_sizes(self):
+        # a tridiagonal block keeps m = _SPIKE_BLOCK at every 1D size (the
+        # sweep's nv and 4101); a wider band keeps m = max(band, ceil(sqrt(ni))):
+        # 15 on box2d, 13 on the long box
+        for h, nv in ((1 / 256, 261), (1 / 512, 517), (1 / 1024, 1029), (1 / 4096, 4101)):
+            mesh = build_mesh(UNIT, h, breakpoints=(0.3, 0.4, 0.6, 0.7))
+            asm = EnergyAssembler(mesh, ONE, 2.0)
+            assert mesh.num_vertices == nv and asm.band == 1
+            assert asm._block_shape[2:] == (_SPIKE_BLOCK, _SPIKE_BLOCK)
+        for box, m in (((0.0, 1.0, 0.0, 1.0), 15), ((0.0, 3.0, 0.0, 0.3), 13)):
+            asm = EnergyAssembler(build_mesh(Domain.box(*box), 0.1), ONE, 3.0)
+            assert asm._block_shape[2:] == (m, m)
 
 
 class TestMinimizeEnergy:

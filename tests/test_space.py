@@ -161,7 +161,6 @@ class TestEstimateK:
         assert est.k_lower >= math.sqrt(3 / 13) - 1e-12
         assert est.k_upper == pytest.approx(0.5, abs=1e-12)
         assert est.k_lower <= est.k_upper
-        assert est.k == est.k_upper
 
     def test_witness_achieves_lower(self):
         mesh = interval_mesh(1 / 64)
