@@ -72,14 +72,23 @@ def _problem_spec(cfg: RunConfig) -> ProblemSpec | None:
 
 # -- writers / readers ----------------------------------------------------
 
-def _write_table(path, header, rows):
-    """One CSV file in a single write: the header, then rows of labels and
+def _write_table(path, header, columns):
+    """One CSV file in a single write: the header, then one row per entry of
+    the columns, each a sequence of cell texts (see _columns), labels or
     Python floats and ints (as from ndarray.tolist()), each written with str
     (for a float its repr, as _fmt writes it), and CRLF line ends as
     csv.writer writes them."""
-    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    rows = map(",".join, zip(*(map(str, column) for column in columns)))
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+        fh.write("\r\n".join([",".join(header), *rows]) + "\r\n")
+
+
+def _columns(points) -> list:
+    """The cell texts of points (n,) or (n, N), one list per coordinate: a
+    mesh's vertices or the oracle's march grid, formed once per command for
+    every file that lists them."""
+    columns = np.atleast_2d(np.asarray(points, dtype=float).T)
+    return [list(map(str, col)) for col in columns.tolist()]
 
 
 def _read_table(path, what: str, header_ok, min_rows: int = 0) -> list:
@@ -92,10 +101,11 @@ def _read_table(path, what: str, header_ok, min_rows: int = 0) -> list:
     return rows[1:]
 
 
-def write_solution_csv(path, u: DiscreteFunction):
+def write_solution_csv(path, u: DiscreteFunction, coords: list | None = None):
+    """u at its mesh's vertices; coords, when given, is _columns(u.mesh.vertices)."""
     mesh = u.mesh
     _write_table(path, [f"x{i + 1}" for i in range(mesh.dim)] + ["u"],
-                 np.column_stack([mesh.vertices, u.values]).tolist())
+                 [*(coords or _columns(mesh.vertices)), u.values.tolist()])
 
 
 def read_solution_csv(path):
@@ -117,7 +127,7 @@ def write_constants_csv(path, report: CertificateReport):
     rows += [("sandwich_margin_lower", float(lower)), ("sandwich_margin_upper", float(upper))]
     rows += [(f"{key}[{label}]", float(val))
              for label, var in c.k_variants.items() for key, val in var.items()]
-    _write_table(path, ["name", "value"], rows)
+    _write_table(path, ["name", "value"], zip(*rows))
 
 
 def read_constants_csv(path) -> dict:
@@ -190,7 +200,7 @@ def _scan_row(cell) -> list:
 
 
 def write_scan_summary(path, cells):
-    _write_table(path, _SCAN_COLUMNS, [_scan_row(cell) for cell in cells])
+    _write_table(path, _SCAN_COLUMNS, zip(*map(_scan_row, cells)))
 
 
 def read_scan_summary(path) -> list:
@@ -202,10 +212,9 @@ def read_scan_summary(path) -> list:
 
 
 def write_oracle_profile(path, profile: ShootingProfile):
-    rows = np.column_stack([profile.sigma_grid, profile.terminal_values]).tolist()
-    for row, dv in zip(rows, profile.diverged.tolist()):
-        row.append(int(dv))
-    _write_table(path, ["sigma", "terminal", "diverged"], rows)
+    _write_table(path, ["sigma", "terminal", "diverged"],
+                 [profile.sigma_grid.tolist(), profile.terminal_values.tolist(),
+                  profile.diverged.astype(int).tolist()])
 
 
 def read_oracle_profile(path):
@@ -217,8 +226,9 @@ def read_oracle_profile(path):
     return sigma, terminal, diverged
 
 
-def write_oracle_root_csv(path, root):
-    _write_table(path, ["x1", "u"], np.column_stack([root.x, root.u]).tolist())
+def write_oracle_root_csv(path, root, grid: list | None = None):
+    """A root's profile; grid, when given, is _columns(root.x)."""
+    _write_table(path, ["x1", "u"], [*(grid or _columns(root.x)), root.u.tolist()])
 
 
 # -- subcommands ----------------------------------------------------------
@@ -305,9 +315,10 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     lines = ["status = ok", f"lambda = {_fmt(lam)}", f"mu = {_fmt(mu)}",
              f"count = {sset.count}", f"count_nontrivial = {sset.count_nontrivial}",
              f"rho_observed = {_fmt(sset.rho_observed)}", ""]
+    coords = _columns(asm.mesh.vertices)
     for i, rec in enumerate(distinct):
         name = f"solution_{i:03d}.csv"
-        write_solution_csv(out / name, rec.u)
+        write_solution_csv(out / name, rec.u, coords)
         lines += [f"[solution_{i:03d}]", f"file = {name}",
                   f"classification = {rec.classification}",
                   f"energy = {_fmt(rec.energy)}",
@@ -338,13 +349,14 @@ def cmd_scan(cfg: RunConfig, out: Path) -> int:
     lines.append("lambda_window = " + "; ".join(
         f"({lam:g}, {mu:g})" for lam, mu in result.lambda_window))
     lines.append("")
+    coords = _columns(asm.mesh.vertices)
     for ci, cell in enumerate(result.cells):
         # str of a float is its repr, as _fmt writes it
         lines += [f"[cell_{ci:03d}]"] + [f"{key} = {value}" for key, value
                                           in zip(_SCAN_COLUMNS, _scan_row(cell))]
         for si, rec in enumerate(cell.solutions.distinct_records()):
             name = f"scan_c{ci:03d}_s{si}.csv"
-            write_solution_csv(out / name, rec.u)
+            write_solution_csv(out / name, rec.u, coords)
             lines.append(f"solution_{si} = {name} "
                          f"({rec.classification}, energy={_fmt(rec.energy)}, "
                          f"residual={_fmt(rec.residual_norm)})")
@@ -374,9 +386,11 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
              f"n_scan = {cfg.n_scan}", f"roots = {len(profile.roots)}",
              f"degenerate_flat = {profile.degenerate_flat}",
              f"unconverged_brackets = {len(profile.unconverged)}", ""]
+    grid = None    # every root is marched on the same grid
     for i, root in enumerate(profile.roots):
         name = f"oracle_root_{i:03d}.csv"
-        write_oracle_root_csv(out / name, root)
+        grid = grid or _columns(root.x)
+        write_oracle_root_csv(out / name, root, grid)
         lines += [f"[root_{i:03d}]", f"file = {name}", f"sigma = {_fmt(root.sigma)}",
                   f"terminal = {_fmt(root.terminal)}",
                   f"sup_norm = {_fmt(np.max(np.abs(root.u)))}", ""]

@@ -388,14 +388,15 @@ class Expression:
             raise ParseError(f"variable {exc.name!r} not available here") from None
 
     def at(self, x, **values) -> np.ndarray:
-        """The expression at points x (..., N), x1..xN read from the last
+        """The expression at points x (..., N), x1 and x2 read from the last
         axis, and the other variables given as arrays (t=..., tau=...): a
-        float array of the broadcast shape of all of them."""
+        float array of the broadcast shape of all of them, from one call."""
         x = np.asarray(x, dtype=float)
-        env = {f"x{i + 1}": x[..., i] for i in range(x.shape[-1])}
-        env.update((name, np.asarray(v, dtype=float)) for name, v in values.items())
+        env = {name: x[..., i] for i, name in zip(range(x.shape[-1]), ("x1", "x2"))}
+        for name, v in values.items():
+            env[name] = np.asarray(v, dtype=float)
         out = np.asarray(self(**env), dtype=float)
-        shape = np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+        shape = np.broadcast(*env.values()).shape
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def __reduce__(self):

@@ -267,24 +267,26 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
     Returns (v, scaled residual, converged flag, energy at v)."""
 
     def onto_level(u):
-        if level is not None:
-            ph = asm.phi(u)
-            if ph > level:
-                return u * (level / ph) ** (1.0 / asm.p)
-        return u
+        """(u moved onto the level set, phi(u) when u was not moved else None)."""
+        if level is None:
+            return u, None
+        ph = asm.phi(u)
+        if ph > level:
+            return u * (level / ph) ** (1.0 / asm.p), None
+        return u, ph
 
-    def converged(v, rn):
-        return rn <= config.residual_tol and (
-            level is None or asm.phi(v) < level * (1.0 - 1e-10))
+    def converged(v, rn, ph=None):
+        return rn <= config.residual_tol and (level is None or (
+            asm.phi(v) if ph is None else ph) < level * (1.0 - 1e-10))
 
-    v = onto_level(v0.copy())
+    v, ph = onto_level(v0.copy())
     E = asm.energy(v)
     for _ in range(config.max_iter):
         if E < -1.0 / config.residual_tol:
             raise CoercivityError(f"energy diverged to {E:.3e}")
         res = asm.residual(v)
         rn = asm.residual_norm(res)
-        if converged(v, rn):
+        if converged(v, rn, ph):
             return v, rn, True, E
         dv = _solve_tangent(asm, v, res)
         if dv is None or float(res @ dv) >= 0.0:
@@ -296,42 +298,41 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
         slope = float(res @ dv)
         alpha, accepted = 1.0, False
         while alpha > 1e-14:
-            cand = onto_level(v + alpha * dv)
+            cand, phc = onto_level(v + alpha * dv)
             Ec = asm.energy(cand)
             if Ec <= E + _SUFFICIENT_DECREASE * alpha * min(slope, 0.0):
                 # a step that leaves E bitwise unchanged sits at the energy's
                 # rounding floor, where taking it would repeat until max_iter
                 accepted = Ec < E
                 if accepted and alpha == 1.0 and asm.p > 2.0:
-                    ext = onto_level(v + (asm.p - 1.0) * dv)
+                    ext, phe = onto_level(v + (asm.p - 1.0) * dv)
                     Ee = asm.energy(ext)
                     if Ee < Ec:
-                        cand, Ec = ext, Ee
+                        cand, phc, Ec = ext, phe, Ee
                 if accepted:
-                    v, E = cand, Ec
+                    v, ph, E = cand, phc, Ec
                 break
             alpha *= _BACKTRACK
         if not accepted:
             # stationary for this line search (possibly constrained) or stalled
-            vp = _polish(asm, v, config)
-            if vp is not None:
-                rp = asm.residual_norm(asm.residual(vp))
+            polished = _polish(asm, v, config)
+            if polished is not None:
+                vp, rp = polished
                 if converged(vp, rp) and not _apart(config.delta_dist, [v])(_sup(vp - v)):
                     return vp, rp, True, asm.energy(vp)
             return v, rn, False, E
-    res = asm.residual(v)
-    rn = asm.residual_norm(res)
-    return v, rn, converged(v, rn), E
+    rn = asm.residual_norm(asm.residual(v))
+    return v, rn, converged(v, rn, ph), E
 
 
-def _record(asm: EnergyAssembler, v: np.ndarray, classification: str,
-            converged: bool = True, inconclusive: bool = False) -> SolutionRecord:
-    u = DiscreteFunction(asm.mesh, v)
-    res = asm.residual(u.values)
+def _record(asm: EnergyAssembler, v: np.ndarray, residual_norm: float, energy: float,
+            classification: str, converged: bool = True,
+            inconclusive: bool = False) -> SolutionRecord:
+    """The record of v, whose scaled residual and energy its search computed."""
     return SolutionRecord(
-        u=u, lam=asm.lam, mu=asm.mu, residual_norm=asm.residual_norm(res),
-        energy=asm.energy(u.values), classification=classification,
-        norm=asm.norm_p(u.values) ** (1.0 / asm.p), converged=converged,
+        u=DiscreteFunction(asm.mesh, v), lam=asm.lam, mu=asm.mu,
+        residual_norm=residual_norm, energy=energy, classification=classification,
+        norm=asm.norm_p(v) ** (1.0 / asm.p), converged=converged,
         inconclusive=inconclusive)
 
 
@@ -378,14 +379,13 @@ def _best_descent(asm: EnergyAssembler, seeds, config: SolverConfig,
                   level: float | None = None):
     """Descend from every seed and keep the best result: converged before
     unconverged, then strictly lower energy, so the first seed wins a tie.
-    Returns (v, scaled residual, converged)."""
+    Returns _descend's (v, scaled residual, converged, energy) of the best."""
     best = None
     for seed in seeds:
-        v, rn, ok, E = _descend(asm, seed, config, level)
-        rank = (not ok, E)
-        if best is None or rank < best[0]:
-            best = (rank, v, rn, ok)
-    return best[1:]
+        out = _descend(asm, seed, config, level)
+        if best is None or (not out[2], out[3]) < (not best[2], best[3]):
+            best = out
+    return best
 
 
 def minimize_energy(asm: EnergyAssembler, config: SolverConfig = SolverConfig(),
@@ -395,11 +395,11 @@ def minimize_energy(asm: EnergyAssembler, config: SolverConfig = SolverConfig(),
     seeds = _multistart_seeds(asm.mesh, ustar, config)
     if ustar is not None:
         seeds.insert(2, -ustar.values)
-    v, rn, ok = _best_descent(asm, seeds, config)
+    v, rn, ok, E = _best_descent(asm, seeds, config)
     if not ok:
         raise SolverFailure("no multistart run converged",
                             best=DiscreteFunction(asm.mesh, v), residual_norm=rn)
-    return _record(asm, v, "global-min-candidate")
+    return _record(asm, v, rn, E, "global-min-candidate")
 
 
 def sublevel_minimize(asm: EnergyAssembler, r: float,
@@ -410,31 +410,34 @@ def sublevel_minimize(asm: EnergyAssembler, r: float,
     boundary point is returned with converged=False."""
     if r <= 0:
         raise ValueError("sublevel radius must be positive")
-    v, _, ok = _best_descent(asm, _multistart_seeds(asm.mesh, ustar, config), config, r)
-    return _record(asm, v, "sublevel-min", converged=ok)
+    v, rn, ok, E = _best_descent(asm, _multistart_seeds(asm.mesh, ustar, config), config, r)
+    return _record(asm, v, rn, E, "sublevel-min", converged=ok)
 
 
 def _polish(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig):
-    # Newton on the residual norm; indefinite Hessian is fine at a saddle
+    """Newton on the residual norm from v0 (an indefinite Hessian is fine at
+    a saddle): (v, scaled residual) at residual tolerance, else None."""
     v = v0.copy()
+    res = asm.residual(v)
+    rn = asm.residual_norm(res)
     for _ in range(60):
-        res = asm.residual(v)
-        rn = asm.residual_norm(res)
         if rn <= config.residual_tol:
-            return v
+            return v, rn
         dv = _solve_tangent(asm, v, res)
         if dv is None:
             return None
-        beta, ok = 1.0, False
+        beta = 1.0
         while beta > 1e-12:
             cand = v + beta * dv
-            if asm.residual_norm(asm.residual(cand)) < rn:
-                v, ok = cand, True
+            res_c = asm.residual(cand)
+            rn_c = asm.residual_norm(res_c)
+            if rn_c < rn:
                 break
             beta *= 0.5
-        if not ok:
+        else:
             return None
-    return v if asm.residual_norm(asm.residual(v)) <= config.residual_tol else None
+        v, res, rn = cand, res_c, rn_c
+    return (v, rn) if rn <= config.residual_tol else None
 
 
 def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunction,
@@ -451,20 +454,20 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
     if not apart(_sup(u_a.values - u_b.values)):
         raise ValueError("mountain pass endpoints must be distinct")
 
-    E_end = max(asm.energy(u_a.values), asm.energy(u_b.values))
-
-    def _acceptable(v: np.ndarray) -> bool:
-        if asm.energy(v) < E_end - 1e-9 * (1.0 + abs(E_end)):
-            return False
-        return all(apart(_sup(v - end)) for end in ends)
-
     samples = [(1 - t) * u_a.values + t * u_b.values
                for t in np.linspace(0, 1, _SEGMENT_SAMPLES)]
-    peak = samples[int(np.argmax([asm.energy(v) for v in samples]))]
-    cand = _polish(asm, peak, config)
-    if cand is not None and _acceptable(cand):
-        return _record(asm, cand, "mountain-pass")
-    return _record(asm, peak, "mountain-pass", converged=False, inconclusive=True)
+    energies = [asm.energy(v) for v in samples]
+    E_end = max(energies[0], energies[-1])     # the samples at t = 0, 1 are u_a, u_b
+    k = int(np.argmax(energies))
+    polished = _polish(asm, samples[k], config)
+    if polished is not None:
+        v, rn = polished
+        E = asm.energy(v)
+        if E >= E_end - 1e-9 * (1.0 + abs(E_end)) and all(apart(_sup(v - end)) for end in ends):
+            return _record(asm, v, rn, E, "mountain-pass")
+    rn = asm.residual_norm(asm.residual(samples[k]))
+    return _record(asm, samples[k], rn, energies[k], "mountain-pass", converged=False,
+                   inconclusive=True)
 
 
 @dataclass

@@ -12,11 +12,15 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wplap import certificate, cli, config, space
 from wplap.cli import (
@@ -28,8 +32,11 @@ from wplap.cli import (
     read_solution_csv,
 )
 from wplap.config import _SCHEMA, load_config
-from wplap.oracle1d import enumerate_solutions
-from wplap.solver import SolverConfig
+from wplap.energy import EnergyAssembler
+from wplap.geometry import Domain, build_mesh
+from wplap.oracle1d import ShootingProfile, ShootingRoot, enumerate_solutions
+from wplap.solver import SolverConfig, solve_cell
+from wplap.space import DiscreteFunction
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED = REPO / "configs" / "three_solutions_1d.cfg"
@@ -277,6 +284,31 @@ class TestSolve:
         assert "at lambda=2000, mu=0" in capsys.readouterr().out
         assert_matches_golden(tmp_path / "out", "solve2d")
 
+    @pytest.mark.parametrize("lift", [(), BOX2D], ids=["shipped", "box2d"])
+    def test_records_carry_their_search_values(self, tmp_path, lift):
+        # each record's energy and scaled residual are bitwise those at its u
+        cfg = load_config(variant(tmp_path, "cell.cfg", *lift))
+        asm, _, r, ustar = cli._solver_inputs(cfg, [cfg.run_lambda], [cfg.run_mu])
+        records, _ = solve_cell(asm, r, config=cfg.solver, ustar=ustar)
+        assert [rec.classification for rec in records] == \
+            ["global-min-candidate", "sublevel-min", "mountain-pass"]
+        for rec in records:
+            assert rec.energy == asm.energy(rec.u.values)
+            assert rec.residual_norm == asm.residual_norm(asm.residual(rec.u.values))
+
+    def test_shipped_solve_evaluates_no_record_again(self, tmp_path, monkeypatch):
+        # the records take the energies and residuals their searches computed,
+        # and the mountain pass its endpoints' energies from its segment samples
+        # (54 energies and 23 residuals when each was evaluated again)
+        calls = Counter()
+        for name in ("energy", "residual"):
+            def counted(asm, v, _method=getattr(EnergyAssembler, name), _name=name):
+                calls[_name] += 1
+                return _method(asm, v)
+            monkeypatch.setattr(EnergyAssembler, name, counted)
+        assert run_cli("solve", "--config", SHIPPED, "--out", tmp_path) == 0
+        assert calls == {"energy": 49, "residual": 18}
+
     def test_lambda_mu_overrides(self, tmp_path):
         code = run_cli("solve", "--config", SHIPPED, "--out", tmp_path,
                        "--lambda", "0.0", "--mu", "0.0")
@@ -378,6 +410,73 @@ class TestScan:
         code = run_cli("scan", "--config", LINEAR, "--out", tmp_path)
         assert code == 64
         assert "non-empty [lambda_grid]" in capsys.readouterr().err
+
+
+# a float's repr at its edges: signed zero, the smallest subnormal, the
+# largest double, the infinities and nan
+_EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+_floats = st.floats() | st.sampled_from(_EDGE_FLOATS)
+
+
+def _float_array(data, shape):
+    return np.array(data.draw(st.lists(_floats, min_size=math.prod(shape),
+                                       max_size=math.prod(shape)))).reshape(shape)
+
+
+def row_format(header, rows) -> bytes:
+    """The bytes of the row formatting the column writer replaced:
+    ",".join(map(str, row)) per row, CRLF line ends."""
+    lines = [",".join(header)] + [",".join(map(str, row)) for row in rows]
+    return ("\r\n".join(lines) + "\r\n").encode()
+
+
+class TestCsvWriter:
+    """_write_table writes columns: coordinates as the text _columns forms
+    once per command, the other columns as tolist() values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), n=st.integers(1, 9), data=st.data())
+    def test_solution_columns_match_row_format(self, tmp_path_factory, dim, n, data):
+        pts, vals = _float_array(data, (n, dim)), _float_array(data, (n,))
+        u = SimpleNamespace(mesh=SimpleNamespace(dim=dim, vertices=pts), values=vals)
+        path = tmp_path_factory.mktemp("csv") / "u.csv"
+        cli.write_solution_csv(path, u)
+        header = [f"x{i + 1}" for i in range(dim)] + ["u"]
+        assert path.read_bytes() == row_format(header, np.column_stack([pts, vals]).tolist())
+        cli.write_solution_csv(path, u, cli._columns(pts))
+        assert path.read_bytes() == row_format(header, np.column_stack([pts, vals]).tolist())
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 9), data=st.data())
+    def test_oracle_columns_match_row_format(self, tmp_path_factory, n, data):
+        sigma, terminal, x = (_float_array(data, (n,)) for _ in range(3))
+        diverged = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                            dtype=bool)
+        path = tmp_path_factory.mktemp("csv") / "p.csv"
+        cli.write_oracle_profile(path, ShootingProfile(sigma, terminal, diverged, []))
+        assert path.read_bytes() == row_format(
+            ["sigma", "terminal", "diverged"],
+            [[s, t, int(d)] for s, t, d in zip(sigma.tolist(), terminal.tolist(),
+                                                diverged.tolist())])
+        root = ShootingRoot(sigma=0.5, terminal=0.0, x=x, u=terminal)
+        want = row_format(["x1", "u"], np.column_stack([x, terminal]).tolist())
+        for grid in (None, cli._columns(x)):
+            cli.write_oracle_root_csv(path, root, grid)
+            assert path.read_bytes() == want
+
+    @pytest.mark.parametrize("domain, h", [(Domain.interval(0.0, 1.0), 1 / 16),
+                                           (Domain.box(0.0, 1.0, 0.0, 1.0), 0.25)])
+    def test_shared_coordinate_text_writes_the_same_bytes(self, tmp_path, domain, h):
+        mesh = build_mesh(domain, h)
+        funcs = [DiscreteFunction(mesh, np.sin(k * mesh.vertices).prod(axis=1))
+                 for k in (1.0, 3.0)]
+        coords = cli._columns(mesh.vertices)
+        for i, u in enumerate(funcs):
+            cli.write_solution_csv(tmp_path / f"shared_{i}.csv", u, coords)
+            cli.write_solution_csv(tmp_path / f"own_{i}.csv", u)
+            assert (tmp_path / f"shared_{i}.csv").read_bytes() == \
+                (tmp_path / f"own_{i}.csv").read_bytes()
+        assert (tmp_path / "own_0.csv").read_bytes() != (tmp_path / "own_1.csv").read_bytes()
 
 
 class TestOracle:

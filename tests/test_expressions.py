@@ -1,6 +1,7 @@
 import pickle
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -91,6 +92,68 @@ def test_pickle_round_trip():
 def test_t_dependent_exponent_rejected():
     with pytest.raises(ParseError):
         parse_expression("2^t").diff_t()
+
+
+# -- Expression.at -------------------------------------------------------------
+
+def count_calls(monkeypatch):
+    """Count every Expression.__call__, the call the benchmark's
+    expressions.eval span wraps."""
+    calls = []
+    call = Expression.__call__
+
+    def counted(self, **values):
+        calls.append(self)
+        return call(self, **values)
+    monkeypatch.setattr(Expression, "__call__", counted)
+    return calls
+
+
+_X2 = np.linspace(0.0, 1.0, 10).reshape(5, 2)
+
+
+@pytest.mark.parametrize("src, x, values, shape", [
+    ("t*x1 + x2", _X2, {"t": np.arange(5.0)}, (5,)),                 # x (m, N), t (m,)
+    ("t*x1", _X2[:, None, :1], {"t": np.arange(3.0)}, (5, 3)),      # x (m, 1, N), t (k,)
+    ("sin(t) + x1", np.array([0.25]), {"t": 0.5}, ()),             # one point: 0-d columns
+    ("x1", np.arange(4).reshape(4, 1), {}, (4,)),                    # int x
+    ("2.5", _X2, {"t": np.arange(5.0)}, (5,)),                       # constant
+    ("t", np.array([0.5]), {"t": np.arange(3)}, (3,)),               # int t, unread x
+    ("x1", _X2[:, :1], {"tau": np.zeros((2, 1, 1))}, (2, 1, 5)),     # unread value array
+])
+def test_at_is_float64_of_the_broadcast_shape(monkeypatch, src, x, values, shape):
+    calls = count_calls(monkeypatch)
+    out = parse_expression(src).at(x, **values)
+    assert type(out) is np.ndarray and out.dtype == np.float64 and out.shape == shape
+    assert out.flags.writeable and len(calls) == 1
+    out[...] = 0.0      # a broadcast result is a copy, not a view of its inputs
+
+
+def test_constant_at_is_a_writable_copy():
+    out = parse_expression("2.5").at(_X2, t=np.arange(5.0))
+    assert out.tolist() == [2.5] * 5
+    out[0] = 1.0
+    assert parse_expression("2.5").at(_X2, t=np.arange(5.0))[0] == 2.5
+
+
+def test_at_matches_call_bitwise_on_scan1d_points(monkeypatch):
+    # the quadrature points of the shipped instance at the benchmark's h = 1/512
+    from wplap.cli import build_problem_mesh
+    from wplap.config import load_config
+    from wplap.energy import EnergyAssembler
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "three_solutions_1d.cfg")
+    cfg.h = 1.0 / 512
+    pts = EnergyAssembler(build_problem_mesh(cfg), cfg.weight, cfg.p).pts
+    assert pts.shape == (2580, 1)
+    t = 1.5 * np.sin(np.pi * pts[:, 0]) + np.random.default_rng(7).normal(0.0, 0.1, 2580)
+    for e in (cfg.nl_f.f, cfg.nl_f.primitive, cfg.nl_f.f_t, cfg.nl_g.f,
+              parse_expression("t*x1 + clamp(x1, 0.2, 0.7)")):
+        calls = count_calls(monkeypatch)
+        got = e.at(pts, t=t)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert got.dtype == np.float64 and got.shape == t.shape
+        assert np.array_equal(got, np.broadcast_to(e(t=t, x1=pts[:, 0]), t.shape)), e
 
 
 # -- compiled evaluation against a tree walk ---------------------------------

@@ -485,8 +485,10 @@ class TestEnumerate:
         mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
         asm = EnergyAssembler(mesh, ONE, 1.5, 18.0, 0.0, f, g)
         v0 = profile_on_mesh(root, mesh, UNIT).values
-        v = _polish(asm, v0, SolverConfig())
-        assert v is not None
+        polished = _polish(asm, v0, SolverConfig())
+        assert polished is not None
+        v, rn = polished
+        assert rn <= SolverConfig().residual_tol
         assert np.max(np.abs(v - v0)) <= 1e-4
         assert np.max(np.abs(v)) > 0.5
 

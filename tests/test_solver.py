@@ -337,7 +337,7 @@ class TestMinimizeEnergy:
                             lambda asm_, v0, config_, level=None:
                             (v0, 0.0, starts[int(v0[1])][1], v0[0]))
         seeds = [np.array([E, i]) for i, (E, _) in enumerate(starts)]
-        v, _, ok = solver._best_descent(None, seeds, SolverConfig())
+        v, _, ok, _ = solver._best_descent(None, seeds, SolverConfig())
         assert v[1] == winner and ok == starts[winner][1]
 
     def test_no_converged_start_raises(self, monkeypatch):
@@ -533,6 +533,8 @@ class TestMountainPass:
         samples = [(1 - t) * ua + t * ub for t in np.linspace(0, 1, 33)]
         peak = samples[int(np.argmax([asm.energy(v) for v in samples]))]
         assert np.array_equal(rec.u.values, peak)
+        assert rec.energy == asm.energy(peak)
+        assert rec.residual_norm == asm.residual_norm(asm.residual(peak))
 
     def test_solve_cell_notes_failed_polish(self, monkeypatch):
         mesh = build_mesh(UNIT, 1 / 64, breakpoints=(0.3, 0.4, 0.6, 0.7))
