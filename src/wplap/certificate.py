@@ -27,7 +27,7 @@ import numpy as np
 from .energy import (_F_PANELS, _GL20, _MAX_PANELS, Nonlinearity, _gauss_panels,
                      _primitive_F, primitive_F)
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
-from .space import DiscreteFunction, EmbeddingEstimate, NormReport, estimate_k, weighted_norm
+from .space import DiscreteFunction, EmbeddingEstimate, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
 
 __all__ = [
@@ -275,8 +275,7 @@ def ustar_norm_p(d: float, ball: BallSpec, w: WeightSpec, p: float, mesh: Mesh,
     three-term radial formula (gradient term + annulus mass + inner mass)."""
     domain = mesh.domain
     ustar = build_ustar(d, ball, mesh)
-    rep: NormReport = weighted_norm(ustar, w, p)
-    direct = (rep.full_norm if zero_order_term else rep.a_norm) ** p
+    direct = weighted_norm(ustar, w, p).norm(zero_order_term) ** p
 
     N = mesh.dim
     r1, r2 = ball.r1, ball.r2
@@ -546,7 +545,7 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
                          zero_order_term=spec.zero_order_term)
     a_mass, a_converged = annulus_weight_mass(spec.weight, spec.ball, spec.domain)
     if embedding is None:
-        embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh)
+        embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh, spec.zero_order_term)
     r1, r2 = spec.ball.r1, spec.ball.r2
 
     def at_k(kv: float) -> dict:

@@ -12,9 +12,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from .energy import Nonlinearity, _check_primitive, make_nonlinearity
+from .energy import Nonlinearity, make_nonlinearity
 from .expressions import Expression, parse_expression
 from .geometry import BallSpec, Domain
 from .oracle1d import N_SCAN, SIGMA_MAX, SIGMA_MIN, STEPS_PER_UNIT
@@ -129,8 +127,8 @@ def _parse_typed(raw: str, kind: str):
     """raw as the schema type kind; a bad value raises ValueError."""
     if kind == "float":
         v = float(raw)
-        if math.isnan(v):
-            raise ValueError("nan not allowed")
+        if not math.isfinite(v):
+            raise ValueError(f"not finite: {raw.strip()!r}")
         return v
     if kind == "int":
         return int(raw)
@@ -140,7 +138,7 @@ def _parse_typed(raw: str, kind: str):
         except KeyError:
             raise ValueError(f"not a boolean: {raw!r}") from None
     if kind == "floats":
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        return [_parse_typed(tok, "float") for tok in raw.replace(",", " ").split()]
     if kind in _EXPRESSION_VARIABLES:
         return parse_expression(raw)
     return raw.strip()
@@ -188,30 +186,19 @@ def load_config(path: str) -> RunConfig:
             raise _located(path, f"variable {min(val.variables - allowed)!r} not available here;"
                                  f" {key} may use {', '.join(sorted(allowed))}", section, key)
 
-    form = get("weight", "form")
     with config_errors(path, "weight"):
-        if form == "constant":
-            weight = WeightSpec.constant(get("weight", "value", 1.0))
-        elif form == "distance_power":
-            weight = WeightSpec.distance_power(get("weight", "exponent", 0.0))
-        else:
-            raise ValueError(f"unknown weight form {form!r} (constant | distance_power)")
+        weight = WeightSpec(**{key: val for (section, key), val in vals.items()
+                               if section == "weight"})
 
     p = get("space", "p")
     s = get("space", "s")
     gamma = get("constants", "gamma", 1.0)
-    # without a primitive, make_nonlinearity integrates f, and an error is f's
-    primitive_key = "expr" if get("nonlinearity_f", "primitive") is None else "primitive"
-    with config_errors(path, "nonlinearity_f", primitive_key):
-        nl_f = make_nonlinearity(get("nonlinearity_f", "expr"),
-                                 primitive=get("nonlinearity_f", "primitive"),
-                                 growth_h=get("nonlinearity_f", "growth_h"))
-    if get("nonlinearity_f", "primitive") is not None:
-        # make_nonlinearity checked the unit square; check the configured domain too
-        lo, hi = domain.axes.T
-        xs = lo + (hi - lo) * np.random.default_rng(42).uniform(size=(1000, domain.dim))
-        with config_errors(path, "nonlinearity_f", "primitive", "{} on the configured domain"):
-            _check_primitive(nl_f, xs)
+    primitive = get("nonlinearity_f", "primitive")
+    # make_nonlinearity checks a primitive on the domain, else integrates f
+    with config_errors(path, "nonlinearity_f", "expr" if primitive is None else "primitive",
+                       "{}" if primitive is None else "{} on the configured domain"):
+        nl_f = make_nonlinearity(get("nonlinearity_f", "expr"), primitive=primitive,
+                                 growth_h=get("nonlinearity_f", "growth_h"), domain=domain)
     nl_g = None
     if "nonlinearity_g" in cp.sections():
         with config_errors(path, "nonlinearity_g", "expr"):

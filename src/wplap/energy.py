@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .expressions import Expression, parse_expression
-from .geometry import Mesh
+from .geometry import Domain, Mesh
 from .space import (DiscreteFunction, QuadratureError, _cell_terms,
                     _cell_weight_integrals, _gather, _norm_terms)
 from .weight import WeightSpec
@@ -85,10 +85,10 @@ class Nonlinearity:
                    if e is not None for v in e.variables)
 
 
-def make_nonlinearity(f, primitive=None, growth_h=None,
-                      caratheodory_w=None) -> Nonlinearity:
-    """Build a Nonlinearity, verifying a supplied primitive against f with
-    _check_primitive at 1000 points x of the unit square.
+def make_nonlinearity(f, primitive=None, growth_h=None, caratheodory_w=None,
+                      domain: Domain = Domain.box(0.0, 1.0, 0.0, 1.0)) -> Nonlinearity:
+    """Build a Nonlinearity, verifying a supplied primitive against f on
+    domain (the unit square unless given) with _check_primitive.
 
     Without a supplied primitive, F comes from Expression.antidiff_t when f
     lies in its closed-form subset; otherwise it stays None and primitive_F
@@ -98,17 +98,19 @@ def make_nonlinearity(f, primitive=None, growth_h=None,
     nl = Nonlinearity(f=f, primitive=f.antidiff_t() if supplied is None else supplied,
                       growth_h=_as_expr(growth_h), caratheodory_w=_as_expr(caratheodory_w))
     if supplied is not None:
-        _check_primitive(nl, np.random.default_rng(42).uniform(0.0, 1.0, size=(1000, 2)))
+        _check_primitive(nl, domain)
     return nl
 
 
-def _check_primitive(nl: Nonlinearity, x: np.ndarray):
-    """Raise ValueError unless nl.primitive is a t-primitive of nl.f at the
-    points x (m, N): each x is paired with one t drawn from [-5, 5], and the
-    symbolic t-derivative of the primitive must match f (relative error
-    <= 1e-6) wherever f is finite; at the first 100 points F(x, 0) = 0 is
-    required wherever f(x, 0) is finite."""
-    t = np.random.default_rng(1).uniform(-5.0, 5.0, size=x.shape[0])
+def _check_primitive(nl: Nonlinearity, domain: Domain):
+    """Raise ValueError unless nl.primitive is a t-primitive of nl.f at 1000
+    points x drawn uniformly from domain: each x is paired with one t drawn
+    from [-5, 5], and the symbolic t-derivative of the primitive must match
+    f (relative error <= 1e-6) wherever f is finite; at the first 100
+    points F(x, 0) = 0 is required wherever f(x, 0) is finite."""
+    lo, hi = domain.axes.T
+    x = lo + (hi - lo) * np.random.default_rng(42).uniform(size=(1000, domain.dim))
+    t = np.random.default_rng(1).uniform(-5.0, 5.0, size=1000)
     fv = nl.f.at(x, t=t)
     finite = np.isfinite(fv)
     if not finite.any():
@@ -117,7 +119,7 @@ def _check_primitive(nl: Nonlinearity, x: np.ndarray):
     err = np.max(np.abs(dF - fv[finite]) / (1.0 + np.abs(fv[finite])))
     if not err <= 1e-6:
         raise ValueError(f"primitive does not differentiate to f (max rel err {err:.3e})")
-    x0, t0 = x[:100], np.zeros(min(100, x.shape[0]))
+    x0, t0 = x[:100], np.zeros(100)
     F0 = nl.primitive.at(x0, t=t0)[np.isfinite(nl.f.at(x0, t=t0))]
     if not np.all(np.abs(F0) <= 1e-12):
         raise ValueError("primitive must vanish at t = 0")

@@ -109,17 +109,16 @@ def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
 
 
 def _ode_grid(domain: Domain, w: WeightSpec, steps_per_unit: int):
-    """Integration nodes; distance-power weights blow up at the ends, so the
-    march starts one step in and the boundary values are linearly
-    extrapolated."""
+    """Integration nodes; a weight singular on the boundary blows up at the
+    ends, so the march starts one step in and the boundary values are
+    linearly extrapolated.  Any other weight, distance_power with exponent
+    0 among them, is marched over the whole interval."""
     x_a, x_b = _interval(domain)
     n = max(4, int(round((x_b - x_a) * steps_per_unit)))
     h = (x_b - x_a) / n
-    if w.form == "distance_power":
-        grid = np.linspace(x_a + h, x_b - h, n - 1)
-    else:
-        grid = np.linspace(x_a, x_b, n + 1)
-    return grid, h
+    if w.singular_on_boundary:
+        return np.linspace(x_a + h, x_b - h, n - 1)
+    return np.linspace(x_a, x_b, n + 1)
 
 
 def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
@@ -138,7 +137,7 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
     keep_trajectory is set, the grid and the full u history."""
     x_a, x_b = _interval(domain)
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    grid, h = _ode_grid(domain, w, steps_per_unit)
+    grid = _ode_grid(domain, w, steps_per_unit)
     rhs = _rhs_factory(p, lam, mu, f, g, zero_order)
 
     # the abscissae the RK4 stages see, and a(x) tabulated on each of them

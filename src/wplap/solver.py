@@ -338,8 +338,10 @@ def _record(asm: EnergyAssembler, v: np.ndarray, residual_norm: float, energy: f
 
 def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
                      config: SolverConfig = SolverConfig(),
-                     u_init: DiscreteFunction | None = None) -> DiscreteFunction:
-    """Solve phi'(u) = rhs (rhs in residual space, zero at boundary nodes).
+                     u_init: DiscreteFunction | None = None,
+                     zero_order: bool = True) -> DiscreteFunction:
+    """Solve phi'(u) = rhs (rhs in residual space, zero at boundary nodes);
+    phi holds (1/p) int |u|^p when zero_order is set.
 
     Uniform monotonicity of phi' (p >= 2) makes the solution unique; it is
     the minimizer of the convex merit phi(u) - rhs.u, found by _descend
@@ -350,7 +352,7 @@ def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
         raise ValueError("rhs must have one entry per mesh vertex")
     rhs = rhs.copy()
     rhs[mesh.boundary_vertices] = 0.0
-    asm = EnergyAssembler(mesh, w, p, eps_reg=config.eps_reg, load=rhs)
+    asm = EnergyAssembler(mesh, w, p, zero_order=zero_order, eps_reg=config.eps_reg, load=rhs)
     v0 = np.zeros(mesh.num_vertices) if u_init is None else u_init.values
     v, rn, ok, _ = _descend(asm, v0, config)
     if ok:

@@ -54,13 +54,9 @@ class NormReport:
     grad_term: float   # int a |grad u|^p
     p: float
 
-    @property
-    def full_norm(self) -> float:
-        return (self.lp_term + self.grad_term) ** (1.0 / self.p)
-
-    @property
-    def a_norm(self) -> float:
-        return self.grad_term ** (1.0 / self.p)
+    def norm(self, zero_order: bool = True) -> float:
+        """(int |u|^p + int a |grad u|^p)^(1/p), without int |u|^p unless zero_order."""
+        return ((self.lp_term if zero_order else 0.0) + self.grad_term) ** (1.0 / self.p)
 
 
 def _gather(mesh: Mesh, v: np.ndarray):
@@ -148,8 +144,8 @@ def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
 
 
 def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
-               mesh: Mesh) -> EmbeddingEstimate:
-    """Two-sided estimate of k = sup max|u| / ||u||.
+               mesh: Mesh, zero_order: bool = True) -> EmbeddingEstimate:
+    """Two-sided estimate of k = sup max|u| / ||u||, ||u|| = NormReport.norm(zero_order).
 
     Lower bound: the ratio of the discrete p-Green function of the interior
     node x_i nearest the centre of the domain, i.e. the minimizer u of
@@ -176,12 +172,12 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
     radius = distance_to_boundary(domain, verts[node:node + 1])[0]
     cone = DiscreteFunction(
         mesh, np.maximum(0.0, 1.0 - np.linalg.norm(verts - verts[node], axis=1) / radius))
-    cone.values *= weighted_norm(cone, w, p).full_norm ** (-p / (p - 1.0))
+    cone.values *= weighted_norm(cone, w, p).norm(zero_order) ** (-p / (p - 1.0))
     load = np.zeros(mesh.num_vertices)
     load[node] = 1.0
     try:
-        u = invert_phi_prime(load, w, p, mesh, SolverConfig(max_iter=50), u_init=cone)
+        u = invert_phi_prime(load, w, p, mesh, SolverConfig(max_iter=50), cone, zero_order)
     except SolverFailure as exc:
         u = exc.best
-    return EmbeddingEstimate(k_lower=sup_norm(u) / weighted_norm(u, w, p).full_norm,
+    return EmbeddingEstimate(k_lower=sup_norm(u) / weighted_norm(u, w, p).norm(zero_order),
                              k_upper=k_upper, witness=u)

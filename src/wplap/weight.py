@@ -3,7 +3,8 @@
 Both weight forms are admissible for exponents (p, s) on a bounded domain:
 a > 0, a and a^(-1/(p-1)) are locally integrable, and a^(-s) is integrable
 over the whole domain.  The regime p > p_s > N with p_s = p*s/(s+1), i.e.
-s > N/(p-N), is enforced by ProblemSpec.
+s > N/(p-N), is enforced by ProblemSpec.  Only this module reads a weight's
+form; the others ask WeightSpec.singular_on_boundary.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Weight a(x): 'constant' (value) or 'distance_power' (dist^(-l), l = exponent)."""
+    """Weight a(x): 'constant' (value) or 'distance_power' (dist^(-l), l = exponent;
+    l = 0 is a = 1)."""
 
     form: str
     value: float = 1.0
@@ -31,11 +33,16 @@ class WeightSpec:
 
     def __post_init__(self):
         if self.form not in ("constant", "distance_power"):
-            raise ValueError(f"unknown weight form {self.form!r}")
+            raise ValueError(f"unknown weight form {self.form!r} (constant | distance_power)")
         if self.form == "constant" and self.value <= 0:
             raise ValueError("constant weight must be positive")
         if self.form == "distance_power" and self.exponent < 0:
             raise ValueError("distance_power exponent must be >= 0")
+
+    @property
+    def singular_on_boundary(self) -> bool:
+        """Whether a blows up on the boundary: distance_power with exponent > 0."""
+        return self.form == "distance_power" and self.exponent > 0
 
     @staticmethod
     def constant(value: float) -> "WeightSpec":
@@ -51,9 +58,9 @@ def eval_weight(w: WeightSpec, domain: Domain, x: np.ndarray) -> np.ndarray:
     if w.form == "constant":
         return np.full(x.shape[0], w.value)
     d = distance_to_boundary(domain, x)
-    if w.exponent > 0 and np.any(d <= 0):
+    if w.singular_on_boundary and np.any(d <= 0):
         raise ValueError("distance_power weight is singular on the boundary")
-    return d ** (-w.exponent) if w.exponent > 0 else np.ones(d.shape)
+    return d ** -w.exponent
 
 
 def weight_lower_bound(w: WeightSpec, domain: Domain) -> float:
@@ -62,7 +69,7 @@ def weight_lower_bound(w: WeightSpec, domain: Domain) -> float:
         return w.value
     lo, hi = domain.axes.T
     inradius = 0.5 * float(np.min(hi - lo))
-    return inradius ** (-w.exponent) if w.exponent > 0 else 1.0
+    return inradius ** -w.exponent
 
 
 def compute_ps(p: float, s: float) -> float:

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplap import certificate, cli, config, space
+from wplap import certificate, cli, config, energy, space
 from wplap.cli import (
     main,
     read_certificate,
@@ -184,6 +184,16 @@ class TestCheck:
         assert cert["constants"]["k_mode"] == "certified"
         assert cert["variants"]["k_upper"]["r"] == pytest.approx(consts["r"], rel=1e-12)
         assert consts["k[k_lower]"] <= consts["k[k_upper]"]
+
+    def test_k_lower_in_the_gradient_norm(self, tmp_path):
+        # without int |u|^p the P1 Green function is exact at the nodes, so
+        # k_lower meets k_upper = 1/2 (in the full norm it is 0.4807)
+        cfg = variant(tmp_path, "grad_norm.cfg",
+                      ("zero_order_term = true", "zero_order_term = false"))
+        assert run_cli("check", "--config", cfg, "--out", tmp_path / "out") == 0
+        consts = read_constants_csv(tmp_path / "out" / "constants.csv")
+        assert abs(consts["k_lower"] - 0.5) <= 1e-9
+        assert consts["k"] == 0.5
 
     def test_sub_unit_weight_k_is_certified(self, tmp_path):
         # k_upper is rigorous for every weight a > 0, so at a = 0.5 the checks
@@ -711,6 +721,17 @@ class TestConfigDiagnostics:
          "need grading_depth >= 0", "grading_depth"),
         ("scan", "max = 20.0", "max = 10.0", "empty or inverted grid", "[lambda_grid]"),
         ("scan", "count = 5", "count = 0", "empty or inverted grid", "[lambda_grid]"),
+        # a float or a floats entry that is inf or nan
+        ("check", "bounds = 0.0 1.0", "bounds = 0.0 inf", "not finite: 'inf'",
+         "bounds"),
+        ("oracle", "bounds = 0.0 1.0", "bounds = 0.0 inf", "not finite: 'inf'",
+         "bounds"),
+        ("check", "value = 1.0", "value = inf", "not finite: 'inf'", "value ="),
+        ("scan", "value = 1.0", "value = inf", "not finite: 'inf'", "value ="),
+        ("check", "p = 2.0", "p = inf", "not finite: 'inf'", "p ="),
+        ("scan", "values = 0.0, 0.05", "values = 0.0, nan", "not finite: 'nan'",
+         "values"),
+        ("solve", "lambda = 18.0", "lambda = -inf", "not finite: '-inf'", "lambda"),
     ])
     def test_malformed_oracle_and_mu_values_rejected(self, tmp_path, capsys, command,
                                                      old, new, message, key):
@@ -738,6 +759,22 @@ class TestConfigDiagnostics:
         assert err.startswith("config error:")
         assert "primitive does not differentiate to f" in err
         assert "on the configured domain" in err and f"(line {line}, column 1)" in err
+
+    def test_primitive_checked_once_on_the_configured_domain(self, tmp_path, monkeypatch):
+        # 0.5 t^2 max(x1, 1.5) is a primitive of x1 t on [2, 3], not on the unit square
+        cfg = variant(tmp_path, "primitive.cfg", ("bounds = 0.0 1.0", "bounds = 2.0 3.0"),
+                      ("x0 = 0.5", "x0 = 2.5"),
+                      ("expr = min(max(t - 0.25, 0), 1)", "expr = x1*t"),
+                      ("primitive = 0.5*min(max(t - 0.25, 0), 1)^2 + max(t - 1.25, 0)",
+                       "primitive = 0.5*t^2*max(x1, 1.5)"), FAST_ORACLE)
+        domains = []
+        check = energy._check_primitive
+        monkeypatch.setattr(energy, "_check_primitive",
+                            lambda nl, domain: domains.append(domain) or check(nl, domain))
+        assert run_cli("oracle", "--config", cfg, "--out", tmp_path / "out") == 0
+        assert [d.axes.tolist() for d in domains] == [[[2.0, 3.0]]]
+        load_config(str(SHIPPED))
+        assert len(domains) == 2
 
     def test_bad_typed_value_names_key_and_line(self, tmp_path):
         cfg = variant(tmp_path, "typed.cfg", ("[run]", "[solver]\nresidual_tol = abc\n\n[run]"))

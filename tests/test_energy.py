@@ -83,6 +83,15 @@ class TestPrimitiveF:
             make_nonlinearity("t", primitive="0.5*t^2 + 1")
         make_nonlinearity("t", primitive="0.5*t^2")  # good one passes
 
+    def test_primitive_checked_on_the_given_domain(self):
+        # 0.5 t^2 min(x1, 1) is a primitive of x1 t on the unit square only
+        make_nonlinearity("x1*t", primitive="0.5*t^2*min(x1, 1)")
+        make_nonlinearity("x1*t", primitive="0.5*t^2*min(x1, 1)",
+                          domain=Domain.interval(0.2, 0.9))
+        with pytest.raises(ValueError, match="differentiate"):
+            make_nonlinearity("x1*t", primitive="0.5*t^2*min(x1, 1)",
+                              domain=Domain.interval(0.0, 10.0))
+
     def test_primitive_checked_where_f_is_finite(self):
         # f is NaN for x1 < 0.25; the samples with x1 >= 0.25 still decide
         f = "(x1 - 0.25)^0.5 * t"

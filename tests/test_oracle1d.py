@@ -39,7 +39,7 @@ def reference_shoot(sigmas, w, p, lam, mu, f, g, steps_per_unit):
     history)."""
     n = steps_per_unit
     h = 1.0 / n
-    grid = (np.linspace(h, 1.0 - h, n - 1) if w.form == "distance_power"
+    grid = (np.linspace(h, 1.0 - h, n - 1) if w.singular_on_boundary
             else np.linspace(0.0, 1.0, n + 1))
 
     def a_at(x):
@@ -92,7 +92,7 @@ def two_array_shoot(sigmas, domain, w, p, lam, mu, f=None, g=None, zero_order=Tr
 
     (x_a, x_b), = domain.axes.tolist()
     sigmas = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    grid, _ = oracle1d._ode_grid(domain, w, steps_per_unit)
+    grid = oracle1d._ode_grid(domain, w, steps_per_unit)
     step = grid[1:] - grid[:-1]
     x_mid = grid[:-1] + 0.5 * step
     x_end = grid[:-1] + step
@@ -335,6 +335,15 @@ class TestEnumerate:
         for r in prof.roots:
             assert abs(r.terminal) <= 1e-8 * max(1.0, abs(r.sigma))
 
+    def test_unit_distance_power_marches_like_the_constant_weight(self):
+        # distance_power with exponent 0 is a = 1: the full grid, the same roots
+        flat = WeightSpec.distance_power(0.0)
+        np.testing.assert_array_equal(oracle1d._ode_grid(UNIT, flat, 1024),
+                                      oracle1d._ode_grid(UNIT, ONE, 1024))
+        one, dp0 = (enumerate_solutions(UNIT, w, 2.0, 18.0, 0.0, f=shipped_f(), g=shipped_g())
+                    for w in (ONE, flat))
+        assert [r.sigma for r in dp0.roots] == [r.sigma for r in one.roots]
+
     def test_shipped_instance_needs_few_marches(self, marches):
         prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0,
                                    f=shipped_f(), g=shipped_g())
@@ -548,6 +557,32 @@ class TestProfileOnMesh:
                            for root in prof.roots])
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
         assert np.all(orders >= 1.8), orders
+
+    def test_fe_solutions_converge_at_p3(self):
+        # the shipped instance at p = 3, lambda = 60, mu = 0: each oracle
+        # profile on the mesh, Newton-polished to the FE solution next to it.
+        # Measured sup errors at h = 1/64 .. 1/512: 3.40e-4, 1.17e-4, 3.98e-5,
+        # 1.39e-5 (sigma = 0.7577) and 7.93e-4, 2.93e-4, 1.06e-4, 3.91e-5
+        # (sigma = 4.3296), orders 1.44 to 1.55
+        f, g = shipped_f(), shipped_g()
+        prof = enumerate_solutions(UNIT, ONE, 3.0, 60.0, 0.0, f=f, g=g,
+                                   sigma_range=(0.1, 10.0), n_scan=100,
+                                   steps_per_unit=4096)
+        assert [round(r.sigma, 4) for r in prof.roots] == [0.7577, 4.3296]
+        assert prof.unconverged == []
+        errors = []
+        for n in (64, 128, 256, 512):
+            mesh = build_mesh(UNIT, 1 / n, breakpoints=(0.3, 0.4, 0.6, 0.7))
+            asm = EnergyAssembler(mesh, ONE, 3.0, 60.0, 0.0, f, g)
+            row = []
+            for root in prof.roots:
+                start = profile_on_mesh(root, mesh, UNIT).values
+                polished = _polish(asm, start, SolverConfig())
+                assert polished is not None, (n, root.sigma)
+                row.append(np.max(np.abs(polished[0] - start)))
+            errors.append(row)
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 1.3), orders
 
     def test_rejects_planar_mesh(self):
         prof = self._shipped_profile()

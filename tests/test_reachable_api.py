@@ -21,13 +21,32 @@ ALLOWED = {
     "cli.read_solution_csv": "README: reader of solution and oracle root files",
     # the README's Python API
     "geometry.Domain.interval": "README Python API: builds the interval domain",
-    "geometry.Domain.box": "Python API: the 2D counterpart of Domain.interval",
     "oracle1d.profile_on_mesh": "README Python API: oracle profile onto a mesh",
+    "weight.WeightSpec.constant": "README Python API: builds the constant weight",
+    "weight.WeightSpec.distance_power": "Python API: the counterpart of WeightSpec.constant",
     # references that the acceptance gate and the tests check the core against
     "energy.gradient_check": "acceptance gate: residual against finite differences",
     "energy.weak_form_gap": "tests: the residual as a weak form tested against v",
     # ROADMAP item 4, bound (a): Talenti at p times a_min^(-1/p)
     "weight.weight_lower_bound": "ROADMAP item 4: the a_min of bound (a)",
+}
+
+# every private name that one package module imports from another, as
+# '<importer>: <module>.<name>', with its reason; a new one fails the test
+PRIVATE_IMPORTS = {
+    "certificate: energy._F_PANELS": "H3's note and the sample chunking name the panel "
+                                     "cap of F by quadrature",
+    "certificate: energy._GL20": "the box integral and the sample chunking use the same "
+                                 "20-point Gauss rule",
+    "certificate: energy._MAX_PANELS": "the unconverged-quadrature note names the panel cap",
+    "certificate: energy._gauss_panels": "the one composite Gauss doubler, for the annulus, "
+                                         "u* and domain integrals",
+    "certificate: energy._primitive_F": "H3 reads F with its converged flag and no warning",
+    "energy: space._cell_terms": "the one norm kernel behind the energy",
+    "energy: space._cell_weight_integrals": "int_cell a dx, shared with weighted_norm",
+    "energy: space._gather": "the one per-cell gather behind residual and tangent",
+    "energy: space._norm_terms": "the one norm kernel behind the energy",
+    "cli: config._located": "every config error, the CLI's regime errors too, has one format",
 }
 
 
@@ -111,3 +130,27 @@ def test_every_parameter_is_read():
     unread = [name for path in sorted(PACKAGE.glob("*.py"))
               for name in unread_parameters(path.read_text(), path.stem)]
     assert unread == []
+
+
+def private_imports(source: str, module: str) -> list:
+    """'<module>: <imported module>.<name>' for every underscore name that
+    source imports from a module of the package (relative imports, those
+    inside functions too)."""
+    return [f"{module}: {node.module.rsplit('.', 1)[-1]}.{alias.name}"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module
+            and (node.level > 0 or node.module.split(".")[0] == "wplap")
+            for alias in node.names if alias.name.startswith("_")]
+
+
+def test_private_import_detector():
+    source = ("from .energy import _a, b\nfrom wplap.space import _c\n"
+              "from numpy import _d\nfrom . import _e\n"
+              "def f():\n    from .solver import _g\n")
+    assert private_imports(source, "m") == ["m: energy._a", "m: space._c", "m: solver._g"]
+
+
+def test_every_private_import_is_listed():
+    found = [name for path in sorted(PACKAGE.glob("*.py"))
+             for name in private_imports(path.read_text(), path.stem)]
+    assert sorted(found) == sorted(PRIVATE_IMPORTS)

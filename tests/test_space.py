@@ -53,7 +53,7 @@ class TestWeightedNorm:
     def test_zero_function(self):
         mesh = interval_mesh(0.25)
         u = DiscreteFunction(mesh, np.zeros(mesh.num_vertices))
-        assert weighted_norm(u, ONE, 2.0).full_norm == 0.0
+        assert weighted_norm(u, ONE, 2.0).norm() == 0.0
 
     def test_parabola_closed_form(self):
         # int u^2 = 1/30, int (u')^2 = 1/3 for u = x(1-x); the h = 1/512
@@ -63,7 +63,7 @@ class TestWeightedNorm:
         rep = weighted_norm(u, ONE, 2.0)
         assert rep.lp_term == pytest.approx(1 / 30, abs=1.5e-6)
         assert rep.grad_term == pytest.approx(1 / 3, abs=1.5e-6)
-        assert rep.full_norm == pytest.approx(math.sqrt(11 / 30), abs=1.5e-6)
+        assert rep.norm() == pytest.approx(math.sqrt(11 / 30), abs=1.5e-6)
 
     def test_singular_weight_vs_midpoint_oracle(self):
         # support kept off the boundary-adjacent cells so the integrand stays
@@ -102,7 +102,7 @@ class TestWeightedNorm:
                 scaled = weighted_norm(DiscreteFunction(u.mesh, c * u.values), ONE, p)
                 assert scaled.lp_term == pytest.approx(abs(c) ** p * base.lp_term, rel=1e-12)
                 assert scaled.grad_term == pytest.approx(abs(c) ** p * base.grad_term, rel=1e-12)
-                assert scaled.full_norm == pytest.approx(abs(c) * base.full_norm, rel=1e-12)
+                assert scaled.norm() == pytest.approx(abs(c) * base.norm(), rel=1e-12)
 
     def test_triangle_inequality(self):
         mesh = interval_mesh(1 / 32)
@@ -111,16 +111,16 @@ class TestWeightedNorm:
             for _ in range(20):
                 u = random_interior(mesh, rng)
                 v = random_interior(mesh, rng)
-                s = weighted_norm(DiscreteFunction(u.mesh, u.values + v.values), ONE, p).full_norm
-                assert s <= (weighted_norm(u, ONE, p).full_norm
-                             + weighted_norm(v, ONE, p).full_norm + 1e-10)
+                s = weighted_norm(DiscreteFunction(u.mesh, u.values + v.values), ONE, p).norm()
+                assert s <= (weighted_norm(u, ONE, p).norm()
+                             + weighted_norm(v, ONE, p).norm() + 1e-10)
 
     def test_report_ordering(self):
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(5))
         rep = weighted_norm(u, ONE, 2.0)
         assert rep.lp_term >= 0 and rep.grad_term >= 0
-        assert rep.full_norm >= rep.a_norm
+        assert rep.norm() >= rep.norm(False)
 
 
 class TestSupNorm:
@@ -166,14 +166,14 @@ class TestEstimateK:
         mesh = interval_mesh(1 / 64)
         est = estimate_k(UNIT, ONE, 2.0, 2.0, mesh)
         rep = weighted_norm(est.witness, ONE, 2.0)
-        assert sup_norm(est.witness) / rep.full_norm == pytest.approx(est.k_lower, rel=1e-12)
+        assert sup_norm(est.witness) / rep.norm() == pytest.approx(est.k_lower, rel=1e-12)
 
     def test_ratio_scale_invariance(self):
         mesh = interval_mesh(1 / 32)
         u = random_interior(mesh, np.random.default_rng(2))
-        r1 = sup_norm(u) / weighted_norm(u, ONE, 2.0).full_norm
+        r1 = sup_norm(u) / weighted_norm(u, ONE, 2.0).norm()
         v = DiscreteFunction(u.mesh, -7.5 * u.values)
-        r2 = sup_norm(v) / weighted_norm(v, ONE, 2.0).full_norm
+        r2 = sup_norm(v) / weighted_norm(v, ONE, 2.0).norm()
         assert r1 == pytest.approx(r2, rel=1e-13)
 
     def test_monotone_in_weight(self):
@@ -283,7 +283,7 @@ class TestEstimateK:
             est = estimate_k(UNIT, w, 2.0, 2.0, mesh)
             for _ in range(25):
                 u = random_interior(mesh, rng)
-                assert sup_norm(u) <= est.k_upper * weighted_norm(u, w, 2.0).full_norm + 1e-12
+                assert sup_norm(u) <= est.k_upper * weighted_norm(u, w, 2.0).norm() + 1e-12
 
 
 @pytest.mark.parametrize("w", [ONE, WeightSpec.distance_power(0.5)],
@@ -298,8 +298,8 @@ def test_k_upper_bound_is_estimate_k_upper(domain, h, p, s, w):
 
 
 def norm_ratios(family, w, p):
-    """full_norm / a_norm of each function of the family."""
-    return [rep.full_norm / rep.a_norm for rep in (weighted_norm(u, w, p) for u in family)]
+    """norm() / norm(False) of each function of the family."""
+    return [rep.norm() / rep.norm(False) for rep in (weighted_norm(u, w, p) for u in family)]
 
 
 class TestNormEquivalenceProbe:

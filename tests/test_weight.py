@@ -70,3 +70,24 @@ def test_weight_lower_bound():
     dom = Domain.interval(0, 1)
     assert weight_lower_bound(WeightSpec.constant(2.5), dom) == pytest.approx(2.5)
     assert weight_lower_bound(WeightSpec.distance_power(0.5), dom) >= 1.0
+
+
+def test_unknown_form_lists_the_forms():
+    with pytest.raises(ValueError,
+                       match=r"unknown weight form 'power' \(constant \| distance_power\)"):
+        WeightSpec("power")
+
+
+def test_singular_on_boundary_is_distance_power_with_positive_exponent():
+    assert WeightSpec.distance_power(0.5).singular_on_boundary
+    assert not WeightSpec.distance_power(0.0).singular_on_boundary
+    assert not WeightSpec.constant(2.0).singular_on_boundary
+
+
+def test_exponent_zero_is_the_unit_weight():
+    # d^(-0) is exactly 1, on the boundary and off it
+    dom = Domain.box(0, 1, 0, 2)
+    xs = np.array([[0.0, 0.0], [0.3, 1.7], [0.5, 1.0], [1.0, 0.4]])
+    one, flat = WeightSpec.constant(1.0), WeightSpec.distance_power(0.0)
+    np.testing.assert_array_equal(eval_weight(flat, dom, xs), eval_weight(one, dom, xs))
+    assert weight_lower_bound(flat, dom) == weight_lower_bound(one, dom) == 1.0
