@@ -35,7 +35,22 @@ __all__ = [
     "gradient_check",
 ]
 
-_GL20 = np.polynomial.legendre.leggauss(20)
+# 20-point Gauss-Legendre nodes and weights on [-1, 1],
+# numpy.polynomial.legendre.leggauss(20) bit for bit (tests/test_energy.py
+# compares them)
+_GL20 = (np.array([
+    -0.993128599185095, -0.9639719272779138, -0.912234428251326, -0.8391169718222188,
+    -0.7463319064601508, -0.636053680726515, -0.5108670019508271, -0.37370608871541955,
+    -0.22778585114164507, -0.07652652113349734, 0.07652652113349734, 0.22778585114164507,
+    0.37370608871541955, 0.5108670019508271, 0.636053680726515, 0.7463319064601508,
+    0.8391169718222188, 0.912234428251326, 0.9639719272779138, 0.993128599185095,
+]), np.array([
+    0.017614007139150893, 0.040601429800386446, 0.06267204833410879, 0.08327674157670471,
+    0.1019301198172407, 0.1181945319615186, 0.1316886384491769, 0.1420961093183824,
+    0.14917298647260424, 0.15275338713072628, 0.15275338713072628, 0.14917298647260424,
+    0.1420961093183824, 0.1316886384491769, 0.1181945319615186, 0.1019301198172407,
+    0.08327674157670471, 0.06267204833410879, 0.040601429800386446, 0.017614007139150893,
+]))
 _MAX_PANELS = 128
 _F_PANELS = 64      # primitive_F's panel cap when F is left to quadrature
 EPS_REG = 1e-8      # default regularization of the p < 2 terms (SolverConfig's too)
@@ -88,7 +103,8 @@ class Nonlinearity:
 def make_nonlinearity(f, primitive=None, growth_h=None, caratheodory_w=None,
                       domain: Domain = Domain.box(0.0, 1.0, 0.0, 1.0)) -> Nonlinearity:
     """Build a Nonlinearity, verifying a supplied primitive against f on
-    domain (the unit square unless given) with _check_primitive.
+    domain (the unit square unless given) with _check_primitive, at a fixed
+    quasi-random set of 1000 points (x, t).
 
     Without a supplied primitive, F comes from Expression.antidiff_t when f
     lies in its closed-form subset; otherwise it stays None and primitive_F
@@ -102,15 +118,30 @@ def make_nonlinearity(f, primitive=None, growth_h=None, caratheodory_w=None,
     return nl
 
 
+def _kronecker_points(n: int, dim: int) -> np.ndarray:
+    """The points frac(0.5 + i*alpha), i = 1 .. n, of the R_d sequence in
+    [0, 1)^dim, as an (n, dim) array: alpha_j = phi^-j (j = 1 .. dim), with
+    phi > 1 the root of phi^(dim+1) = phi + 1.  Those alpha are rationally
+    independent, so the sequence is equidistributed (Weyl 1916); it is a
+    fixed set, the same on every call."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alpha = phi ** -np.arange(1.0, dim + 1)
+    return (0.5 + np.arange(1.0, n + 1)[:, None] * alpha) % 1.0
+
+
 def _check_primitive(nl: Nonlinearity, domain: Domain):
     """Raise ValueError unless nl.primitive is a t-primitive of nl.f at 1000
-    points x drawn uniformly from domain: each x is paired with one t drawn
-    from [-5, 5], and the symbolic t-derivative of the primitive must match
-    f (relative error <= 1e-6) wherever f is finite; at the first 100
-    points F(x, 0) = 0 is required wherever f(x, 0) is finite."""
+    points (x, t) of domain x [-5, 5], the fixed quasi-random set
+    _kronecker_points(1000, N + 1) scaled there: the symbolic t-derivative
+    of the primitive must match f (relative error <= 1e-6) wherever f is
+    finite; at the first 100 x, F(x, 0) = 0 is required wherever f(x, 0)
+    is finite."""
     lo, hi = domain.axes.T
-    x = lo + (hi - lo) * np.random.default_rng(42).uniform(size=(1000, domain.dim))
-    t = np.random.default_rng(1).uniform(-5.0, 5.0, size=1000)
+    z = _kronecker_points(1000, domain.dim + 1)
+    x = lo + (hi - lo) * z[:, :-1]
+    t = 10.0 * z[:, -1] - 5.0
     fv = nl.f.at(x, t=t)
     finite = np.isfinite(fv)
     if not finite.any():

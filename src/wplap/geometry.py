@@ -133,8 +133,12 @@ class BallSpec:
         return BallSpec(x0, float(r1), float(r2))
 
 
-# 5-point Gauss-Legendre, mapped from [-1, 1] to [0, 1]
-_GL5_X, _GL5_W = np.polynomial.legendre.leggauss(5)
+# 5-point Gauss-Legendre on [-1, 1], numpy.polynomial.legendre.leggauss(5)
+# bit for bit (tests/test_energy.py compares them), then mapped to [0, 1]
+_GL5_X = np.array([-0.906179845938664, -0.5384693101056831, 0.0,
+                   0.5384693101056831, 0.906179845938664])
+_GL5_W = np.array([0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
+                   0.4786286704993663, 0.23692688505618928])
 _GL5_X, _GL5_W = 0.5 * (_GL5_X + 1.0), 0.5 * _GL5_W
 # degree-5 rule on the reference triangle (Radon 7 point), barycentric coords
 _TRI7_BARY = np.array([

@@ -25,7 +25,8 @@ __all__ = [
 @dataclass(frozen=True)
 class WeightSpec:
     """Weight a(x): 'constant' (value) or 'distance_power' (dist^(-l), l = exponent;
-    l = 0 is a = 1)."""
+    l = 0 is a = 1).  The field a form does not read must keep its default,
+    so that a value given for it is never silently dropped."""
 
     form: str
     value: float = 1.0
@@ -38,6 +39,10 @@ class WeightSpec:
             raise ValueError("constant weight must be positive")
         if self.form == "distance_power" and self.exponent < 0:
             raise ValueError("distance_power exponent must be >= 0")
+        unread = "exponent" if self.form == "constant" else "value"
+        given = getattr(self, unread)
+        if given != getattr(WeightSpec, unread):      # the class attribute is the default
+            raise ValueError(f"a {self.form} weight does not read {unread!r} (given {given})")
 
     @property
     def singular_on_boundary(self) -> bool:

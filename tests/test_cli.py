@@ -562,6 +562,13 @@ class TestConfigDiagnostics:
         "f without a t-derivative": ("solve", list(POW_F), "expr = 0.1*2^t"),
         "unavailable variable": ("oracle", [("expr = min(max(t - 0.25, 0), 1)",
                                              "expr = x2*t")], "expr = x2*t"),
+        # a weight key the form does not read is named, at the [weight] header
+        "value for a distance_power weight": ("check", [("form = constant\nvalue = 1.0\n",
+                                                         "form = distance_power\n"
+                                                         "value = 5.0\n")], "[weight]"),
+        "exponent for a constant weight": ("check", [("value = 1.0\n",
+                                                      "value = 1.0\nexponent = 2.0\n")],
+                                           "[weight]"),
         "mesh too coarse for the ball": ("check", [("h = 0.00390625", "h = 0.1")], "h ="),
         "expression nested too deeply": ("check", [("growth_h = 1",
                                                     "growth_h = " + "-" * 2000 + "1")],

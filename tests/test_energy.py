@@ -10,14 +10,16 @@ from wplap.certificate import build_ustar
 from wplap.cli import build_problem_mesh
 from wplap.config import load_config
 from wplap.energy import (
+    _GL20,
     EnergyAssembler,
+    _kronecker_points,
     gradient_check,
     make_nonlinearity,
     primitive_F,
     weak_form_gap,
 )
 from wplap.expressions import Expression
-from wplap.geometry import BallSpec, Domain, build_mesh
+from wplap.geometry import _GL5_W, _GL5_X, BallSpec, Domain, build_mesh
 from wplap.space import DiscreteFunction, _gather, weighted_norm
 from wplap.weight import WeightSpec
 
@@ -46,6 +48,17 @@ def minus_int_F(asm, nl, v):
     if nl is None:
         return 0.0
     return -asm._int_F(nl, _gather(asm.mesh, v)[0].reshape(-1))
+
+
+def test_gauss_tables_are_leggauss_bit_for_bit():
+    # the literal Gauss-Legendre tables: every quadrature rests on these bits
+    bits = lambda a: np.asarray(a, dtype=float).view(np.uint64).tolist()
+    x5, w5 = np.polynomial.legendre.leggauss(5)
+    assert bits(_GL5_X) == bits(0.5 * (x5 + 1.0))
+    assert bits(_GL5_W) == bits(0.5 * w5)
+    x20, w20 = np.polynomial.legendre.leggauss(20)
+    assert bits(_GL20[0]) == bits(x20)
+    assert bits(_GL20[1]) == bits(w20)
 
 
 class TestPrimitiveF:
@@ -82,6 +95,41 @@ class TestPrimitiveF:
         with pytest.raises(ValueError, match="vanish"):
             make_nonlinearity("t", primitive="0.5*t^2 + 1")
         make_nonlinearity("t", primitive="0.5*t^2")  # good one passes
+
+    def test_primitive_wrong_only_near_the_end_of_the_t_range_rejected(self):
+        # the derivative is wrong only for t in (4.5, 5], 5% of the t range
+        with pytest.raises(ValueError, match="differentiate"):
+            make_nonlinearity("t", primitive="0.5*t^2 + max(t - 4.5, 0)^2")
+
+    def test_primitive_wrong_only_near_one_side_of_a_box_rejected(self):
+        # 0.5 t^2 min(x1, 0.8) is a primitive of x1 t only where x1 <= 0.8
+        box = Domain.box(0.0, 1.0, 0.0, 2.0)
+        with pytest.raises(ValueError, match="differentiate"):
+            make_nonlinearity("x1*t", primitive="0.5*t^2*min(x1, 0.8)", domain=box)
+        make_nonlinearity("x1*t", primitive="0.5*t^2*min(x1, 1)", domain=box)
+
+    def test_primitive_nonzero_at_t_zero_on_part_of_the_domain_rejected(self):
+        # F(x, 0) = x1 - 0.9 > 0 only on the strip x1 > 0.9 of the unit square
+        with pytest.raises(ValueError, match="vanish"):
+            make_nonlinearity("t", primitive="0.5*t^2 + max(x1 - 0.9, 0)")
+
+    def test_check_points_are_a_fixed_even_spread(self):
+        # the same bits on every call; on each axis, and on the (x1, t) plane,
+        # the 1000 points fill equal bins within 5% of the even share
+        for dim in (2, 3):
+            z = _kronecker_points(1000, dim)
+            assert z.shape == (1000, dim)
+            assert z.tobytes() == _kronecker_points(1000, dim).tobytes()
+            assert np.all((z >= 0.0) & (z < 1.0))
+            for axis in z.T:
+                counts = np.bincount((10 * axis).astype(int), minlength=10)
+                assert np.all(np.abs(counts - 100) <= 5), counts
+            plane, _, _ = np.histogram2d(z[:, 0], z[:, -1], bins=4, range=[[0, 1], [0, 1]])
+            assert np.all(np.abs(plane - 62.5) <= 0.1 * 62.5), plane
+
+    def test_every_shipped_config_primitive_passes(self):
+        for path in sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg")):
+            load_config(str(path))
 
     def test_primitive_checked_on_the_given_domain(self):
         # 0.5 t^2 min(x1, 1) is a primitive of x1 t on the unit square only

@@ -1,5 +1,11 @@
 """Every import in the package is used (no linter ships with the test extra),
-and the runtime needs numpy alone.
+the runtime needs numpy alone, and a cold start loads only the numpy it uses.
+
+Loading a config, `check` and `oracle` load neither numpy.random (about
+13 ms and 6 MB resident, with secrets, hmac, hashlib and OpenSSL behind
+it) nor numpy.polynomial: the primitive check takes a fixed quasi-random
+point set and the Gauss rules are literal tables.  Only the solver's seeded
+multistart, in `solve` and `scan`, loads numpy.random.
 
 A module-level or local import binds a name; the name must be read somewhere
 in the module, or be listed in its __all__.  __init__.py re-exports by
@@ -51,18 +57,54 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_solve_imports_no_scipy(tmp_path):
-    """A CLI solve in a fresh interpreter loads no scipy module: importing
-    scipy.sparse.linalg alone adds about 0.4 s and 32 MB to a run."""
+SHIPPED = REPO / "configs" / "three_solutions_1d.cfg"
+# the shipped config on a coarse mesh and a coarse sigma scan, so a run is quick
+COARSE = (("h = 0.00390625", "h = 0.03125"),
+          ("[run]", "[oracle]\nsigma_min = -10.0\nsigma_max = 10.0\nn_scan = 401\n\n[run]"))
+
+
+def modules_after(tmp_path, body: str, prefixes: tuple) -> list:
+    """The modules named by prefixes that a fresh interpreter holds after
+    running body, with `cfg` the coarse config and `out` an output folder;
+    body must succeed."""
+    text = SHIPPED.read_text()
+    for old, new in COARSE:
+        text = text.replace(old, new)
     cfg = tmp_path / "coarse.cfg"
-    cfg.write_text((REPO / "configs" / "three_solutions_1d.cfg").read_text()
-                   .replace("h = 0.00390625", "h = 0.03125"))
+    cfg.write_text(text)
     script = (
         "import sys\n"
         f"sys.path.insert(0, {str(REPO / 'src')!r})\n"
-        "from wplap.cli import main\n"
-        f"code = main(['solve', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+        f"cfg, out = {str(cfg)!r}, {str(tmp_path / 'out')!r}\n"
+        f"{body}\n"
+        f"print(sorted(m for m in sys.modules if m.startswith({prefixes!r})))\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          timeout=120, check=True)
-    assert out.stdout.splitlines()[-1] == "0 []"
+    return ast.literal_eval(run.stdout.splitlines()[-1])
+
+
+def test_solve_imports_no_scipy(tmp_path):
+    """A CLI solve in a fresh interpreter loads no scipy module: importing
+    scipy.sparse.linalg alone adds about 0.4 s and 32 MB to a run."""
+    body = "from wplap.cli import main\nassert main(['solve', '--config', cfg, '--out', out]) == 0"
+    assert modules_after(tmp_path, body, ("scipy",)) == []
+
+
+COLD = ("numpy.random", "numpy.polynomial")
+CLI = "from wplap.cli import main\nassert main([{!r}, '--config', cfg, '--out', out]) == 0"
+
+
+@pytest.mark.parametrize("body", [
+    f"import wplap\nwplap.load_config({str(SHIPPED)!r})",
+    CLI.format("check"),
+    CLI.format("oracle"),
+], ids=["load_config", "check", "oracle"])
+def test_cold_start_loads_no_random_or_polynomial(tmp_path, body):
+    assert modules_after(tmp_path, body, COLD) == []
+
+
+def test_solve_loads_random_for_its_multistart(tmp_path):
+    # the solver's seeded random start is the one user of numpy.random
+    loaded = modules_after(tmp_path, CLI.format("solve"), COLD)
+    assert "numpy.random" in loaded
+    assert not any(m.startswith("numpy.polynomial") for m in loaded)

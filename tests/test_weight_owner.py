@@ -4,11 +4,14 @@ Every other package module evaluates a weight through eval_weight and
 weight_lower_bound, and asks WeightSpec.singular_on_boundary whether a
 blows up on the boundary; none of them reads a `.form` or `.exponent`
 attribute, or compares anything with the form strings "constant" and
-"distance_power"."""
+"distance_power".  So the rule that a weight key its form does not read is
+an error lives in WeightSpec, and config passes the [weight] keys through."""
 import ast
 from pathlib import Path
 
 import pytest
+
+from wplap.weight import WeightSpec
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "wplap"
 FORMS = ("constant", "distance_power")
@@ -69,3 +72,13 @@ def test_only_weight_reads_form_or_exponent(path):
 @pytest.mark.parametrize("path", NOT_WEIGHT, ids=lambda p: p.name)
 def test_only_weight_compares_weight_forms(path):
     assert form_comparisons(path.read_text()) == []
+
+
+@pytest.mark.parametrize("keys, unread", [
+    ({"form": "distance_power", "exponent": 0.5, "value": 5.0}, "value"),
+    ({"form": "constant", "value": 2.0, "exponent": 2.0}, "exponent"),
+])
+def test_weight_rejects_the_key_its_form_does_not_read(keys, unread):
+    with pytest.raises(ValueError, match=f"does not read '{unread}'"):
+        WeightSpec(**keys)
+    WeightSpec(**{**keys, unread: getattr(WeightSpec, unread)})   # at its default it is accepted
