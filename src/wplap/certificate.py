@@ -27,7 +27,7 @@ import numpy as np
 from .energy import (_F_PANELS, _GL20, _MAX_PANELS, Nonlinearity, _gauss_panels,
                      _primitive_F, primitive_F)
 from .geometry import BallSpec, Domain, Mesh, domain_measure, unit_ball_volume
-from .space import DiscreteFunction, EmbeddingEstimate, estimate_k, weighted_norm
+from .space import DiscreteFunction, estimate_k, weighted_norm
 from .weight import WeightSpec, eval_weight
 
 __all__ = [
@@ -110,7 +110,6 @@ class Constants:
     ustar_norm_formula_corrected: float  # with the N*w_N surface factor
     sandwich_lower: float          # k-free: (xi d / k)^p, xi at k = 1
     sandwich_upper: float          # k-free: (eta d / k)^p, eta at k = 1
-    k_variants: dict = field(default_factory=dict)  # k value -> (xi, eta, r)
 
     @property
     def sandwich_margins(self) -> tuple[float, float]:
@@ -534,8 +533,7 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
     return out
 
 
-def build_certificate(spec: ProblemSpec, mesh: Mesh,
-                      embedding: EmbeddingEstimate | None = None) -> CertificateReport:
+def build_certificate(spec: ProblemSpec, mesh: Mesh) -> CertificateReport:
     """Run the full pipeline: constants, sandwich, H1-H5, derived conditions."""
     N = spec.domain.dim
     p, c, d = spec.p, spec.c, spec.d
@@ -544,33 +542,24 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh,
     norm3 = ustar_norm_p(d, spec.ball, spec.weight, p, mesh,
                          zero_order_term=spec.zero_order_term)
     a_mass, a_converged = annulus_weight_mass(spec.weight, spec.ball, spec.domain)
-    if embedding is None:
-        embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh, spec.zero_order_term)
+    embedding = estimate_k(spec.domain, spec.weight, p, spec.s, mesh, spec.zero_order_term)
     r1, r2 = spec.ball.r1, spec.ball.r2
-
-    def at_k(kv: float) -> dict:
-        return {"k": kv, "xi": compute_xi(p, r1, r2, kv, a_mass),
-                "eta": compute_eta(p, N, r1, r2, kv, d, a_mass, w_N),
-                "r": compute_r(c, kv, p)}
-
-    # the certificate's k is k_upper, so its xi, eta and r are that variant's
-    variants = {"k_upper": at_k(embedding.k_upper), "k_lower": at_k(embedding.k_lower)}
+    k = embedding.k_upper    # the certificate's k; k_lower is a diagnostic
     constants = Constants(
-        w_N=w_N, a_L1_annulus=a_mass, k_lower=embedding.k_lower,
-        **variants["k_upper"],
+        w_N=w_N, a_L1_annulus=a_mass, k=k, k_lower=embedding.k_lower,
+        xi=compute_xi(p, r1, r2, k, a_mass), eta=compute_eta(p, N, r1, r2, k, d, a_mass, w_N),
+        r=compute_r(c, k, p),
         ustar_norm_p=norm3.direct,
         ustar_norm_formula=norm3.formula,
         ustar_norm_formula_corrected=norm3.formula_corrected,
         # the bounds (xi d / k)^p and (eta d / k)^p do not depend on k
         sandwich_lower=(compute_xi(p, r1, r2, 1.0, a_mass) * d) ** p,
         sandwich_upper=(compute_eta(p, N, r1, r2, 1.0, d, a_mass, w_N) * d) ** p,
-        k_variants=variants,
     )
     constants.validate()
     rel = abs(norm3.formula_corrected - norm3.direct) / norm3.direct
     notes = ["eta carries a d^p factor in its middle term, so it depends on d; "
              "formula implemented as printed",
-             "k mode: certified; xi/eta/r per k variant recorded",
              f"||u*||^p formula (surface factor corrected) vs direct: rel diff {rel:.3e}; "
              "direct quadrature is authoritative" + ("" if norm3.converged else _UNCONVERGED)]
 

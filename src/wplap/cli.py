@@ -117,7 +117,7 @@ def read_solution_csv(path):
 
 # the certificate's scalar constants, in the order constants.csv and
 # certificate.txt list them
-_CONSTANTS = [f.name for f in fields(Constants) if f.name != "k_variants"]
+_CONSTANTS = [f.name for f in fields(Constants)]
 
 
 def write_constants_csv(path, report: CertificateReport):
@@ -125,8 +125,6 @@ def write_constants_csv(path, report: CertificateReport):
     rows = [(key, float(getattr(c, key))) for key in _CONSTANTS]
     lower, upper = c.sandwich_margins
     rows += [("sandwich_margin_lower", float(lower)), ("sandwich_margin_upper", float(upper))]
-    rows += [(f"{key}[{label}]", float(val))
-             for label, var in c.k_variants.items() for key, val in var.items()]
     _write_table(path, ["name", "value"], zip(*rows))
 
 
@@ -144,10 +142,6 @@ def write_certificate_txt(path, report: CertificateReport, meta: dict):
     lines.append("[constants]")
     lines += [f"{key} = {_fmt(getattr(c, key))}" for key in _CONSTANTS]
     lines += ["k_mode = certified", ""]
-    for label, var in c.k_variants.items():
-        lines.append(f"[variant:{label}]")
-        lines += [f"{key} = {_fmt(val)}" for key, val in var.items()]
-        lines.append("")
     for e in report.entries:
         lines += [f"[check:{e.name}]", f"verdict = {e.verdict}",
                   f"margin = {_fmt(e.margin)}", f"mode = {e.mode}"]
@@ -161,9 +155,9 @@ def write_certificate_txt(path, report: CertificateReport, meta: dict):
 
 
 def read_certificate(path) -> dict:
-    """Returns {'meta': {...}, 'constants': {...}, 'variants': {...},
-    'checks': {name: {...}}, 'notes': [...]}; floats parsed back.  ValueError
-    when the file is no INI text with [certificate] and [constants] sections."""
+    """Returns {'meta': {...}, 'constants': {...}, 'checks': {name: {...}},
+    'notes': [...]}; floats parsed back.  ValueError when the file is no INI
+    text with [certificate] and [constants] sections."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
@@ -172,14 +166,11 @@ def read_certificate(path) -> dict:
         meta, constants = dict(cp["certificate"]), cp["constants"]
     except (configparser.Error, KeyError) as exc:
         raise ValueError(f"{path}: not a certificate") from exc
-    out = {"meta": meta, "constants": {}, "variants": {}, "checks": {}, "notes": []}
+    out = {"meta": meta, "constants": {}, "checks": {}, "notes": []}
     for key, val in constants.items():
         out["constants"][key] = val if key == "k_mode" else float(val)
     for section in cp.sections():
-        if section.startswith("variant:"):
-            out["variants"][section.split(":", 1)[1]] = {
-                k: float(v) for k, v in cp[section].items()}
-        elif section.startswith("check:"):
+        if section.startswith("check:"):
             entry = dict(cp[section])
             entry["margin"] = float(entry["margin"])
             out["checks"][section.split(":", 1)[1]] = entry
@@ -325,8 +316,7 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
                   f"residual_norm = {_fmt(rec.residual_norm)}",
                   f"norm = {_fmt(rec.norm)}",
                   f"sup_norm = {_fmt(np.max(np.abs(rec.u.values)))}",
-                  f"converged = {rec.converged}",
-                  f"inconclusive = {rec.inconclusive}", ""]
+                  f"converged = {rec.converged}", ""]
     for note in notes:
         lines.append(f"note = {note}")
     (out / "solve_report.txt").write_text("\n".join(lines) + "\n")

@@ -222,7 +222,6 @@ class EnergyAssembler:
                  g: Nonlinearity | None = None, zero_order: bool = True,
                  eps_reg: float = EPS_REG, load: np.ndarray | None = None):
         self.mesh = mesh
-        self.w = w
         self.p = float(p)
         self.lam = float(lam)
         self.mu = float(mu)

@@ -94,7 +94,6 @@ class SolutionRecord:
     classification: str   # global-min-candidate | sublevel-min | mountain-pass
     norm: float           # ||u|| in the weighted space
     converged: bool = True
-    inconclusive: bool = False
 
 
 def _sup(v: np.ndarray) -> float:
@@ -326,14 +325,12 @@ def _descend(asm: EnergyAssembler, v0: np.ndarray, config: SolverConfig,
 
 
 def _record(asm: EnergyAssembler, v: np.ndarray, residual_norm: float, energy: float,
-            classification: str, converged: bool = True,
-            inconclusive: bool = False) -> SolutionRecord:
+            classification: str, converged: bool = True) -> SolutionRecord:
     """The record of v, whose scaled residual and energy its search computed."""
     return SolutionRecord(
         u=DiscreteFunction(asm.mesh, v), lam=asm.lam, mu=asm.mu,
         residual_norm=residual_norm, energy=energy, classification=classification,
-        norm=asm.norm_p(v) ** (1.0 / asm.p), converged=converged,
-        inconclusive=inconclusive)
+        norm=asm.norm_p(v) ** (1.0 / asm.p), converged=converged)
 
 
 def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
@@ -450,7 +447,7 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
     The highest of _SEGMENT_SAMPLES equispaced points (1 - t) u_a + t u_b is
     polished to residual tolerance.  A result below the higher endpoint
     energy, or within delta_dist of an endpoint, is rejected; the segment
-    peak then comes back with converged=False, inconclusive=True."""
+    peak then comes back with converged=False, which solve_cell drops."""
     ends = (u_a.values, u_b.values)
     apart = _apart(config.delta_dist, ends)
     if not apart(_sup(u_a.values - u_b.values)):
@@ -468,8 +465,7 @@ def mountain_pass(asm: EnergyAssembler, u_a: DiscreteFunction, u_b: DiscreteFunc
         if E >= E_end - 1e-9 * (1.0 + abs(E_end)) and all(apart(_sup(v - end)) for end in ends):
             return _record(asm, v, rn, E, "mountain-pass")
     rn = asm.residual_norm(asm.residual(samples[k]))
-    return _record(asm, samples[k], rn, energies[k], "mountain-pass", converged=False,
-                   inconclusive=True)
+    return _record(asm, samples[k], rn, energies[k], "mountain-pass", converged=False)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from wplap.certificate import (
 )
 from wplap.energy import Nonlinearity, _gauss_panels, make_nonlinearity, primitive_F
 from wplap.geometry import BallSpec, Domain, build_mesh
-from wplap.space import estimate_k
+from wplap.space import estimate_k, k_upper_bound
 from wplap.weight import WeightSpec
 
 UNIT = Domain.interval(0.0, 1.0)
@@ -637,29 +637,24 @@ class TestBuildCertificate:
         assert rep.overall == "inconclusive"
 
     @pytest.mark.parametrize("c", [0.2, 1.5])
-    def test_no_verdict_reads_k_lower(self, c):
+    def test_no_verdict_reads_k_lower(self, c, monkeypatch):
         mesh = ball_mesh(1 / 256)
         emb = estimate_k(UNIT, ONE, 2.0, 2.0, mesh)
-        reps = [build_certificate(shipped_spec(c=c), mesh,
-                                  embedding=dataclasses.replace(emb, k_lower=k_lower))
-                for k_lower in (emb.k_lower, 1e-3 * emb.k_lower)]
+        reps = []
+        for k_lower in (emb.k_lower, 1e-3 * emb.k_lower):
+            monkeypatch.setattr(certificate, "estimate_k",
+                                lambda *args, k_lower=k_lower:
+                                dataclasses.replace(emb, k_lower=k_lower))
+            reps.append(build_certificate(shipped_spec(c=c), mesh))
         assert reps[0].constants.k_lower != reps[1].constants.k_lower
         assert [vars(e) for e in reps[0].entries] == [vars(e) for e in reps[1].entries]
         assert reps[0].overall == reps[1].overall == ("pass" if c == 0.2 else "fail")
 
-    def test_k_variants_recorded(self):
-        rep = build_certificate(shipped_spec(), ball_mesh(1 / 256))
-        kv = rep.constants.k_variants
-        assert set(kv) == {"k_upper", "k_lower"}
-        for label in kv:
-            k = kv[label]["k"]
-            assert kv[label]["r"] == pytest.approx(compute_r(0.2, k, 2.0), rel=1e-12)
-
     @pytest.mark.parametrize("dim", [1, 2], ids=["shipped_1d", "box2d"])
     def test_constants_from_one_formula_at_one_k(self, dim):
         # the sandwich bounds are (xi d / k)^p and (eta d / k)^p written
-        # through compute_xi and compute_eta at k = 1, and k, xi, eta, r are
-        # the k_upper variant's, bit for bit
+        # through compute_xi and compute_eta at k = 1, and xi, eta and r are
+        # theirs and compute_r's at k = k_upper, bit for bit
         if dim == 1:
             spec, mesh = shipped_spec(), ball_mesh(1 / 256)
         else:
@@ -673,10 +668,12 @@ class TestBuildCertificate:
         assert consts.sandwich_lower == (compute_xi(p, r1, r2, 1.0, a_mass) * d) ** p
         assert consts.sandwich_upper == \
             (compute_eta(p, dim, r1, r2, 1.0, d, a_mass, consts.w_N) * d) ** p
-        assert {key: getattr(consts, key) for key in ("k", "xi", "eta", "r")} == \
-            consts.k_variants["k_upper"]
+        k = k_upper_bound(spec.domain, spec.weight, p, spec.s, mesh)
+        assert (consts.k, consts.xi, consts.eta, consts.r) == \
+            (k, compute_xi(p, r1, r2, k, a_mass),
+             compute_eta(p, dim, r1, r2, k, d, a_mass, consts.w_N), compute_r(spec.c, k, p))
 
-    def test_implication_chain_random_instances(self):
+    def test_implication_chain_random_instances(self, monkeypatch):
         # overall pass must imply every individual non-heuristic entry passed;
         # whenever the sandwich and d^p xi^p > c^p hold, 0 < r < phi(u*)
         rng = np.random.default_rng(5150)
@@ -686,6 +683,8 @@ class TestBuildCertificate:
             "distance_power": estimate_k(UNIT, WeightSpec.distance_power(0.5),
                                          2.0, 2.0, mesh64),
         }
+        monkeypatch.setattr(certificate, "estimate_k",
+                            lambda domain, w, *args: embeddings[w.form])
         for _ in range(100):
             w = ONE if rng.random() < 0.5 else WeightSpec.distance_power(0.5)
             r1 = rng.uniform(0.05, 0.1)
@@ -698,7 +697,7 @@ class TestBuildCertificate:
             x0 = ball.x0[0]
             mesh = build_mesh(UNIT, 1 / 64, breakpoints=(
                 x0 - ball.r2, x0 - ball.r1, x0 + ball.r1, x0 + ball.r2))
-            rep = build_certificate(spec, mesh, embedding=embeddings[w.form])
+            rep = build_certificate(spec, mesh)
             strict = [e for e in rep.entries if e.verdict != "heuristic-pass"]
             if rep.overall == "pass":
                 assert all(e.verdict == "pass" for e in strict)

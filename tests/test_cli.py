@@ -182,8 +182,8 @@ class TestCheck:
         assert consts["sandwich_margin_upper"] > 0
         cert = read_certificate(tmp_path / "certificate.txt")
         assert cert["constants"]["k_mode"] == "certified"
-        assert cert["variants"]["k_upper"]["r"] == pytest.approx(consts["r"], rel=1e-12)
-        assert consts["k[k_lower]"] <= consts["k[k_upper]"]
+        assert cert["constants"]["r"] == consts["r"]
+        assert consts["k_lower"] <= consts["k"]
 
     def test_k_lower_in_the_gradient_norm(self, tmp_path):
         # without int |u|^p the P1 Green function is exact at the nodes, so
@@ -206,7 +206,6 @@ class TestCheck:
             entry = cert["checks"][name]
             assert entry["verdict"] == "pass", name
             assert "is heuristic" not in entry["note"], name
-        assert "k mode: certified; xi/eta/r per k variant recorded" in cert["notes"]
         assert cert["meta"]["overall"] == "pass"
         assert code == 0
 

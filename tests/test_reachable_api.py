@@ -6,7 +6,8 @@ A function is referenced by any name or attribute access spelled like it
 local variable spelled like a method does not count; an import or an
 `__all__` entry is not a reference.  Code that only tests reach is deleted
 rather than kept.  Likewise every parameter of a function or method (a
-lambda aside) is read in its body: a parameter nothing reads is deleted."""
+lambda aside) is read in its body: a parameter nothing reads is deleted;
+and every attribute a class stores is read by some module of the package."""
 import ast
 from pathlib import Path
 
@@ -154,3 +155,73 @@ def test_every_private_import_is_listed():
     found = [name for path in sorted(PACKAGE.glob("*.py"))
              for name in private_imports(path.read_text(), path.stem)]
     assert sorted(found) == sorted(PRIVATE_IMPORTS)
+
+
+# stored attributes that no package module reads, with the reason each stays
+UNREAD_STORED = {
+    "oracle1d.ShootingProfile.brackets": "tests: check the bracket search through it",
+    "space.EmbeddingEstimate.witness": "tests: check k_lower against the function that attains it",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def stored_attributes(source: str, module: str) -> list:
+    """'<module>.<Class>.<name>' for every attribute a class of source
+    stores: a field of a dataclass (an annotated name in its body) or a
+    `self.name = ...` assignment in one of its methods."""
+    out = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        names = [item.target.id for item in cls.body if _is_dataclass(cls)
+                 and isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+        names += [n.attr for item in cls.body if isinstance(item, ast.FunctionDef)
+                  for n in ast.walk(item) if isinstance(n, ast.Attribute)
+                  and isinstance(n.ctx, ast.Store)
+                  and isinstance(n.value, ast.Name) and n.value.id == "self"]
+        out += [f"{module}.{cls.name}.{name}" for name in dict.fromkeys(names)]
+    return out
+
+
+def unread_stored(sources: dict) -> list:
+    """The stored attributes of sources ({module: text}) that no module
+    loads as `.name`, and whose class no module enumerates through
+    `fields(<Class>)` (or `dataclasses.fields(<Class>)`)."""
+    trees = [ast.parse(text) for text in sources.values()]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    loaded = {node.attr for node in nodes
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    enumerated = {node.args[0].id for node in nodes
+                  if isinstance(node, ast.Call) and node.args
+                  and isinstance(node.args[0], ast.Name)
+                  and "fields" in (getattr(node.func, "id", None),
+                                   getattr(node.func, "attr", None))}
+    return [qualified for module, text in sources.items()
+            for qualified in stored_attributes(text, module)
+            if qualified.split(".")[2] not in loaded
+            and qualified.split(".")[1] not in enumerated]
+
+
+def test_unread_stored_detector():
+    sources = {"a": "from dataclasses import dataclass, fields\n"
+                    "@dataclass\nclass D:\n    x: int\n    y: int = 0\n    Z = 1\n"
+                    "@dataclass\nclass E:\n    e: int\n"
+                    "class P:\n    n: int\n"
+                    "    def __init__(self, a):\n"
+                    "        self.a, self.b = a, a\n        self.c = 0\n        self.c += 1\n"
+                    "        self.d = self.a\n"
+                    "names = [f.name for f in fields(E)]\n",
+               "b": "def f(d):\n    d.b = 1\n    return d.x\n"}
+    # a, e and x are read (e through fields(E)); b, c, d and y are only
+    # stored, c by += too; Z is no field, and neither is n of the plain P
+    assert sorted(unread_stored(sources)) == ["a.D.y", "a.P.b", "a.P.c", "a.P.d"]
+
+
+def test_every_stored_attribute_is_read_or_allowed():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert sorted(unread_stored(sources)) == sorted(UNREAD_STORED)

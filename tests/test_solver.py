@@ -1,4 +1,5 @@
 """Critical-point search: inversion, minimization, mountain pass, and scan."""
+import dataclasses
 import math
 
 import numpy as np
@@ -529,7 +530,7 @@ class TestMountainPass:
         ua, ub = _toy_minima(mesh, *_toy_criticals(mesh, asm))
         rec = mountain_pass(asm, DiscreteFunction(mesh, ua), DiscreteFunction(mesh, ub),
                             config=SolverConfig(residual_tol=1e-300))
-        assert not rec.converged and rec.inconclusive
+        assert not rec.converged
         samples = [(1 - t) * ua + t * ub for t in np.linspace(0, 1, 33)]
         peak = samples[int(np.argmax([asm.energy(v) for v in samples]))]
         assert np.array_equal(rec.u.values, peak)
@@ -544,6 +545,23 @@ class TestMountainPass:
         assert [r.classification for r in records] == ["global-min-candidate",
                                                        "sublevel-min"]
         assert notes == ["mountain pass polish did not converge"]
+
+    @pytest.mark.parametrize("failing", [None, "polish", "sublevel"])
+    def test_solve_cell_returns_converged_records_only(self, monkeypatch, failing):
+        # a search that ends unconverged (a failed mountain-pass polish, a
+        # sublevel descent stuck on the constraint) is dropped with a note
+        mesh = build_mesh(UNIT, 1 / 64, breakpoints=(0.3, 0.4, 0.6, 0.7))
+        asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, shipped_f(), shipped_g())
+        if failing == "polish":
+            monkeypatch.setattr(solver, "_polish", lambda *args: None)
+        elif failing == "sublevel":
+            search = solver.sublevel_minimize
+            monkeypatch.setattr(solver, "sublevel_minimize", lambda *args, **kwargs:
+                                dataclasses.replace(search(*args, **kwargs), converged=False))
+        records, notes = solve_cell(asm, r=0.08, ustar=build_ustar(1.0, BALL, mesh))
+        assert len(records) == {None: 3, "polish": 2, "sublevel": 1}[failing]
+        assert all(rec.converged for rec in records)
+        assert len(notes) == (failing is not None)
 
     def test_identical_endpoints_rejected(self):
         mesh, asm = _toy_assembler()

@@ -91,3 +91,13 @@ def test_exponent_zero_is_the_unit_weight():
     one, flat = WeightSpec.constant(1.0), WeightSpec.distance_power(0.0)
     np.testing.assert_array_equal(eval_weight(flat, dom, xs), eval_weight(one, dom, xs))
     assert weight_lower_bound(flat, dom) == weight_lower_bound(one, dom) == 1.0
+
+
+@pytest.mark.parametrize("keys, unread", [
+    ({"form": "distance_power", "exponent": 0.5, "value": 5.0}, "value"),
+    ({"form": "constant", "value": 2.0, "exponent": 2.0}, "exponent"),
+])
+def test_weight_rejects_the_key_its_form_does_not_read(keys, unread):
+    with pytest.raises(ValueError, match=f"does not read '{unread}'"):
+        WeightSpec(**keys)
+    WeightSpec(**{**keys, unread: getattr(WeightSpec, unread)})   # at its default it is accepted
