@@ -54,6 +54,7 @@ __all__ = [
 ]
 
 _GUARD = 1e-9       # strictness guard band: smaller margins are inconclusive
+_ROUNDING = 1e-12   # rounding slack: H1, H4 and H5 pass a margin down to -_ROUNDING
 _CHUNK = 2 ** 15    # (x, t) points per values call in _sample_over_t
 
 
@@ -141,8 +142,13 @@ class CheckEntry:
 class CertificateReport:
     constants: Constants
     entries: list
-    overall: str
     notes: list = field(default_factory=list)
+
+    @property
+    def overall(self) -> str:
+        """fail if an entry fails, else inconclusive if one is, else pass."""
+        verdicts = {e.verdict for e in self.entries}
+        return next((v for v in ("fail", "inconclusive") if v in verdicts), "pass")
 
     @property
     def exit_code(self) -> int:
@@ -157,14 +163,6 @@ def _strict_verdict(margin: float) -> str:
     if margin <= 0:
         return "fail"
     if margin < _GUARD:
-        return "inconclusive"
-    return "pass"
-
-
-def _overall(entries) -> str:
-    if any(e.verdict == "fail" for e in entries):
-        return "fail"
-    if any(e.verdict == "inconclusive" for e in entries):
         return "inconclusive"
     return "pass"
 
@@ -366,9 +364,9 @@ def check_H1(nl_f: Nonlinearity, domain: Domain, ball: BallSpec, d: float) -> Ch
     xs = _x_samples(domain, exclude_ball=ball, n=200)
     worst = float(np.min(_sample_over_t(primitive_F, nl_f, xs, np.linspace(0.0, d, 200),
                                         np.minimum)))
-    if worst < -1e-9:
+    if worst < -_GUARD:
         verdict = "fail"
-    elif worst >= -1e-12:
+    elif worst >= -_ROUNDING:
         verdict = "pass"
     else:
         verdict = "inconclusive"
@@ -386,21 +384,29 @@ def _sup_F_box(nl_f: Nonlinearity, domain: Domain, c: float,
                                        np.maximum)))
 
 
+def _F_balance(nl_f: Nonlinearity, domain: Domain, sup_F: float, A: float, B: float,
+               t_of) -> tuple[float, float, str]:
+    """The margin right - left of left = A |Omega| sup_F <= right =
+    B Int F(x, t_of(x)) dx (H2 and bona1), with left and the note naming both
+    sides."""
+    left = A * domain_measure(domain) * sup_F
+    integral, converged = _domain_integral(
+        lambda pts: primitive_F(nl_f, pts, t_of(pts)), domain)
+    right = B * integral
+    return right - left, left, (f"left={left:.9g} right={right:.9g}"
+                                + ("" if converged else _UNCONVERGED))
+
+
 def check_H2(nl_f: Nonlinearity, domain: Domain, eta: float, c: float,
              d: float, p: float, sup_F: float) -> CheckEntry:
     """d^p eta^p |Omega| sup_{Omega x [-c,c]} F  <  c^p Int F(x,d) dx,
     with sup_F the sup of F over the domain x [-c, c] (build_certificate
     samples it with _sup_F_box)."""
-    omega = domain_measure(domain)
-    left = d ** p * eta ** p * omega * sup_F
-    integral, converged = _domain_integral(
-        lambda pts: primitive_F(nl_f, pts, np.full(pts.shape[0], d)), domain)
-    right = c ** p * integral
-    margin = right - left
-    verdict = _strict_verdict(margin)
-    return CheckEntry(name="H2", verdict=verdict, margin=margin, mode="sampled",
-                      note=f"left={left:.9g} right={right:.9g}"
-                           + ("" if converged else _UNCONVERGED))
+    margin, _, note = _F_balance(nl_f, domain, sup_F, d ** p * eta ** p, c ** p,
+                                 lambda pts: np.full(pts.shape[0], d))
+    return CheckEntry(name="H2", verdict=_strict_verdict(margin), margin=margin,
+                      mode="sampled", note=note)
+
 
 
 def _corner_points(domain: Domain) -> np.ndarray:
@@ -463,7 +469,7 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
     # H4: the primitive-integral construction gives F(x,0)=0 identically
     m = float(np.max(_sample_over_t(primitive_F, nl_f, xs, (0.0,), np.maximum,
                                     post=lambda Fv, t: np.abs(Fv))))
-    out.append(CheckEntry(name="H4", verdict="pass" if m <= 1e-12 else "fail",
+    out.append(CheckEntry(name="H4", verdict="pass" if m <= _ROUNDING else "fail",
                           margin=-m, mode="closed-form",
                           note="F(x,0) = 0 by construction of the primitive"))
 
@@ -485,7 +491,7 @@ def check_H3_H4_H5(nl_f: Nonlinearity, nl_g: Nonlinearity | None, gamma: float,
         w_tau = nl_g.caratheodory_w.at(xs, tau=np.full(xs.shape[0], tau))
         margins.append(np.min(w_tau - sup_g))
     worst = float(np.min(margins))
-    verdict = "pass" if worst >= -1e-12 else "fail"
+    verdict = "pass" if worst >= -_ROUNDING else "fail"
     out.append(CheckEntry(name="H5", verdict=verdict, margin=worst, mode="sampled",
                           note=f"tau list {taus}"))
     return out
@@ -514,22 +520,16 @@ def check_theorem_conditions(spec: ProblemSpec, constants: Constants,
                           note=f"phi(0)=0 < r={constants.r:.9g} < "
                                f"phi(u*)={phi_ustar:.9g}"))
 
-    omega = domain_measure(spec.domain)
-    left = omega * sup_F
     ustar_norm = constants.ustar_norm_p ** (1.0 / p)
-
-    integral, converged = _domain_integral(
-        lambda pts: primitive_F(spec.nl_f, pts, _ustar_values(pts, d, spec.ball)),
-        spec.domain)
-    right = (c / (constants.k * ustar_norm)) ** p * integral
-    m3 = right - left
+    m3, left, note = _F_balance(spec.nl_f, spec.domain, sup_F, 1.0,
+                                (c / (constants.k * ustar_norm)) ** p,
+                                lambda pts: _ustar_values(pts, d, spec.ball))
     # this inequality is non-strict; zero margin still passes
     verdict = "pass" if m3 >= 0 else "fail"
     if 0 < m3 < _GUARD and left != 0.0:
         verdict = "inconclusive"
     out.append(CheckEntry(name="bona1", verdict=verdict, margin=m3, mode="sampled",
-                          note=f"left={left:.9g} right={right:.9g}"
-                               + ("" if converged else _UNCONVERGED)))
+                          note=note))
     return out
 
 
@@ -574,5 +574,4 @@ def build_certificate(spec: ProblemSpec, mesh: Mesh) -> CertificateReport:
         for e in entries:
             if e.name in ("sandwich", "H2", "dxi_gt_c"):
                 e.note += _UNCONVERGED
-    return CertificateReport(constants=constants, entries=entries,
-                             overall=_overall(entries), notes=notes)
+    return CertificateReport(constants=constants, entries=entries, notes=notes)

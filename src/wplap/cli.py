@@ -6,9 +6,10 @@ scan (full grid sweep), oracle (1D shooting cross-check).  Exit codes:
 error, 65 unsupported domain.
 
 Every CSV file and certificate.txt has a reader in this module so results
-can be reloaded programmatically (read_solution_csv also reads the oracle's
-root profiles); the *_report.txt files have none.  Floats are written with
-repr for bit-identical reruns.
+can be reloaded programmatically (write_solution_csv writes, and
+read_solution_csv reads, every profile: solutions, scan solutions, oracle
+roots and the best iterate); the *_report.txt files have none.  Floats are
+written with repr for bit-identical reruns.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from .energy import EnergyAssembler
 from .geometry import Mesh, UnsupportedDomainError, build_mesh
 from .oracle1d import ShootingProfile, enumerate_solutions
 from .solver import CoercivityError, SolutionSet, SolverFailure, scan, solve_cell
-from .space import DiscreteFunction, k_upper_bound
+from .space import k_upper_bound
 
 __all__ = [
     "main",
@@ -101,11 +102,11 @@ def _read_table(path, what: str, header_ok, min_rows: int = 0) -> list:
     return rows[1:]
 
 
-def write_solution_csv(path, u: DiscreteFunction, coords: list | None = None):
-    """u at its mesh's vertices; coords, when given, is _columns(u.mesh.vertices)."""
-    mesh = u.mesh
-    _write_table(path, [f"x{i + 1}" for i in range(mesh.dim)] + ["u"],
-                 [*(coords or _columns(mesh.vertices)), u.values.tolist()])
+def write_solution_csv(path, coords: list, values: np.ndarray):
+    """A profile: values (n,) at the points whose _columns are coords (a
+    mesh's vertices or the oracle's march grid)."""
+    _write_table(path, [f"x{i + 1}" for i in range(len(coords))] + ["u"],
+                 [*coords, values.tolist()])
 
 
 def read_solution_csv(path):
@@ -217,11 +218,6 @@ def read_oracle_profile(path):
     return sigma, terminal, diverged
 
 
-def write_oracle_root_csv(path, root, grid: list | None = None):
-    """A root's profile; grid, when given, is _columns(root.x)."""
-    _write_table(path, ["x1", "u"], [*(grid or _columns(root.x)), root.u.tolist()])
-
-
 # -- subcommands ----------------------------------------------------------
 
 def _report_lines(report: CertificateReport):
@@ -274,7 +270,7 @@ def _solver_inputs(cfg: RunConfig, lams, mus):
     if spec is not None:
         with config_errors(cfg.path, "mesh", "h", errors=RefinementRequiredError):
             ustar = build_ustar(cfg.d, cfg.ball, mesh)
-        k_upper = k_upper_bound(spec.domain, spec.weight, spec.p, spec.s, mesh)
+        k_upper = k_upper_bound(spec.weight, spec.p, spec.s, mesh)
         r = compute_r(spec.c, k_upper, spec.p)
         if check_H3(spec.nl_f, spec.gamma, spec.domain).verdict not in ("pass", "heuristic-pass"):
             print("warning: H3 growth bound not established; coercivity unknown, "
@@ -294,7 +290,8 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
                  f"error = {exc}"]
         best = getattr(exc, "best", None)
         if best is not None:
-            write_solution_csv(out / "best_iterate.csv", best)
+            write_solution_csv(out / "best_iterate.csv", _columns(best.mesh.vertices),
+                               best.values)
             lines.append("best_iterate = best_iterate.csv")
             lines.append(f"best_residual = {_fmt(exc.residual_norm)}")
         (out / "solve_report.txt").write_text("\n".join(lines) + "\n")
@@ -309,14 +306,13 @@ def cmd_solve(cfg: RunConfig, out: Path) -> int:
     coords = _columns(asm.mesh.vertices)
     for i, rec in enumerate(distinct):
         name = f"solution_{i:03d}.csv"
-        write_solution_csv(out / name, rec.u, coords)
+        write_solution_csv(out / name, coords, rec.u.values)
         lines += [f"[solution_{i:03d}]", f"file = {name}",
                   f"classification = {rec.classification}",
                   f"energy = {_fmt(rec.energy)}",
                   f"residual_norm = {_fmt(rec.residual_norm)}",
                   f"norm = {_fmt(rec.norm)}",
-                  f"sup_norm = {_fmt(np.max(np.abs(rec.u.values)))}",
-                  f"converged = {rec.converged}", ""]
+                  f"sup_norm = {_fmt(np.max(np.abs(rec.u.values)))}", ""]
     for note in notes:
         lines.append(f"note = {note}")
     (out / "solve_report.txt").write_text("\n".join(lines) + "\n")
@@ -346,7 +342,7 @@ def cmd_scan(cfg: RunConfig, out: Path) -> int:
                                           in zip(_SCAN_COLUMNS, _scan_row(cell))]
         for si, rec in enumerate(cell.solutions.distinct_records()):
             name = f"scan_c{ci:03d}_s{si}.csv"
-            write_solution_csv(out / name, rec.u, coords)
+            write_solution_csv(out / name, coords, rec.u.values)
             lines.append(f"solution_{si} = {name} "
                          f"({rec.classification}, energy={_fmt(rec.energy)}, "
                          f"residual={_fmt(rec.residual_norm)})")
@@ -380,7 +376,7 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
     for i, root in enumerate(profile.roots):
         name = f"oracle_root_{i:03d}.csv"
         grid = grid or _columns(root.x)
-        write_oracle_root_csv(out / name, root, grid)
+        write_solution_csv(out / name, grid, root.u)
         lines += [f"[root_{i:03d}]", f"file = {name}", f"sigma = {_fmt(root.sigma)}",
                   f"terminal = {_fmt(root.terminal)}",
                   f"sup_norm = {_fmt(np.max(np.abs(root.u)))}", ""]

@@ -364,12 +364,13 @@ def enumerate_solutions(domain: Domain, w: WeightSpec, p: float, lam: float,
                            degenerate_flat=degenerate, unconverged=unconverged)
 
 
-def profile_on_mesh(root: ShootingRoot, mesh: Mesh, domain: Domain) -> DiscreteFunction:
-    """Sample a shooting trajectory at the mesh vertices (linear interpolation;
-    with matching steps_per_unit every interior vertex is an integration node)."""
+def profile_on_mesh(root: ShootingRoot, mesh: Mesh) -> DiscreteFunction:
+    """Sample a shooting trajectory at the mesh vertices, zero at the ends of
+    mesh.domain (linear interpolation; with matching steps_per_unit every
+    interior vertex is an integration node)."""
     if mesh.dim != 1:
         raise UnsupportedDomainError("profiles interpolate onto 1D meshes only")
-    x_a, x_b = _interval(domain)
+    x_a, x_b = _interval(mesh.domain)
     xs = np.concatenate([[x_a], root.x, [x_b]])
     us = np.concatenate([[0.0], root.u, [0.0]])
     vals = np.interp(mesh.vertices[:, 0], xs, us)

@@ -87,8 +87,6 @@ class SolverConfig:
 @dataclass
 class SolutionRecord:
     u: DiscreteFunction
-    lam: float
-    mu: float
     residual_norm: float
     energy: float
     classification: str   # global-min-candidate | sublevel-min | mountain-pass
@@ -120,8 +118,10 @@ class SolutionSet:
     def __post_init__(self):
         vals = [r.u.values for r in self.records]
         n = len(vals)
-        D = np.array([[_sup(a - b) for b in vals] for a in vals]).reshape(n, n)
-        self.distance_matrix = D
+        # max|a - b| is exact, so one broadcast gives every pairwise _sup bitwise
+        V = np.array(vals)
+        self.distance_matrix = D = (np.abs(V[:, None] - V[None, :]).max(axis=2) if n
+                                    else np.zeros((0, 0)))
         apart = _apart(self.delta_dist, vals)
         self.kept = []
         for i in range(n):
@@ -328,9 +328,9 @@ def _record(asm: EnergyAssembler, v: np.ndarray, residual_norm: float, energy: f
             classification: str, converged: bool = True) -> SolutionRecord:
     """The record of v, whose scaled residual and energy its search computed."""
     return SolutionRecord(
-        u=DiscreteFunction(asm.mesh, v), lam=asm.lam, mu=asm.mu,
-        residual_norm=residual_norm, energy=energy, classification=classification,
-        norm=asm.norm_p(v) ** (1.0 / asm.p), converged=converged)
+        u=DiscreteFunction(asm.mesh, v), residual_norm=residual_norm, energy=energy,
+        classification=classification, norm=asm.norm_p(v) ** (1.0 / asm.p),
+        converged=converged)
 
 
 def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,

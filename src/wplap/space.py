@@ -127,9 +127,8 @@ class EmbeddingEstimate:
     witness: DiscreteFunction  # point-load solution whose ratio is k_lower
 
 
-def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
-                  mesh: Mesh) -> float:
-    """Talenti's constant for p_s = p*s/(s+1) times
+def k_upper_bound(w: WeightSpec, p: float, s: float, mesh: Mesh) -> float:
+    """Talenti's constant for p_s = p*s/(s+1) on mesh.domain times
     (int a^(-s))^(1/((s+1) p_s)), the integral taken with the mesh quadrature.
 
     Rigorous for every weight a > 0: Hoelder with exponents p/p_s and s+1
@@ -139,7 +138,7 @@ def k_upper_bound(domain: Domain, w: WeightSpec, p: float, s: float,
     pts, wq, _ = mesh.quadrature()
     aq = eval_weight(w, mesh.domain, pts)
     int_a_ms = float(wq.ravel() @ aq ** (-s))
-    return float(talenti_bound(domain.dim, p_s, domain_measure(domain))
+    return float(talenti_bound(mesh.dim, p_s, domain_measure(mesh.domain))
                  * int_a_ms ** (1.0 / ((s + 1.0) * p_s)))
 
 
@@ -162,7 +161,7 @@ def estimate_k(domain: Domain, w: WeightSpec, p: float, s: float,
     # solver imports this module, so it is imported here, at call time
     from .solver import SolverConfig, SolverFailure, invert_phi_prime
 
-    k_upper = k_upper_bound(domain, w, p, s, mesh)
+    k_upper = k_upper_bound(w, p, s, mesh)
     interior = np.flatnonzero(mesh.interior_vertices)
     if interior.size == 0:
         raise ValueError("mesh has no interior vertices")

@@ -45,6 +45,19 @@ def test_every_traced_attribute_exists():
     assert missing == []
 
 
+def test_shoot_observer_reads_the_domain():
+    """The tracer counts RK4 steps from shoot's domain, bound by name, through
+    Domain.kind and Domain.bounds."""
+    from wplap.oracle1d import shoot
+    observe = next(obs for _, _, name, obs, _ in _span_table() if name == "oracle1d.shoot")
+    counters = Counter()
+    args = (np.array([0.5, 1.0]), Domain.interval(0.0, 2.0), WeightSpec.constant(1.0),
+            2.0, 0.0, 0.0)
+    kwargs = {"steps_per_unit": 32}
+    observe(counters, args, kwargs, shoot(*args, **kwargs))
+    assert counters == {"oracle1d.sigmas_marched": 2, "oracle1d.rk4_steps": 64}
+
+
 def test_observed_parameters_are_bound_by_name():
     from wplap.oracle1d import shoot
     from wplap.solver import solve_cell

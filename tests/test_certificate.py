@@ -668,7 +668,7 @@ class TestBuildCertificate:
         assert consts.sandwich_lower == (compute_xi(p, r1, r2, 1.0, a_mass) * d) ** p
         assert consts.sandwich_upper == \
             (compute_eta(p, dim, r1, r2, 1.0, d, a_mass, consts.w_N) * d) ** p
-        k = k_upper_bound(spec.domain, spec.weight, p, spec.s, mesh)
+        k = k_upper_bound(spec.weight, p, spec.s, mesh)
         assert (consts.k, consts.xi, consts.eta, consts.r) == \
             (k, compute_xi(p, r1, r2, k, a_mass),
              compute_eta(p, dim, r1, r2, k, d, a_mass, consts.w_N), compute_r(spec.c, k, p))

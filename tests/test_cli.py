@@ -15,7 +15,6 @@ import warnings
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -441,18 +440,16 @@ def row_format(header, rows) -> bytes:
 
 class TestCsvWriter:
     """_write_table writes columns: coordinates as the text _columns forms
-    once per command, the other columns as tolist() values."""
+    once per command, the other columns as tolist() values; write_solution_csv
+    writes every profile, the oracle's roots too."""
 
     @settings(max_examples=60, deadline=None)
     @given(dim=st.sampled_from([1, 2]), n=st.integers(1, 9), data=st.data())
     def test_solution_columns_match_row_format(self, tmp_path_factory, dim, n, data):
         pts, vals = _float_array(data, (n, dim)), _float_array(data, (n,))
-        u = SimpleNamespace(mesh=SimpleNamespace(dim=dim, vertices=pts), values=vals)
         path = tmp_path_factory.mktemp("csv") / "u.csv"
-        cli.write_solution_csv(path, u)
+        cli.write_solution_csv(path, cli._columns(pts), vals)
         header = [f"x{i + 1}" for i in range(dim)] + ["u"]
-        assert path.read_bytes() == row_format(header, np.column_stack([pts, vals]).tolist())
-        cli.write_solution_csv(path, u, cli._columns(pts))
         assert path.read_bytes() == row_format(header, np.column_stack([pts, vals]).tolist())
 
     @settings(max_examples=60, deadline=None)
@@ -468,10 +465,9 @@ class TestCsvWriter:
             [[s, t, int(d)] for s, t, d in zip(sigma.tolist(), terminal.tolist(),
                                                 diverged.tolist())])
         root = ShootingRoot(sigma=0.5, terminal=0.0, x=x, u=terminal)
-        want = row_format(["x1", "u"], np.column_stack([x, terminal]).tolist())
-        for grid in (None, cli._columns(x)):
-            cli.write_oracle_root_csv(path, root, grid)
-            assert path.read_bytes() == want
+        cli.write_solution_csv(path, cli._columns(root.x), root.u)
+        assert path.read_bytes() == row_format(["x1", "u"],
+                                               np.column_stack([x, terminal]).tolist())
 
     @pytest.mark.parametrize("domain, h", [(Domain.interval(0.0, 1.0), 1 / 16),
                                            (Domain.box(0.0, 1.0, 0.0, 1.0), 0.25)])
@@ -481,10 +477,13 @@ class TestCsvWriter:
                  for k in (1.0, 3.0)]
         coords = cli._columns(mesh.vertices)
         for i, u in enumerate(funcs):
-            cli.write_solution_csv(tmp_path / f"shared_{i}.csv", u, coords)
-            cli.write_solution_csv(tmp_path / f"own_{i}.csv", u)
+            cli.write_solution_csv(tmp_path / f"shared_{i}.csv", coords, u.values)
+            cli.write_solution_csv(tmp_path / f"own_{i}.csv", cli._columns(mesh.vertices),
+                                   u.values)
             assert (tmp_path / f"shared_{i}.csv").read_bytes() == \
                 (tmp_path / f"own_{i}.csv").read_bytes()
+            xy, vals = read_solution_csv(tmp_path / f"shared_{i}.csv")
+            assert np.array_equal(xy, mesh.vertices) and np.array_equal(vals, u.values)
         assert (tmp_path / "own_0.csv").read_bytes() != (tmp_path / "own_1.csv").read_bytes()
 
 

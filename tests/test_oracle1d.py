@@ -493,7 +493,7 @@ class TestEnumerate:
         assert abs(root.terminal) <= 1e-8
         mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
         asm = EnergyAssembler(mesh, ONE, 1.5, 18.0, 0.0, f, g)
-        v0 = profile_on_mesh(root, mesh, UNIT).values
+        v0 = profile_on_mesh(root, mesh).values
         polished = _polish(asm, v0, SolverConfig())
         assert polished is not None
         v, rn = polished
@@ -512,7 +512,7 @@ class TestProfileOnMesh:
         prof = self._shipped_profile()
         mesh = build_mesh(UNIT, 1 / 64)
         for root in prof.roots:
-            df = profile_on_mesh(root, mesh, UNIT)
+            df = profile_on_mesh(root, mesh)
             assert df.values[0] == 0.0 and df.values[-1] == 0.0
 
     def test_interpolated_profiles_nearly_solve_weak_form(self):
@@ -520,7 +520,7 @@ class TestProfileOnMesh:
         mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
         asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, shipped_f(), shipped_g())
         for root in prof.roots:
-            df = profile_on_mesh(root, mesh, UNIT)
+            df = profile_on_mesh(root, mesh)
             assert asm.residual_norm(asm.residual(df.values)) <= 5e-4
 
     def test_matches_variational_solver(self):
@@ -534,7 +534,7 @@ class TestProfileOnMesh:
         for rec in records:
             best = min(
                 sup_norm(DiscreteFunction(
-                    rec.u.mesh, rec.u.values - profile_on_mesh(root, mesh, UNIT).values))
+                    rec.u.mesh, rec.u.values - profile_on_mesh(root, mesh).values))
                 for root in prof.roots)
             assert best <= 5e-3
 
@@ -552,7 +552,7 @@ class TestProfileOnMesh:
             asm = EnergyAssembler(mesh, ONE, 2.0, 18.0, 0.0, f, g)
             ustar = build_ustar(1.0, BallSpec(x0=(0.5,), r1=0.1, r2=0.2), mesh)
             records, _ = solve_cell(asm, r=0.08, ustar=ustar)
-            errors.append([min(np.max(np.abs(rec.u.values - profile_on_mesh(root, mesh, UNIT).values))
+            errors.append([min(np.max(np.abs(rec.u.values - profile_on_mesh(root, mesh).values))
                                for rec in records)
                            for root in prof.roots])
         orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
@@ -576,7 +576,7 @@ class TestProfileOnMesh:
             asm = EnergyAssembler(mesh, ONE, 3.0, 60.0, 0.0, f, g)
             row = []
             for root in prof.roots:
-                start = profile_on_mesh(root, mesh, UNIT).values
+                start = profile_on_mesh(root, mesh).values
                 polished = _polish(asm, start, SolverConfig())
                 assert polished is not None, (n, root.sigma)
                 row.append(np.max(np.abs(polished[0] - start)))
@@ -588,4 +588,4 @@ class TestProfileOnMesh:
         prof = self._shipped_profile()
         mesh2d = build_mesh(Domain.box(0, 1, 0, 1), 1 / 4)
         with pytest.raises(UnsupportedDomainError):
-            profile_on_mesh(prof.roots[0], mesh2d, UNIT)
+            profile_on_mesh(prof.roots[0], mesh2d)

@@ -6,7 +6,8 @@ solver._apart, so src multiplies by delta_dist (an attribute such as
 config.delta_dist, or a plain name) exactly once.  The solver and oracle
 defaults live in SolverConfig and in oracle1d's SIGMA_MIN, SIGMA_MAX,
 N_SCAN and STEPS_PER_UNIT, so each of their literals appears once; the
-eps_reg default is energy.EPS_REG, the one literal an eps_reg takes.  Every
+eps_reg default is energy.EPS_REG, the one literal an eps_reg takes; the
+certificate's verdict tolerances are its _GUARD and _ROUNDING.  Every
 ConfigError is built by config._located, so src calls ConfigError once.
 Only expressions.py runs code it builds, with the builtins eval and
 compile, against a name table without builtins.  Only cli._write_table
@@ -74,6 +75,13 @@ def test_default_is_written_once(literal):
     found = {path.name: numeric_literals(path.read_text()).count((type(literal), literal))
              for path in SOURCES}
     assert sum(found.values()) == 1, {name: n for name, n in found.items() if n}
+
+
+def test_certificate_tolerances_are_written_once():
+    # H1 fails below -_GUARD, and one rounding slack _ROUNDING serves H1, H4, H5
+    found = numeric_literals((PACKAGE / "certificate.py").read_text())
+    assert found.count((float, 1e-12)) == 1
+    assert (float, -1e-9) not in found and (float, -1e-12) not in found
 
 
 def eps_reg_literals(source: str) -> list:

@@ -72,7 +72,7 @@ def box2d():
     mesh = build_mesh(square, 0.1)
     ustar = build_ustar(1.0, BallSpec(x0=(0.5, 0.5), r1=0.1, r2=0.2), mesh)
     asm = EnergyAssembler(mesh, ONE, 3.0, 2000.0, 0.0, shipped_f(), shipped_g())
-    k_upper = k_upper_bound(square, ONE, 3.0, 3.0, mesh)
+    k_upper = k_upper_bound(ONE, 3.0, 3.0, mesh)
     return asm, ustar, compute_r(0.2, k_upper, 3.0)
 
 
@@ -649,7 +649,7 @@ class TestSolutionSet:
 
     def _record(self, mesh, values, norm=1.0):
         u = DiscreteFunction(mesh, values)
-        return SolutionRecord(u=u, lam=0.0, mu=0.0, residual_norm=0.0,
+        return SolutionRecord(u=u, residual_norm=0.0,
                               energy=0.0, classification="global-min-candidate",
                               norm=norm)
 
@@ -707,6 +707,20 @@ class TestSolutionSet:
                 for _ in range(5)]
         sset = SolutionSet(recs, delta_dist=1e-3)
         assert len(sset.distinct_records()) == sset.count
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_distance_matrix_is_every_pairwise_sup(self, n):
+        mesh = self._mesh()
+        rng = np.random.default_rng(n)
+        vals = [rng.standard_normal(mesh.num_vertices) for _ in range(n)]
+        sset = SolutionSet([self._record(mesh, v) for v in vals], delta_dist=1e-3)
+        vals = [r.u.values for r in sset.records]
+        want = [[float(np.max(np.abs(a - b))) for b in vals] for a in vals]
+        assert sset.distance_matrix.shape == (n, n)
+        assert sset.distance_matrix.tolist() == want
+        assert sset.min_distance == min((want[i][j] for i in range(n)
+                                         for j in range(i + 1, n)), default=0.0)
+        assert sset.count == n
 
 
 class TestMonotonicityAndCoercivity:

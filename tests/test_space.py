@@ -294,7 +294,7 @@ class TestEstimateK:
 def test_k_upper_bound_is_estimate_k_upper(domain, h, p, s, w):
     mesh = build_mesh(domain, h)
     est = estimate_k(domain, w, p, s, mesh)
-    assert k_upper_bound(domain, w, p, s, mesh) == est.k_upper
+    assert k_upper_bound(w, p, s, mesh) == est.k_upper
 
 
 def norm_ratios(family, w, p):
