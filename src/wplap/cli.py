@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import math
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -412,16 +413,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _apply_overrides(cfg: RunConfig, args):
+    """The --seed, --lambda and --mu flags on cfg; a value the config key
+    would reject (a negative seed, a non-finite lambda or mu) is a config
+    error that names the flag in place of a file."""
+    if args.seed is not None:
+        with config_errors("--seed"):
+            cfg.solver = replace(cfg.solver, seed=args.seed)
+    for flag, value in (("--lambda", args.lam), ("--mu", args.mu)):
+        if value is not None and not math.isfinite(value):
+            raise _located(flag, f"not finite: {value!r}")
+    if args.lam is not None:
+        cfg.run_lambda = args.lam
+    if args.mu is not None:
+        cfg.run_mu = args.mu
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.solver = replace(cfg.solver, seed=args.seed)
-        if args.lam is not None:
-            cfg.run_lambda = args.lam
-        if args.mu is not None:
-            cfg.run_mu = args.mu
+        _apply_overrides(cfg, args)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, out)

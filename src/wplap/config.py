@@ -9,7 +9,7 @@ from __future__ import annotations
 import configparser
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .energy import Nonlinearity, make_nonlinearity
@@ -216,7 +216,10 @@ def load_config(path: str) -> RunConfig:
 
     with config_errors(path, "solver"):
         solver = SolverConfig(**{key: val for (section, key), val in vals.items()
-                                 if section == "solver" or (section, key) == ("run", "seed")})
+                                 if section == "solver"})
+    if ("run", "seed") in vals:
+        with config_errors(path, "run", "seed"):
+            solver = replace(solver, seed=vals[("run", "seed")])
 
     h = get("mesh", "h")
     mu_values = get("mu", "values", [0.0])

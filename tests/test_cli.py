@@ -578,6 +578,8 @@ class TestConfigDiagnostics:
             "expr = t + 0*t"),
         "g too deep to integrate": ("check", [("expr = sin(t)", "expr = sin(t)" + " + 0*t" * 600)],
                                     "expr = sin(t) + 0*t"),
+        # numpy's SeedSequence, which the random start reproduces, takes no negative seed
+        "negative seed": ("solve", [("seed = 42", "seed = -5")], "seed = -5"),
     }
 
     @pytest.mark.parametrize("name", list(ERROR_PATHS))
@@ -780,6 +782,33 @@ class TestConfigDiagnostics:
         assert [d.axes.tolist() for d in domains] == [[[2.0, 3.0]]]
         load_config(str(SHIPPED))
         assert len(domains) == 2
+
+    def test_negative_seed_names_its_key(self, tmp_path):
+        cfg = variant(tmp_path, "seed.cfg", ("seed = 42", "seed = -5"))
+        line = cfg.read_text().splitlines().index("seed = -5") + 1
+        with pytest.raises(config.ConfigError) as exc:
+            load_config(str(cfg))
+        assert str(exc.value) == f"{cfg} [run]: need seed >= 0, got -5 (line {line}, column 1)"
+
+    # a flag takes the rule of its config key: a seed >= 0, a finite lambda and mu
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("solve", "--seed", "-1", "need seed >= 0, got -1"),
+        ("scan", "--seed", "-3", "need seed >= 0, got -3"),
+        ("solve", "--lambda", "nan", "not finite: nan"),
+        ("solve", "--lambda", "inf", "not finite: inf"),
+        ("solve", "--mu", "nan", "not finite: nan"),
+        ("solve", "--mu=-inf", None, "not finite: -inf"),
+        ("oracle", "--lambda", "nan", "not finite: nan"),
+        ("check", "--lambda=-inf", None, "not finite: -inf"),
+    ])
+    def test_bad_flag_is_a_config_error_naming_it(self, tmp_path, capsys, command, flag,
+                                                  value, message):
+        argv = [command, "--config", SHIPPED, "--out", tmp_path / "out", flag]
+        code = run_cli(*argv, *([] if value is None else [value]))
+        assert code == 64
+        name = flag.split("=")[0]
+        assert capsys.readouterr() == ("", f"config error: {name}: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_bad_typed_value_names_key_and_line(self, tmp_path):
         cfg = variant(tmp_path, "typed.cfg", ("[run]", "[solver]\nresidual_tol = abc\n\n[run]"))

@@ -1,11 +1,12 @@
 """Every import in the package is used (no linter ships with the test extra),
 the runtime needs numpy alone, and a cold start loads only the numpy it uses.
 
-Loading a config, `check` and `oracle` load neither numpy.random (about
-13 ms and 6 MB resident, with secrets, hmac, hashlib and OpenSSL behind
-it) nor numpy.polynomial: the primitive check takes a fixed quasi-random
-point set and the Gauss rules are literal tables.  Only the solver's seeded
-multistart, in `solve` and `scan`, loads numpy.random.
+No command, nor loading a config, loads numpy.random (about 13 ms and
+6 MB resident, with secrets, hmac, hashlib and OpenSSL behind it) or
+numpy.polynomial: the primitive check takes a fixed quasi-random point set,
+the Gauss rules are literal tables, and the solver's seeded random start is
+an in-package PCG64 draw, bit for bit numpy's.  No package module imports
+numpy.random or reads np.random, which a static check keeps so.
 
 A module-level or local import binds a name; the name must be read somewhere
 in the module, or be listed in its __all__.  __init__.py re-exports by
@@ -40,6 +41,40 @@ def unused_imports(source: str) -> list:
             exported = set(ast.literal_eval(node.value))
     return sorted((line, name) for name, line in bound.items()
                   if name not in used and name not in exported)
+
+
+def random_uses(source: str) -> list:
+    """Lines that import numpy.random (in any import form) or read the
+    attribute random of numpy or np."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            hit = any(a.name == "numpy.random" or a.name.startswith("numpy.random.")
+                      for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = (module == "numpy.random" or module.startswith("numpy.random.")
+                   or (module == "numpy" and any(a.name == "random" for a in node.names)))
+        else:
+            hit = (isinstance(node, ast.Attribute) and node.attr == "random"
+                   and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        if hit:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_random_detector_flags_every_form():
+    src = ("import numpy as np\nimport random\n"
+           "import numpy.random\nimport numpy.random.mtrand as mt\n"
+           "from numpy.random import default_rng\nfrom numpy import random as npr, zeros\n"
+           "rng = np.random.default_rng(1)\nnumpy.random.seed(2)\n"
+           "x = random.random() + np.zeros(1).random\n")
+    assert random_uses(src) == [3, 4, 5, 6, 7, 8]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_package_never_names_numpy_random(path):
+    assert random_uses(path.read_text()) == []
 
 
 def test_detector_flags_unused_and_keeps_used():
@@ -98,13 +133,8 @@ CLI = "from wplap.cli import main\nassert main([{!r}, '--config', cfg, '--out', 
     f"import wplap\nwplap.load_config({str(SHIPPED)!r})",
     CLI.format("check"),
     CLI.format("oracle"),
-], ids=["load_config", "check", "oracle"])
+    CLI.format("solve"),
+    CLI.format("scan"),
+], ids=["load_config", "check", "oracle", "solve", "scan"])
 def test_cold_start_loads_no_random_or_polynomial(tmp_path, body):
     assert modules_after(tmp_path, body, COLD) == []
-
-
-def test_solve_loads_random_for_its_multistart(tmp_path):
-    # the solver's seeded random start is the one user of numpy.random
-    loaded = modules_after(tmp_path, CLI.format("solve"), COLD)
-    assert "numpy.random" in loaded
-    assert not any(m.startswith("numpy.polynomial") for m in loaded)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wplap import solver
 from wplap.certificate import build_ustar, compute_r
@@ -305,7 +307,7 @@ class TestMinimizeEnergy:
         ustar = build_ustar(2.0, BALL, mesh)
         asm = EnergyAssembler(mesh, ONE, 2.0)
         config = SolverConfig(seed=5)
-        rnd = 2.0 * np.random.default_rng(5).uniform(-1.0, 1.0, mesh.num_vertices)
+        rnd = 2.0 * numpy_uniform(5, mesh.num_vertices)
         rnd[mesh.boundary_vertices] = 0.0
         starts = []
 
@@ -641,6 +643,47 @@ class TestSolverConfig:
             SolverConfig(residual_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(delta_dist=-1.0)
+
+    def test_non_negative_seed(self):
+        # numpy's SeedSequence, which the random start reproduces, takes no negative seed
+        assert SolverConfig(seed=0).seed == 0
+        with pytest.raises(ValueError, match="need seed >= 0, got -1"):
+            SolverConfig(seed=-1)
+
+
+def numpy_uniform(seed: int, n: int) -> np.ndarray:
+    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+
+
+def assert_same_bits(got: np.ndarray, want: np.ndarray):
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestUniformDraw:
+    """The multistart's random start equals numpy's PCG64 uniform draw bit for
+    bit: seeds one 32-bit word long, several words long (the SeedSequence
+    pool takes four, and hashes in the rest), and past 2^128."""
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 517])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 206, 2**32 - 1, 2**32, 2**64 + 3,
+                                      2**128 + 1, 2**200 + 12345])
+    def test_matches_numpy_bitwise(self, seed, n):
+        assert_same_bits(solver._uniform_draw(seed, n), numpy_uniform(seed, n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**160 - 1), n=st.integers(0, 600))
+    def test_matches_numpy_on_any_seed(self, seed, n):
+        assert_same_bits(solver._uniform_draw(seed, n), numpy_uniform(seed, n))
+
+    def test_memoized_and_read_only(self):
+        solver._uniform_draw.cache_clear()
+        first = solver._uniform_draw(42, 65)
+        assert solver._uniform_draw(42, 65) is first
+        assert not first.flags.writeable
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+        assert solver._uniform_draw(43, 65) is not first
 
 
 class TestSolutionSet:
