@@ -3,7 +3,7 @@
 Subcommands: check (hypothesis certificate), solve (one (lambda, mu) cell),
 scan (full grid sweep), oracle (1D shooting cross-check).  Exit codes:
 0 pass, 2 certificate fail, 3 inconclusive, 4 solver failure, 64 config
-error, 65 unsupported domain.
+error (a usage error of the flags among them), 65 unsupported domain.
 
 Every CSV file and certificate.txt has a reader in this module so results
 can be reloaded programmatically (write_solution_csv writes, and
@@ -389,11 +389,49 @@ def cmd_oracle(cfg: RunConfig, out: Path) -> int:
 
 # -- entry point ----------------------------------------------------------
 
+def _usage_error(message: str):
+    """Each parser's error hook: a usage error is the config error naming the
+    flag at fault (exit 64), not argparse's usage text and exit 2, the code
+    of a certificate failure.  message is "argument --mu: expected one
+    argument", or "<what>: <flags>" as in "the following arguments are
+    required: --config"."""
+    head, _, tail = message.partition(": ")
+    if head.startswith("argument "):
+        raise _located(head.removeprefix("argument "), tail)
+    raise _located(tail, head)
+
+
+# the flags that take a number; argparse reads a value such as -1e-3 or -inf
+# as another flag, but never the text after "=" in "--mu=-1e-3"
+_NUMBER_FLAGS = ("--lambda", "--mu", "--seed")
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_numbers(argv: list) -> list:
+    """argv with each number flag joined to a following number text as
+    "--flag=value", so any number is that flag's value."""
+    out = []
+    for token in argv:
+        if out and out[-1] in _NUMBER_FLAGS and _is_number(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wplap",
         description="Variational solver and hypothesis certificates for the "
                     "weighted p-Laplacian Dirichlet problem.")
+    parser.error = _usage_error
     sub = parser.add_subparsers(dest="command", required=True)
     specs = [("check", cmd_check, "compute the hypothesis certificate"),
              ("solve", cmd_solve, "solve one (lambda, mu) cell"),
@@ -401,6 +439,7 @@ def _build_parser() -> argparse.ArgumentParser:
              ("oracle", cmd_oracle, "1D shooting cross-check")]
     for name, func, help_text in specs:
         sp = sub.add_parser(name, help=help_text)
+        sp.error = _usage_error
         sp.add_argument("--config", required=True, help="problem config file")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--lambda", dest="lam", type=float, default=None,
@@ -430,8 +469,8 @@ def _apply_overrides(cfg: RunConfig, args):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(_join_numbers(sys.argv[1:] if argv is None else argv))
         cfg = load_config(args.config)
         _apply_overrides(cfg, args)
         out = Path(args.out)

@@ -25,17 +25,20 @@ comma; a warning while parsing is an error.  Non-ASCII text is rejected
 (Python reads a fullwidth t as t), and so is an integer of over 4300 digits.
 
 Each Expression has Python's compiler turn its AST, once and at
-construction, into one code object; a call is one eval of that code against
-a fixed table of numpy functions, with no builtins, vectorized over numpy
-arrays, and Expression.at evaluates at points x.  t-derivatives are formed
-symbolically (min/max differentiate branch-wise, enough for the
-almost-everywhere derivatives the solver needs), and so are t-primitives
-int_0^t for the subset _antidiff_t names; any other primitive is left to
-quadrature.  Parsing, compiling, differentiating and integrating walk the
-tree once per level, so there is no depth limit but Python's recursion
-limit; a RecursionError in one of them is a ParseError that says which.
-Evaluating does not recurse per level, so an expression that compiled
-evaluates at any call depth.
+construction, into one Python function of its variables (a lambda whose
+parameters are the variables it names, in the order t, x1, x2, tau) that
+reads a fixed table of numpy functions, with no builtins, vectorized over
+numpy arrays.  A call with keyword arrays calls that function, and
+Expression.at evaluates at points x.  Expression.bind compiles the same
+lambda for the variables it is given, to be called by position with no
+check per call.  t-derivatives are formed symbolically (min/max
+differentiate branch-wise, enough for the almost-everywhere derivatives the
+solver needs), and so are t-primitives int_0^t for the subset _antidiff_t
+names; any other primitive is left to quadrature.  Parsing, compiling,
+differentiating and integrating walk the tree once per level, so there is
+no depth limit but Python's recursion limit; a RecursionError in one of
+them is a ParseError that says which.  Evaluating does not recurse per
+level, so an expression that compiled evaluates at any call depth.
 """
 from __future__ import annotations
 
@@ -140,9 +143,13 @@ def _python(node):
     raise ParseError(f"bad node {op!r}")
 
 
-def _compiled(node):
-    """One code object evaluating node with eval against _NAMES."""
-    return compile(ast.Expression(_python(node)), "<expression>", "eval")
+def _function(node, names: tuple):
+    """node as the Python function "lambda *names: node", the names as
+    positional parameters, compiled and defined against _NAMES."""
+    params = ast.arguments(posonlyargs=[], args=[ast.arg(name, **_AT) for name in names],
+                           kwonlyargs=[], kw_defaults=[], defaults=[])
+    lam = ast.Lambda(params, _python(node), **_AT)
+    return eval(compile(ast.Expression(lam), "<expression>", "eval"), _NAMES)
 
 
 def _vars_of(node, acc):
@@ -215,7 +222,7 @@ def _number(node) -> float | None:
         return None
     try:
         with np.errstate(all="ignore"):
-            value = float(eval(_compiled(node), _NAMES))
+            value = float(_function(node, ())())
     except (ArithmeticError, TypeError, ValueError):
         return None
     return value if np.isfinite(value) else None
@@ -373,19 +380,30 @@ class Expression:
                 node = _parse(source)
         self.node = node
         with _nesting("compile"):
-            self._code = _compiled(node)
-        # the variables in the order the code first reads them
-        self._reads = tuple(name for name in self._code.co_names if name in _VARS)
-        self.variables = frozenset(self._reads)
+            self.variables = frozenset(_vars_of(node, set()))
+            # the function's parameters: the variables, in _VARS order
+            self._reads = tuple(name for name in _VARS if name in self.variables)
+            self._fn = _function(node, self._reads)
 
     def __call__(self, **values):
-        if not values.keys() <= _VAR_SET:
-            # another keyword would shadow a name of _NAMES: keep the variables read
-            values = {name: values[name] for name in self._reads if name in values}
+        # a keyword that names no variable of the expression is not read
         try:
-            return eval(self._code, _NAMES, values)
-        except NameError as exc:
-            raise ParseError(f"variable {exc.name!r} not available here") from None
+            args = [values[name] for name in self._reads]
+        except KeyError as exc:
+            raise ParseError(f"variable {exc.args[0]!r} not available here") from None
+        return self._fn(*args)
+
+    def bind(self, *names: str):
+        """The expression compiled as a function of names by position, e.g.
+        e.bind("t", "x1")(t, x); names are distinct variables that cover the
+        ones it reads, checked here and not at each call."""
+        if len(set(names)) != len(names) or not _VAR_SET.issuperset(names):
+            raise ParseError(f"cannot bind {names!r}: not distinct variables")
+        for name in self._reads:
+            if name not in names:
+                raise ParseError(f"variable {name!r} not available here")
+        with _nesting("compile"):
+            return _function(self.node, names)
 
     def at(self, x, **values) -> np.ndarray:
         """The expression at points x (..., N), x1 and x2 read from the last
@@ -400,7 +418,7 @@ class Expression:
         return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
     def __reduce__(self):
-        # code objects do not pickle; rebuild from the AST instead
+        # the compiled function does not pickle; rebuild from the AST instead
         return Expression, (self.source, self.node)
 
     def diff_t(self) -> "Expression":

@@ -22,6 +22,11 @@ shape, all allocated once per march.  Each stage input y + c k_i, the
 update y + (h/6)(k1 + 2 k2 + 2 k3 + k4) and the blow-up guard run over both
 rows at once, in place, with the operands and order of the two-array
 formulas, so the results are bitwise those of marching u and q apart.
+
+The march binds f and g once (Expression.bind) and each stage calls the
+compiled function of (t, x1) by position, so no stage passes keywords or
+goes through Expression.__call__; the guard reduces with np.maximum.reduce,
+the ufunc under ndarray.max, without that method's Python wrapper.
 """
 from __future__ import annotations
 
@@ -90,9 +95,10 @@ def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
                  g: Nonlinearity | None, zero_order: bool):
     """Right-hand side at one abscissa x with the weight value a = a(x): reads
     the rows u and q of a stage input and writes du and dq into the rows of
-    a stage buffer."""
+    a stage buffer.  f and g are bound here, once per march, as functions
+    of (t, x1) by position."""
     inv_pm1 = 1.0 / (p - 1.0)
-    sources = [(coef, nl) for coef, nl in ((lam, f), (mu, g))
+    sources = [(coef, nl.f.bind("t", "x1")) for coef, nl in ((lam, f), (mu, g))
                if nl is not None and coef != 0.0]
 
     def rhs(x: float, a: float, u: np.ndarray, q: np.ndarray, du: np.ndarray,
@@ -100,8 +106,8 @@ def _rhs_factory(p: float, lam: float, mu: float, f: Nonlinearity | None,
         _signed_power(np.divide(q, a, out=du), inv_pm1, out=du)
         # |u|^(p-2) u written so that it is 0, not inf * 0, at u = 0 for p < 2
         acc = _signed_power(u, p - 1.0, out=dq) if zero_order else 0.0
-        for coef, nl in sources:
-            acc = np.subtract(acc, coef * nl.f(t=u, x1=x), out=dq)
+        for coef, fn in sources:
+            acc = np.subtract(acc, coef * fn(u, x), out=dq)
         if acc is not dq:
             dq[...] = acc
 
@@ -183,7 +189,7 @@ def shoot(sigmas: np.ndarray, domain: Domain, w: WeightSpec, p: float,
         y += k1
         # NaN fails the comparison, so max_u also catches a non-finite u;
         # max_q is finite exactly when every q is
-        max_u, max_q = np.abs(y, out=y_in).max(axis=1, initial=0.0).tolist()
+        max_u, max_q = np.maximum.reduce(np.abs(y, out=y_in), axis=1, initial=0.0).tolist()
         if not (max_u <= _BLOWUP and math.isfinite(max_q)):
             bad = ~np.isfinite(u) | ~np.isfinite(q) | (np.abs(u) > _BLOWUP)
             diverged |= bad

@@ -790,25 +790,47 @@ class TestConfigDiagnostics:
             load_config(str(cfg))
         assert str(exc.value) == f"{cfg} [run]: need seed >= 0, got -5 (line {line}, column 1)"
 
-    # a flag takes the rule of its config key: a seed >= 0, a finite lambda and mu
-    @pytest.mark.parametrize("command, flag, value, message", [
-        ("solve", "--seed", "-1", "need seed >= 0, got -1"),
-        ("scan", "--seed", "-3", "need seed >= 0, got -3"),
-        ("solve", "--lambda", "nan", "not finite: nan"),
-        ("solve", "--lambda", "inf", "not finite: inf"),
-        ("solve", "--mu", "nan", "not finite: nan"),
-        ("solve", "--mu=-inf", None, "not finite: -inf"),
-        ("oracle", "--lambda", "nan", "not finite: nan"),
-        ("check", "--lambda=-inf", None, "not finite: -inf"),
+    # a flag takes the rule of its config key: a seed >= 0, a finite lambda and
+    # mu; any number text is its value, one token or two; a usage error of the
+    # flags is a config error as well.  CFG stands for the shipped config, and
+    # a None message for a run that goes ahead
+    @pytest.mark.parametrize("args, message", [
+        ("solve CFG --seed -1", "--seed: need seed >= 0, got -1"),
+        ("scan CFG --seed -3", "--seed: need seed >= 0, got -3"),
+        ("solve CFG --lambda nan", "--lambda: not finite: nan"),
+        ("solve CFG --lambda inf", "--lambda: not finite: inf"),
+        ("solve CFG --mu nan", "--mu: not finite: nan"),
+        ("solve CFG --mu=-inf", "--mu: not finite: -inf"),
+        ("solve CFG --mu -inf", "--mu: not finite: -inf"),
+        ("oracle CFG --lambda nan", "--lambda: not finite: nan"),
+        ("check CFG --lambda=-inf", "--lambda: not finite: -inf"),
+        ("oracle CFG --lambda -2.5e1", None),
+        ("solve CFG --lambda", "--lambda: expected one argument"),
+        ("solve CFG --mu x", "--mu: invalid float value: 'x'"),
+        ("scan CFG --seed 1.5", "--seed: invalid int value: '1.5'"),
+        ("solve", "--config: the following arguments are required"),
+        ("solve CFG --top 1", "--top 1: unrecognized arguments"),
     ])
-    def test_bad_flag_is_a_config_error_naming_it(self, tmp_path, capsys, command, flag,
-                                                  value, message):
-        argv = [command, "--config", SHIPPED, "--out", tmp_path / "out", flag]
-        code = run_cli(*argv, *([] if value is None else [value]))
+    def test_bad_flag_is_a_config_error_naming_it(self, tmp_path, capsys, args, message):
+        command, *flags = args.split()
+        if flags[:1] == ["CFG"]:
+            flags[:1] = ["--config", SHIPPED]
+        code = run_cli(command, "--out", tmp_path / "out", *flags)
+        out, err = capsys.readouterr()
+        if message is None:
+            assert (code, err) == (0, "")
+            assert "at lambda=-25, mu=0;" in out and (tmp_path / "out").is_dir()
+            return
         assert code == 64
-        name = flag.split("=")[0]
-        assert capsys.readouterr() == ("", f"config error: {name}: {message}\n")
+        assert (out, err) == ("", f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: wplap")
 
     def test_bad_typed_value_names_key_and_line(self, tmp_path):
         cfg = variant(tmp_path, "typed.cfg", ("[run]", "[solver]\nresidual_tol = abc\n\n[run]"))

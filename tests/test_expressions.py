@@ -1,3 +1,5 @@
+import ast
+import configparser
 import pickle
 import sys
 import warnings
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wplap import expressions
-from wplap.expressions import Expression, ParseError, _parse, parse_expression
+from wplap.expressions import (_NAMES, _VARS, Expression, ParseError, _parse, _python,
+                                parse_expression)
 
 
 def test_numbers_and_precedence():
@@ -87,6 +90,7 @@ def test_pickle_round_trip():
     t = np.linspace(-1, 2, 13)
     assert back.source == e.source and back.node == e.node
     np.testing.assert_array_equal(back(t=t, x1=2.0), e(t=t, x1=2.0))
+    np.testing.assert_array_equal(back.bind("x1", "t")(2.0, t), e(t=t, x1=2.0))
 
 
 def test_t_dependent_exponent_rejected():
@@ -201,22 +205,98 @@ _asts = st.recursive(_leaves, lambda kids: st.one_of(
 _arrays = st.lists(st.floats(-5.0, 5.0, allow_nan=False), min_size=6, max_size=6)
 
 
+def _with_derived(e):
+    """e, its t-derivative and its closed-form t-primitive where they exist."""
+    out = [e]
+    try:
+        out.append(e.diff_t())
+    except ParseError:
+        pass  # t-dependent exponent
+    primitive = e.antidiff_t()
+    return out if primitive is None else out + [primitive]
+
+
 @settings(max_examples=300, deadline=None)
 @given(node=_asts, t=_arrays, x1=_arrays, x2=_arrays)
 def test_compiled_matches_tree_walk(node, t, x1, x2):
     env = {"t": np.array(t), "x1": np.array(x1), "x2": np.array(x2)}
-    exprs = [Expression("generated", node=node)]
-    try:
-        exprs.append(exprs[0].diff_t())
-    except ParseError:
-        pass  # t-dependent exponent
-    exprs.append(exprs[0].antidiff_t())
-    for e in filter(None, exprs):
+    for e in _with_derived(Expression("generated", node=node)):
         want = outcome(lambda: walk(e.node, env))
         assert outcome(lambda: e(**env)) == want
         # a keyword naming no variable is not read, whatever its name
         extra = {"sin": np.cos, "power": np.add, "where": None, "tau": np.array(t) + 1.0}
         assert outcome(lambda: e(**env, **extra)) == want
+
+
+def reference(e, env):
+    """e evaluated as the code object its AST compiles to: one eval against
+    _NAMES with the variables as locals."""
+    code = compile(ast.Expression(_python(e.node)), "<reference>", "eval")
+    return eval(code, _NAMES, dict(env))
+
+
+def assert_function_matches_reference(e, env):
+    """__call__, bind in _VARS order and bind in any other order give the
+    reference's bits, or raise as it does."""
+    want = outcome(lambda: reference(e, env))
+    assert outcome(lambda: e(**env)) == want, e
+    reads = tuple(name for name in _VARS if name in e.variables)
+    for names in (reads, _VARS, _VARS[::-1]):
+        fn = e.bind(*names)
+        assert outcome(lambda: fn(*(env[name] for name in names))) == want, (e, names)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+# the expressions of the shipped configs, and those the CLI tests substitute
+_CONFIG_KEYS = ("expr", "primitive", "growth_h", "w_tau")
+_TEST_CONFIG_SOURCES = ("0.1*2^t", "x2*t", "x1*t", "0.5*t^2*min(x1, 1)",
+                        "0.5*t^2*max(x1, 1.5)", "t + 0*t", "sin(t) + 0*t")
+
+
+def _config_sources():
+    sources = list(_TEST_CONFIG_SOURCES)
+    for path in sorted((ROOT / "configs").glob("*.cfg")):
+        cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+        cp.read(path)
+        sources += [cp[section][key] for section in cp.sections()
+                    if section.startswith("nonlinearity_")
+                    for key in _CONFIG_KEYS if key in cp[section]]
+    return sources
+
+
+def test_config_sources_are_found():
+    sources = _config_sources()
+    assert "min(max(t - 0.25, 0), 1)" in sources and "sin(t)" in sources
+    assert len(sources) > len(_TEST_CONFIG_SOURCES) + 4
+
+
+@pytest.mark.parametrize("src", _config_sources())
+def test_config_expression_functions_match_reference(src):
+    rng = np.random.default_rng(3)
+    env = {name: rng.uniform(-2.0, 2.0, 7) for name in _VARS}
+    for e in _with_derived(parse_expression(src)):
+        assert_function_matches_reference(e, env)
+
+
+@settings(max_examples=200, deadline=None)
+@given(node=_asts, t=_arrays, x1=_arrays, x2=_arrays, tau=_arrays)
+def test_compiled_function_matches_reference(node, t, x1, x2, tau):
+    env = {"t": np.array(t), "x1": np.array(x1), "x2": np.array(x2), "tau": np.array(tau)}
+    for e in _with_derived(Expression("generated", node=node)):
+        assert_function_matches_reference(e, env)
+
+
+def test_bind_checks_the_names():
+    e = parse_expression("t*x1 + x2")
+    with pytest.raises(ParseError, match="variable 'x2' not available here"):
+        e.bind("t", "x1")
+    with pytest.raises(ParseError, match="variable 'x1' not available here"):
+        e.bind("x2", "t", "tau")
+    for names in (("t", "t", "x1", "x2"), ("t", "x1", "x2", "sin"), ("t", "x1", "x2", "x3")):
+        with pytest.raises(ParseError, match="not distinct variables"):
+            e.bind(*names)
+    assert e.bind("x2", "x1", "t")(3.0, 2.0, 1.0) == 5.0
+    assert parse_expression("2*3").bind()() == 6.0
 
 
 @pytest.mark.parametrize("node", [("var", "sin"), ("var", "__import__"), ("var", "x3"),
@@ -346,9 +426,9 @@ def test_nesting_too_deep_is_a_parse_error(monkeypatch):
     with pytest.raises(ParseError, match="nested too deeply to integrate"):
         flat.antidiff_t()
     # a source that parses but does not compile is labelled by the compile
-    def deep(node):
+    def deep(node, names):
         raise RecursionError
-    monkeypatch.setattr(expressions, "_compiled", deep)
+    monkeypatch.setattr(expressions, "_function", deep)
     with pytest.raises(ParseError, match="nested too deeply to compile"):
         Expression("t + 1")
 

@@ -1,11 +1,13 @@
 """Shooting oracle: RK4 accuracy, root enumeration, mesh interpolation."""
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from wplap.certificate import build_ustar
-from wplap.energy import EnergyAssembler, Nonlinearity, make_nonlinearity
+from wplap.energy import EnergyAssembler, make_nonlinearity
+from wplap.expressions import Expression
 from wplap.geometry import BallSpec, Domain, UnsupportedDomainError, build_mesh
 from wplap import oracle1d
 from wplap.oracle1d import enumerate_solutions, profile_on_mesh, shoot
@@ -353,25 +355,31 @@ class TestEnumerate:
         sigmas = sorted(r.sigma for r in prof.roots)
         assert sigmas == pytest.approx(SHIPPED_SIGMAS, abs=1e-9)
 
-    def test_shipped_instance_evaluates_f_once_per_stage(self):
-        # the scan and two refinement levels, 1024 steps of four stages each
-        class Counting:
-            def __init__(self, expr):
-                self.expr, self.calls = expr, 0
-
-            def __call__(self, **env):
-                self.calls += 1
-                return self.expr(**env)
-
+    def test_shipped_instance_evaluates_f_once_per_stage(self, monkeypatch):
+        # the scan and two refinement levels, 1024 steps of four stages each,
+        # every one a call of the function bound once per march
         f, g = shipped_f(), shipped_g()
-        f_calls, g_calls = Counting(f.f), Counting(g.f)
-        prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0,
-                                   f=Nonlinearity(f_calls, f.primitive, f.growth_h),
-                                   g=Nonlinearity(g_calls, g.primitive,
-                                                  caratheodory_w=g.caratheodory_w))
+        calls, keyword_calls = Counter(), []
+        bind, call = Expression.bind, Expression.__call__
+
+        def counting_bind(self, *names):
+            fn = bind(self, *names)
+
+            def counted(*args):
+                calls[self] += 1
+                return fn(*args)
+            return counted
+
+        def counting_call(self, **values):
+            keyword_calls.append(self)
+            return call(self, **values)
+        monkeypatch.setattr(Expression, "bind", counting_bind)
+        monkeypatch.setattr(Expression, "__call__", counting_call)
+        prof = enumerate_solutions(UNIT, ONE, 2.0, 18.0, 0.0, f=f, g=g)
         assert len(prof.roots) == 3
-        assert f_calls.calls == 3 * 1024 * 4 == 12_288
-        assert g_calls.calls == 0
+        assert calls[f.f] == 3 * 1024 * 4 == 12_288
+        assert calls[g.f] == 0
+        assert keyword_calls == []
 
     def test_root_profiles_match_fresh_marches(self):
         f, g = shipped_f(), shipped_g()

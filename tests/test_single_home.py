@@ -193,18 +193,27 @@ def test_config_error_is_built_in_one_place():
 
 
 def builtin_eval_calls(source: str) -> list:
-    """Lines of every call of the bare names eval, exec or compile."""
+    """Lines of every call that builds or runs code: the bare names eval,
+    exec or compile, and FunctionType or Lambda, bare or as an attribute
+    (types.FunctionType, ast.Lambda)."""
+    def builds_code(func) -> bool:
+        if isinstance(func, ast.Name):
+            return func.id in ("eval", "exec", "compile", "FunctionType", "Lambda")
+        return isinstance(func, ast.Attribute) and func.attr in ("FunctionType", "Lambda")
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id in ("eval", "exec", "compile"))
+                  if isinstance(node, ast.Call) and builds_code(node.func))
 
 
 def test_builtin_eval_detector():
     src = ("import re\n"
            "def f(code, names, text):\n"
            "    pattern = re.compile(text)\n"
-           "    return eval(code, names), compile(text, '<e>', 'eval')\n")
-    assert builtin_eval_calls(src) == [4, 4]
+           "    return eval(code, names), compile(text, '<e>', 'eval')\n"
+           "def g(code, names, params, body):\n"
+           "    fn = types.FunctionType(code, names)\n"
+           "    lam = ast.Lambda(params, body)\n"
+           "    return FunctionType(code, names), Lambda(params, body), lambda: fn\n")
+    assert builtin_eval_calls(src) == [4, 4, 6, 7, 8, 8]
 
 
 def test_only_expressions_evaluates_code():
