@@ -404,6 +404,9 @@ def _usage_error(message: str):
 # the flags that take a number; argparse reads a value such as -1e-3 or -inf
 # as another flag, but never the text after "=" in "--mu=-1e-3"
 _NUMBER_FLAGS = ("--lambda", "--mu", "--seed")
+# every long option of a subcommand (_build_parser's, and argparse's --help);
+# argparse reads a unique prefix of one, such as --lam, as that option
+_LONG_OPTIONS = ("--config", "--out") + _NUMBER_FLAGS + ("--help",)
 
 
 def _is_number(token: str) -> bool:
@@ -414,13 +417,24 @@ def _is_number(token: str) -> bool:
     return True
 
 
+def _number_flag(token: str) -> str | None:
+    """The number flag that argparse reads token as: the flag itself, or a
+    prefix of it and of no other long option; None for any other token."""
+    hits = [opt for opt in _LONG_OPTIONS if opt.startswith(token)]
+    if token not in _LONG_OPTIONS and len(hits) == 1:
+        token = hits[0]
+    return token if token in _NUMBER_FLAGS else None
+
+
 def _join_numbers(argv: list) -> list:
-    """argv with each number flag joined to a following number text as
-    "--flag=value", so any number is that flag's value."""
+    """argv with each number flag, or its unique prefix, joined to a
+    following number text as "--flag=value", so any number is that flag's
+    value."""
     out = []
     for token in argv:
-        if out and out[-1] in _NUMBER_FLAGS and _is_number(token):
-            out[-1] += "=" + token
+        flag = _number_flag(out[-1]) if out else None
+        if flag is not None and _is_number(token):
+            out[-1] = flag + "=" + token
         else:
             out.append(token)
     return out

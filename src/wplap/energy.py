@@ -10,6 +10,17 @@ with F, G primitives in t of the nonlinearities f, g.  Residuals are the
 nodal gradients of E (weak form tested against the hat basis), assembled
 with the same quadrature as the energies so finite differences of E
 reproduce the residual to rounding accuracy.
+
+At p = 2 the operator -div(a grad u) + u is linear, so the residual, the
+tangent and the pointwise source skip the factors the exponent makes
+trivial: the flux is cellA grad u without |grad u|^0, the gradient tangent
+cellA times the mesh's Gram table without the (p-2) g g^T term, the
+zero-order coefficient 1 and the zero-order source u.  Each skipped factor
+is an exact identity in floating point (x**0.0 == 1.0, 1.0*x == x, and the
+anisotropic term adds a signed zero that the bincount into zeros washes
+out), so every output is bitwise the one the general formula gives, for
+any iterate whose squared values stay finite and eps_reg > 0 (the general
+formula's 0 * inf or 0/0 would be NaN).
 """
 from __future__ import annotations
 
@@ -55,6 +66,7 @@ _MAX_PANELS = 128
 _F_PANELS = 64      # primitive_F's panel cap when F is left to quadrature
 EPS_REG = 1e-8      # default regularization of the p < 2 terms (SolverConfig's too)
 _SPIKE_BLOCK = 8    # block size of a tridiagonal free block (the SPIKE solve's)
+_PHI_MEMO = 16      # distinct points whose phi an assembler keeps (EnergyAssembler.phi)
 
 
 def _as_expr(e) -> Expression | None:
@@ -234,6 +246,7 @@ class EnergyAssembler:
         self.cellA = _cell_weight_integrals(mesh, w)
         self.interior = np.flatnonzero(mesh.interior_vertices)
         self.h_scale = mesh.max_cell_size ** (mesh.dim / 2.0)
+        self._phi_memo = {}     # v.tobytes() -> phi(v), oldest first
         # the mesh-constant part of the gradient tangent: grad phi_b . grad phi_d
         sg = mesh.shape_gradients
         self._gram = np.einsum("cbk,cdk->cbd", sg, sg)
@@ -282,7 +295,9 @@ class EnergyAssembler:
         and mu g."""
         source = np.zeros(uq.size)
         if self.zero_order:
-            if self.p >= 2.0:
+            if self.p == 2.0:
+                source += uq
+            elif self.p > 2.0:
                 source += np.abs(uq) ** (self.p - 2.0) * uq
             else:
                 source += (uq ** 2 + self.eps_reg ** 2) ** ((self.p - 2.0) / 2.0) * uq
@@ -294,7 +309,18 @@ class EnergyAssembler:
 
     # -- energies ----------------------------------------------------------
     def phi(self, v: np.ndarray) -> float:
-        return self.norm_p(v) / self.p
+        """norm_p(v) / p, kept for the last _PHI_MEMO distinct v and keyed on
+        their bytes, so a repeat returns the very float computed.  phi reads
+        the mesh, the weight and p, never lam or mu, and the cells of a scan
+        meet the same points again: the sublevel search's seeds, and its
+        first steps wherever f and g do not reach."""
+        key = v.tobytes()
+        ph = self._phi_memo.get(key)
+        if ph is None:
+            if len(self._phi_memo) == _PHI_MEMO:
+                del self._phi_memo[next(iter(self._phi_memo))]
+            ph = self._phi_memo[key] = self.norm_p(v) / self.p
+        return ph
 
     def norm_p(self, v: np.ndarray) -> float:
         lp, grad = _norm_terms(self.mesh, self.cellA, self.p, v)
@@ -326,8 +352,11 @@ class EnergyAssembler:
         """Nodal gradient of the energy; zero on boundary vertices."""
         uqc, g = _gather(self.mesh, v)
         uq = uqc.reshape(-1)
-        gnorm = np.linalg.norm(g, axis=1)
-        flux = (self.cellA * self._gpow(gnorm, self.p - 2.0))[:, None] * g   # (nc, N)
+        if self.p == 2.0:
+            flux = self.cellA[:, None] * g                                   # (nc, N)
+        else:
+            gnorm = np.linalg.norm(g, axis=1)
+            flux = (self.cellA * self._gpow(gnorm, self.p - 2.0))[:, None] * g
         cellsums = np.einsum("ck,cbk->cb", flux, self.mesh.shape_gradients)
         source = self._source(uq)
         if np.any(source):
@@ -357,21 +386,32 @@ class EnergyAssembler:
 
         include_sources=False drops the f/g linearizations, leaving the
         monotone (positive definite) part; solvers use it as a descent
-        preconditioner when the full Jacobian is indefinite."""
+        preconditioner when the full Jacobian is indefinite.
+
+        At p = 2 the gradient block is cellA * _gram and the zero-order
+        coefficient 1, with no power of |grad u| or |u| and no anisotropic
+        product: (.)**0.0 is exactly 1 and (p-2) * (.) exactly 0, so the
+        bits are those of the general formula (see the module docstring)."""
         p, eps = self.p, self.eps_reg
         uqc, g = _gather(self.mesh, v)
         uq = uqc.reshape(-1)
-        gn2 = np.einsum("ck,ck->c", g, g)
-        base = (gn2 + eps ** 2) ** ((p - 2.0) / 2.0)
-        # grad part: cellA * base * (delta_kl + (p-2) g_k g_l / (gn2+eps^2))
-        iso = self.cellA * base
-        aniso = iso * (p - 2.0) / (gn2 + eps ** 2)
-        sgg = np.einsum("cbk,ck->cb", self.mesh.shape_gradients, g)   # (nc, b)
-        M = (iso[:, None, None] * self._gram
-             + aniso[:, None, None] * sgg[:, :, None] * sgg[:, None, :])
+        # grad part: cellA * base * (delta_kl + (p-2) g_k g_l / (gn2+eps^2)),
+        # base = (gn2+eps^2)^((p-2)/2); at p = 2 that is cellA * delta_kl
+        if p == 2.0:
+            M = self.cellA[:, None, None] * self._gram
+        else:
+            gn2 = np.einsum("ck,ck->c", g, g)
+            base = (gn2 + eps ** 2) ** ((p - 2.0) / 2.0)
+            iso = self.cellA * base
+            aniso = iso * (p - 2.0) / (gn2 + eps ** 2)
+            sgg = np.einsum("cbk,ck->cb", self.mesh.shape_gradients, g)   # (nc, b)
+            M = (iso[:, None, None] * self._gram
+                 + aniso[:, None, None] * sgg[:, :, None] * sgg[:, None, :])
         # pointwise parts
         coef = np.zeros(uq.size)
-        if self.zero_order:
+        if self.zero_order and p == 2.0:
+            coef += 1.0
+        elif self.zero_order:
             u2 = uq ** 2
             coef += (u2 + eps ** 2) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * u2 / (u2 + eps ** 2))
         if include_sources and self.f is not None and self.lam != 0.0:

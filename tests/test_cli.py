@@ -791,7 +791,8 @@ class TestConfigDiagnostics:
         assert str(exc.value) == f"{cfg} [run]: need seed >= 0, got -5 (line {line}, column 1)"
 
     # a flag takes the rule of its config key: a seed >= 0, a finite lambda and
-    # mu; any number text is its value, one token or two; a usage error of the
+    # mu; any number text is its value, one token or two, after the flag or a
+    # unique prefix of it (--lam, --m); a usage error of the
     # flags is a config error as well.  CFG stands for the shipped config, and
     # a None message for a run that goes ahead
     @pytest.mark.parametrize("args, message", [
@@ -805,6 +806,8 @@ class TestConfigDiagnostics:
         ("oracle CFG --lambda nan", "--lambda: not finite: nan"),
         ("check CFG --lambda=-inf", "--lambda: not finite: -inf"),
         ("oracle CFG --lambda -2.5e1", None),
+        ("oracle CFG --lam -2.5e1", None),
+        ("solve CFG --m -inf", "--mu: not finite: -inf"),
         ("solve CFG --lambda", "--lambda: expected one argument"),
         ("solve CFG --mu x", "--mu: invalid float value: 'x'"),
         ("scan CFG --seed 1.5", "--seed: invalid int value: '1.5'"),
@@ -824,6 +827,15 @@ class TestConfigDiagnostics:
         assert code == 64
         assert (out, err) == ("", f"config error: {message}\n")
         assert not (tmp_path / "out").exists()
+
+    def test_long_options_are_every_subcommands(self):
+        # cli._join_numbers reads a flag prefix against cli._LONG_OPTIONS, as
+        # argparse reads it against the subcommand's long options
+        parser = cli._build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command").choices
+        for name, sub in commands.items():
+            longs = {o for a in sub._actions for o in a.option_strings if o.startswith("--")}
+            assert longs == set(cli._LONG_OPTIONS), name
 
     @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
     def test_help_exits_0(self, capsys, argv):

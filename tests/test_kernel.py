@@ -233,6 +233,62 @@ class TestCondensedTangent:
                 assert asm.energy(v) == want, (p, kw)
 
 
+def residual_reference(asm, v):
+    """The residual with every operand of the general formula, at p = 2 as
+    well: the flux (cellA * |grad u|^(p-2))[:, None] * grad u and the source
+    |u|^(p-2) u (regularized below p = 2) less lam f and mu g, scattered into
+    the vertices by one bincount as EnergyAssembler.residual scatters."""
+    mesh, p = asm.mesh, asm.p
+    uqc, g = _gather(mesh, v)
+    uq = uqc.reshape(-1)
+    flux = (asm.cellA * asm._gpow(np.linalg.norm(g, axis=1), p - 2.0))[:, None] * g
+    cellsums = np.einsum("ck,cbk->cb", flux, mesh.shape_gradients)
+    source = np.zeros(uq.size)
+    if asm.zero_order:
+        if p >= 2.0:
+            source += np.abs(uq) ** (p - 2.0) * uq
+        else:
+            source += (uq ** 2 + asm.eps_reg ** 2) ** ((p - 2.0) / 2.0) * uq
+    source -= asm.lam * asm.f.eval(asm.pts, uq)
+    source -= asm.mu * asm.g.eval(asm.pts, uq)
+    cellsums += (asm.wq * source.reshape(asm.wq.shape)) @ asm.bary
+    res = np.bincount(mesh.cells.reshape(-1), weights=cellsums.reshape(-1), minlength=v.size)
+    res -= asm.load
+    res[mesh.boundary_vertices] = 0.0
+    return res
+
+
+class TestGeneralFormulaBits:
+    """The p = 2 kernels skip factors that are exactly 1 or 0; the bits stay
+    those of the general formula, at p = 2 and on either side of it."""
+
+    @pytest.mark.parametrize("dim", sorted(MESHES))
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("zero_order", [True, False])
+    def test_residual_bitwise(self, dim, p, zero_order, nonlinearities):
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        f, g = nonlinearities
+        asm = EnergyAssembler(mesh, WEIGHTS["dist^0.5"], p, lam=0.7, mu=-0.3, f=f, g=g,
+                              zero_order=zero_order, load=random_vector(mesh, seed=3))
+        v = random_vector(mesh, seed=int(10 * p))
+        assert same_bits(asm.residual(v), residual_reference(asm, v))
+
+    @pytest.mark.parametrize("dim", sorted(MESHES))
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_tangent_is_independent_of_earlier_calls(self, dim, p, nonlinearities):
+        # a kernel that wrote into its cached tables would show in the third call
+        domain, h = MESHES[dim]
+        mesh = build_mesh(domain, h)
+        f, g = nonlinearities
+        asm = EnergyAssembler(mesh, WEIGHTS["dist^0.5"], p, lam=0.7, mu=-0.3, f=f, g=g)
+        v1, v2 = random_vector(mesh, seed=1), random_vector(mesh, seed=2)
+        for free in (False, True):
+            first = asm.tangent(v1, free=free)
+            asm.tangent(v2, include_sources=False, free=free)
+            assert same_bits(asm.tangent(v1, free=free), first)
+
+
 def test_assembler_memory_is_linear():
     """Set-up plus one residual at nv = 2049 stays small; a dense (nq, nv)
     value map alone would take about 170 MB here."""

@@ -229,7 +229,12 @@ def stored_attributes(source: str, module: str) -> list:
 def unread_stored(sources: dict) -> list:
     """The stored attributes of sources ({module: text}) that no module
     loads as `.name`, and whose class no module enumerates through
-    `fields(<Class>)` (or `dataclasses.fields(<Class>)`)."""
+    `fields(<Class>)` (or `dataclasses.fields(<Class>)`).
+
+    A stored attribute is keyed on its name alone, not on its class: a load
+    of `.name` on any object counts as reading it.  So an unread field whose
+    name another object's attribute shares, such as `u`, `x`, `k`, `p`,
+    `note` or `mode`, goes unseen."""
     trees = [ast.parse(text) for text in sources.values()]
     nodes = [node for tree in trees for node in ast.walk(tree)]
     loaded = {node.attr for node in nodes
