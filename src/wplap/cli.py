@@ -468,8 +468,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg: RunConfig, args):
     """The --seed, --lambda and --mu flags on cfg; a value the config key
-    would reject (a negative seed, a non-finite lambda or mu) is a config
-    error that names the flag in place of a file."""
+    would reject (a seed outside [0, 2**64), a non-finite lambda or mu) is a
+    config error that names the flag in place of a file."""
     if args.seed is not None:
         with config_errors("--seed"):
             cfg.solver = replace(cfg.solver, seed=args.seed)

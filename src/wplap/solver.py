@@ -78,13 +78,13 @@ class SolverConfig:
     max_iter: int = 5000
     eps_reg: float = EPS_REG
     delta_dist: float = 1e-3          # sup-norm, relative to max sup-norm
-    seed: int = 42                    # non-negative, as numpy's SeedSequence takes it
+    seed: int = 42                    # in [0, 2**64): the random start's 64-bit key
 
     def __post_init__(self):
         if min(self.residual_tol, self.eps_reg, self.delta_dist) <= 0:
             raise ValueError("tolerances must be positive")
-        if self.seed < 0:
-            raise ValueError(f"need seed >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2 ** 64:
+            raise ValueError(f"need 0 <= seed < 2**64, got {self.seed}")
 
 
 @dataclass
@@ -361,67 +361,27 @@ def invert_phi_prime(rhs: np.ndarray, w: WeightSpec, p: float, mesh: Mesh,
                         best=DiscreteFunction(mesh, v), residual_norm=rn)
 
 
-_MASK32 = (1 << 32) - 1
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645   # PCG's default 128-bit LCG multiplier
+_GOLDEN_GAMMA = 0x9E3779B97F4A7C15   # splitmix64's state increment
 
 
-def _seed_sequence_state(seed: int) -> list:
-    """numpy's SeedSequence(seed).generate_state(4, uint64), as four ints:
-    the seed's little-endian 32-bit words hashed into a pool of four words,
-    then the pool hashed out (the constants of numpy's bit_generator.pyx)."""
-    words = [seed & _MASK32]
-    while seed >> 32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_a
-        value ^= hash_a
-        hash_a = hash_a * 0x931E8875 & _MASK32
-        value = value * hash_a & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        value = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
-        return value ^ value >> 16
-
-    pool = [hashmix(word) for word in (words + [0, 0, 0])[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    hash_b, out = 0x8B51F9DD, []
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _MASK32
-        value = value * hash_b & _MASK32
-        out.append(value ^ value >> 16)
-    return [out[i] | out[i + 1] << 32 for i in range(0, 8, 2)]
+def _splitmix64(z: int) -> int:
+    """splitmix64's output mix of the 64-bit int z (Steele, Lea & Flood,
+    OOPSLA 2014): a bijection of [0, 2**64) with no visible structure."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+    return z ^ z >> 31
 
 
 @functools.lru_cache(maxsize=1)
 def _uniform_draw(seed: int, n: int) -> np.ndarray:
-    """np.random.default_rng(seed).uniform(-1.0, 1.0, n), bit for bit and
-    read-only, without loading numpy.random: PCG64 (O'Neill, HMC-CS-2014-0905;
-    a 128-bit LCG with the XSL-RR output) seeded through SeedSequence as
-    numpy's pcg64_srandom seeds it, and each double from the top 53 bits of
-    one output.  Memoized, since every search of a scan draws the same start."""
-    s0, s1, s2, s3 = _seed_sequence_state(seed)
-    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-    draw = []
-    for _ in range(n):
-        state = (state * _PCG_MULT + inc) & _MASK128
-        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
-        x = (x >> rot | x << (64 - rot)) & _MASK64
-        draw.append(-1.0 + 2.0 * ((x >> 11) * 2.0 ** -53))
-    out = np.array(draw, dtype=float)
+    """n doubles uniform in [-1, 1), read-only, fixed by seed in [0, 2**64):
+    the splitmix64 stream from state _splitmix64(seed), value i the mix of
+    state + i * _GOLDEN_GAMMA, each double from its top 53 bits.  Memoized,
+    since every search of a scan draws the same start."""
+    key = _splitmix64(seed)
+    out = np.array([-1.0 + 2.0 * ((_splitmix64(key + i * _GOLDEN_GAMMA & _MASK64) >> 11)
+                                  * 2.0 ** -53) for i in range(1, n + 1)], dtype=float)
     out.flags.writeable = False
     return out
 

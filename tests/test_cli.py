@@ -578,8 +578,10 @@ class TestConfigDiagnostics:
             "expr = t + 0*t"),
         "g too deep to integrate": ("check", [("expr = sin(t)", "expr = sin(t)" + " + 0*t" * 600)],
                                     "expr = sin(t) + 0*t"),
-        # numpy's SeedSequence, which the random start reproduces, takes no negative seed
+        # the seed is the random start's 64-bit key, in [0, 2**64)
         "negative seed": ("solve", [("seed = 42", "seed = -5")], "seed = -5"),
+        "seed of 2**64": ("solve", [("seed = 42", "seed = 18446744073709551616")],
+                          "seed = 18446744073709551616"),
     }
 
     @pytest.mark.parametrize("name", list(ERROR_PATHS))
@@ -783,21 +785,25 @@ class TestConfigDiagnostics:
         load_config(str(SHIPPED))
         assert len(domains) == 2
 
-    def test_negative_seed_names_its_key(self, tmp_path):
-        cfg = variant(tmp_path, "seed.cfg", ("seed = 42", "seed = -5"))
-        line = cfg.read_text().splitlines().index("seed = -5") + 1
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_seed_out_of_range_names_its_key(self, tmp_path, seed):
+        cfg = variant(tmp_path, "seed.cfg", ("seed = 42", f"seed = {seed}"))
+        line = cfg.read_text().splitlines().index(f"seed = {seed}") + 1
         with pytest.raises(config.ConfigError) as exc:
             load_config(str(cfg))
-        assert str(exc.value) == f"{cfg} [run]: need seed >= 0, got -5 (line {line}, column 1)"
+        assert str(exc.value) == (f"{cfg} [run]: need 0 <= seed < 2**64, got {seed}"
+                                  f" (line {line}, column 1)")
 
-    # a flag takes the rule of its config key: a seed >= 0, a finite lambda and
-    # mu; any number text is its value, one token or two, after the flag or a
-    # unique prefix of it (--lam, --m); a usage error of the
+    # a flag takes the rule of its config key: a seed in [0, 2**64), a finite
+    # lambda and mu; any number text is its value, one token or two, after the
+    # flag or a unique prefix of it (--lam, --m); a usage error of the
     # flags is a config error as well.  CFG stands for the shipped config, and
     # a None message for a run that goes ahead
     @pytest.mark.parametrize("args, message", [
-        ("solve CFG --seed -1", "--seed: need seed >= 0, got -1"),
-        ("scan CFG --seed -3", "--seed: need seed >= 0, got -3"),
+        ("solve CFG --seed -1", "--seed: need 0 <= seed < 2**64, got -1"),
+        ("scan CFG --seed -3", "--seed: need 0 <= seed < 2**64, got -3"),
+        ("solve CFG --seed 18446744073709551616",
+         "--seed: need 0 <= seed < 2**64, got 18446744073709551616"),
         ("solve CFG --lambda nan", "--lambda: not finite: nan"),
         ("solve CFG --lambda inf", "--lambda: not finite: inf"),
         ("solve CFG --mu nan", "--mu: not finite: nan"),

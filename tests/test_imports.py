@@ -5,7 +5,7 @@ No command, nor loading a config, loads numpy.random (about 13 ms and
 6 MB resident, with secrets, hmac, hashlib and OpenSSL behind it) or
 numpy.polynomial: the primitive check takes a fixed quasi-random point set,
 the Gauss rules are literal tables, and the solver's seeded random start is
-an in-package PCG64 draw, bit for bit numpy's.  No package module imports
+an in-package splitmix64 draw.  No package module imports
 numpy.random or reads np.random, which a static check keeps so.
 
 A module-level or local import binds a name; the name must be read somewhere

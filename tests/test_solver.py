@@ -307,7 +307,7 @@ class TestMinimizeEnergy:
         ustar = build_ustar(2.0, BALL, mesh)
         asm = EnergyAssembler(mesh, ONE, 2.0)
         config = SolverConfig(seed=5)
-        rnd = 2.0 * numpy_uniform(5, mesh.num_vertices)
+        rnd = 2.0 * solver._uniform_draw(5, mesh.num_vertices)
         rnd[mesh.boundary_vertices] = 0.0
         starts = []
 
@@ -351,13 +351,13 @@ class TestMinimizeEnergy:
             minimize_energy(asm)
 
     def test_stall_at_energy_rounding_floor_ends_descent(self, monkeypatch, box2d):
-        # on box2d, multistart seed 4's random start reaches
-        # E = -3116.6000541843937 with scaled residual 1.34e-7 and then finds
-        # only steps that leave E bitwise unchanged; taking them runs to
-        # max_iter (5000) without converging, while the residual polish from
-        # the stalled point converges at the same solution
+        # on box2d, multistart seed 8's random start reaches
+        # E = -3116.6000541843937 and then finds only steps that leave E
+        # bitwise unchanged; taking them runs to max_iter (5000) without
+        # converging, while the residual polish from the stalled point (run
+        # once, so the start does reach the stall) converges at the same solution
         asm, ustar, _ = box2d
-        config = SolverConfig(seed=4)
+        config = SolverConfig(seed=8)
         start = solver._multistart_seeds(asm.mesh, ustar, config)[-1]
         iterations = 0
         tangent = asm.tangent
@@ -370,9 +370,11 @@ class TestMinimizeEnergy:
             return tangent(v, include_sources=include_sources, **kw)
 
         monkeypatch.setattr(asm, "tangent", counted)
+        polishes = count_calls(monkeypatch, solver, "_polish")
         v, rn, ok, _ = solver._descend(asm, start, config)
         assert ok and rn <= config.residual_tol
         assert asm.energy(v) == pytest.approx(-3116.6000541843937, rel=1e-12)
+        assert len(polishes) == 1
 
 
 class TestEulerStep:
@@ -644,37 +646,49 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(delta_dist=-1.0)
 
-    def test_non_negative_seed(self):
-        # numpy's SeedSequence, which the random start reproduces, takes no negative seed
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_non_negative_seed(self, seed):
+        # the seed is the random start's 64-bit key: no seed may alias
+        # another by truncation
         assert SolverConfig(seed=0).seed == 0
-        with pytest.raises(ValueError, match="need seed >= 0, got -1"):
-            SolverConfig(seed=-1)
-
-
-def numpy_uniform(seed: int, n: int) -> np.ndarray:
-    return np.random.default_rng(seed).uniform(-1.0, 1.0, n)
-
-
-def assert_same_bits(got: np.ndarray, want: np.ndarray):
-    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert SolverConfig(seed=2**64 - 1).seed == 2**64 - 1
+        with pytest.raises(ValueError, match=rf"need 0 <= seed < 2\*\*64, got {seed}$"):
+            SolverConfig(seed=seed)
 
 
 class TestUniformDraw:
-    """The multistart's random start equals numpy's PCG64 uniform draw bit for
-    bit: seeds one 32-bit word long, several words long (the SeedSequence
-    pool takes four, and hashes in the rest), and past 2^128."""
+    """The multistart's random start: the splitmix64 stream (Steele, Lea &
+    Flood, OOPSLA 2014) from state _splitmix64(seed), each double from the
+    top 53 bits of one output, in [-1, 1)."""
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 517])
-    @pytest.mark.parametrize("seed", [0, 1, 42, 206, 2**32 - 1, 2**32, 2**64 + 3,
-                                      2**128 + 1, 2**200 + 12345])
-    def test_matches_numpy_bitwise(self, seed, n):
-        assert_same_bits(solver._uniform_draw(seed, n), numpy_uniform(seed, n))
+    def test_splitmix64_reference_vector(self):
+        # the reference generator stepped from state 1234567
+        state, out = 1234567, []
+        for _ in range(5):
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            out.append(solver._splitmix64(state))
+        assert out == [6457827717110365317, 3203168211198807973, 9817491932198370423,
+                       4593380528125082431, 16408922859458223821]
+
+    def test_pinned_bits(self):
+        # a change to the draw shows here even where the goldens do not move
+        assert solver._uniform_draw(42, 2).view(np.uint64).tolist() == [
+            4596094114936260152, 13827665569655464906]
 
     @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**160 - 1), n=st.integers(0, 600))
-    def test_matches_numpy_on_any_seed(self, seed, n):
-        assert_same_bits(solver._uniform_draw(seed, n), numpy_uniform(seed, n))
+    @given(seed=st.integers(0, 2**64 - 1), n=st.integers(0, 600), m=st.integers(0, 600))
+    def test_in_range_and_prefix_stable(self, seed, n, m):
+        m = min(m, n)
+        draw = solver._uniform_draw(seed, n)
+        assert draw.dtype == np.float64 and draw.shape == (n,)
+        assert np.all((-1.0 <= draw) & (draw < 1.0))
+        assert np.array_equal(solver._uniform_draw(seed, m), draw[:m])
+
+    @pytest.mark.parametrize("seed", [0, 5, 2**32 - 1])
+    def test_high_word_changes_draw(self, seed):
+        # the key is all 64 bits of the seed, not its low 32
+        assert not np.array_equal(solver._uniform_draw(seed, 8),
+                                  solver._uniform_draw(seed + 2**32, 8))
 
     def test_memoized_and_read_only(self):
         solver._uniform_draw.cache_clear()
