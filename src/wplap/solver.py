@@ -388,7 +388,7 @@ def _uniform_draw(seed: int, n: int) -> np.ndarray:
 
 def _multistart_seeds(mesh: Mesh, ustar: DiscreteFunction | None,
                       config: SolverConfig):
-    """[0, u*, random]: the random start is uniform in [-1, 1] (_uniform_draw),
+    """[0, u*, random]: the random start is uniform in [-1, 1) (_uniform_draw),
     scaled by sup|u*| (by 1 without u*), with zeros on the boundary."""
     seeds = [np.zeros(mesh.num_vertices)]
     scale = 1.0
