@@ -670,6 +670,29 @@ class TestUniformDraw:
         assert out == [6457827717110365317, 3203168211198807973, 9817491932198370423,
                        4593380528125082431, 16408922859458223821]
 
+    @staticmethod
+    def reference_stream(seed: int, n: int) -> np.ndarray:
+        # the reference generator written out on its own: state advanced by
+        # the golden gamma before each output, then the two-multiply mix
+        def mix(z):
+            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+            return z ^ (z >> 31)
+
+        state, out = mix(seed), []
+        for _ in range(n):
+            state = (state + 0x9E3779B97F4A7C15) % 2**64
+            out.append(-1.0 + 2.0 * ((mix(state) >> 11) * 2.0**-53))
+        return np.array(out, dtype=np.float64)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 517])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 206, 2**32 - 1, 2**32, 2**63, 2**64 - 1])
+    def test_matches_stepped_reference_bitwise(self, seed, n):
+        # the counter form (key + i * gamma) is the stepped stream from key
+        got, want = solver._uniform_draw(seed, n), self.reference_stream(seed, n)
+        assert got.dtype == want.dtype == np.float64 and got.shape == want.shape == (n,)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_pinned_bits(self):
         # a change to the draw shows here even where the goldens do not move
         assert solver._uniform_draw(42, 2).view(np.uint64).tolist() == [
