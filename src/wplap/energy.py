@@ -66,7 +66,6 @@ _MAX_PANELS = 128
 _F_PANELS = 64      # primitive_F's panel cap when F is left to quadrature
 EPS_REG = 1e-8      # default regularization of the p < 2 terms (SolverConfig's too)
 _SPIKE_BLOCK = 8    # block size of a tridiagonal free block (the SPIKE solve's)
-_PHI_MEMO = 16      # distinct points whose phi an assembler keeps (EnergyAssembler.phi)
 
 
 def _as_expr(e) -> Expression | None:
@@ -227,7 +226,19 @@ class EnergyAssembler:
 
     Evaluates energies, residuals and tangent matrices on raw nodal vectors;
     the p < 2 gradient term is regularized with eps_reg.  An optional nodal
-    load adds the linear term -load.v to the energy (its tangent is zero)."""
+    load adds the linear term -load.v to the energy (its tangent is zero).
+
+    lam_reads counts the energy, residual and tangent evaluations whose
+    value lambda's term could change: lam = 0 (the f term is skipped, so
+    its value is unknown), or int F, f or f_t at the quadrature values not
+    all zeros.  Where it does not move, lambda x (+-0) leaves each value as
+    it is for every lambda of the same sign.  descents holds the solver's
+    descents that did not move it (solver._best_descent), keyed on the
+    start, level, mu, the sign of lambda and the SolverConfig, and replayed
+    at any lam of that sign.  That relies on lam and mu being the only
+    fields that change after __init__, and on solver.scan alone changing
+    them, as it runs every cell of a scan on one assembler
+    (tests/test_single_home.py keeps it so)."""
 
     def __init__(self, mesh: Mesh, w: WeightSpec, p: float, lam: float = 0.0,
                  mu: float = 0.0, f: Nonlinearity | None = None,
@@ -246,7 +257,8 @@ class EnergyAssembler:
         self.cellA = _cell_weight_integrals(mesh, w)
         self.interior = np.flatnonzero(mesh.interior_vertices)
         self.h_scale = mesh.max_cell_size ** (mesh.dim / 2.0)
-        self._phi_memo = {}     # v.tobytes() -> phi(v), oldest first
+        self.lam_reads = 0
+        self.descents = {}
         # the mesh-constant part of the gradient tangent: grad phi_b . grad phi_d
         sg = mesh.shape_gradients
         self._gram = np.einsum("cbk,cdk->cbd", sg, sg)
@@ -302,25 +314,19 @@ class EnergyAssembler:
             else:
                 source += (uq ** 2 + self.eps_reg ** 2) ** ((self.p - 2.0) / 2.0) * uq
         if self.f is not None and self.lam != 0.0:
-            source -= self.lam * self.f.eval(self.pts, uq)
+            fv = self.f.eval(self.pts, uq)
+            self.lam_reads += bool(fv.any())
+            source -= self.lam * fv
+        elif self.f is not None:
+            self.lam_reads += 1
         if self.g is not None and self.mu != 0.0:
             source -= self.mu * self.g.eval(self.pts, uq)
         return source
 
     # -- energies ----------------------------------------------------------
     def phi(self, v: np.ndarray) -> float:
-        """norm_p(v) / p, kept for the last _PHI_MEMO distinct v and keyed on
-        their bytes, so a repeat returns the very float computed.  phi reads
-        the mesh, the weight and p, never lam or mu, and the cells of a scan
-        meet the same points again: the sublevel search's seeds, and its
-        first steps wherever f and g do not reach."""
-        key = v.tobytes()
-        ph = self._phi_memo.get(key)
-        if ph is None:
-            if len(self._phi_memo) == _PHI_MEMO:
-                del self._phi_memo[next(iter(self._phi_memo))]
-            ph = self._phi_memo[key] = self.norm_p(v) / self.p
-        return ph
+        """norm_p(v) / p; it reads the mesh, the weight and p, never lam or mu."""
+        return self.norm_p(v) / self.p
 
     def norm_p(self, v: np.ndarray) -> float:
         lp, grad = _norm_terms(self.mesh, self.cellA, self.p, v)
@@ -340,7 +346,11 @@ class EnergyAssembler:
         e = (float(grad.sum()) + (float(lp.sum()) if self.zero_order else 0.0)) / self.p
         uq = uqc.reshape(-1)
         if self.f is not None and self.lam != 0.0:
-            e += self.lam * -self._int_F(self.f, uq)
+            int_F = self._int_F(self.f, uq)
+            self.lam_reads += int_F != 0.0
+            e += self.lam * -int_F
+        elif self.f is not None:
+            self.lam_reads += 1     # lam = 0 skips the term: its value is unknown
         if self.g is not None and self.mu != 0.0:
             e += self.mu * -self._int_F(self.g, uq)
         if self.load is not None:
@@ -415,7 +425,11 @@ class EnergyAssembler:
             u2 = uq ** 2
             coef += (u2 + eps ** 2) ** ((p - 2.0) / 2.0) * (1.0 + (p - 2.0) * u2 / (u2 + eps ** 2))
         if include_sources and self.f is not None and self.lam != 0.0:
-            coef -= self.lam * self.f.eval_dt(self.pts, uq)
+            ft = self.f.eval_dt(self.pts, uq)
+            self.lam_reads += bool(ft.any())
+            coef -= self.lam * ft
+        elif include_sources and self.f is not None:
+            self.lam_reads += 1
         if include_sources and self.g is not None and self.mu != 0.0:
             coef -= self.mu * self.g.eval_dt(self.pts, uq)
         if np.any(coef):

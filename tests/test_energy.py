@@ -218,6 +218,54 @@ class TestShippedPrimitives:
         assert calls == ["int_0^t(sin(t))"]
 
 
+class TestLamReads:
+    """lam_reads moves on each evaluation that lambda's term could change:
+    the shipped f is 0 for t < 0.25, so it stays put at 0.2 u* (sup 0.2)
+    and moves at u* (sup 1) and at lambda = 0, where the term is skipped."""
+
+    @pytest.fixture(scope="class")
+    def shipped(self):
+        cfg = load_config(Path(__file__).resolve().parents[1]
+                          / "configs" / "three_solutions_1d.cfg")
+        mesh = build_problem_mesh(cfg)
+        ustar = build_ustar(cfg.d, cfg.ball, mesh)
+        return cfg, mesh, ustar.values
+
+    @staticmethod
+    def reads(asm, kernel, v):
+        before = asm.lam_reads
+        kernel(asm, v)
+        return asm.lam_reads - before
+
+    KERNELS = {
+        "energy": EnergyAssembler.energy,
+        "residual": EnergyAssembler.residual,
+        "tangent": lambda asm, v: asm.tangent(v, free=True),
+    }
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("mu", [0.0, 0.05])
+    def test_each_kernel(self, shipped, kernel, mu):
+        cfg, mesh, ustar = shipped
+        fn = self.KERNELS[kernel]
+        asm = EnergyAssembler(mesh, cfg.weight, cfg.p, 18.0, mu, cfg.nl_f, cfg.nl_g)
+        assert asm.lam_reads == 0
+        assert self.reads(asm, fn, 0.2 * ustar) == 0
+        assert self.reads(asm, fn, np.zeros(mesh.num_vertices)) == 0
+        assert self.reads(asm, fn, ustar) == 1
+        asm.lam = 0.0
+        assert self.reads(asm, fn, 0.2 * ustar) == 1
+
+    def test_without_f_or_its_linearization(self, shipped):
+        cfg, mesh, ustar = shipped
+        asm = EnergyAssembler(mesh, cfg.weight, cfg.p, 0.0, 0.05, g=cfg.nl_g)
+        for fn in self.KERNELS.values():
+            assert self.reads(asm, fn, ustar) == 0
+        asm = EnergyAssembler(mesh, cfg.weight, cfg.p, 0.0, 0.0, cfg.nl_f)
+        asm.tangent(ustar, include_sources=False, free=True)
+        assert asm.lam_reads == 0
+
+
 class TestPhi:
     def test_zero(self):
         mesh = interval_mesh(0.25)

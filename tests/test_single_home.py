@@ -11,7 +11,10 @@ certificate's verdict tolerances are its _GUARD and _ROUNDING.  Every
 ConfigError is built by config._located, so src calls ConfigError once.
 Only expressions.py runs code it builds, with the builtins eval and
 compile, against a name table without builtins.  Only cli._write_table
-and cli._read_table write or parse a CSV table."""
+and cli._read_table write or parse a CSV table.  Only an __init__ sets an
+assembler's f, g, p, load, zero_order, eps_reg or mesh, and only
+solver.scan changes its lam and mu, which the descents an assembler keeps
+for replay rely on."""
 import ast
 import inspect
 from pathlib import Path
@@ -221,3 +224,62 @@ def test_only_expressions_evaluates_code():
     assert lines.pop("expressions.py")
     assert not any(lines.values()), lines
     assert _NAMES["__builtins__"] == {}
+
+
+# the fields an EnergyAssembler fixes in __init__, and those solver.scan sets
+# per cell: asm.descents replays a descent on the same assembler at another
+# lam, which is sound only while nothing else changes what a descent reads
+FIXED_FIELDS = {"f", "g", "p", "load", "zero_order", "eps_reg", "mesh"}
+CELL_FIELDS = {"lam", "mu"}
+
+
+def attribute_stores(source: str, names: set) -> list:
+    """(enclosing function, attribute) of every store, augmented store,
+    delete or setattr call of an attribute named in names, the function
+    dotted with the functions and classes around it ('' at module level)."""
+    out = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Attribute) and child.attr in names \
+                    and isinstance(child.ctx, (ast.Store, ast.Del)):
+                out.append((scope, child.attr))
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in \
+                    ("setattr", "delattr") and len(child.args) > 1:
+                name = child.args[1]
+                if not isinstance(name, ast.Constant) or name.value in names:
+                    out.append((scope, getattr(name, "value", "?")))
+            visit(child, inner)
+    visit(ast.parse(source), "")
+    return out
+
+
+def test_attribute_store_detector():
+    src = ("class A:\n"
+           "    def __init__(self, f):\n"
+           "        self.f = f\n"
+           "        self.lam, self.x = 0.0, 1\n"
+           "def scan(asm, lams):\n"
+           "    for asm.lam in lams:\n"
+           "        asm.mu += 1.0\n"
+           "def g(asm, name):\n"
+           "    setattr(asm, 'p', 3.0)\n"
+           "    setattr(asm, name, 0)\n"
+           "    del asm.load\n"
+           "    return asm.f, asm.mu\n")
+    assert attribute_stores(src, FIXED_FIELDS | CELL_FIELDS) == [
+        ("A.__init__", "f"), ("A.__init__", "lam"), ("scan", "lam"), ("scan", "mu"),
+        ("g", "p"), ("g", "?"), ("g", "load")]
+
+
+def test_assembler_fields_change_only_where_descents_allow():
+    fixed, cell = {}, {}
+    for path in SOURCES:
+        for scope, attr in attribute_stores(path.read_text(), FIXED_FIELDS | CELL_FIELDS):
+            where = f"{path.stem}.{scope}"
+            (cell if attr in CELL_FIELDS else fixed).setdefault(where, set()).add(attr)
+    assert all(where.endswith(".__init__") for where in fixed), fixed
+    assert cell == {"energy.EnergyAssembler.__init__": CELL_FIELDS, "solver.scan": CELL_FIELDS}

@@ -1,13 +1,14 @@
 """Critical-point search: inversion, minimization, mountain pass, and scan."""
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wplap import solver
+from wplap import cli, solver
 from wplap.certificate import build_ustar, compute_r
 from wplap.energy import (_SPIKE_BLOCK, EnergyAssembler, _densify, make_nonlinearity,
                           weak_form_gap)
@@ -335,12 +336,14 @@ class TestMinimizeEnergy:
         ([(2.0, True), (0.5, True), (1.0, True)], 1),
     ])
     def test_best_descent_ranks_converged_then_energy(self, monkeypatch, starts, winner):
-        # the ranking reads the energy the descent returns, not the assembler
+        # the ranking reads the energy the descent returns, not the
+        # assembler's; at lam = 0 nothing is stored or replayed
         monkeypatch.setattr(solver, "_descend",
                             lambda asm_, v0, config_, level=None:
                             (v0, 0.0, starts[int(v0[1])][1], v0[0]))
         seeds = [np.array([E, i]) for i, (E, _) in enumerate(starts)]
-        v, _, ok, _ = solver._best_descent(None, seeds, SolverConfig())
+        asm = EnergyAssembler(build_mesh(UNIT, 1 / 16), ONE, 2.0)
+        v, _, ok, _ = solver._best_descent(asm, seeds, SolverConfig())
         assert v[1] == winner and ok == starts[winner][1]
 
     def test_no_converged_start_raises(self, monkeypatch):
@@ -637,6 +640,100 @@ class TestScan:
         asm = EnergyAssembler(mesh, ONE, 3.0, lam=1.0, f=linear_f())
         with pytest.raises(SolverFailure):
             solve_cell(asm, config=SolverConfig(max_iter=1))
+
+
+def shipped_instance(f=None):
+    """(mesh, u*, r) of the shipped 1D instance as `scan` builds it, and an
+    assembler factory at (lam, mu) with the shipped g and f (or the f given)."""
+    mesh = build_mesh(UNIT, 1 / 256, breakpoints=(0.3, 0.4, 0.6, 0.7))
+    ustar = build_ustar(1.0, BALL, mesh)
+    r = compute_r(0.2, k_upper_bound(ONE, 2.0, 2.0, mesh), 2.0)
+    f, g = f or shipped_f(), shipped_g()
+    return mesh, ustar, r, lambda lam=0.0, mu=0.0: EnergyAssembler(mesh, ONE, 2.0, lam, mu, f, g)
+
+
+def fresh_cells(make_asm, lams, mus, r, ustar):
+    """scan's cells, each solved on an assembler of its own."""
+    cells = []
+    for lam in lams:
+        for mu in mus:
+            records, notes = [], []
+            try:
+                records, notes = solve_cell(make_asm(lam, mu), r, ustar=ustar)
+            except (SolverFailure, solver.CoercivityError) as exc:
+                notes.append(f"cell failed: {exc}")
+            cells.append((records, notes))
+    return cells
+
+
+def cell_bits(records, notes):
+    """Everything a cell's records and notes hold, floats as their bytes."""
+    bits = lambda x: np.float64(x).tobytes()
+    return [(r.u.values.tobytes(), bits(r.energy), bits(r.residual_norm), bits(r.norm),
+             r.classification, r.converged) for r in records], notes
+
+
+class TestSharedDescents:
+    """scan replays, in its other cells, each descent that never read lambda
+    (asm.lam_reads did not move) at the same start, level, mu, sign of
+    lambda and config; the shipped f is 0 on [-0.25, 0.25], where every
+    sublevel descent stays."""
+
+    def test_scan_is_bitwise_solve_cell_per_cell(self, monkeypatch):
+        mesh, ustar, r, make_asm = shipped_instance()
+        lams, mus = [-4.0, 0.0, 12.0, 18.0], [0.0, 0.05]
+        descents = count_calls(monkeypatch, solver, "_descend")
+        want = fresh_cells(make_asm, lams, mus, r, ustar)
+        fresh = len(descents)
+        got = scan(make_asm(), lams, mus, r, ustar=ustar).cells
+        assert len(descents) - fresh < fresh       # some descents were replayed
+        assert [(c.lam, c.mu) for c in got] == [(lam, mu) for lam in lams for mu in mus]
+        for cell, (records, notes) in zip(got, want):
+            assert cell.solutions.records and not cell.notes
+            assert cell_bits(cell.solutions.records, cell.notes) == cell_bits(records, notes)
+
+    def test_replay_keeps_the_sign_of_lambda(self, monkeypatch):
+        # lambda = -4 and 12 share no descent; 12 and 18 share the sublevel
+        # descents and those from 0 and -u*
+        mesh, ustar, r, make_asm = shipped_instance()
+        descents = count_calls(monkeypatch, solver, "_descend")
+        for lams, shared in (([-4.0, 12.0], 0), ([12.0, 18.0], 5)):
+            fresh_cells(make_asm, lams, [0.0], r, ustar)
+            fresh = len(descents)
+            descents.clear()
+            scan(make_asm(), lams, [0.0], r, ustar=ustar)
+            assert fresh - len(descents) == shared
+            descents.clear()
+
+    def test_f_read_at_every_nonzero_iterate_replays_only_zero(self, monkeypatch):
+        # f = t is nonzero wherever u is: only the start at 0, a critical
+        # point for every lambda, never reads lambda
+        f = make_nonlinearity("t", primitive="0.5*t^2")
+        mesh, ustar, r, make_asm = shipped_instance(f)
+        lams, mus = [1.0, 2.0, 3.0], [0.0, 0.05]
+        asm = make_asm()
+        descents = count_calls(monkeypatch, solver, "_descend")
+        got = scan(asm, lams, mus, r, ustar=ustar).cells
+        zero = np.zeros(mesh.num_vertices).tobytes()
+        assert asm.descents and all(key[0] == zero for key in asm.descents)
+        # at each mu, lambda = 2 and 3 replay the start at 0 in both searches
+        assert len(descents) == 6 * 7 - 2 * 2 * 2
+        for cell, (records, notes) in zip(got, fresh_cells(make_asm, lams, mus, r, ustar)):
+            assert cell_bits(cell.solutions.records, cell.notes) == cell_bits(records, notes)
+
+    def test_stored_iterate_is_read_only(self):
+        mesh, ustar, r, make_asm = shipped_instance()
+        asm = make_asm(12.0)
+        solve_cell(asm, r, ustar=ustar)
+        assert asm.descents
+        assert not any(out[0].flags.writeable for out in asm.descents.values())
+
+    def test_shipped_scan_descent_count(self, monkeypatch, tmp_path):
+        # 71 without sharing
+        descents = count_calls(monkeypatch, solver, "_descend")
+        config = Path(__file__).resolve().parents[1] / "configs" / "three_solutions_1d.cfg"
+        assert cli.main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
+        assert len(descents) == 31
 
 
 class TestSolverConfig:
